@@ -23,11 +23,11 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from . import footprint as suf
 from . import metrics
-from .errors import ModelMismatch, ParseError, UcovError
+from .errors import ParseError, UcovError
 from .footprint import Footprint
 from .model import UsageModel, build_sum, model_from_dict, model_to_dict
 from .parser import parse_unit
@@ -46,21 +46,20 @@ class UsageError(UcovError):
 
 @dataclass
 class CorpusConfig:
-    library_root: Optional[str] = None
     groups: dict[str, list[str]] = field(default_factory=dict)
     lenient: bool = True
 
     @classmethod
-    def load(cls, path: str) -> "CorpusConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    def from_dict(cls, data: dict) -> "CorpusConfig":
         groups = data.get("groups", {})
-        if len(set(groups)) != len(groups) or any(not k for k in groups):
-            raise UsageError("corpus config labels must be unique and non-empty")
-        return cls(
-            library_root=data.get("library_root"),
-            groups={k: list(v) for k, v in groups.items()},
-            lenient=bool(data.get("lenient", True)),
-        )
+        if not isinstance(groups, dict) or not all(
+            isinstance(roots, list) and all(isinstance(r, str) for r in roots)
+            for roots in groups.values()
+        ):
+            raise UsageError("corpus config groups must map labels to lists of roots")
+        if "" in groups:
+            raise UsageError("corpus config labels must be non-empty")
+        return cls(groups=groups, lenient=bool(data.get("lenient", True)))
 
 
 def _setup_logging() -> None:
@@ -101,24 +100,35 @@ def _parse_library(root: Path) -> list:
     return [parse_unit(p.read_text(encoding="utf-8"), str(p)) for p in files]
 
 
-def _load_model(path: str) -> UsageModel:
+T = TypeVar("T")
+
+
+def _read_json(path: str, load: Callable[[dict], T]) -> T:
+    """Read the JSON object in ``path`` and convert it with ``load``. A file
+    that cannot be read, is not a JSON object or lacks a key the conversion
+    needs ends in a one-line UsageError naming the file."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise UsageError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise UsageError(f"{path}: invalid JSON: {exc}") from exc
-    return model_from_dict(data)
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: expected a JSON object, found {type(data).__name__}")
+    try:
+        return load(data)
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing key {exc}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise UsageError(f"{path}: malformed content: {exc}") from exc
+
+
+def _load_model(path: str) -> UsageModel:
+    return _read_json(path, model_from_dict)
 
 
 def _load_footprint(path: str, model: UsageModel) -> Footprint:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise UsageError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: invalid JSON: {exc}") from exc
-    return suf.footprint_from_dict(data, model)
+    return _read_json(path, lambda data: suf.footprint_from_dict(data, model))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +149,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
 def cmd_suf(args: argparse.Namespace) -> int:
     model = _load_model(args.sum)
     if args.config:
-        config = CorpusConfig.load(args.config)
+        config = _read_json(args.config, CorpusConfig.from_dict)
         lenient = True if args.lenient else config.lenient
         if not config.groups:
             raise UsageError("corpus config defines no groups")
@@ -300,10 +310,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (UsageError, ModelMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UcovError as exc:
+    except (UcovError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

@@ -16,9 +16,10 @@ from typing import Optional, Union
 
 from . import nodes as n
 from .errors import ModelMismatch, ParseError
-from .model import Symbol, UsageModel, UseKind
+from .model import TYPE_USES, Symbol, UsageModel, UseKind
 from .parser import parse_unit
 from .symtab import (
+    PRIMITIVES,
     MemberInfo,
     ResolutionStatus,
     SymbolTable,
@@ -53,12 +54,7 @@ class UseTriple:
         return (self.symbol.fqn, self.symbol.signature, self.use)
 
     def sort_key(self):
-        return (
-            self.symbol.fqn,
-            self.symbol.signature or "",
-            self.use.value,
-            self.location,
-        )
+        return (self.symbol.sort_key(), self.use.value, self.location)
 
 
 @dataclass
@@ -196,7 +192,7 @@ class _Extractor:
         self.diagnostics.append(Diagnostic(loc, kind, message))
 
     def api_type(self, fqn: str) -> Optional[Symbol]:
-        return self.model.symbol_for(fqn, None)
+        return self.model.type_symbol(fqn)
 
     def api_member(self, member: MemberInfo) -> Optional[Symbol]:
         return self.model.symbol_for(member.fqn, member.signature)
@@ -269,7 +265,7 @@ class _Extractor:
         scope: tuple[str, ...],
         params: frozenset[str],
     ) -> None:
-        def heritage(ref: n.TypeRef, implements_clause: bool) -> None:
+        def heritage(ref: n.TypeRef) -> None:
             resolved, known = ctx.resolve_type_name(ref.name, scope, params)
             for arg in ref.type_args:
                 self._type_reference(arg, scope, params, ctx)
@@ -294,10 +290,8 @@ class _Extractor:
             else:
                 self.emit(target, UseKind.INHERITANCE, ref.location)
 
-        for ref in decl.extends_refs:
-            heritage(ref, implements_clause=False)
-        for ref in decl.implements_refs:
-            heritage(ref, implements_clause=True)
+        for ref in decl.extends_refs + decl.implements_refs:
+            heritage(ref)
 
     def _overriding_uses(self, info) -> None:
         for member in info.members:
@@ -388,7 +382,7 @@ class _Extractor:
             return Unknown
         erased = env.erase(ref)
         base = erased.rstrip("[]")
-        if base in ("int", "long", "short", "byte", "double", "float", "boolean", "char"):
+        if base in PRIMITIVES:
             return erased
         if self.table.lookup_type(base) is not None:
             return erased
@@ -727,14 +721,17 @@ def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
         )
     triples: set[UseTriple] = set()
     for u in data["uses"]:
-        sym = model.symbol_for(u["fqn"], u["signature"])
-        if sym is None:
-            raise ModelMismatch(f"symbol {u['fqn']} not in model {model.library_name!r}")
-        triples.add(
-            UseTriple(
-                sym, UseKind(u["use"]), n.Location(u["file"], u["line"], u["col"])
+        use = UseKind(u["use"])
+        if use in TYPE_USES:
+            sym = model.type_symbol(u["fqn"])
+        else:
+            sym = model.symbol_for(u["fqn"], u["signature"])
+        if sym is None or use not in model.entries[sym]:
+            raise ModelMismatch(
+                f"{use.value} of {u['fqn']} is not a legal use in model "
+                f"{model.library_name!r}"
             )
-        )
+        triples.add(UseTriple(sym, use, n.Location(u["file"], u["line"], u["col"])))
     diagnostics = [
         Diagnostic(
             n.Location(d["file"], d["line"], d["col"]),

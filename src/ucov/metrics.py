@@ -117,8 +117,8 @@ def popularity(fp: Footprint, by: str = "SymbolUse") -> list[tuple[object, int]]
     """Occurrence counts of triples, ranked descending.
 
     ``by`` is "Symbol" (counts per symbol) or "SymbolUse" (counts per
-    (symbol, use) pair). Ties are broken lexicographically by
-    fqn/signature/use so the ranking is deterministic.
+    (symbol, use) pair). Ties are broken by symbol order, then by use, so
+    the ranking is deterministic.
     """
     counts: dict[object, int] = {}
     for t in fp.triples:
@@ -128,8 +128,8 @@ def popularity(fp: Footprint, by: str = "SymbolUse") -> list[tuple[object, int]]
     def tie_break(key: object) -> tuple:
         if isinstance(key, tuple):
             sym, use = key
-            return (sym.fqn, sym.signature or "", use.value)
-        return (key.fqn, key.signature or "", "")
+            return (sym.sort_key(), use.value)
+        return key.sort_key()
 
     return sorted(counts.items(), key=lambda kv: (-kv[1], tie_break(kv[0])))
 
@@ -194,13 +194,12 @@ def coverage_to_dict(report: CoverageReport, model: UsageModel) -> dict:
     for sym, level in sorted(report.levels.items(), key=lambda kv: kv[0].sort_key()):
         key = f"{sym.fqn}{'#' + sym.signature if sym.signature else ''}"
         level_names[key] = level.value
-    uncovered = sorted(
-        [
-            {"fqn": s.fqn, "signature": s.signature, "use": u.value}
-            for s, u in report.uncovered_uses
-        ],
-        key=lambda d: (d["fqn"], d["signature"] or "", d["use"]),
-    )
+    uncovered = [
+        {"fqn": s.fqn, "signature": s.signature, "use": u.value}
+        for s, u in sorted(
+            report.uncovered_uses, key=lambda su: (su[0].sort_key(), su[1].value)
+        )
+    ]
     return {
         "symbol_coverage": _fmt_ratio(report.symbol_coverage),
         "use_coverage": _fmt_ratio(report.use_coverage),

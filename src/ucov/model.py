@@ -35,20 +35,36 @@ class SymbolKind(Enum):
 
 _TYPE_KINDS = frozenset({SymbolKind.CLASS, SymbolKind.INTERFACE})
 
+# Uses of a type; every other use kind is a use of a member.
+TYPE_USES = frozenset(
+    {
+        UseKind.TYPE_REFERENCE,
+        UseKind.INSTANTIATION,
+        UseKind.INHERITANCE,
+        UseKind.IMPLEMENTATION,
+        UseKind.INTERFACE_EXTENSION,
+    }
+)
+
 
 @dataclass(frozen=True)
 class Symbol:
-    """A uniquely identified library declaration."""
+    """A uniquely identified library declaration.
+
+    Identity is ``(fqn, kind, signature)``: types are identified by FQN,
+    members by FQN and erased signature, and the kind tells a field from a
+    nested type of the same name. ``declaring_type`` and ``modifiers`` are
+    carried along but take no part in equality or hashing.
+    """
 
     fqn: str
     kind: SymbolKind
-    signature: Optional[str] = None  # erased; members only
-    declaring_type: Optional[str] = None  # members only
-    modifiers: frozenset[str] = frozenset()
-    exported: bool = True
+    signature: Optional[str] = None  # erased; methods and constructors only
+    declaring_type: Optional[str] = field(default=None, compare=False)  # members only
+    modifiers: frozenset[str] = field(default=frozenset(), compare=False)
 
-    def sort_key(self) -> tuple[str, str]:
-        return (self.fqn, self.signature or "")
+    def sort_key(self) -> tuple[str, str, str]:
+        return (self.fqn, self.signature or "", self.kind.value)
 
     def __str__(self) -> str:
         if self.kind in (SymbolKind.METHOD, SymbolKind.CONSTRUCTOR):
@@ -58,23 +74,39 @@ class Symbol:
 
 @dataclass
 class UsageModel:
-    """Map from exported symbols to their sets of legal use kinds."""
+    """Map from exported symbols to their sets of legal use kinds.
+
+    The model owns symbol lookup: types are found by FQN, members by FQN
+    and erased signature, in separate namespaces built at construction.
+    """
 
     library_name: str
     entries: dict[Symbol, frozenset[UseKind]]
     table: SymbolTable
+    _types: dict[str, Symbol] = field(init=False, repr=False, compare=False)
+    _members: dict[tuple[str, Optional[str]], Symbol] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._types = {}
+        self._members = {}
+        for sym in self.entries:
+            if sym.kind in _TYPE_KINDS:
+                self._types[sym.fqn] = sym
+            else:
+                self._members[(sym.fqn, sym.signature)] = sym
 
     @property
     def legal_use_count(self) -> int:
         return sum(len(uses) for uses in self.entries.values())
 
-    def symbol_for(self, fqn: str, signature: Optional[str]) -> Optional[Symbol]:
-        return self._index().get((fqn, signature))
+    def type_symbol(self, fqn: str) -> Optional[Symbol]:
+        return self._types.get(fqn)
 
-    def _index(self) -> dict[tuple[str, Optional[str]], Symbol]:
-        if not hasattr(self, "_idx"):
-            self._idx = {(s.fqn, s.signature): s for s in self.entries}
-        return self._idx
+    def symbol_for(self, fqn: str, signature: Optional[str]) -> Optional[Symbol]:
+        """The member with this FQN and erased signature (None for a field)."""
+        return self._members.get((fqn, signature))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +114,7 @@ class UsageModel:
 # ---------------------------------------------------------------------------
 
 
-def is_effectively_extensible_info(info: TypeInfo, table: SymbolTable) -> bool:
+def is_effectively_extensible_info(info: TypeInfo) -> bool:
     if "final" in info.modifiers or "sealed" in info.modifiers:
         return False
     if info.kind is n.TypeKind.CLASS:
@@ -93,39 +125,20 @@ def is_effectively_extensible_info(info: TypeInfo, table: SymbolTable) -> bool:
     return True
 
 
+def _accessible_in(vis: str, outer: TypeInfo) -> bool:
+    """Whether a declaration of visibility ``vis`` inside the exported type
+    ``outer`` is exported."""
+    return vis == "public" or (vis == "protected" and is_effectively_extensible_info(outer))
+
+
 def _type_exported(info: TypeInfo, table: SymbolTable) -> bool:
-    vis = info.visibility()
     if info.enclosing is None:
-        return vis == "public"
+        return info.visibility() == "public"
     outer = table.lookup_type(info.enclosing)
-    if outer is None or not _type_exported(outer, table):
-        return False
-    if vis == "public":
-        return True
-    if vis == "protected":
-        return is_effectively_extensible_info(outer, table)
-    return False
-
-
-def _member_exported(member: MemberInfo, table: SymbolTable) -> bool:
-    outer = table.lookup_type(member.declaring)
-    if outer is None or not _type_exported(outer, table):
-        return False
-    vis = member.visibility()
-    if vis == "public":
-        return True
-    if vis == "protected":
-        return is_effectively_extensible_info(outer, table)
-    return False
-
-
-def _symbol_for_type(info: TypeInfo, table: SymbolTable) -> Symbol:
-    kind = SymbolKind.CLASS if info.kind is n.TypeKind.CLASS else SymbolKind.INTERFACE
-    return Symbol(
-        fqn=info.fqn,
-        kind=kind,
-        modifiers=info.modifiers,
-        exported=_type_exported(info, table),
+    return (
+        outer is not None
+        and _type_exported(outer, table)
+        and _accessible_in(info.visibility(), outer)
     )
 
 
@@ -136,14 +149,13 @@ _MEMBER_SYMBOL_KINDS = {
 }
 
 
-def _symbol_for_member(member: MemberInfo, table: SymbolTable) -> Symbol:
+def _symbol_for_member(member: MemberInfo) -> Symbol:
     return Symbol(
         fqn=member.fqn,
         kind=_MEMBER_SYMBOL_KINDS[member.kind],
         signature=member.signature,
         declaring_type=member.declaring,
         modifiers=member.modifiers,
-        exported=_member_exported(member, table),
     )
 
 
@@ -153,7 +165,10 @@ def is_exported(sym: Symbol, table: SymbolTable) -> bool:
         info = table.lookup_type(sym.fqn)
         return info is not None and _type_exported(info, table)
     member = _find_member(sym, table)
-    return member is not None and _member_exported(member, table)
+    if member is None:
+        return False
+    outer = table.lookup_type(member.declaring)
+    return _type_exported(outer, table) and _accessible_in(member.visibility(), outer)
 
 
 def is_effectively_extensible(sym: Symbol, table: SymbolTable) -> bool:
@@ -162,21 +177,12 @@ def is_effectively_extensible(sym: Symbol, table: SymbolTable) -> bool:
     info = table.lookup_type(sym.fqn)
     if info is None:
         return False
-    return is_effectively_extensible_info(info, table)
+    return is_effectively_extensible_info(info)
 
 
 def _find_member(sym: Symbol, table: SymbolTable) -> Optional[MemberInfo]:
-    if sym.declaring_type is None:
-        return None
-    for m in table.members_of(sym.declaring_type):
-        if m.name != sym.fqn.split(".")[-1]:
-            continue
-        if m.kind is n.MemberKind.FIELD:
-            if sym.kind is SymbolKind.FIELD:
-                return m
-        elif m.signature == sym.signature:
-            return m
-    return None
+    members = table.members_of(sym.declaring_type) if sym.declaring_type else ()
+    return next((m for m in members if _symbol_for_member(m) == sym), None)
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +206,12 @@ def legal_uses(sym: Symbol, table: SymbolTable) -> frozenset[UseKind]:
         if info is not None:
             if "abstract" not in info.modifiers and _has_public_constructor(info):
                 uses.add(UseKind.INSTANTIATION)
-            if is_effectively_extensible_info(info, table):
+            if is_effectively_extensible_info(info):
                 uses.add(UseKind.INHERITANCE)
     elif sym.kind is SymbolKind.INTERFACE:
         info = table.lookup_type(sym.fqn)
         uses.add(UseKind.TYPE_REFERENCE)
-        if info is not None and is_effectively_extensible_info(info, table):
+        if info is not None and is_effectively_extensible_info(info):
             uses.add(UseKind.IMPLEMENTATION)
             uses.add(UseKind.INTERFACE_EXTENSION)
     elif sym.kind is SymbolKind.CONSTRUCTOR:
@@ -217,9 +223,7 @@ def legal_uses(sym: Symbol, table: SymbolTable) -> frozenset[UseKind]:
             uses.add(UseKind.METHOD_INVOCATION)
             if "final" not in sym.modifiers and sym.declaring_type is not None:
                 declaring = table.lookup_type(sym.declaring_type)
-                if declaring is not None and is_effectively_extensible_info(
-                    declaring, table
-                ):
+                if declaring is not None and is_effectively_extensible_info(declaring):
                     uses.add(UseKind.OVERRIDING)
     elif sym.kind is SymbolKind.FIELD:
         uses.add(UseKind.FIELD_READ)
@@ -239,20 +243,16 @@ def build_sum(
     """Build the usage model of a library: every exported symbol mapped to
     its legal uses."""
     table = build_symbol_table(library_units)
-    return build_sum_from_table(table, library_name)
-
-
-def build_sum_from_table(table: SymbolTable, library_name: str) -> UsageModel:
     entries: dict[Symbol, frozenset[UseKind]] = {}
     for info in table.own_types():
-        tsym = _symbol_for_type(info, table)
-        if tsym.exported:
-            entries[tsym] = legal_uses(tsym, table)
-        if not tsym.exported:
+        if not _type_exported(info, table):
             continue
+        kind = SymbolKind.CLASS if info.kind is n.TypeKind.CLASS else SymbolKind.INTERFACE
+        tsym = Symbol(fqn=info.fqn, kind=kind, modifiers=info.modifiers)
+        entries[tsym] = legal_uses(tsym, table)
         for member in info.members:
-            msym = _symbol_for_member(member, table)
-            if msym.exported:
+            if _accessible_in(member.visibility(), info):
+                msym = _symbol_for_member(member)
                 entries[msym] = legal_uses(msym, table)
     ordered = dict(sorted(entries.items(), key=lambda kv: kv[0].sort_key()))
     return UsageModel(library_name, ordered, table)
@@ -350,7 +350,6 @@ def model_from_dict(data: dict) -> UsageModel:
             signature=s["signature"],
             declaring_type=declaring,
             modifiers=frozenset(s["modifiers"]),
-            exported=True,
         )
         entries[sym] = frozenset(UseKind(u) for u in s["uses"])
     return UsageModel(data["library"], entries, table)

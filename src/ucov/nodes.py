@@ -234,12 +234,6 @@ class MemberDecl:
     field_init: Optional[Expr] = None
     body: Optional[Block] = None
 
-    def visibility(self) -> str:
-        for v in VISIBILITY_MODIFIERS:
-            if v in self.modifiers:
-                return v
-        return "packagePrivate"
-
 
 @dataclass
 class TypeDecl:
@@ -253,12 +247,6 @@ class TypeDecl:
     members: list[MemberDecl]
     nested: list["TypeDecl"]
     location: Location
-
-    def visibility(self) -> str:
-        for v in VISIBILITY_MODIFIERS:
-            if v in self.modifiers:
-                return v
-        return "packagePrivate"
 
 
 @dataclass

@@ -98,11 +98,6 @@ class SymbolTable:
     def own_types(self) -> Iterator[TypeInfo]:
         return iter(self.types.values())
 
-    def all_types(self) -> Iterator[TypeInfo]:
-        yield from self.types.values()
-        if self.base is not None:
-            yield from self.base.all_types()
-
     def supertype_closure(self, fqn: str, include_self: bool = True) -> list[str]:
         """BFS over known supertypes, duplicate-free, nearest first."""
         out: list[str] = []

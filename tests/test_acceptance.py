@@ -38,6 +38,7 @@ from ucov import (
     parse_unit,
 )
 from ucov.cli import main
+from ucov.lexer import KEYWORDS
 from ucov.metrics import CoverageLevel
 from ucov.model import Symbol, SymbolKind, UsageModel
 from ucov.symtab import SymbolTable
@@ -305,7 +306,11 @@ def _method_uses(method_name: str, final: bool) -> tuple:
 
 @pytest.mark.criterion(6, "randomized property suites")
 @PROPERTY_SETTINGS
-@given(st.from_regex(r"[a-z][a-zA-Z0-9]{0,6}", fullmatch=True))
+@given(
+    st.from_regex(r"[a-z][a-zA-Z0-9]{0,6}", fullmatch=True).filter(
+        lambda name: name not in KEYWORDS
+    )
+)
 def test_property_final_removes_exactly_overriding(name):
     open_uses = set(_method_uses(name, final=False))
     final_uses = set(_method_uses(name, final=True))

@@ -134,6 +134,67 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main([]) == 1
 
 
+def _illegal_row_footprint(sum_path, tmp_path):
+    data = json.loads(suf(sum_path, tmp_path, "classic", CLASSIC).read_text())
+    for use in data["uses"]:
+        if use["use"] == "Instantiation":
+            use["use"] = "FieldWrite"
+    path = tmp_path / "illegal.json"
+    path.write_text(json.dumps(data))
+    return ["coverage", "--sum", str(sum_path), "--format", "text", str(path)]
+
+
+def _config(content):
+    def argv(sum_path, tmp_path):
+        path = tmp_path / "corpus.json"
+        if content is not None:
+            path.write_text(json.dumps(content))
+        out = str(tmp_path / "sufs")
+        return ["suf", "--sum", str(sum_path), "--config", str(path), "-o", out]
+
+    return argv
+
+
+def _model(edit):
+    def argv(sum_path, tmp_path):
+        path = tmp_path / "edited-sum.json"
+        path.write_text(json.dumps(edit(json.loads(sum_path.read_text()))))
+        return ["profile", "--sum", str(path)]
+
+    return argv
+
+
+def _without_symbols(data):
+    del data["symbols"]
+    return data
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        _illegal_row_footprint,
+        _config(None),
+        _config({"groups": ["a"]}),
+        _model(lambda data: []),
+        _model(_without_symbols),
+    ],
+    ids=[
+        "illegal-footprint-row",
+        "missing-config",
+        "config-groups-not-a-map",
+        "model-not-an-object",
+        "model-without-symbols",
+    ],
+)
+def test_malformed_input_exits_1_with_one_line(sum_path, tmp_path, capsys, make_argv):
+    argv = make_argv(sum_path, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_mismatched_footprint_exits_1(sum_path, tmp_path, capsys):
     other = tmp_path / "other-sum.json"
     assert (

@@ -7,9 +7,11 @@ import json
 import pytest
 
 from conftest import FIXTURES, client_units, model_for
+from oracle import oracle_extract
 from ucov import (
     DiagnosticKind,
     ModelMismatch,
+    SymbolKind,
     UseKind,
     build_sum,
     diff,
@@ -18,6 +20,8 @@ from ucov import (
     footprint_of_corpus,
     footprint_to_dict,
     merge,
+    model_from_dict,
+    model_to_dict,
     parse_unit,
 )
 
@@ -239,6 +243,43 @@ def test_ambiguous_call_is_flagged_but_extracted():
     assert [d.kind for d in fp.diagnostics] == [DiagnosticKind.AMBIGUOUS]
     # deterministic choice: lexicographically smallest signature
     assert ("lib.A.f", "f(boolean)", U.METHOD_INVOCATION) in pairs(fp)
+
+
+def test_field_and_nested_type_of_same_name_are_distinct():
+    model = build_sum(
+        [
+            parse_unit(
+                "package a; public class B { public B() { } public int C; "
+                "public static class C { } }",
+                "Lib.java",
+            )
+        ],
+        "lib",
+    )
+    units = [
+        parse_unit(
+            "package app; import a.B; class K { void f(B b) { int x = b.C; "
+            "B.C y = new B.C(); } }",
+            "C.java",
+        )
+    ]
+    fp = extract_uses(units, model)
+    assert fp.diagnostics == []
+    assert {(t.symbol.kind, t.use) for t in fp.triples if t.symbol.fqn == "a.B.C"} == {
+        (SymbolKind.FIELD, U.FIELD_READ),
+        (SymbolKind.CLASS, U.TYPE_REFERENCE),
+        (SymbolKind.CLASS, U.INSTANTIATION),
+    }
+    got = {(t.symbol.fqn, t.symbol.signature, t.use, t.location) for t in fp.triples}
+    assert got == oracle_extract(units, model)
+    clone_model = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    assert {s.kind for s in clone_model.entries if s.fqn == "a.B.C"} == {
+        SymbolKind.FIELD,
+        SymbolKind.CLASS,
+    }
+    assert clone_model.entries == model.entries
+    clone = footprint_from_dict(json.loads(json.dumps(footprint_to_dict(fp))), clone_model)
+    assert clone.triples == fp.triples
 
 
 def test_unrelated_client_code_produces_nothing():

@@ -5,7 +5,15 @@ from __future__ import annotations
 import json
 
 from conftest import model_for
-from ucov import UseKind, build_sum, model_from_dict, model_to_dict, parse_unit
+from ucov import (
+    Symbol,
+    UseKind,
+    build_sum,
+    is_exported,
+    model_from_dict,
+    model_to_dict,
+    parse_unit,
+)
 from ucov.model import SymbolKind
 
 U = UseKind
@@ -185,6 +193,27 @@ def test_arraylist_model(arraylist_model):
         },
     }
     assert arraylist_model.legal_use_count == 6
+
+
+def test_symbol_identity_is_fqn_kind_and_signature():
+    field = Symbol("a.B.C", SymbolKind.FIELD, None, "a.B", frozenset({"public"}))
+    bare = Symbol("a.B.C", SymbolKind.FIELD)
+    assert field == bare and hash(field) == hash(bare)
+    assert field != Symbol("a.B.C", SymbolKind.CLASS)
+    method = Symbol("a.B.f", SymbolKind.METHOD, "f()", "a.B", frozenset({"public"}))
+    assert method == Symbol("a.B.f", SymbolKind.METHOD, "f()", "x.Y", frozenset({"static"}))
+    assert method != Symbol("a.B.f", SymbolKind.METHOD, "f(int)", "a.B")
+
+
+def test_is_exported_agrees_with_the_model():
+    model = sum_of(
+        "package p; public class A { public A() { } private int x; public int y; "
+        "public void f() { } void g() { } public static class y { } }"
+    )
+    assert all(is_exported(s, model.table) for s in model.entries)
+    assert not is_exported(Symbol("p.A.x", SymbolKind.FIELD, None, "p.A"), model.table)
+    assert not is_exported(Symbol("p.A.g", SymbolKind.METHOD, "g()", "p.A"), model.table)
+    assert not is_exported(Symbol("p.A.y", SymbolKind.METHOD, None, "p.A"), model.table)
 
 
 def test_model_entries_are_sorted():
