@@ -103,12 +103,15 @@ def _parse_library(root: Path) -> list:
 T = TypeVar("T")
 
 
-def _read_json(path: str, load: Callable[[dict], T]) -> T:
+def _read_json(path: str, load: Callable[[dict], T], unique_keys: bool = False) -> T:
     """Read the JSON object in ``path`` and convert it with ``load``. A file
     that cannot be read, is not a JSON object or lacks a key the conversion
-    needs ends in a one-line UsageError naming the file."""
+    needs ends in a one-line UsageError naming the file. With
+    ``unique_keys``, so does an object with a repeated key, which
+    ``json.loads`` would otherwise resolve by keeping the last value."""
+    hook = _reject_duplicate_keys if unique_keys else None
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=hook)
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # invalid JSON or invalid UTF-8
@@ -121,6 +124,15 @@ def _read_json(path: str, load: Callable[[dict], T]) -> T:
         raise UsageError(f"{path}: missing key {exc}") from exc
     except (TypeError, AttributeError, ValueError) as exc:
         raise UsageError(f"{path}: malformed content: {exc}") from exc
+
+
+def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
 
 
 def _load_model(path: str) -> UsageModel:
@@ -149,7 +161,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
 def cmd_suf(args: argparse.Namespace) -> int:
     model = _load_model(args.sum)
     if args.config:
-        config = _read_json(args.config, CorpusConfig.from_dict)
+        config = _read_json(args.config, CorpusConfig.from_dict, unique_keys=True)
         lenient = True if args.lenient else config.lenient
         if not config.groups:
             raise UsageError("corpus config defines no groups")

@@ -26,7 +26,7 @@ from .symtab import (
     UnitContext,
     build_symbol_table,
 )
-from .typing_env import Env, Unknown, as_type_name, static_type_of
+from .typing_env import Env, Unknown, as_type_name, resolve_call, static_type_of
 
 
 class DiagnosticKind(Enum):
@@ -297,13 +297,19 @@ class _Extractor:
         for member in info.members:
             if member.kind is not n.MemberKind.METHOD or "static" in member.modifiers:
                 continue
-            for sm in self.table.super_methods(member):
-                if "static" in sm.modifiers:
-                    continue
-                if not self.is_library_type(sm.declaring):
-                    continue
-                loc = member.location or info.location
-                self.emit_member_use(sm, UseKind.OVERRIDING, loc)
+            self._emit_library_methods(
+                self.table.super_methods(member),
+                UseKind.OVERRIDING,
+                member.location or info.location,
+            )
+
+    def _emit_library_methods(
+        self, methods: tuple[MemberInfo, ...], use: UseKind, loc: n.Location
+    ) -> None:
+        """Emit ``use`` of each instance method declared in the library."""
+        for m in methods:
+            if "static" not in m.modifiers and self.is_library_type(m.declaring):
+                self.emit_member_use(m, use, loc)
 
     def _implicit_super_constructors(self, info) -> None:
         # An explicitly declared constructor of a client subclass implicitly
@@ -450,14 +456,30 @@ class _Extractor:
         expected: Optional[str] = None,
         assign_target: bool = False,
     ) -> None:
-        if isinstance(expr, (n.Literal, n.This)):
-            return
+        # A left-deep receiver chain is walked iteratively: descend to the
+        # innermost receiver that is visited, then handle each link on the
+        # way out, so a chain of any length uses constant stack.
+        links: list[tuple[n.Expr, Optional[str], bool]] = []
+        while isinstance(expr, (n.MethodCall, n.FieldAccess)):
+            receiver_type, visit_receiver = self._receiver(expr, env)
+            links.append((expr, receiver_type, assign_target))
+            if not visit_receiver:
+                break
+            expr, assign_target = expr.receiver, False
+        else:
+            self._visit_operand(expr, env, expected, assign_target)
+        for link, receiver_type, target in reversed(links):
+            if isinstance(link, n.MethodCall):
+                self._method_call(link, receiver_type, env)
+            else:
+                self._field_access_use(link, receiver_type, env, target)
+
+    def _visit_operand(
+        self, expr: n.Expr, env: Env, expected: Optional[str], assign_target: bool
+    ) -> None:
+        """Visit an expression that is not a receiver chain link."""
         if isinstance(expr, n.Name):
             self._name_field_use(expr, env, assign_target)
-        elif isinstance(expr, n.FieldAccess):
-            self._field_access_use(expr, env, assign_target)
-        elif isinstance(expr, n.MethodCall):
-            self._method_call(expr, env)
         elif isinstance(expr, n.New):
             self._new_expr(expr, env)
         elif isinstance(expr, n.Assign):
@@ -465,10 +487,18 @@ class _Extractor:
             target_type = static_type_of(expr.target, env, self.table)
             self.visit_expr(expr.value, env, expected=target_type)
         elif isinstance(expr, n.Binary):
-            self.visit_expr(expr.left, env)
-            self.visit_expr(expr.right, env)
+            # Left-deep operator chains are walked iteratively too.
+            rights = []
+            while isinstance(expr, n.Binary):
+                rights.append(expr.right)
+                expr = expr.left
+            self.visit_expr(expr, env)
+            for right in reversed(rights):
+                self.visit_expr(right, env)
         elif isinstance(expr, n.Unary):
-            self.visit_expr(expr.operand, env)
+            while isinstance(expr, n.Unary):
+                expr = expr.operand
+            self.visit_expr(expr, env)
         elif isinstance(expr, n.Cast):
             self._type_reference(expr.type_ref, env.enclosing, env.type_params, env.ctx)
             self.visit_expr(expr.expr, env)
@@ -484,14 +514,33 @@ class _Extractor:
             use = UseKind.FIELD_WRITE if assign_target else UseKind.FIELD_READ
             self.emit_member_use(member, use, expr.location)
 
-    def _field_access_use(self, expr: n.FieldAccess, env: Env, assign_target: bool) -> None:
-        receiver_type = static_type_of(expr.receiver, env, self.table)
-        type_name = None
-        if receiver_type is None:
-            type_name = as_type_name(expr.receiver, env)
-            receiver_type = type_name
-        if type_name is None:
-            self.visit_expr(expr.receiver, env)
+    def _receiver(
+        self, expr: Union[n.MethodCall, n.FieldAccess], env: Env
+    ) -> tuple[Optional[str], bool]:
+        """(receiver type, whether the receiver expression is visited) of a
+        chain link. A call names a type receiver before typing it; a field
+        access types its receiver first."""
+        receiver = expr.receiver
+        if isinstance(expr, n.MethodCall):
+            if receiver is None:
+                return env.this_type, False
+            type_name = as_type_name(receiver, env)
+            if type_name is not None:
+                return type_name, False
+            return static_type_of(receiver, env, self.table), True
+        receiver_type = static_type_of(receiver, env, self.table)
+        if receiver_type is not None:
+            return receiver_type, True
+        type_name = as_type_name(receiver, env)
+        return type_name, type_name is None
+
+    def _field_access_use(
+        self,
+        expr: n.FieldAccess,
+        receiver_type: Optional[str],
+        env: Env,
+        assign_target: bool,
+    ) -> None:
         if receiver_type is None:
             return
         member = self.table.find_field(receiver_type, expr.name)
@@ -507,20 +556,9 @@ class _Extractor:
             use = UseKind.FIELD_WRITE if assign_target else UseKind.FIELD_READ
             self.emit_member_use(member, use, expr.location)
 
-    def _method_call(self, call: n.MethodCall, env: Env) -> None:
-        receiver_type: Optional[str]
-        static_receiver = False
-        if call.receiver is None:
-            receiver_type = env.this_type
-        else:
-            type_name = as_type_name(call.receiver, env)
-            if type_name is not None:
-                receiver_type = type_name
-                static_receiver = True
-            else:
-                receiver_type = static_type_of(call.receiver, env, self.table)
-                self.visit_expr(call.receiver, env)
-        arg_types = [static_type_of(a, env, self.table) for a in call.args]
+    def _method_call(
+        self, call: n.MethodCall, receiver_type: Optional[str], env: Env
+    ) -> None:
         if receiver_type is None:
             self.diag(
                 call.location,
@@ -529,7 +567,7 @@ class _Extractor:
             )
             self._visit_args(call.args, env, None)
             return
-        res = self.table.resolve_method(receiver_type, call.name, arg_types)
+        res = resolve_call(call, receiver_type, env, self.table)
         if res.status is ResolutionStatus.UNRESOLVED or res.member is None:
             if self._worth_diagnosing(receiver_type):
                 self.diag(
@@ -553,11 +591,9 @@ class _Extractor:
             self.emit_member_use(member, UseKind.METHOD_INVOCATION, call.location)
             # Virtual-invocation closure: every super-method sharing the
             # erased signature is covered by the same call site.
-            for sm in self.table.super_methods(member):
-                if "static" in sm.modifiers:
-                    continue
-                if self.is_library_type(sm.declaring):
-                    self.emit_member_use(sm, UseKind.METHOD_INVOCATION, call.location)
+            self._emit_library_methods(
+                self.table.super_methods(member), UseKind.METHOD_INVOCATION, call.location
+            )
         self._visit_args(call.args, env, member)
 
     def _worth_diagnosing(self, receiver_type: str) -> bool:
@@ -630,15 +666,11 @@ class _Extractor:
             if member.kind is n.MemberKind.METHOD:
                 sig_params = tuple(inner.erase(p.type_ref) for p in member.params)
                 signature = f"{member.name}({','.join(sig_params)})"
-                for tfqn in self.table.supertype_closure(resolved):
-                    for m in self.table.members_of(tfqn):
-                        if (
-                            m.kind is n.MemberKind.METHOD
-                            and m.signature == signature
-                            and "static" not in m.modifiers
-                            and self.is_library_type(m.declaring)
-                        ):
-                            self.emit_member_use(m, UseKind.OVERRIDING, member.location)
+                self._emit_library_methods(
+                    self.table.overridden_methods(resolved, signature),
+                    UseKind.OVERRIDING,
+                    member.location,
+                )
             self._member_type_references(member, inner)
             self._visit_member_body(member, inner)
 

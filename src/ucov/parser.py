@@ -26,12 +26,28 @@ _EXPR_START = frozenset(
     {"IDENT", "INT", "STRING", "CHAR", "true", "false", "null", "this", "new", "(", "!", "~"}
 )
 
+# Deepest nesting the parser accepts, counted over statements, expressions,
+# unary operands, type declarations and type arguments. The parser spends at
+# most about eight stack frames per level and extraction fewer, so the
+# deepest accepted file parses and extracts within Python's default
+# recursion limit; a deeper file is a ParseError, which lenient mode skips.
+# Receiver chains (``a.b().c()``) and operator chains (``a + b + c``) are
+# not nesting: they are built and walked iteratively at any length.
+MAX_NESTING = 80
+
+
+class _TooDeep(ParseError):
+    """Nesting beyond MAX_NESTING. Backtracking does not retry it: the
+    other reading nests as deep, and retrying at every enclosing level
+    could take exponential time."""
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], path: str):
         self.tokens = tokens
         self.pos = 0
         self.path = path
+        self.depth = 0
 
     # -- token helpers ----------------------------------------------------
 
@@ -65,6 +81,23 @@ class _Parser:
 
     def loc(self, tok: Token) -> n.Location:
         return n.Location(self.path, tok.line, tok.column)
+
+    def enter(self) -> None:
+        """Open one nesting level; the caller closes it with ``depth -= 1``.
+        A ParseError leaves levels open, so backtracking restores ``depth``
+        with ``pos`` (see ``mark``)."""
+        if self.depth >= MAX_NESTING:
+            tok = self.peek()
+            raise _TooDeep(
+                f"nesting deeper than {MAX_NESTING} levels", self.path, tok.line, tok.column
+            )
+        self.depth += 1
+
+    def mark(self) -> tuple[int, int]:
+        return self.pos, self.depth
+
+    def reset(self, mark: tuple[int, int]) -> None:
+        self.pos, self.depth = mark
 
     # -- unit -------------------------------------------------------------
 
@@ -114,6 +147,7 @@ class _Parser:
                 return mods
 
     def parse_type_decl(self, mods: Optional[set[str]] = None) -> n.TypeDecl:
+        self.enter()
         if mods is None:
             mods = self.parse_modifiers()
         if self.at("class"):
@@ -144,6 +178,7 @@ class _Parser:
             else:
                 members.append(self.parse_member(member_mods, name_tok.value))
         self.expect("}")
+        self.depth -= 1
         return n.TypeDecl(
             kind=kind,
             simple_name=name_tok.value,
@@ -242,16 +277,20 @@ class _Parser:
         name = self.parse_qname()
         type_args: list[n.TypeRef] = []
         if self.at("<"):
-            save = self.pos
+            save = self.mark()
             self.advance()
             try:
+                self.enter()
                 if not self.at(">"):  # <> diamond
                     type_args.append(self.parse_type_ref())
                     while self.accept(","):
                         type_args.append(self.parse_type_ref())
                 self.expect(">")
+                self.depth -= 1
+            except _TooDeep:
+                raise
             except ParseError:
-                self.pos = save
+                self.reset(save)
                 type_args = []
         dims = 0
         while self.at("[") and self.peek(1).type == "]":
@@ -271,6 +310,12 @@ class _Parser:
         return n.Block(stmts)
 
     def parse_stmt(self) -> n.Stmt:
+        self.enter()
+        stmt = self._parse_stmt()
+        self.depth -= 1
+        return stmt
+
+    def _parse_stmt(self) -> n.Stmt:
         t = self.peek().type
         if t == "{":
             return self.parse_block()
@@ -337,7 +382,7 @@ class _Parser:
         return self.parse_local_or_expr_stmt()
 
     def parse_local_or_expr_stmt(self) -> n.Stmt:
-        save = self.pos
+        save = self.mark()
         if self.at("IDENT"):
             try:
                 type_ref = self.parse_type_ref()
@@ -347,8 +392,10 @@ class _Parser:
                     init = self.parse_expr()
                 self.expect(";")
                 return n.LocalDecl(type_ref, name_tok.value, init, type_ref.location)
+            except _TooDeep:
+                raise
             except ParseError:
-                self.pos = save
+                self.reset(save)
         expr = self.parse_expr()
         self.expect(";")
         return n.ExprStmt(expr)
@@ -368,13 +415,16 @@ class _Parser:
     ]
 
     def parse_expr(self) -> n.Expr:
-        return self.parse_assignment()
+        self.enter()
+        expr = self.parse_assignment()
+        self.depth -= 1
+        return expr
 
     def parse_assignment(self) -> n.Expr:
         left = self.parse_binary(0)
         if self.at("="):
             tok = self.advance()
-            right = self.parse_assignment()
+            right = self.parse_expr()  # right-associative, one level deeper
             return n.Assign(left, right, self.loc(tok))
         return left
 
@@ -390,11 +440,15 @@ class _Parser:
         return left
 
     def parse_unary(self) -> n.Expr:
+        self.enter()
         t = self.peek().type
         if t in ("!", "~", "-", "+", "++", "--"):
             tok = self.advance()
-            return n.Unary(tok.type, self.parse_unary(), self.loc(tok))
-        return self.parse_postfix()
+            expr: n.Expr = n.Unary(tok.type, self.parse_unary(), self.loc(tok))
+        else:
+            expr = self.parse_postfix()
+        self.depth -= 1
+        return expr
 
     def parse_postfix(self) -> n.Expr:
         expr = self.parse_primary()
@@ -524,16 +578,18 @@ class _Parser:
         return self.parse_param()
 
     def try_parse_cast(self) -> Optional[n.Expr]:
-        save = self.pos
+        save = self.mark()
         head = self.advance()  # '('
         try:
             type_ref = self.parse_type_ref()
             self.expect(")")
+        except _TooDeep:
+            raise
         except ParseError:
-            self.pos = save
+            self.reset(save)
             return None
         if self.peek().type not in _EXPR_START:
-            self.pos = save
+            self.reset(save)
             return None
         operand = self.parse_unary()
         return n.Cast(type_ref, operand, self.loc(head))

@@ -81,11 +81,21 @@ class MethodResolution:
 
 
 class SymbolTable:
-    """Immutable-after-build table of types, optionally layered over a base."""
+    """Immutable-after-build table of types, optionally layered over a base.
+
+    Supertype closures and member lookups are cached per table instance on
+    first query, so a table must not be changed once it is queried. An
+    overlay keeps its own caches: a client type can complete a library
+    type's external supertype, so the answers may differ from the base's.
+    """
 
     def __init__(self, base: Optional["SymbolTable"] = None):
         self.types: dict[str, TypeInfo] = {}
         self.base = base
+        self._closures: dict[str, tuple[str, ...]] = {}
+        self._fields: dict[tuple[str, str], Optional[MemberInfo]] = {}
+        self._candidates: dict[tuple[str, str, int], tuple[MemberInfo, ...]] = {}
+        self._overridden: dict[tuple[str, Optional[str], bool], tuple[MemberInfo, ...]] = {}
 
     # -- lookup -----------------------------------------------------------
 
@@ -98,23 +108,21 @@ class SymbolTable:
     def own_types(self) -> Iterator[TypeInfo]:
         return iter(self.types.values())
 
-    def supertype_closure(self, fqn: str, include_self: bool = True) -> list[str]:
+    def supertype_closure(self, fqn: str, include_self: bool = True) -> tuple[str, ...]:
         """BFS over known supertypes, duplicate-free, nearest first."""
-        out: list[str] = []
-        seen: set[str] = set()
-        queue = [fqn]
-        while queue:
-            current = queue.pop(0)
-            if current in seen:
-                continue
-            seen.add(current)
-            info = self.lookup_type(current)
-            out.append(current)
-            if info is not None:
-                queue.extend(info.supertypes)
-        if not include_self:
-            out = out[1:]
-        return out
+        closure = self._closures.get(fqn)
+        if closure is None:
+            queue = [fqn]
+            seen = {fqn}
+            for current in queue:  # the list grows while it is walked
+                info = self.lookup_type(current)
+                if info is not None:
+                    for sup in info.supertypes:
+                        if sup not in seen:
+                            seen.add(sup)
+                            queue.append(sup)
+            closure = self._closures[fqn] = tuple(queue)
+        return closure if include_self else closure[1:]
 
     def is_subtype(self, sub: str, sup: str) -> bool:
         return sup in self.supertype_closure(sub)
@@ -124,21 +132,40 @@ class SymbolTable:
         return info.members if info is not None else ()
 
     def find_field(self, receiver: str, name: str) -> Optional[MemberInfo]:
-        for tfqn in self.supertype_closure(receiver):
-            for m in self.members_of(tfqn):
-                if m.kind is n.MemberKind.FIELD and m.name == name:
-                    return m
-        return None
+        key = (receiver, name)
+        if key not in self._fields:
+            self._fields[key] = next(
+                (
+                    m
+                    for tfqn in self.supertype_closure(receiver)
+                    for m in self.members_of(tfqn)
+                    if m.kind is n.MemberKind.FIELD and m.name == name
+                ),
+                None,
+            )
+        return self._fields[key]
 
-    def super_methods(self, member: MemberInfo) -> list[MemberInfo]:
+    def super_methods(self, member: MemberInfo) -> tuple[MemberInfo, ...]:
         """Methods in strict supertypes of the declaring type sharing the
         erased signature (the virtual-invocation closure)."""
-        out = []
-        for tfqn in self.supertype_closure(member.declaring, include_self=False):
-            for m in self.members_of(tfqn):
-                if m.kind is n.MemberKind.METHOD and m.signature == member.signature:
-                    out.append(m)
-        return out
+        return self.overridden_methods(member.declaring, member.signature, include_self=False)
+
+    def overridden_methods(
+        self, fqn: str, signature: Optional[str], include_self: bool = True
+    ) -> tuple[MemberInfo, ...]:
+        """Methods with erased ``signature`` declared in ``fqn``'s supertype
+        closure, nearest first: the methods a method of that signature in a
+        subtype of ``fqn`` overrides."""
+        key = (fqn, signature, include_self)
+        found = self._overridden.get(key)
+        if found is None:
+            found = self._overridden[key] = tuple(
+                m
+                for tfqn in self.supertype_closure(fqn, include_self)
+                for m in self.members_of(tfqn)
+                if m.kind is n.MemberKind.METHOD and m.signature == signature
+            )
+        return found
 
     # -- overload resolution ------------------------------------------------
 
@@ -154,18 +181,7 @@ class SymbolTable:
         argument matches anything). Remaining ties are broken by the
         lexicographically smallest erased signature and flagged Ambiguous.
         """
-        candidates: list[MemberInfo] = []
-        seen_sigs: set[str] = set()
-        for tfqn in self.supertype_closure(receiver):
-            for m in self.members_of(tfqn):
-                if m.kind is not n.MemberKind.METHOD or m.name != name:
-                    continue
-                if len(m.param_types) != len(arg_types):
-                    continue
-                if m.signature in seen_sigs:
-                    continue
-                seen_sigs.add(m.signature or "")
-                candidates.append(m)
+        candidates = self._method_candidates(receiver, name, len(arg_types))
         if not candidates:
             return MethodResolution(ResolutionStatus.UNRESOLVED)
         compatible = [m for m in candidates if self._args_compatible(m, arg_types)]
@@ -174,6 +190,27 @@ class SymbolTable:
             return MethodResolution(ResolutionStatus.RESOLVED, survivors[0])
         chosen = min(survivors, key=lambda m: m.signature or "")
         return MethodResolution(ResolutionStatus.AMBIGUOUS, chosen)
+
+    def _method_candidates(
+        self, receiver: str, name: str, arity: int
+    ) -> tuple[MemberInfo, ...]:
+        key = (receiver, name, arity)
+        candidates = self._candidates.get(key)
+        if candidates is None:
+            found: list[MemberInfo] = []
+            seen_sigs: set[Optional[str]] = set()
+            for tfqn in self.supertype_closure(receiver):
+                for m in self.members_of(tfqn):
+                    if (
+                        m.kind is n.MemberKind.METHOD
+                        and m.name == name
+                        and len(m.param_types) == arity
+                        and m.signature not in seen_sigs
+                    ):
+                        seen_sigs.add(m.signature)
+                        found.append(m)
+            candidates = self._candidates[key] = tuple(found)
+        return candidates
 
     def resolve_constructor(
         self, type_fqn: str, arg_types: list[Optional[str]]

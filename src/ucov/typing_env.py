@@ -7,16 +7,36 @@ diagnostics by the footprint extractor, not here.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from . import nodes as n
-from .symtab import ResolutionStatus, SymbolTable, UnitContext
+from .symtab import MethodResolution, ResolutionStatus, SymbolTable, UnitContext
 
 Unknown = None
 
 
+class TypingMemo:
+    """Types and call resolutions of expression nodes, keyed by node id.
+
+    An expression is only typed while its own statement is visited, so its
+    type does not change afterwards. Each entry keeps its node, which keeps
+    the id from being reused and is checked on lookup.
+    """
+
+    __slots__ = ("types", "calls")
+
+    def __init__(self) -> None:
+        self.types: dict[int, tuple[n.Expr, Optional[str]]] = {}
+        self.calls: dict[int, tuple[n.MethodCall, str, MethodResolution]] = {}
+
+
 class Env:
-    """Lexical environment mapping in-scope names to declared type FQNs."""
+    """Lexical environment mapping in-scope names to declared type FQNs.
+
+    ``memo`` holds the types and call resolutions computed for expressions
+    in this scope. Child scopes share it; a root environment (one per
+    type body) starts its own, so memory is bounded by one type body.
+    """
 
     def __init__(
         self,
@@ -34,6 +54,7 @@ class Env:
         self.type_params = type_params
         self.parent = parent
         self.vars: dict[str, Optional[str]] = {}
+        self.memo = parent.memo if parent is not None else TypingMemo()
 
     def child(self) -> "Env":
         return Env(
@@ -75,14 +96,15 @@ def as_type_name(expr: n.Expr, env: Env) -> Optional[str]:
 
 
 def _name_chain(expr: n.Expr) -> Optional[list[str]]:
-    if isinstance(expr, n.Name):
-        return [expr.identifier]
-    if isinstance(expr, n.FieldAccess):
-        head = _name_chain(expr.receiver)
-        if head is None:
-            return None
-        return head + [expr.name]
-    return None
+    parts = []
+    while isinstance(expr, n.FieldAccess):
+        parts.append(expr.name)
+        expr = expr.receiver
+    if not isinstance(expr, n.Name):
+        return None
+    parts.append(expr.identifier)
+    parts.reverse()
+    return parts
 
 
 _LITERAL_TYPES = {
@@ -97,63 +119,109 @@ _BOOLEAN_OPS = frozenset({"==", "!=", "<", ">", "<=", ">=", "&&", "||"})
 
 
 def static_type_of(expr: n.Expr, env: Env, table: SymbolTable) -> Optional[str]:
-    """Declared static type of an expression, or Unknown (None)."""
-    if isinstance(expr, n.Literal):
-        return _LITERAL_TYPES.get(expr.kind, Unknown)
-    if isinstance(expr, n.This):
-        return env.this_type
-    if isinstance(expr, n.Name):
-        declared, t = env.lookup(expr.identifier)
-        if declared:
-            return t
-        if env.this_type is not None:
-            f = table.find_field(env.this_type, expr.identifier)
-            if f is not None:
-                return f.field_type
+    """Declared static type of an expression, or Unknown (None).
+
+    A left-deep receiver chain is typed iteratively, innermost link first,
+    and each link's type is memoized in ``env.memo``, so chains of any
+    length cost linear time and constant stack.
+    """
+    while True:  # assignments and operators take the type of one operand
+        if isinstance(expr, _CHAIN_LINKS):
+            return _chain_type(expr, env, table)
+        if isinstance(expr, n.Name):
+            declared, t = env.lookup(expr.identifier)
+            if declared:
+                return t
+            if env.this_type is not None:
+                f = table.find_field(env.this_type, expr.identifier)
+                if f is not None:
+                    return f.field_type
+            return Unknown
+        if isinstance(expr, n.Literal):
+            return _LITERAL_TYPES.get(expr.kind, Unknown)
+        if isinstance(expr, n.This):
+            return env.this_type
+        if isinstance(expr, n.New):
+            fqn, known = env.resolve_type(expr.type_ref.name)
+            return fqn if known else Unknown
+        if isinstance(expr, n.Cast):
+            if expr.type_ref.name in ("int", "boolean", "char"):
+                return expr.type_ref.name
+            fqn, known = env.resolve_type(expr.type_ref.name)
+            return fqn if known else Unknown
+        if isinstance(expr, n.Assign):
+            expr = expr.target
+        elif isinstance(expr, n.Binary):
+            if expr.op in _BOOLEAN_OPS:
+                return "boolean"
+            expr = expr.left
+        elif isinstance(expr, n.Unary):
+            if expr.op == "!":
+                return "boolean"
+            expr = expr.operand
+        else:
+            return Unknown  # lambdas are context-typed
+
+
+_CHAIN_LINKS = (n.FieldAccess, n.MethodCall)
+
+
+def _chain_type(
+    expr: Union[n.FieldAccess, n.MethodCall], env: Env, table: SymbolTable
+) -> Optional[str]:
+    types = env.memo.types
+    links = []
+    node: Optional[n.Expr] = expr
+    while isinstance(node, _CHAIN_LINKS):
+        hit = types.get(id(node))
+        if hit is not None and hit[0] is node:
+            t = hit[1]
+            break
+        links.append(node)
+        node = node.receiver
+    else:  # the innermost receiver: absent (an unqualified call) or no link
+        t = static_type_of(node, env, table) if node is not None else Unknown
+    for link in reversed(links):
+        t = _link_type(link, t, env, table)
+        types[id(link)] = (link, t)
+    return t
+
+
+def _link_type(
+    link: Union[n.FieldAccess, n.MethodCall],
+    receiver_static: Optional[str],
+    env: Env,
+    table: SymbolTable,
+) -> Optional[str]:
+    """Type of one chain link whose receiver has static type ``receiver_static``."""
+    if link.receiver is None:
+        receiver_type = env.this_type
+    elif receiver_static is not None:
+        receiver_type = receiver_static
+    else:
+        receiver_type = as_type_name(link.receiver, env)
+    if receiver_type is None:
         return Unknown
-    if isinstance(expr, n.FieldAccess):
-        receiver_type = static_type_of(expr.receiver, env, table)
-        if receiver_type is None:
-            receiver_type = as_type_name(expr.receiver, env)
-        if receiver_type is None:
-            return Unknown
-        f = table.find_field(receiver_type, expr.name)
+    if isinstance(link, n.FieldAccess):
+        f = table.find_field(receiver_type, link.name)
         return f.field_type if f is not None else Unknown
-    if isinstance(expr, n.MethodCall):
-        receiver_type = _receiver_type(expr, env, table)
-        if receiver_type is None:
-            return Unknown
-        arg_types = [static_type_of(a, env, table) for a in expr.args]
-        res = table.resolve_method(receiver_type, expr.name, arg_types)
-        if res.status is ResolutionStatus.UNRESOLVED or res.member is None:
-            return Unknown
-        rt = res.member.return_type
-        return Unknown if rt == "void" else rt
-    if isinstance(expr, n.New):
-        fqn, known = env.resolve_type(expr.type_ref.name)
-        return fqn if known else Unknown
-    if isinstance(expr, n.Cast):
-        if expr.type_ref.name in ("int", "boolean", "char"):
-            return expr.type_ref.name
-        fqn, known = env.resolve_type(expr.type_ref.name)
-        return fqn if known else Unknown
-    if isinstance(expr, n.Assign):
-        return static_type_of(expr.target, env, table)
-    if isinstance(expr, n.Binary):
-        if expr.op in _BOOLEAN_OPS:
-            return "boolean"
-        return static_type_of(expr.left, env, table)
-    if isinstance(expr, n.Unary):
-        if expr.op == "!":
-            return "boolean"
-        return static_type_of(expr.operand, env, table)
-    return Unknown  # lambdas are context-typed
+    res = resolve_call(link, receiver_type, env, table)
+    if res.status is ResolutionStatus.UNRESOLVED or res.member is None:
+        return Unknown
+    rt = res.member.return_type
+    return Unknown if rt == "void" else rt
 
 
-def _receiver_type(call: n.MethodCall, env: Env, table: SymbolTable) -> Optional[str]:
-    if call.receiver is None:
-        return env.this_type
-    t = static_type_of(call.receiver, env, table)
-    if t is not None:
-        return t
-    return as_type_name(call.receiver, env)
+def resolve_call(
+    call: n.MethodCall, receiver_type: str, env: Env, table: SymbolTable
+) -> MethodResolution:
+    """Resolution of ``call`` on ``receiver_type``, memoized per call node,
+    so typing a call and extracting its use resolve it once."""
+    calls = env.memo.calls
+    hit = calls.get(id(call))
+    if hit is not None and hit[0] is call and hit[1] == receiver_type:
+        return hit[2]
+    arg_types = [static_type_of(a, env, table) for a in call.args]
+    res = table.resolve_method(receiver_type, call.name, arg_types)
+    calls[id(call)] = (call, receiver_type, res)
+    return res

@@ -6,7 +6,7 @@ SourceUnit yields an identical SourceUnit modulo locations.
 
 from __future__ import annotations
 
-from . import nodes as n
+from ucov import nodes as n
 
 _MODIFIER_ORDER = [
     "public", "protected", "private", "abstract", "static", "final", "sealed", "default"

@@ -262,3 +262,40 @@ def test_cli_round_trip_matches_in_process(sum_path, tmp_path):
     assert {tuple(sorted(u.items())) for u in ours["uses"]} == {
         tuple(sorted(u.items())) for u in cli_data["uses"]
     }
+
+
+def test_too_deep_nesting_is_skipped_in_lenient_mode(sum_path, tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    classic = sorted((FIXTURES / "arraylist" / "classic").rglob("*.java"))[0]
+    (src / classic.name).write_text(classic.read_text())
+    (src / "Deep.java").write_text(
+        "class Deep { Object f() { return " + "(" * 3000 + "1" + ")" * 3000 + "; } }"
+    )
+    out = tmp_path / "f.json"
+    argv = ["suf", "--sum", str(sum_path), str(src), "-o", str(out)]
+    assert main(argv + ["--lenient"]) == 0
+    data = json.loads(out.read_text())
+    assert data["uses"]
+    assert [(d["kind"], d["file"]) for d in data["diagnostics"]] == [
+        ("ParseError", str(src / "Deep.java"))
+    ]
+    assert "nesting deeper than" in data["diagnostics"][0]["message"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nesting deeper than" in err
+
+
+def test_duplicate_group_labels_exit_1(sum_path, tmp_path, capsys):
+    config = tmp_path / "corpus.json"
+    config.write_text(
+        f'{{"groups": {{"a": [{json.dumps(CLASSIC)}], "a": [{json.dumps(FRAMEWORK)}]}}}}'
+    )
+    out = tmp_path / "sufs"
+    capsys.readouterr()
+    assert main(["suf", "--sum", str(sum_path), "--config", str(config), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {config}: invalid JSON: duplicate key 'a'\n"
+    assert not out.exists()

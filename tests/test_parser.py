@@ -7,9 +7,9 @@ import dataclasses
 import pytest
 
 from conftest import FIXTURES, parse_tree
+from render import render_unit
 from ucov import ParseError, parse_unit
 from ucov import nodes as n
-from ucov.render import render_unit
 
 
 def test_all_fixture_sources_parse():

@@ -163,3 +163,38 @@ def test_find_field_searches_supertypes():
     f = table.find_field("p.B", "x")
     assert f is not None and f.declaring == "p.A"
     assert table.find_field("p.B", "missing") is None
+
+
+def test_cached_queries_repeat_and_cannot_be_changed_by_callers():
+    table = table_of(
+        "package p; public class A { public void m() { } public void m(int x) { } }",
+        "package p; public class B extends A { public void m() { } }",
+    )
+    closure = table.supertype_closure("p.B")
+    assert closure == ("p.B", "p.A")
+    with pytest.raises((AttributeError, TypeError)):
+        closure.append("p.X")
+    with pytest.raises(TypeError):
+        closure[0] = "p.X"
+    assert table.supertype_closure("p.B") == ("p.B", "p.A")
+    assert table.supertype_closure("p.B", include_self=False) == ("p.A",)
+    res = table.resolve_method("p.B", "m", [])
+    assert table.resolve_method("p.B", "m", []) == res
+    assert res.member.declaring == "p.B"
+    assert table.resolve_method("p.B", "m", ["int"]).member.signature == "m(int)"
+    supers = table.super_methods(res.member)
+    assert table.super_methods(res.member) == supers
+    assert [(m.declaring, m.signature) for m in supers] == [("p.A", "m()")]
+    assert table.find_field("p.B", "x") is table.find_field("p.B", "x") is None
+
+
+def test_overlay_tables_do_not_share_caches():
+    # The library leaves supertype Ext unresolved; the client declares it.
+    lib = table_of("package l; public class A extends Ext { }")
+    client = build_symbol_table(
+        [parse_unit("public class Ext { public void e() { } }", "Ext.java")], base=lib
+    )
+    assert lib.supertype_closure("l.A") == ("l.A", "Ext")
+    assert lib.resolve_method("l.A", "e", []).member is None
+    assert client.resolve_method("l.A", "e", []).member.declaring == "Ext"
+    assert lib.resolve_method("l.A", "e", []).member is None
