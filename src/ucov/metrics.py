@@ -4,18 +4,17 @@ regions derived from a usage model and one or more footprints."""
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .errors import ModelMismatch, UnknownSymbol
 from .footprint import Footprint
-from .model import Symbol, UsageModel, UseKind
+from .model import Symbol, UsageModel, UsePair, UseKind, level_key
 
 log = logging.getLogger("ucov")
-
-UsePair = tuple[Symbol, UseKind]
 
 
 class CoverageLevel(Enum):
@@ -56,7 +55,9 @@ def _check_governed(model: UsageModel, fp: Footprint) -> None:
 
 
 def _covered_pairs(model: UsageModel, fp: Footprint) -> set[UsePair]:
-    return {(t.symbol, t.use) for t in fp.triples if t.symbol in model.entries}
+    """The footprint's (symbol, use) pairs that are legal uses in the model."""
+    legal = model.legal_pairs
+    return {pair for pair in {(t.symbol, t.use) for t in fp.triples} if pair in legal}
 
 
 def compute_coverage(model: UsageModel, fp: Footprint) -> CoverageReport:
@@ -64,53 +65,58 @@ def compute_coverage(model: UsageModel, fp: Footprint) -> CoverageReport:
 
     Both scores are exact rationals: covered symbols over API symbols, and
     covered unique uses over legal uses. Coverage of an empty model is 1
-    by vacuous truth (with a warning).
+    by vacuous truth (with a warning). Only the covered pairs are looked
+    at one by one; the model-wide sets are copied from the model.
     """
     _check_governed(model, fp)
     covered_uses = _covered_pairs(model, fp)
-    covered_symbols = {s for s, _ in covered_uses}
-    api_symbols = set(model.entries)
-    all_uses = {(s, u) for s, uses in model.entries.items() for u in uses}
-    if not api_symbols:
+    hits = Counter(sym for sym, _ in covered_uses)
+    covered_symbols = set(hits)
+    legal_uses = len(model.legal_pairs)
+    if not model.entries:
         log.warning("coverage over an empty API is vacuously 1.0")
         symbol_coverage = Fraction(1)
     else:
-        symbol_coverage = Fraction(len(covered_symbols), len(api_symbols))
-    if not all_uses:
-        if api_symbols:
+        symbol_coverage = Fraction(len(covered_symbols), len(model.entries))
+    if not legal_uses:
+        if model.entries:
             log.warning("model has no legal uses; use coverage is vacuously 1.0")
         use_coverage = Fraction(1)
     else:
-        use_coverage = Fraction(len(covered_uses), len(all_uses))
-    levels = {s: _level_of(s, model.entries[s], covered_uses) for s in api_symbols}
+        use_coverage = Fraction(len(covered_uses), legal_uses)
+    levels = dict.fromkeys(model.entries, CoverageLevel.NONE)
+    for sym, hit in hits.items():
+        levels[sym] = _grade(hit, len(model.entries[sym]))
+    uncovered_symbols = set(model.entries)
+    uncovered_symbols -= covered_symbols
+    uncovered_uses = set(model.legal_pairs)
+    uncovered_uses -= covered_uses
     return CoverageReport(
         covered_symbols=covered_symbols,
         covered_uses=covered_uses,
         symbol_coverage=symbol_coverage,
         use_coverage=use_coverage,
         levels=levels,
-        uncovered_symbols=api_symbols - covered_symbols,
-        uncovered_uses=all_uses - covered_uses,
+        uncovered_symbols=uncovered_symbols,
+        uncovered_uses=uncovered_uses,
         total_uses=len(fp.triples),
     )
 
 
-def _level_of(
-    sym: Symbol, legal: frozenset[UseKind], covered: set[UsePair]
-) -> CoverageLevel:
-    hit = {u for u in legal if (sym, u) in covered}
+def _grade(hit: int, legal: int) -> CoverageLevel:
+    """The level of a symbol with ``hit`` of its ``legal`` uses covered."""
     if not hit:
         return CoverageLevel.NONE
-    if hit == set(legal):
-        return CoverageLevel.FULL
-    return CoverageLevel.PARTIAL
+    return CoverageLevel.FULL if hit == legal else CoverageLevel.PARTIAL
 
 
 def coverage_level(sym: Symbol, model: UsageModel, fp: Footprint) -> CoverageLevel:
     _check_governed(model, fp)
     if sym not in model.entries:
         raise UnknownSymbol(f"{sym.fqn} is not an exported symbol of the model")
-    return _level_of(sym, model.entries[sym], _covered_pairs(model, fp))
+    covered = _covered_pairs(model, fp)
+    legal = model.entries[sym]
+    return _grade(sum((sym, u) in covered for u in legal), len(legal))
 
 
 def popularity(fp: Footprint, by: str = "SymbolUse") -> list[tuple[object, int]]:
@@ -147,10 +153,9 @@ def profile(basis: Union[UsageModel, Footprint]) -> ProfileDistribution:
     else:
         kinds = [use for (_, _, use) in basis.unique_uses]
         basis_name = "ActualUniqueUses"
+    counts = Counter(kinds)
     total = len(kinds)
-    weights: dict[UseKind, Fraction] = {k: Fraction(0) for k in UseKind}
-    for k in kinds:
-        weights[k] += Fraction(1, total)
+    weights = {k: Fraction(counts[k], total) if total else Fraction(0) for k in UseKind}
     return ProfileDistribution(weights, basis_name)
 
 
@@ -189,28 +194,35 @@ def _fmt_ratio(x: Fraction) -> float:
 
 
 def coverage_to_dict(report: CoverageReport, model: UsageModel) -> dict:
-    unique_uses = len(report.covered_uses)
-    level_names = {}
-    for sym, level in sorted(report.levels.items(), key=lambda kv: kv[0].sort_key()):
-        key = f"{sym.fqn}{'#' + sym.signature if sym.signature else ''}"
-        level_names[key] = level.value
+    """Serializable form of a report of ``model``. Levels and uncovered uses
+    are read off the model's precomputed orders: a level key shows None
+    unless its symbol is graded higher, and a legal use is uncovered
+    unless the report covers it."""
+    level_keys = model.level_keys
+    levels = dict.fromkeys(level_keys, CoverageLevel.NONE.value)
+    for sym, level in report.levels.items():
+        if level is not CoverageLevel.NONE:
+            key = level_key(sym)
+            if level_keys.get(key) == sym:
+                levels[key] = level.value
+    legal = model.legal_pairs
+    covered = {legal.get(pair) for pair in report.covered_uses}
     uncovered = [
-        {"fqn": s.fqn, "signature": s.signature, "use": u.value}
-        for s, u in sorted(
-            report.uncovered_uses, key=lambda su: (su[0].sort_key(), su[1].value)
-        )
+        {"fqn": fqn, "signature": signature, "use": use}
+        for i, (fqn, signature, use) in enumerate(model.use_rows)
+        if i not in covered
     ]
     return {
         "symbol_coverage": _fmt_ratio(report.symbol_coverage),
         "use_coverage": _fmt_ratio(report.use_coverage),
         "totals": {
             "api_symbols": len(model.entries),
-            "legal_uses": model.legal_use_count,
+            "legal_uses": len(legal),
             "symbols_used": len(report.covered_symbols),
-            "unique_uses": unique_uses,
+            "unique_uses": len(report.covered_uses),
             "total_uses": report.total_uses,
         },
-        "levels": level_names,
+        "levels": levels,
         "uncovered_uses": uncovered,
     }
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional, Union
 
 from . import nodes as n
 from .errors import ModelMismatch
 from .symtab import MemberInfo, SymbolTable, TypeInfo, build_symbol_table
+
+log = logging.getLogger("ucov")
 
 
 class UseKind(Enum):
@@ -72,30 +76,49 @@ class Symbol:
         return self.fqn
 
 
-@dataclass
+UsePair = tuple[Symbol, UseKind]
+
+
+def level_key(sym: Symbol) -> str:
+    """The key of a symbol's level in a coverage report: ``fqn#signature``
+    for methods and constructors, ``fqn`` otherwise."""
+    return f"{sym.fqn}#{sym.signature}" if sym.signature else sym.fqn
+
+
 class UsageModel:
     """Map from exported symbols to their sets of legal use kinds.
 
     The model owns symbol lookup: types are found by FQN, members by FQN
     and erased signature, in separate namespaces built at construction.
+    ``entries`` must not change afterwards: the data that every coverage
+    report of the model shares is computed once, on first use, and is
+    read-only for its callers. ``table``
+    is the resolution table, or a function that builds it when ``table``
+    is first read; only footprint extraction reads it.
     """
 
-    library_name: str
-    entries: dict[Symbol, frozenset[UseKind]]
-    table: SymbolTable
-    _types: dict[str, Symbol] = field(init=False, repr=False, compare=False)
-    _members: dict[tuple[str, Optional[str]], Symbol] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        self._types = {}
-        self._members = {}
-        for sym in self.entries:
+    def __init__(
+        self,
+        library_name: str,
+        entries: dict[Symbol, frozenset[UseKind]],
+        table: Union[SymbolTable, Callable[[], SymbolTable]],
+    ) -> None:
+        self.library_name = library_name
+        self.entries = entries
+        self._table = table
+        self._types: dict[str, Symbol] = {}
+        self._members: dict[tuple[str, Optional[str]], Symbol] = {}
+        for sym in entries:
             if sym.kind in _TYPE_KINDS:
                 self._types[sym.fqn] = sym
             else:
                 self._members[(sym.fqn, sym.signature)] = sym
+
+    @property
+    def table(self) -> SymbolTable:
+        if not isinstance(self._table, SymbolTable):
+            self._table = self._table()
+        return self._table
 
     @property
     def legal_use_count(self) -> int:
@@ -107,6 +130,52 @@ class UsageModel:
     def symbol_for(self, fqn: str, signature: Optional[str]) -> Optional[Symbol]:
         """The member with this FQN and erased signature (None for a field)."""
         return self._members.get((fqn, signature))
+
+    # -- model-wide data, computed once per model --------------------------
+
+    @cached_property
+    def sorted_entries(self) -> tuple[tuple[Symbol, frozenset[UseKind]], ...]:
+        """``entries`` in ``Symbol.sort_key`` order, whatever order they
+        were given in."""
+        return tuple(sorted(self.entries.items(), key=lambda kv: kv[0].sort_key()))
+
+    @cached_property
+    def legal_pairs(self) -> dict[UsePair, int]:
+        """Every legal (symbol, use) pair, mapped to its position in
+        ``use_rows``."""
+        pairs = (
+            (sym, use)
+            for sym, uses in self.sorted_entries
+            for use in sorted(uses, key=lambda u: u.value)
+        )
+        return {pair: i for i, pair in enumerate(pairs)}
+
+    @cached_property
+    def use_rows(self) -> tuple[tuple[str, Optional[str], str], ...]:
+        """(fqn, signature, use name) of every legal pair, ordered by symbol,
+        then by use name."""
+        return tuple((sym.fqn, sym.signature, use.value) for sym, use in self.legal_pairs)
+
+    @cached_property
+    def level_keys(self) -> dict[str, Symbol]:
+        """Each coverage-level key, in symbol order, mapped to the symbol
+        whose level it shows. A field and a nested type of the same name
+        share a key, which shows the later symbol in sort order; a warning
+        names every such collision."""
+        keys: dict[str, Symbol] = {}
+        shared = []
+        for sym, _ in self.sorted_entries:
+            key = level_key(sym)
+            if key in keys:
+                shared.append(f"{keys[key].kind.value} and {sym.kind.value} {key}")
+            keys[key] = sym
+        if shared:
+            log.warning(
+                "coverage levels share a key and show only the second symbol's "
+                "level: %s",
+                "; ".join(shared),
+            )
+        return keys
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +339,7 @@ def model_to_dict(model: UsageModel) -> dict:
             "modifiers": sorted(sym.modifiers),
             "uses": sorted(u.value for u in uses),
         }
-        for sym, uses in sorted(model.entries.items(), key=lambda kv: kv[0].sort_key())
+        for sym, uses in model.sorted_entries
     ]
     types = []
     members = []
@@ -308,9 +377,35 @@ def model_to_dict(model: UsageModel) -> dict:
 
 
 def model_from_dict(data: dict) -> UsageModel:
+    """Load a serialized model. Its resolution table is built from the
+    resolution section only when ``table`` is first used."""
     resolution = data.get("resolution")
     if resolution is None:
         raise ModelMismatch("model file lacks the resolution section")
+    entries: dict[Symbol, frozenset[UseKind]] = {}
+    use_sets: dict[tuple[str, ...], frozenset[UseKind]] = {}  # a handful, shared
+    for s in data["symbols"]:
+        kind = SymbolKind(s["kind"])
+        declaring = None
+        if kind not in _TYPE_KINDS:
+            declaring = s["fqn"].rsplit(".", 1)[0]
+        sym = Symbol(
+            fqn=s["fqn"],
+            kind=kind,
+            signature=s["signature"],
+            declaring_type=declaring,
+            modifiers=frozenset(s["modifiers"]),
+        )
+        names = tuple(s["uses"])
+        uses = use_sets.get(names)
+        if uses is None:
+            uses = use_sets[names] = frozenset(UseKind(u) for u in names)
+        entries[sym] = uses
+    return UsageModel(data["library"], entries, lambda: _table_from_dict(resolution))
+
+
+def _table_from_dict(resolution: dict) -> SymbolTable:
+    """The resolution table of a serialized model's resolution section."""
     table = SymbolTable()
     members_by_type: dict[str, list[MemberInfo]] = {}
     for m in resolution["members"]:
@@ -338,18 +433,4 @@ def model_from_dict(data: dict) -> UsageModel:
             members=tuple(members_by_type.get(t["fqn"], [])),
             enclosing=t.get("enclosing"),
         )
-    entries: dict[Symbol, frozenset[UseKind]] = {}
-    for s in data["symbols"]:
-        kind = SymbolKind(s["kind"])
-        declaring = None
-        if kind not in _TYPE_KINDS:
-            declaring = s["fqn"].rsplit(".", 1)[0]
-        sym = Symbol(
-            fqn=s["fqn"],
-            kind=kind,
-            signature=s["signature"],
-            declaring_type=declaring,
-            modifiers=frozenset(s["modifiers"]),
-        )
-        entries[sym] = frozenset(UseKind(u) for u in s["uses"])
-    return UsageModel(data["library"], entries, table)
+    return table

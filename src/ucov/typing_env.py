@@ -23,11 +23,12 @@ class TypingMemo:
     the id from being reused and is checked on lookup.
     """
 
-    __slots__ = ("types", "calls")
+    __slots__ = ("types", "calls", "names")
 
     def __init__(self) -> None:
         self.types: dict[int, tuple[n.Expr, Optional[str]]] = {}
         self.calls: dict[int, tuple[n.MethodCall, str, MethodResolution]] = {}
+        self.names: dict[int, tuple[n.FieldAccess, Optional[str]]] = {}
 
 
 class Env:
@@ -85,26 +86,38 @@ def as_type_name(expr: n.Expr, env: Env) -> Optional[str]:
 
     Names shadowed by in-scope variables are never type names.
     """
-    parts = _name_chain(expr)
-    if parts is None:
+    name = _dotted_name(expr, env.memo)
+    if name is None:
         return None
-    declared, _ = env.lookup(parts[0])
+    declared, _ = env.lookup(name.partition(".")[0])
     if declared:
         return None
-    fqn, known = env.resolve_type(".".join(parts))
+    fqn, known = env.resolve_type(name)
     return fqn if known else None
 
 
-def _name_chain(expr: n.Expr) -> Optional[list[str]]:
-    parts = []
+def _dotted_name(expr: n.Expr, memo: TypingMemo) -> Optional[str]:
+    """The dotted name a chain of field accesses on a name spells, or None.
+
+    Each link's name is memoized and extends its receiver's, so naming
+    every link of a chain costs time linear in its length.
+    """
+    names = memo.names
+    links = []
     while isinstance(expr, n.FieldAccess):
-        parts.append(expr.name)
+        hit = names.get(id(expr))
+        if hit is not None and hit[0] is expr:
+            name = hit[1]
+            break
+        links.append(expr)
         expr = expr.receiver
-    if not isinstance(expr, n.Name):
-        return None
-    parts.append(expr.identifier)
-    parts.reverse()
-    return parts
+    else:
+        name = expr.identifier if isinstance(expr, n.Name) else None
+    for link in reversed(links):
+        if name is not None:
+            name = f"{name}.{link.name}"
+        names[id(link)] = (link, name)
+    return name
 
 
 _LITERAL_TYPES = {

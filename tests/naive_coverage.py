@@ -1,0 +1,77 @@
+"""Reference coverage: the per-report algorithm that rebuilds the model's use
+set, grades every symbol and sorts every row for each report.
+
+The program computes the model-wide parts once per model instead; the tests
+check that both give equal reports and equal serialized reports.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from ucov.footprint import Footprint
+from ucov.metrics import CoverageLevel, CoverageReport, _fmt_ratio
+from ucov.model import Symbol, UsageModel, UseKind
+
+UsePair = tuple[Symbol, UseKind]
+
+
+def naive_coverage(model: UsageModel, fp: Footprint) -> CoverageReport:
+    covered_uses = {
+        (t.symbol, t.use) for t in fp.triples if t.use in model.entries.get(t.symbol, ())
+    }
+    covered_symbols = {s for s, _ in covered_uses}
+    api_symbols = set(model.entries)
+    all_uses = {(s, u) for s, uses in model.entries.items() for u in uses}
+    symbol_coverage = (
+        Fraction(len(covered_symbols), len(api_symbols)) if api_symbols else Fraction(1)
+    )
+    use_coverage = Fraction(len(covered_uses), len(all_uses)) if all_uses else Fraction(1)
+    levels = {s: _level_of(s, model.entries[s], covered_uses) for s in api_symbols}
+    return CoverageReport(
+        covered_symbols=covered_symbols,
+        covered_uses=covered_uses,
+        symbol_coverage=symbol_coverage,
+        use_coverage=use_coverage,
+        levels=levels,
+        uncovered_symbols=api_symbols - covered_symbols,
+        uncovered_uses=all_uses - covered_uses,
+        total_uses=len(fp.triples),
+    )
+
+
+def _level_of(
+    sym: Symbol, legal: frozenset[UseKind], covered: set[UsePair]
+) -> CoverageLevel:
+    hit = {u for u in legal if (sym, u) in covered}
+    if not hit:
+        return CoverageLevel.NONE
+    if hit == set(legal):
+        return CoverageLevel.FULL
+    return CoverageLevel.PARTIAL
+
+
+def naive_coverage_to_dict(report: CoverageReport, model: UsageModel) -> dict:
+    level_names = {}
+    for sym, level in sorted(report.levels.items(), key=lambda kv: kv[0].sort_key()):
+        key = f"{sym.fqn}{'#' + sym.signature if sym.signature else ''}"
+        level_names[key] = level.value
+    uncovered = [
+        {"fqn": s.fqn, "signature": s.signature, "use": u.value}
+        for s, u in sorted(
+            report.uncovered_uses, key=lambda su: (su[0].sort_key(), su[1].value)
+        )
+    ]
+    return {
+        "symbol_coverage": _fmt_ratio(report.symbol_coverage),
+        "use_coverage": _fmt_ratio(report.use_coverage),
+        "totals": {
+            "api_symbols": len(model.entries),
+            "legal_uses": sum(len(uses) for uses in model.entries.values()),
+            "symbols_used": len(report.covered_symbols),
+            "unique_uses": len(report.covered_uses),
+            "total_uses": report.total_uses,
+        },
+        "levels": level_names,
+        "uncovered_uses": uncovered,
+    }

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from functools import reduce
 
 import pytest
 
 from conftest import FIXTURES
+from ucov import metrics as m
 from ucov.cli import main
 
 ARRAYLIST_LIB = str(FIXTURES / "arraylist" / "lib")
@@ -299,3 +301,74 @@ def test_duplicate_group_labels_exit_1(sum_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {config}: invalid JSON: duplicate key 'a'\n"
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Output layout
+# ---------------------------------------------------------------------------
+
+
+def test_every_command_writes_its_content_as_one_line(sum_path, tmp_path, capsys):
+    from conftest import client_units, model_for
+    from ucov import extract_uses, footprint_from_dict, footprint_to_dict, merge
+    from ucov import model_from_dict, model_to_dict
+
+    def one_line(text: str) -> dict:
+        assert text.endswith("\n") and text.count("\n") == 1
+        return json.loads(text)
+
+    assert one_line(sum_path.read_text(encoding="utf-8")) == model_to_dict(model_for("arraylist"))
+    model = model_from_dict(json.loads(sum_path.read_text()))
+    a = suf(sum_path, tmp_path, "classic", CLASSIC)
+    b = suf(sum_path, tmp_path, "framework", FRAMEWORK)
+    fp_a = extract_uses(client_units("arraylist", "classic"), model, label="classic")
+    assert one_line(a.read_text(encoding="utf-8")) == footprint_to_dict(fp_a)
+    fps = [footprint_from_dict(json.loads(p.read_text()), model) for p in (a, b)]
+    capsys.readouterr()
+
+    assert main(["coverage", "--sum", str(sum_path), str(a), str(b)]) == 0
+    reports = [(fp.label, m.compute_coverage(model, fp)) for fp in fps]
+    reports.append(("All", m.compute_coverage(model, reduce(merge, fps))))
+    assert one_line(capsys.readouterr().out) == {
+        "library": "arraylist",
+        "reports": [{"label": l, **m.coverage_to_dict(r, model)} for l, r in reports],
+    }
+    out = tmp_path / "regions.json"
+    assert main(["compare", "--sum", str(sum_path), str(a), str(b), "-o", str(out)]) == 0
+    regions = m.regions_to_dict(m.exclusive_regions(fps))
+    assert one_line(out.read_text(encoding="utf-8")) == regions
+    assert main(["compare", "--sum", str(sum_path), str(a), str(b)]) == 0
+    assert one_line(capsys.readouterr().out) == regions
+    assert main(["profile", "--sum", str(sum_path)]) == 0
+    assert one_line(capsys.readouterr().out) == m.profile_to_dict(m.profile(model))
+    assert main(["profile", "--sum", str(sum_path), "--suf", str(a)]) == 0
+    assert one_line(capsys.readouterr().out) == m.profile_to_dict(m.profile(fps[0]))
+
+
+def test_non_ascii_identifiers_are_written_unescaped(tmp_path, capsys):
+    lib = tmp_path / "lib" / "straße"
+    lib.mkdir(parents=True)
+    (lib / "Café.java").write_text(
+        "package straße; public class Café { public void grüße() { } }", encoding="utf-8"
+    )
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "Ü.java").write_text(
+        "package k; import straße.Café; public class Ü { void f(Café c) { c.grüße(); } }",
+        encoding="utf-8",
+    )
+    sum_path, suf_path = tmp_path / "sum.json", tmp_path / "suf.json"
+    assert main(["sum", str(tmp_path / "lib"), "-o", str(sum_path), "--name", "bücher"]) == 0
+    assert main(["suf", "--sum", str(sum_path), str(src), "-o", str(suf_path)]) == 0
+    capsys.readouterr()
+    assert main(["coverage", "--sum", str(sum_path), str(suf_path)]) == 0
+    texts = [
+        sum_path.read_text(encoding="utf-8"),
+        suf_path.read_text(encoding="utf-8"),
+        capsys.readouterr().out,
+    ]
+    for text in texts:
+        assert "straße.Café.grüße" in text and "bücher" in text
+        assert "\\u" not in text
+    uses = json.loads(texts[1])["uses"]
+    assert {(u["fqn"], u["use"]) for u in uses} >= {("straße.Café.grüße", "MethodInvocation")}

@@ -98,6 +98,54 @@ def test_long_chain_matches_the_oracle(model):
     assert got == oracle_extract(units, model)
 
 
+def unknown_chain(links: int) -> str:
+    """A class with three chains of ``links`` field reads: on an unknown
+    name ``q``, on the qualified type name ``b.B`` through a field ``q``
+    that B lacks, and on the result of ``b.B.s()``."""
+    return (
+        "package c; import b.B; public class C { public Object run(int a) { "
+        + "Object o = q" + ".z" * links + "; "
+        + "o = b.B.q" + ".z" * links + "; "
+        + "return b.B.s()" + ".v" * links + "; } }\n"
+    )
+
+
+def python_lines(fn) -> int:
+    """Lines of the program's own code that ``fn()`` executes."""
+    src = str(Path(footprint.__file__).parent)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename.startswith(src) else None)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_unknown_receiver_chains_cost_linear_time(model):
+    def lines(links: int) -> int:
+        unit = parse_unit(unknown_chain(links), "C.java")
+        return python_lines(lambda: extract_uses([unit], model))
+
+    short, long = lines(500), lines(2000)
+    assert 0 < long <= 4 * short, (short, long)
+
+
+def test_unknown_receiver_chain_matches_the_oracle(model):
+    units = [parse_unit(unknown_chain(300), "C.java")]
+    fp = extract_uses(units, model)
+    got = {(t.symbol.fqn, t.symbol.signature, t.use, t.location) for t in fp.triples}
+    assert len(got) > 300
+    assert got == oracle_extract(units, model)
+
+
 # Each maker gives a file nesting one construct ``k`` deep.
 NESTED = {
     "parentheses": lambda k: client("return " + "(" * k + "b" + ")" * k + ";"),
