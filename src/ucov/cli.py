@@ -59,7 +59,13 @@ class CorpusConfig:
             raise UsageError("corpus config groups must map labels to lists of roots")
         if "" in groups:
             raise UsageError("corpus config labels must be non-empty")
-        return cls(groups=groups, lenient=bool(data.get("lenient", True)))
+        for label in groups:  # each label names a file in the output directory
+            if "/" in label or "\\" in label:
+                raise UsageError(f"corpus config label {label!r} contains a path separator")
+        lenient = data.get("lenient", True)
+        if not isinstance(lenient, bool):
+            raise UsageError("corpus config lenient must be true or false")
+        return cls(groups=groups, lenient=lenient)
 
 
 def _setup_logging() -> None:

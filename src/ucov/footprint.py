@@ -26,7 +26,7 @@ from .symtab import (
     UnitContext,
     build_symbol_table,
 )
-from .typing_env import Env, Unknown, as_type_name, resolve_call, static_type_of
+from .typing_env import Env, Unknown, receiver_of, resolve_call, static_type_of
 
 
 class DiagnosticKind(Enum):
@@ -108,19 +108,11 @@ def diff(f1: Footprint, f2: Footprint, label: Optional[str] = None) -> Footprint
 
 
 def extract_uses(
-    client_units: list[n.SourceUnit],
-    model: UsageModel,
-    table: Optional[SymbolTable] = None,
-    label: str = "client",
+    client_units: list[n.SourceUnit], model: UsageModel, label: str = "client"
 ) -> Footprint:
-    """Extract the footprint of client units against a usage model.
-
-    ``table``, when given, must be a client symbol table layered over the
-    library's; otherwise one is built from the units on the fly.
-    """
-    if table is None:
-        table = build_symbol_table(client_units, base=model.table)
-    extractor = _Extractor(model, table)
+    """Extract the footprint of client units against a usage model, over a
+    client symbol table layered on the library's."""
+    extractor = _Extractor(model, build_symbol_table(client_units, base=model.table))
     for unit in client_units:
         extractor.visit_unit(unit)
     return Footprint(
@@ -191,12 +183,6 @@ class _Extractor:
     def diag(self, loc: n.Location, kind: DiagnosticKind, message: str) -> None:
         self.diagnostics.append(Diagnostic(loc, kind, message))
 
-    def api_type(self, fqn: str) -> Optional[Symbol]:
-        return self.model.type_symbol(fqn)
-
-    def api_member(self, member: MemberInfo) -> Optional[Symbol]:
-        return self.model.symbol_for(member.fqn, member.signature)
-
     def is_library_type(self, fqn: str) -> bool:
         return self.lib_table.lookup_type(fqn) is not None
 
@@ -214,7 +200,7 @@ class _Extractor:
             )
 
     def emit_member_use(self, member: MemberInfo, use: UseKind, loc: n.Location) -> None:
-        sym = self.api_member(member)
+        sym = self.model.symbol_for(member.fqn, member.signature)
         if sym is not None:
             self.emit(sym, use, loc)
         elif self.is_library_type(member.declaring):
@@ -246,33 +232,26 @@ class _Extractor:
     ) -> None:
         scope = enclosing + (fqn,)
         params = outer_params | frozenset(decl.type_params)
-        self._heritage_uses(decl, ctx, scope, params)
+        env = Env(self.table, ctx, this_type=fqn, enclosing=scope, type_params=params)
+        self._heritage_uses(decl, env)
         info = self.table.lookup_type(fqn)
         if info is not None:
             self._overriding_uses(info)
             self._implicit_super_constructors(info)
-        env = Env(self.table, ctx, this_type=fqn, enclosing=scope, type_params=params)
         for member in decl.members:
             self._member_type_references(member, env)
             self._visit_member_body(member, env)
         for inner in decl.nested:
             self.visit_type(inner, f"{fqn}.{inner.simple_name}", ctx, scope, params)
 
-    def _heritage_uses(
-        self,
-        decl: n.TypeDecl,
-        ctx: UnitContext,
-        scope: tuple[str, ...],
-        params: frozenset[str],
-    ) -> None:
-        def heritage(ref: n.TypeRef) -> None:
-            resolved, known = ctx.resolve_type_name(ref.name, scope, params)
+    def _heritage_uses(self, decl: n.TypeDecl, env: Env) -> None:
+        for ref in decl.extends_refs + decl.implements_refs:
             for arg in ref.type_args:
-                self._type_reference(arg, scope, params, ctx)
+                self._type_reference(arg, env)
+            resolved, known = env.resolve_type(ref.name)
             if not known:
-                return
-            target = self.api_type(resolved)
-            target_info = self.table.lookup_type(resolved)
+                continue
+            target = self.model.type_symbol(resolved)
             if target is None:
                 if self.is_library_type(resolved):
                     self.diag(
@@ -280,8 +259,9 @@ class _Extractor:
                         DiagnosticKind.ILLEGAL_USE,
                         f"extension of non-exported type {resolved}",
                     )
-                return
+                continue
             assert ref.location is not None
+            target_info = self.table.lookup_type(resolved)
             if target_info is not None and target_info.kind is n.TypeKind.INTERFACE:
                 if decl.kind is n.TypeKind.INTERFACE:
                     self.emit(target, UseKind.INTERFACE_EXTENSION, ref.location)
@@ -289,9 +269,6 @@ class _Extractor:
                     self.emit(target, UseKind.IMPLEMENTATION, ref.location)
             else:
                 self.emit(target, UseKind.INHERITANCE, ref.location)
-
-        for ref in decl.extends_refs + decl.implements_refs:
-            heritage(ref)
 
     def _overriding_uses(self, info) -> None:
         for member in info.members:
@@ -308,7 +285,7 @@ class _Extractor:
     ) -> None:
         """Emit ``use`` of each instance method declared in the library."""
         for m in methods:
-            if "static" not in m.modifiers and self.is_library_type(m.declaring):
+            if "static" not in m.modifiers:
                 self.emit_member_use(m, use, loc)
 
     def _implicit_super_constructors(self, info) -> None:
@@ -346,23 +323,17 @@ class _Extractor:
         refs.extend(p.type_ref for p in member.params)
         refs.extend(member.throws_refs)
         for ref in refs:
-            self._type_reference(ref, env.enclosing, env.type_params, env.ctx)
+            self._type_reference(ref, env)
 
-    def _type_reference(
-        self,
-        ref: n.TypeRef,
-        scope: tuple[str, ...],
-        params: frozenset[str],
-        ctx: UnitContext,
-    ) -> None:
-        if ref.name and ref.name not in params:
-            resolved, known = ctx.resolve_type_name(ref.name, scope, params)
+    def _type_reference(self, ref: n.TypeRef, env: Env) -> None:
+        if ref.name and ref.name not in env.type_params:
+            resolved, known = env.resolve_type(ref.name)
             if known:
-                sym = self.api_type(resolved)
+                sym = self.model.type_symbol(resolved)
                 if sym is not None and ref.location is not None:
                     self.emit(sym, UseKind.TYPE_REFERENCE, ref.location)
         for arg in ref.type_args:
-            self._type_reference(arg, scope, params, ctx)
+            self._type_reference(arg, env)
 
     def _visit_member_body(self, member: n.MemberDecl, type_env: Env) -> None:
         if member.kind is n.MemberKind.FIELD:
@@ -405,7 +376,7 @@ class _Extractor:
         if isinstance(stmt, n.Block):
             self.visit_block(stmt, env)
         elif isinstance(stmt, n.LocalDecl):
-            self._type_reference(stmt.type_ref, env.enclosing, env.type_params, env.ctx)
+            self._type_reference(stmt.type_ref, env)
             declared = self._declared_type(stmt.type_ref, env)
             env.declare(stmt.name, declared)
             if stmt.init is not None:
@@ -438,9 +409,7 @@ class _Extractor:
         elif isinstance(stmt, n.Try):
             self.visit_block(stmt.body, env)
             for catch in stmt.catches:
-                self._type_reference(
-                    catch.param_type, env.enclosing, env.type_params, env.ctx
-                )
+                self._type_reference(catch.param_type, env)
                 inner = env.child()
                 inner.declare(catch.name, self._declared_type(catch.param_type, inner))
                 self.visit_block(catch.body, inner)
@@ -461,7 +430,7 @@ class _Extractor:
         # way out, so a chain of any length uses constant stack.
         links: list[tuple[n.Expr, Optional[str], bool]] = []
         while isinstance(expr, (n.MethodCall, n.FieldAccess)):
-            receiver_type, visit_receiver = self._receiver(expr, env)
+            receiver_type, visit_receiver = receiver_of(expr, env)
             links.append((expr, receiver_type, assign_target))
             if not visit_receiver:
                 break
@@ -500,7 +469,7 @@ class _Extractor:
                 expr = expr.operand
             self.visit_expr(expr, env)
         elif isinstance(expr, n.Cast):
-            self._type_reference(expr.type_ref, env.enclosing, env.type_params, env.ctx)
+            self._type_reference(expr.type_ref, env)
             self.visit_expr(expr.expr, env)
         elif isinstance(expr, n.Lambda):
             self._lambda(expr, env, expected)
@@ -510,29 +479,9 @@ class _Extractor:
         if declared or env.this_type is None:
             return
         member = self.table.find_field(env.this_type, expr.identifier)
-        if member is not None and self.is_library_type(member.declaring):
+        if member is not None:
             use = UseKind.FIELD_WRITE if assign_target else UseKind.FIELD_READ
             self.emit_member_use(member, use, expr.location)
-
-    def _receiver(
-        self, expr: Union[n.MethodCall, n.FieldAccess], env: Env
-    ) -> tuple[Optional[str], bool]:
-        """(receiver type, whether the receiver expression is visited) of a
-        chain link. A call names a type receiver before typing it; a field
-        access types its receiver first."""
-        receiver = expr.receiver
-        if isinstance(expr, n.MethodCall):
-            if receiver is None:
-                return env.this_type, False
-            type_name = as_type_name(receiver, env)
-            if type_name is not None:
-                return type_name, False
-            return static_type_of(receiver, env, self.table), True
-        receiver_type = static_type_of(receiver, env, self.table)
-        if receiver_type is not None:
-            return receiver_type, True
-        type_name = as_type_name(receiver, env)
-        return type_name, type_name is None
 
     def _field_access_use(
         self,
@@ -552,9 +501,8 @@ class _Extractor:
                     f"no field {expr.name} on {receiver_type}",
                 )
             return
-        if self.is_library_type(member.declaring):
-            use = UseKind.FIELD_WRITE if assign_target else UseKind.FIELD_READ
-            self.emit_member_use(member, use, expr.location)
+        use = UseKind.FIELD_WRITE if assign_target else UseKind.FIELD_READ
+        self.emit_member_use(member, use, expr.location)
 
     def _method_call(
         self, call: n.MethodCall, receiver_type: Optional[str], env: Env
@@ -567,7 +515,7 @@ class _Extractor:
             )
             self._visit_args(call.args, env, None)
             return
-        res = resolve_call(call, receiver_type, env, self.table)
+        res = resolve_call(call, receiver_type, env)
         if res.status is ResolutionStatus.UNRESOLVED or res.member is None:
             if self._worth_diagnosing(receiver_type):
                 self.diag(
@@ -612,7 +560,7 @@ class _Extractor:
 
     def _new_expr(self, expr: n.New, env: Env) -> None:
         for arg_ref in expr.type_ref.type_args:
-            self._type_reference(arg_ref, env.enclosing, env.type_params, env.ctx)
+            self._type_reference(arg_ref, env)
         resolved, known = env.resolve_type(expr.type_ref.name)
         if not known:
             self.diag(
@@ -623,7 +571,7 @@ class _Extractor:
             self._visit_args(expr.args, env, None)
             return
         info = self.table.lookup_type(resolved)
-        sym = self.api_type(resolved)
+        sym = self.model.type_symbol(resolved)
         arg_types = [static_type_of(a, env, self.table) for a in expr.args]
         ctor = self.table.resolve_constructor(resolved, arg_types)
         if expr.anon_body is not None:
@@ -678,7 +626,7 @@ class _Extractor:
         sam: Optional[MemberInfo] = None
         if expected is not None:
             info = self.table.lookup_type(expected)
-            sym = self.api_type(expected)
+            sym = self.model.type_symbol(expected)
             if (
                 info is not None
                 and info.kind is n.TypeKind.INTERFACE
@@ -696,7 +644,7 @@ class _Extractor:
         inner = env.child()
         for i, p in enumerate(expr.params):
             if p.type_ref.name:
-                self._type_reference(p.type_ref, env.enclosing, env.type_params, env.ctx)
+                self._type_reference(p.type_ref, env)
                 inner.declare(p.name, self._declared_type(p.type_ref, inner))
             elif sam is not None and i < len(sam.param_types):
                 inner.declare(p.name, sam.param_types[i])

@@ -87,14 +87,12 @@ def tokenize(text: str, path: str) -> list[Token]:
             i += 1
             chars = []
             while i < n and text[i] != '"':
-                if text[i] == "\n":
+                step = 2 if text[i] == "\\" else 1  # an escape and its character
+                chunk = text[i : i + step]
+                if "\n" in chunk:
                     raise error("unterminated string literal")
-                if text[i] == "\\" and i + 1 < n:
-                    chars.append(text[i : i + 2])
-                    i += 2
-                else:
-                    chars.append(text[i])
-                    i += 1
+                chars.append(chunk)
+                i += step
             if i >= n:
                 raise error("unterminated string literal")
             i += 1
@@ -106,7 +104,7 @@ def tokenize(text: str, path: str) -> list[Token]:
             i += 1
             if i < n and text[i] == "\\":
                 i += 1
-            if i >= n:
+            if i >= n or text[i] == "\n":
                 raise error("unterminated char literal")
             value = text[start + 1 : i + 1]
             i += 1

@@ -2,6 +2,8 @@
 
 All nodes carry the location of their head identifier token (1-based
 line/column) so that downstream analyses can report precise use sites.
+Nodes compare and hash by identity, so analyses can key tables by node;
+``Location`` is a value.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class MemberKind(Enum):
     FIELD = "Field"
 
 
-@dataclass
+@dataclass(eq=False)
 class TypeRef:
     """A possibly-generic, possibly-array type reference such as ``List<String>[]``."""
 
@@ -42,14 +44,14 @@ class TypeRef:
     location: Optional[Location] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class ImportDecl:
     qname: str
     on_demand: bool
     location: Location
 
 
-@dataclass
+@dataclass(eq=False)
 class Param:
     name: str
     type_ref: TypeRef
@@ -60,32 +62,32 @@ class Param:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Literal:
     value: object
     kind: str  # int, string, char, boolean, null
     location: Location
 
 
-@dataclass
+@dataclass(eq=False)
 class Name:
     identifier: str
     location: Location
 
 
-@dataclass
+@dataclass(eq=False)
 class This:
     location: Location
 
 
-@dataclass
+@dataclass(eq=False)
 class FieldAccess:
     receiver: "Expr"
     name: str
     location: Location  # of the accessed member's identifier
 
 
-@dataclass
+@dataclass(eq=False)
 class MethodCall:
     receiver: Optional["Expr"]  # None for bare calls such as f(x)
     name: str
@@ -93,7 +95,7 @@ class MethodCall:
     location: Location  # of the method name token
 
 
-@dataclass
+@dataclass(eq=False)
 class New:
     type_ref: TypeRef
     args: list["Expr"]
@@ -101,14 +103,14 @@ class New:
     location: Location  # of the constructed type's head identifier
 
 
-@dataclass
+@dataclass(eq=False)
 class Assign:
     target: "Expr"
     value: "Expr"
     location: Location
 
 
-@dataclass
+@dataclass(eq=False)
 class Binary:
     op: str
     left: "Expr"
@@ -116,21 +118,21 @@ class Binary:
     location: Location
 
 
-@dataclass
+@dataclass(eq=False)
 class Unary:
     op: str
     operand: "Expr"
     location: Location
 
 
-@dataclass
+@dataclass(eq=False)
 class Cast:
     type_ref: TypeRef
     expr: "Expr"
     location: Location
 
 
-@dataclass
+@dataclass(eq=False)
 class Lambda:
     params: list[Param]  # type_ref.name == "" when the parameter is untyped
     body: Union["Expr", "Block"]
@@ -147,12 +149,12 @@ Expr = Union[
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Block:
     statements: list["Stmt"]
 
 
-@dataclass
+@dataclass(eq=False)
 class LocalDecl:
     type_ref: TypeRef
     name: str
@@ -160,25 +162,25 @@ class LocalDecl:
     location: Location
 
 
-@dataclass
+@dataclass(eq=False)
 class ExprStmt:
     expr: Expr
 
 
-@dataclass
+@dataclass(eq=False)
 class If:
     cond: Expr
     then: "Stmt"
     orelse: Optional["Stmt"]
 
 
-@dataclass
+@dataclass(eq=False)
 class While:
     cond: Expr
     body: "Stmt"
 
 
-@dataclass
+@dataclass(eq=False)
 class For:
     init: Optional["Stmt"]  # LocalDecl or ExprStmt
     cond: Optional[Expr]
@@ -186,24 +188,24 @@ class For:
     body: "Stmt"
 
 
-@dataclass
+@dataclass(eq=False)
 class Return:
     expr: Optional[Expr]
 
 
-@dataclass
+@dataclass(eq=False)
 class Throw:
     expr: Expr
 
 
-@dataclass
+@dataclass(eq=False)
 class Catch:
     param_type: TypeRef
     name: str
     body: Block
 
 
-@dataclass
+@dataclass(eq=False)
 class Try:
     body: Block
     catches: list[Catch]
@@ -220,7 +222,7 @@ Stmt = Union[Block, LocalDecl, ExprStmt, If, While, For, Return, Throw, Try]
 VISIBILITY_MODIFIERS = frozenset({"public", "protected", "private"})
 
 
-@dataclass
+@dataclass(eq=False)
 class MemberDecl:
     kind: MemberKind
     name: str
@@ -235,7 +237,7 @@ class MemberDecl:
     body: Optional[Block] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class TypeDecl:
     kind: TypeKind
     simple_name: str
@@ -249,7 +251,7 @@ class TypeDecl:
     location: Location
 
 
-@dataclass
+@dataclass(eq=False)
 class SourceUnit:
     path: str
     package_name: str

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from . import nodes as n
 from .errors import CyclicHierarchy, DuplicateSymbol
@@ -25,8 +25,20 @@ PRIMITIVES = frozenset(
 )
 
 
+class _Declared:
+    """The visibility rule shared by type and member declarations."""
+
+    modifiers: frozenset[str]
+
+    def visibility(self) -> str:
+        for v in ("public", "protected", "private"):
+            if v in self.modifiers:
+                return v
+        return "packagePrivate"
+
+
 @dataclass(frozen=True)
-class MemberInfo:
+class MemberInfo(_Declared):
     declaring: str  # FQN of the declaring type
     kind: n.MemberKind
     name: str
@@ -42,15 +54,9 @@ class MemberInfo:
     def fqn(self) -> str:
         return f"{self.declaring}.{self.name}"
 
-    def visibility(self) -> str:
-        for v in ("public", "protected", "private"):
-            if v in self.modifiers:
-                return v
-        return "packagePrivate"
-
 
 @dataclass
-class TypeInfo:
+class TypeInfo(_Declared):
     fqn: str
     kind: n.TypeKind
     modifiers: frozenset[str]
@@ -60,12 +66,6 @@ class TypeInfo:
     members: tuple[MemberInfo, ...]
     enclosing: Optional[str] = None  # FQN of the enclosing type, if nested
     location: Optional[n.Location] = None
-
-    def visibility(self) -> str:
-        for v in ("public", "protected", "private"):
-            if v in self.modifiers:
-                return v
-        return "packagePrivate"
 
 
 class ResolutionStatus(Enum):
@@ -83,17 +83,17 @@ class MethodResolution:
 class SymbolTable:
     """Immutable-after-build table of types, optionally layered over a base.
 
-    Supertype closures and member lookups are cached per table instance on
-    first query, so a table must not be changed once it is queried. An
-    overlay keeps its own caches: a client type can complete a library
-    type's external supertype, so the answers may differ from the base's.
+    Supertype closures, method candidates and overridden methods are cached
+    per table instance on first query, so a table must not be changed once
+    it is queried. An overlay keeps its own caches: a client type can
+    complete a library type's external supertype, so the answers may
+    differ from the base's.
     """
 
     def __init__(self, base: Optional["SymbolTable"] = None):
         self.types: dict[str, TypeInfo] = {}
         self.base = base
         self._closures: dict[str, tuple[str, ...]] = {}
-        self._fields: dict[tuple[str, str], Optional[MemberInfo]] = {}
         self._candidates: dict[tuple[str, str, int], tuple[MemberInfo, ...]] = {}
         self._overridden: dict[tuple[str, Optional[str], bool], tuple[MemberInfo, ...]] = {}
 
@@ -132,18 +132,15 @@ class SymbolTable:
         return info.members if info is not None else ()
 
     def find_field(self, receiver: str, name: str) -> Optional[MemberInfo]:
-        key = (receiver, name)
-        if key not in self._fields:
-            self._fields[key] = next(
-                (
-                    m
-                    for tfqn in self.supertype_closure(receiver)
-                    for m in self.members_of(tfqn)
-                    if m.kind is n.MemberKind.FIELD and m.name == name
-                ),
-                None,
-            )
-        return self._fields[key]
+        return next(
+            (
+                m
+                for tfqn in self.supertype_closure(receiver)
+                for m in self.members_of(tfqn)
+                if m.kind is n.MemberKind.FIELD and m.name == name
+            ),
+            None,
+        )
 
     def super_methods(self, member: MemberInfo) -> tuple[MemberInfo, ...]:
         """Methods in strict supertypes of the declaring type sharing the
@@ -176,20 +173,10 @@ class SymbolTable:
 
         Candidates are arity-matching methods named ``name`` in the receiver
         or its supertypes, nearest declaring type winning per erased
-        signature. Among candidates, those whose parameter types are
-        compatible with the argument types are preferred (an Unknown
-        argument matches anything). Remaining ties are broken by the
-        lexicographically smallest erased signature and flagged Ambiguous.
+        signature; ``_choose`` picks among them.
         """
         candidates = self._method_candidates(receiver, name, len(arg_types))
-        if not candidates:
-            return MethodResolution(ResolutionStatus.UNRESOLVED)
-        compatible = [m for m in candidates if self._args_compatible(m, arg_types)]
-        survivors = compatible or candidates
-        if len(survivors) == 1:
-            return MethodResolution(ResolutionStatus.RESOLVED, survivors[0])
-        chosen = min(survivors, key=lambda m: m.signature or "")
-        return MethodResolution(ResolutionStatus.AMBIGUOUS, chosen)
+        return self._choose(candidates, arg_types)
 
     def _method_candidates(
         self, receiver: str, name: str, arity: int
@@ -220,6 +207,15 @@ class SymbolTable:
             for m in self.members_of(type_fqn)
             if m.kind is n.MemberKind.CONSTRUCTOR and len(m.param_types) == len(arg_types)
         ]
+        return self._choose(candidates, arg_types)
+
+    def _choose(
+        self, candidates: Sequence[MemberInfo], arg_types: list[Optional[str]]
+    ) -> MethodResolution:
+        """Candidates whose parameter types are compatible with the argument
+        types are preferred (an Unknown argument matches anything); if none
+        is, all stay. Remaining ties are broken by the lexicographically
+        smallest erased signature and flagged Ambiguous."""
         if not candidates:
             return MethodResolution(ResolutionStatus.UNRESOLVED)
         compatible = [m for m in candidates if self._args_compatible(m, arg_types)]

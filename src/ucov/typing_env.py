@@ -16,19 +16,18 @@ Unknown = None
 
 
 class TypingMemo:
-    """Types and call resolutions of expression nodes, keyed by node id.
+    """Types and call resolutions of expression nodes, keyed by the node.
 
-    An expression is only typed while its own statement is visited, so its
-    type does not change afterwards. Each entry keeps its node, which keeps
-    the id from being reused and is checked on lookup.
+    AST nodes hash by identity. An expression is only typed while its own
+    statement is visited, so its type does not change afterwards.
     """
 
     __slots__ = ("types", "calls", "names")
 
     def __init__(self) -> None:
-        self.types: dict[int, tuple[n.Expr, Optional[str]]] = {}
-        self.calls: dict[int, tuple[n.MethodCall, str, MethodResolution]] = {}
-        self.names: dict[int, tuple[n.FieldAccess, Optional[str]]] = {}
+        self.types: dict[n.Expr, Optional[str]] = {}
+        self.calls: dict[n.MethodCall, tuple[str, MethodResolution]] = {}
+        self.names: dict[n.FieldAccess, Optional[str]] = {}
 
 
 class Env:
@@ -105,9 +104,8 @@ def _dotted_name(expr: n.Expr, memo: TypingMemo) -> Optional[str]:
     names = memo.names
     links = []
     while isinstance(expr, n.FieldAccess):
-        hit = names.get(id(expr))
-        if hit is not None and hit[0] is expr:
-            name = hit[1]
+        if expr in names:
+            name = names[expr]
             break
         links.append(expr)
         expr = expr.receiver
@@ -116,7 +114,7 @@ def _dotted_name(expr: n.Expr, memo: TypingMemo) -> Optional[str]:
     for link in reversed(links):
         if name is not None:
             name = f"{name}.{link.name}"
-        names[id(link)] = (link, name)
+        names[link] = name
     return name
 
 
@@ -134,13 +132,14 @@ _BOOLEAN_OPS = frozenset({"==", "!=", "<", ">", "<=", ">=", "&&", "||"})
 def static_type_of(expr: n.Expr, env: Env, table: SymbolTable) -> Optional[str]:
     """Declared static type of an expression, or Unknown (None).
 
-    A left-deep receiver chain is typed iteratively, innermost link first,
-    and each link's type is memoized in ``env.memo``, so chains of any
-    length cost linear time and constant stack.
+    ``table`` is the table ``env`` was built over. A left-deep receiver
+    chain is typed iteratively, innermost link first, and each link's type
+    is memoized in ``env.memo``, so chains of any length cost linear time
+    and constant stack.
     """
     while True:  # assignments and operators take the type of one operand
         if isinstance(expr, _CHAIN_LINKS):
-            return _chain_type(expr, env, table)
+            return _chain_type(expr, env)
         if isinstance(expr, n.Name):
             declared, t = env.lookup(expr.identifier)
             if declared:
@@ -179,62 +178,68 @@ def static_type_of(expr: n.Expr, env: Env, table: SymbolTable) -> Optional[str]:
 _CHAIN_LINKS = (n.FieldAccess, n.MethodCall)
 
 
-def _chain_type(
-    expr: Union[n.FieldAccess, n.MethodCall], env: Env, table: SymbolTable
-) -> Optional[str]:
+def receiver_of(
+    link: Union[n.FieldAccess, n.MethodCall], env: Env
+) -> tuple[Optional[str], bool]:
+    """(receiver type, whether the receiver is an expression) of a chain link.
+
+    This is the one receiver rule of typing and extraction. An unqualified
+    call's receiver is ``this``. A call names a type receiver before typing
+    it, so in ``Foo.make()`` a visible type ``Foo`` wins over a field
+    ``Foo``. A field access types its receiver first and falls back to a
+    type name. A receiver that is neither typed nor a type is an expression
+    of Unknown type.
+    """
+    receiver = link.receiver
+    if isinstance(link, n.MethodCall):
+        if receiver is None:
+            return env.this_type, False
+        type_name = as_type_name(receiver, env)
+        if type_name is not None:
+            return type_name, False
+        return static_type_of(receiver, env, env.table), True
+    receiver_type = static_type_of(receiver, env, env.table)
+    if receiver_type is not None:
+        return receiver_type, True
+    type_name = as_type_name(receiver, env)
+    return type_name, type_name is None
+
+
+def _chain_type(expr: Union[n.FieldAccess, n.MethodCall], env: Env) -> Optional[str]:
     types = env.memo.types
     links = []
     node: Optional[n.Expr] = expr
-    while isinstance(node, _CHAIN_LINKS):
-        hit = types.get(id(node))
-        if hit is not None and hit[0] is node:
-            t = hit[1]
-            break
+    while isinstance(node, _CHAIN_LINKS) and node not in types:
         links.append(node)
         node = node.receiver
-    else:  # the innermost receiver: absent (an unqualified call) or no link
-        t = static_type_of(node, env, table) if node is not None else Unknown
-    for link in reversed(links):
-        t = _link_type(link, t, env, table)
-        types[id(link)] = (link, t)
-    return t
+    for link in reversed(links):  # innermost first: a receiver link is typed first
+        types[link] = _link_type(link, env)
+    return types[expr]
 
 
-def _link_type(
-    link: Union[n.FieldAccess, n.MethodCall],
-    receiver_static: Optional[str],
-    env: Env,
-    table: SymbolTable,
-) -> Optional[str]:
-    """Type of one chain link whose receiver has static type ``receiver_static``."""
-    if link.receiver is None:
-        receiver_type = env.this_type
-    elif receiver_static is not None:
-        receiver_type = receiver_static
-    else:
-        receiver_type = as_type_name(link.receiver, env)
+def _link_type(link: Union[n.FieldAccess, n.MethodCall], env: Env) -> Optional[str]:
+    receiver_type, _ = receiver_of(link, env)
     if receiver_type is None:
         return Unknown
     if isinstance(link, n.FieldAccess):
-        f = table.find_field(receiver_type, link.name)
+        f = env.table.find_field(receiver_type, link.name)
         return f.field_type if f is not None else Unknown
-    res = resolve_call(link, receiver_type, env, table)
+    res = resolve_call(link, receiver_type, env)
     if res.status is ResolutionStatus.UNRESOLVED or res.member is None:
         return Unknown
     rt = res.member.return_type
     return Unknown if rt == "void" else rt
 
 
-def resolve_call(
-    call: n.MethodCall, receiver_type: str, env: Env, table: SymbolTable
-) -> MethodResolution:
+def resolve_call(call: n.MethodCall, receiver_type: str, env: Env) -> MethodResolution:
     """Resolution of ``call`` on ``receiver_type``, memoized per call node,
-    so typing a call and extracting its use resolve it once."""
+    so typing a call and extracting its use resolve it once. A resolution
+    on another receiver type is stale and is redone."""
     calls = env.memo.calls
-    hit = calls.get(id(call))
-    if hit is not None and hit[0] is call and hit[1] == receiver_type:
-        return hit[2]
-    arg_types = [static_type_of(a, env, table) for a in call.args]
-    res = table.resolve_method(receiver_type, call.name, arg_types)
-    calls[id(call)] = (call, receiver_type, res)
+    hit = calls.get(call)
+    if hit is not None and hit[0] == receiver_type:
+        return hit[1]
+    arg_types = [static_type_of(a, env, env.table) for a in call.args]
+    res = env.table.resolve_method(receiver_type, call.name, arg_types)
+    calls[call] = (receiver_type, res)
     return res

@@ -303,6 +303,44 @@ def test_duplicate_group_labels_exit_1(sum_path, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"groups": {"../escaped": [CLASSIC]}}, "label '../escaped' contains a path separator"),
+        ({"groups": {"a\\b": [CLASSIC]}}, "label 'a\\\\b' contains a path separator"),
+        ({"groups": {"a": [CLASSIC]}, "lenient": "false"}, "lenient must be true or false"),
+    ],
+    ids=["label-with-slash", "label-with-backslash", "lenient-not-a-boolean"],
+)
+def test_bad_corpus_config_exits_1_and_writes_nothing(
+    sum_path, tmp_path, capsys, config, message
+):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv = ["suf", "--sum", str(sum_path), "--config", str(path), "-o", str(out / "sufs")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: corpus config {message}\n"
+    assert not out.exists()
+
+
+def test_line_break_in_a_literal_skips_the_file_or_exits_2(sum_path, tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "Str.java").write_text('class Str {\n  String s = "a\\\nb";\n  int x;\n}\n')
+    out = tmp_path / "f.json"
+    argv = ["suf", "--sum", str(sum_path), str(src), "-o", str(out)]
+    assert main(argv + ["--lenient"]) == 0
+    data = json.loads(out.read_text())
+    assert [(d["kind"], d["line"], d["col"], d["message"]) for d in data["diagnostics"]] == [
+        ("ParseError", 2, 14, "unterminated string literal")
+    ]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "unterminated string literal" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Output layout
 # ---------------------------------------------------------------------------

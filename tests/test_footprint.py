@@ -282,6 +282,35 @@ def test_field_and_nested_type_of_same_name_are_distinct():
     assert clone.triples == fp.triples
 
 
+def test_call_on_a_name_that_is_both_a_type_and_a_field_uses_the_type():
+    # Typing and extraction share one receiver rule: a call names a type
+    # receiver before typing it, so Foo.make() calls the static p.Foo.make
+    # rather than make() on the field Foo, and its result types the next call.
+    model = build_sum(
+        [
+            parse_unit(
+                "package p; public class Foo { public static Bar make() { return null; } }",
+                "Foo.java",
+            ),
+            parse_unit("package p; public class Bar { public int size() { return 0; } }", "Bar.java"),
+        ],
+        "p",
+    )
+    units = [
+        parse_unit(
+            "import p.Foo; import p.Bar; class C { Bar Foo; void m() { Foo.make().size(); } }",
+            "C.java",
+        )
+    ]
+    fp = extract_uses(units, model)
+    assert {("p.Foo.make", U.STATIC_INVOCATION), ("p.Bar.size", U.METHOD_INVOCATION)} <= {
+        (t.symbol.fqn, t.use) for t in fp.triples
+    }
+    assert fp.diagnostics == []
+    got = {(t.symbol.fqn, t.symbol.signature, t.use, t.location) for t in fp.triples}
+    assert got == oracle_extract(units, model)
+
+
 def test_unrelated_client_code_produces_nothing():
     _, fp = lib_and_client(
         "package lib; public class A { public A() { } }",

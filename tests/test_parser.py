@@ -139,6 +139,27 @@ def test_parse_error_on_garbage_and_unterminated_string():
         parse_unit('class A { String s = "oops; }', "A.java")
 
 
+@pytest.mark.parametrize(
+    "literal, kind",
+    [('"a\\\nb"', "string"), ("'\n'", "char"), ("'\\\n'", "char")],
+    ids=["string-escaped-line-break", "char-line-break", "char-escaped-line-break"],
+)
+def test_line_break_inside_a_literal_is_an_error_at_its_start(literal, kind):
+    # Java forbids line terminators in string and char literals; accepting
+    # one without counting it would report every later token a line early.
+    with pytest.raises(ParseError) as exc:
+        parse_unit("class A {\n  Object s = " + literal + ";\n  int x;\n}", "A.java")
+    assert exc.value.reason == f"unterminated {kind} literal"
+    assert (exc.value.line, exc.value.column) == (2, 14)
+
+
+def test_tokens_after_escaped_literals_keep_their_lines():
+    unit = parse_unit(
+        'class A {\n  String s = "q\\"\\\\";\n  char c = \'\\n\';\n  int x;\n}', "A.java"
+    )
+    assert [m.location.line for m in unit.types[0].members] == [2, 3, 4]
+
+
 def test_empty_unit_is_valid():
     unit = parse_unit("", "Empty.java")
     assert unit.types == []

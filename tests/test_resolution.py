@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from ucov import build_symbol_table, parse_unit
+import re
+from pathlib import Path
+
+from ucov import build_symbol_table, parse_unit, typing_env
 from ucov.symtab import ResolutionStatus, UnitContext
 from ucov.typing_env import Env, Unknown, as_type_name, static_type_of
 
@@ -82,6 +85,24 @@ def test_as_type_name_respects_shadowing():
     env.declare("Conn", "lib.Doc")  # shadowed by a variable
     assert as_type_name(expr_of("Conn"), env) is None
     assert as_type_name(expr_of("c.f"), env) is None
+
+
+def test_equal_calls_in_different_statements_are_memoized_apart():
+    unit = parse_unit(
+        "class W { void w() { Object a = c.done(); Object b = c.done(); } }", "W.java"
+    )
+    first, second = (s.init for s in unit.types[0].members[0].body.statements)
+    # AST nodes are hashable and compare by identity, not by structure
+    assert first == first and first != second
+    assert len({first, second}) == 2
+    table, env = setup_env({"c": "lib.Conn"})
+    assert static_type_of(first, env, table) == static_type_of(second, env, table) == "lib.Doc"
+    assert set(env.memo.calls) == {first, second}
+    assert {first, second} <= set(env.memo.types)
+
+
+def test_typing_memo_is_keyed_by_node_not_by_id():
+    assert not re.search(r"\bid\(", Path(typing_env.__file__).read_text(encoding="utf-8"))
 
 
 def test_resolution_by_argument_type():
