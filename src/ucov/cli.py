@@ -181,26 +181,22 @@ def cmd_suf(args: argparse.Namespace) -> int:
     model = _load_model(args.sum, resolve=True)
     if args.config:
         config = _read_json(args.config, CorpusConfig.from_dict, unique_keys=True)
-        lenient = True if args.lenient else config.lenient
         if not config.groups:
             raise UsageError("corpus config defines no groups")
-        footprints = suf.footprint_of_corpus(config.groups, model, lenient=lenient)
-        outdir = Path(args.output)
-        for label, fp in sorted(footprints.items()):
-            _atomic_write(outdir / f"{label}.json", _dump_json(suf.footprint_to_dict(fp)))
-            _report_footprint(fp)
-        return EXIT_OK
-    if not args.roots:
-        raise UsageError("at least one client root is required")
-    for root in args.roots:
-        if not Path(root).exists():
-            raise UsageError(f"client root {root} does not exist")
-    footprints = suf.footprint_of_corpus(
-        {args.label: args.roots}, model, lenient=args.lenient
-    )
-    fp = footprints[args.label]
-    _atomic_write(Path(args.output), _dump_json(suf.footprint_to_dict(fp)))
-    _report_footprint(fp)
+        groups, lenient = config.groups, args.lenient or config.lenient
+    else:
+        if not args.roots:
+            raise UsageError("at least one client root is required")
+        groups, lenient = {args.label: args.roots}, args.lenient
+    for label, roots in groups.items():
+        for root in roots:
+            if not Path(root).exists():
+                raise UsageError(f"{label}: client root {root} does not exist")
+    footprints = suf.footprint_of_corpus(groups, model, lenient=lenient)
+    for label, fp in sorted(footprints.items()):
+        output = Path(args.output) / f"{label}.json" if args.config else Path(args.output)
+        _atomic_write(output, _dump_json(suf.footprint_to_dict(fp)))
+        _report_footprint(fp)
     return EXIT_OK
 
 

@@ -1,8 +1,10 @@
-"""Tokenizer for the J-lite subject language."""
+"""Tokenizer for the J-lite subject language: one compiled master pattern
+with one named group per token rule, tried in order at each position."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -16,116 +18,64 @@ KEYWORDS = frozenset(
     }
 )
 
-# Longest-match first.
-TWO_CHAR_OPS = ("->", "==", "!=", "<=", ">=", "&&", "||", "++", "--")
-ONE_CHAR_OPS = "+-*/%<>!&|^~=.,;:()[]{}?@"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str  # IDENT, INT, STRING, CHAR, EOF, a keyword, or an operator
     value: str
     line: int
     column: int
 
 
+# ``\r\n``, ``\r`` and ``\n`` each end a line, as in Java; a line end inside
+# a literal leaves it unterminated. ``[^\W\d]`` also admits numerics such as
+# '²' and 'Ⅷ', which ``tokenize`` rejects: an identifier starts with a
+# letter or '_'. ``bad`` is the opening of an unterminated comment or
+# literal, so it precedes the operator '/', and two-character operators
+# precede the one-character ones. A character that no rule takes matches
+# the last, unnamed alternative and leaves ``lastgroup`` None.
+_TOKEN = re.compile(
+    r"""
+      (?P<skip>   [ \t\r\n]+ | //[^\r\n]* | /\*(?s:.*?)\*/ )
+    | (?P<IDENT>  [^\W\d]\w* )
+    | (?P<INT>    \d(?:[^\W_]|\.)* )
+    | (?P<STRING> "(?:[^"\\\r\n]|\\[^\r\n])*" )
+    | (?P<CHAR>   '(?:\\[^\r\n]|[^\\\r\n])' )
+    | (?P<bad>    /\* | " | ' )
+    | (?P<op>     -> | == | != | <= | >= | && | \|\| | \+\+ | --
+                | [-+*/%<>!&|^~=.,;:()\[\]{}?@] )
+    | (?s:.)
+    """,
+    re.VERBOSE,
+)
+
+# The error for a ``bad`` match, by its first character.
+_UNTERMINATED = {
+    "/": "unterminated block comment",
+    '"': "unterminated string literal",
+    "'": "unterminated char literal",
+}
+
+
 def tokenize(text: str, path: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def error(msg: str) -> ParseError:
-        return ParseError(msg, path, line, col)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value, start = m.lastgroup, m.group(), m.start()
+        if kind == "skip":
+            breaks = value.count("\n") + value.count("\r") - value.count("\r\n")
+            if breaks:
+                line += breaks
+                line_start = start + max(value.rfind("\n"), value.rfind("\r")) + 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                raise error("unterminated block comment")
-            for k in range(i, j + 2):
-                if text[k] == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = j + 2
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            ttype = word if word in KEYWORDS else "IDENT"
-            tokens.append(Token(ttype, word, line, col))
-            col += i - start
-            continue
-        if c.isdigit():
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "."):
-                i += 1
-            tokens.append(Token("INT", text[start:i], line, col))
-            col += i - start
-            continue
-        if c == '"':
-            start = i
-            i += 1
-            chars = []
-            while i < n and text[i] != '"':
-                step = 2 if text[i] == "\\" else 1  # an escape and its character
-                chunk = text[i : i + step]
-                if "\n" in chunk:
-                    raise error("unterminated string literal")
-                chars.append(chunk)
-                i += step
-            if i >= n:
-                raise error("unterminated string literal")
-            i += 1
-            tokens.append(Token("STRING", "".join(chars), line, col))
-            col += i - start
-            continue
-        if c == "'":
-            start = i
-            i += 1
-            if i < n and text[i] == "\\":
-                i += 1
-            if i >= n or text[i] == "\n":
-                raise error("unterminated char literal")
-            value = text[start + 1 : i + 1]
-            i += 1
-            if i >= n or text[i] != "'":
-                raise error("unterminated char literal")
-            i += 1
-            tokens.append(Token("CHAR", value, line, col))
-            col += i - start
-            continue
-        two = text[i : i + 2]
-        if two in TWO_CHAR_OPS:
-            tokens.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in ONE_CHAR_OPS:
-            tokens.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise error(f"unexpected character {c!r}")
-
-    tokens.append(Token("EOF", "", line, col))
+        c = value[0]
+        if kind is None or kind == "bad" or (kind == "IDENT" and not (c.isalpha() or c == "_")):
+            message = _UNTERMINATED.get(c, f"unexpected character {c!r}")
+            raise ParseError(message, path, line, start - line_start + 1)
+        # Only an identifier can spell a keyword: the other values start
+        # with a digit or a quote.
+        ttype = value if kind == "op" or value in KEYWORDS else kind
+        if kind in ("STRING", "CHAR"):
+            value = value[1:-1]
+        tokens.append(Token(ttype, value, line, start - line_start + 1))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens

@@ -26,11 +26,24 @@ _EXPR_START = frozenset(
     {"IDENT", "INT", "STRING", "CHAR", "true", "false", "null", "this", "new", "(", "!", "~"}
 )
 
+# Binary operators, all left-associative, by precedence: a larger number
+# binds tighter.
+_PRECEDENCE = {
+    "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
+    "==": 6, "!=": 6,
+    "<": 7, ">": 7, "<=": 7, ">=": 7,
+    "+": 8, "-": 8,
+    "*": 9, "/": 9, "%": 9,
+}
+
 # Deepest nesting the parser accepts, counted over statements, expressions,
-# unary operands, type declarations and type arguments. The parser spends at
-# most about eight stack frames per level and extraction fewer, so the
-# deepest accepted file parses and extracts within Python's default
-# recursion limit; a deeper file is a ParseError, which lenient mode skips.
+# unary operands, type declarations and type arguments. The parser spends
+# at most about four stack frames per level (a cast: 4.2) and extraction
+# about three (an argument: 2.6). An operand that ends a chain of rising
+# operator precedence (``a || b && ... * (...)``) costs the most: about
+# eight frames per level to parse and nine to extract. So the deepest
+# accepted file parses and extracts within Python's default recursion
+# limit; a deeper file is a ParseError, which lenient mode skips.
 # Receiver chains (``a.b().c()``) and operator chains (``a + b + c``) are
 # not nesting: they are built and walked iteratively at any length.
 MAX_NESTING = 80
@@ -44,7 +57,7 @@ class _TooDeep(ParseError):
 
 class _Parser:
     def __init__(self, tokens: list[Token], path: str):
-        self.tokens = tokens
+        self.tokens = [*tokens, tokens[-1]]  # a second EOF for peek(1) at the end
         self.pos = 0
         self.path = path
         self.depth = 0
@@ -52,8 +65,7 @@ class _Parser:
     # -- token helpers ----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        return self.tokens[self.pos + offset]
 
     def at(self, ttype: str) -> bool:
         return self.peek().type == ttype
@@ -402,18 +414,6 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------------
 
-    _BINARY_LEVELS = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
-
     def parse_expr(self) -> n.Expr:
         self.enter()
         expr = self.parse_assignment()
@@ -421,21 +421,21 @@ class _Parser:
         return expr
 
     def parse_assignment(self) -> n.Expr:
-        left = self.parse_binary(0)
+        left = self.parse_binary()
         if self.at("="):
             tok = self.advance()
             right = self.parse_expr()  # right-associative, one level deeper
             return n.Assign(left, right, self.loc(tok))
         return left
 
-    def parse_binary(self, level: int) -> n.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self.parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
-        while self.peek().type in ops:
+    def parse_binary(self, min_precedence: int = 1) -> n.Expr:
+        """Precedence climbing: a right operand binds only operators that
+        bind tighter than its own, so recursion is at most one call per
+        precedence level however long the chain."""
+        left = self.parse_unary()
+        while (precedence := _PRECEDENCE.get(self.peek().type, 0)) >= min_precedence:
             tok = self.advance()
-            right = self.parse_binary(level + 1)
+            right = self.parse_binary(precedence + 1)
             left = n.Binary(tok.type, left, right, self.loc(tok))
         return left
 

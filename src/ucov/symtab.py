@@ -124,9 +124,6 @@ class SymbolTable:
             closure = self._closures[fqn] = tuple(queue)
         return closure if include_self else closure[1:]
 
-    def is_subtype(self, sub: str, sup: str) -> bool:
-        return sup in self.supertype_closure(sub)
-
     def members_of(self, fqn: str) -> tuple[MemberInfo, ...]:
         info = self.lookup_type(fqn)
         return info.members if info is not None else ()

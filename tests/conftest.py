@@ -4,12 +4,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ucov import SourceUnit, UsageModel, build_sum, parse_unit
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Every run draws the same examples, and no example database is read or
+# written: a stale .hypothesis/ directory cannot replay an old failure.
+settings.register_profile("deterministic", database=None, derandomize=True)
+settings.load_profile("deterministic")
 
 
 def parse_tree(root: Path) -> list[SourceUnit]:

@@ -1,0 +1,119 @@
+r"""Reference tokenizer: the character-at-a-time loop that ``ucov.lexer``
+replaced with one master pattern.
+
+The tests check that both give equal tokens, or an equal error message at
+an equal location, except where the program deliberately differs: a lone
+``\r`` ends a line, a non-decimal digit such as '²' starts no number, and
+the EOF token after a trailing ``//`` comment is placed after the comment.
+"""
+
+from __future__ import annotations
+
+from ucov.errors import ParseError
+from ucov.lexer import KEYWORDS, Token
+
+# Longest-match first.
+TWO_CHAR_OPS = ("->", "==", "!=", "<=", ">=", "&&", "||", "++", "--")
+ONE_CHAR_OPS = "+-*/%<>!&|^~=.,;:()[]{}?@"
+
+
+def naive_tokenize(text: str, path: str) -> list[Token]:
+    tokens: list[Token] = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(text)
+
+    def error(msg: str) -> ParseError:
+        return ParseError(msg, path, line, col)
+
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            i = n if j < 0 else j
+            continue
+        if text.startswith("/*", i):
+            j = text.find("*/", i + 2)
+            if j < 0:
+                raise error("unterminated block comment")
+            for k in range(i, j + 2):
+                if text[k] == "\n":
+                    line += 1
+                    col = 1
+                else:
+                    col += 1
+            i = j + 2
+            continue
+        if c.isalpha() or c == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            word = text[start:i]
+            ttype = word if word in KEYWORDS else "IDENT"
+            tokens.append(Token(ttype, word, line, col))
+            col += i - start
+            continue
+        if c.isdigit():
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "."):
+                i += 1
+            tokens.append(Token("INT", text[start:i], line, col))
+            col += i - start
+            continue
+        if c == '"':
+            start = i
+            i += 1
+            chars = []
+            while i < n and text[i] != '"':
+                step = 2 if text[i] == "\\" else 1  # an escape and its character
+                chunk = text[i : i + step]
+                if "\n" in chunk:
+                    raise error("unterminated string literal")
+                chars.append(chunk)
+                i += step
+            if i >= n:
+                raise error("unterminated string literal")
+            i += 1
+            tokens.append(Token("STRING", "".join(chars), line, col))
+            col += i - start
+            continue
+        if c == "'":
+            start = i
+            i += 1
+            if i < n and text[i] == "\\":
+                i += 1
+            if i >= n or text[i] == "\n":
+                raise error("unterminated char literal")
+            value = text[start + 1 : i + 1]
+            i += 1
+            if i >= n or text[i] != "'":
+                raise error("unterminated char literal")
+            i += 1
+            tokens.append(Token("CHAR", value, line, col))
+            col += i - start
+            continue
+        two = text[i : i + 2]
+        if two in TWO_CHAR_OPS:
+            tokens.append(Token(two, two, line, col))
+            i += 2
+            col += 2
+            continue
+        if c in ONE_CHAR_OPS:
+            tokens.append(Token(c, c, line, col))
+            i += 1
+            col += 1
+            continue
+        raise error(f"unexpected character {c!r}")
+
+    tokens.append(Token("EOF", "", line, col))
+    return tokens

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +65,22 @@ def test_suf_config_corpus(sum_path, tmp_path):
     assert code == 0
     assert {p.name for p in outdir.iterdir()} == {"classic.json", "framework.json"}
     assert json.loads((outdir / "framework.json").read_text())["label"] == "framework"
+
+
+def test_cr_and_crlf_line_ends_give_the_lf_footprint(sum_path, tmp_path):
+    def triples(name: str, newline: str) -> list:
+        root = tmp_path / name
+        root.mkdir()
+        for path in [*Path(CLASSIC).glob("*.java"), *Path(FRAMEWORK).glob("*.java")]:
+            text = path.read_text(encoding="utf-8").replace("\n", newline)
+            (root / path.name).write_bytes(text.encode("utf-8"))
+        uses = json.loads(suf(sum_path, tmp_path, name, str(root)).read_text())["uses"]
+        return [(Path(u["file"]).name, u["line"], u["col"], u["fqn"], u["use"]) for u in uses]
+
+    lf = triples("lf", "\n")
+    assert len({line for _, line, *_ in lf}) > 3
+    assert triples("cr", "\r") == lf
+    assert triples("crlf", "\r\n") == lf
 
 
 def test_coverage_json(sum_path, tmp_path, capsys):
@@ -306,11 +323,24 @@ def test_duplicate_group_labels_exit_1(sum_path, tmp_path, capsys):
 @pytest.mark.parametrize(
     "config, message",
     [
-        ({"groups": {"../escaped": [CLASSIC]}}, "label '../escaped' contains a path separator"),
-        ({"groups": {"a\\b": [CLASSIC]}}, "label 'a\\\\b' contains a path separator"),
-        ({"groups": {"a": [CLASSIC]}, "lenient": "false"}, "lenient must be true or false"),
+        (
+            {"groups": {"../escaped": [CLASSIC]}},
+            "corpus config label '../escaped' contains a path separator",
+        ),
+        (
+            {"groups": {"a\\b": [CLASSIC]}},
+            "corpus config label 'a\\\\b' contains a path separator",
+        ),
+        (
+            {"groups": {"a": [CLASSIC]}, "lenient": "false"},
+            "corpus config lenient must be true or false",
+        ),
+        (
+            {"groups": {"a": [CLASSIC], "b": [FRAMEWORK, "/nonexistent/root"]}},
+            "b: client root /nonexistent/root does not exist",
+        ),
     ],
-    ids=["label-with-slash", "label-with-backslash", "lenient-not-a-boolean"],
+    ids=["label-with-slash", "label-with-backslash", "lenient-not-a-boolean", "missing-root"],
 )
 def test_bad_corpus_config_exits_1_and_writes_nothing(
     sum_path, tmp_path, capsys, config, message
@@ -321,7 +351,16 @@ def test_bad_corpus_config_exits_1_and_writes_nothing(
     capsys.readouterr()
     argv = ["suf", "--sum", str(sum_path), "--config", str(path), "-o", str(out / "sufs")]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: corpus config {message}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_missing_command_line_root_exits_1_and_writes_nothing(sum_path, tmp_path, capsys):
+    out = tmp_path / "f.json"
+    capsys.readouterr()
+    argv = ["suf", "--sum", str(sum_path), "--label", "t", CLASSIC, "/nonexistent/root"]
+    assert main(argv + ["-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: t: client root /nonexistent/root does not exist\n"
     assert not out.exists()
 
 

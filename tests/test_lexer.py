@@ -1,0 +1,99 @@
+"""The scanner against the reference lexer (``naive_lexer.py``): equal tokens,
+or an equal error message at an equal location, except for three deliberate
+differences, each checked by its own test."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import FIXTURES
+from naive_lexer import naive_tokenize
+from ucov import ParseError
+from ucov.lexer import tokenize
+
+
+def outcome(lex, text: str):
+    """The tokens before EOF, or the error's message, line and column."""
+    try:
+        tokens = lex(text, "T.java")
+    except ParseError as exc:
+        return (exc.reason, exc.line, exc.column)
+    return tokens[:-1]
+
+
+def test_scanner_matches_the_reference_on_every_fixture_file():
+    paths = sorted(FIXTURES.rglob("*.java"))
+    assert len(paths) >= 30
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert tokenize(text, str(path)) == naive_tokenize(text, str(path)), path
+
+
+# Letters (one non-ASCII), '_', decimal digits (one Arabic-Indic), numerics
+# that are not decimal digits, quotes, backslashes, comment delimiters,
+# every operator character and every character the scanner skips but '\r'.
+PIECES = [
+    "a", "Z", "é", "_", "class", "new", "0", "7", "٣", "²", "½", "Ⅷ",
+    '"', "'", "\\", "//", "/*", "*/", *"+-*/%<>!&|^~=.,;:()[]{}?@",
+    " ", "\t", "\f", "\n",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+@example("'\\'x")  # an escaped quote cannot close a char literal
+@example("'''")
+@example('"\\"')
+@example("/*/")
+def test_scanner_agrees_with_the_reference_lexer(text):
+    got = outcome(tokenize, text)
+    if isinstance(got, tuple) and got[0].startswith("unexpected character"):
+        reason, line, column = got
+        offset = sum(len(l) + 1 for l in text.split("\n")[: line - 1]) + column - 1
+        c = text[offset]
+        if c.isdigit() and not c.isdecimal():
+            # Where the scanner rejects a digit like '²', the reference
+            # starts a number; on the text before it the two agree.
+            assert naive_tokenize(text[: offset + 1], "T.java")[-2] == ("INT", c, line, column)
+            text = text[:offset]
+            got = outcome(tokenize, text)
+    assert got == outcome(naive_tokenize, text)
+    if not isinstance(got, tuple):
+        lines = text.split("\n")
+        assert tokenize(text, "T.java")[-1] == ("EOF", "", len(lines), len(lines[-1]) + 1)
+
+
+def test_cr_and_crlf_each_end_one_line_in_code_and_comments():
+    text = "class A {\r  int x; // c\r  int y; /* a\r\nb\rc */ int z;\r\n}\r"
+    lf = text.replace("\r\n", "\n").replace("\r", "\n")
+    assert tokenize(text, "A.java") == naive_tokenize(lf, "A.java")
+    # The reference reads '\r' as a space: 'x' on line 1 and 'y' in a comment.
+    assert ("IDENT", "x", 1, 17) in naive_tokenize(text, "A.java")
+    assert ("IDENT", "y", 3, 7) in tokenize(text, "A.java")
+
+
+def test_non_decimal_digits_start_no_number():
+    with pytest.raises(ParseError) as exc:
+        tokenize("int x = ²;", "A.java")
+    assert (exc.value.reason, exc.value.line, exc.value.column) == (
+        "unexpected character '²'",
+        1,
+        9,
+    )
+    assert naive_tokenize("int x = ²;", "A.java")[3] == ("INT", "²", 1, 9)
+    # A name or number may still contain one; a decimal digit of any
+    # script starts a number.
+    assert [t[:2] for t in tokenize("x² 1² ٣", "A.java")] == [
+        ("IDENT", "x²"),
+        ("INT", "1²"),
+        ("INT", "٣"),
+        ("EOF", ""),
+    ]
+
+
+def test_eof_after_a_trailing_line_comment_is_placed_after_it():
+    text = "int x; // end"
+    assert tokenize(text, "A.java")[-1] == ("EOF", "", 1, 14)
+    assert naive_tokenize(text, "A.java")[-1] == ("EOF", "", 1, 8)

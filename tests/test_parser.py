@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from conftest import FIXTURES, parse_tree
-from render import render_unit
+from render import render_expr, render_unit
 from ucov import ParseError, parse_unit
 from ucov import nodes as n
 
@@ -115,6 +115,30 @@ def test_statement_forms():
     assert [type(s) for s in body] == [n.If, n.While, n.For, n.Try, n.Throw]
 
 
+@pytest.mark.parametrize(
+    "source, tree",
+    [
+        (
+            "a || b && c | d ^ e & f == g < h + i * j",
+            "(a || (b && (c | (d ^ (e & (f == (g < (h + (i * j)))))))))",
+        ),
+        (
+            "a * b + c < d == e & f ^ g | h && i || j",
+            "(((((((((a * b) + c) < d) == e) & f) ^ g) | h) && i) || j)",
+        ),
+        ("a - b - c / d % e", "((a - b) - ((c / d) % e))"),
+        ("a <= b != c >= d", "((a <= b) != (c >= d))"),
+        ("-a * !b + (c + d) * e", "(((-a) * (!b)) + ((c + d) * e))"),
+        ("x = y = a + b", "x = y = (a + b)"),
+    ],
+    ids=["rising", "falling", "left-associative", "comparisons", "unary", "assignment"],
+)
+def test_binary_operators_bind_by_precedence_and_associate_left(source, tree):
+    unit = parse_unit("class X { void f() { " + source + "; } }", "X.java")
+    (stmt,) = unit.types[0].members[0].body.statements
+    assert render_expr(stmt.expr) == tree
+
+
 def test_locations_are_one_based():
     # Locations point at the head identifier token of the declaration.
     unit = parse_unit("class X {\n    int f;\n}\n", "X.java")
@@ -141,8 +165,22 @@ def test_parse_error_on_garbage_and_unterminated_string():
 
 @pytest.mark.parametrize(
     "literal, kind",
-    [('"a\\\nb"', "string"), ("'\n'", "char"), ("'\\\n'", "char")],
-    ids=["string-escaped-line-break", "char-line-break", "char-escaped-line-break"],
+    [
+        ('"a\\\nb"', "string"),
+        ("'\n'", "char"),
+        ("'\\\n'", "char"),
+        ('"a\rb"', "string"),
+        ('"a\\\rb"', "string"),
+        ("'\r'", "char"),
+    ],
+    ids=[
+        "string-escaped-line-break",
+        "char-line-break",
+        "char-escaped-line-break",
+        "string-carriage-return",
+        "string-escaped-carriage-return",
+        "char-carriage-return",
+    ],
 )
 def test_line_break_inside_a_literal_is_an_error_at_its_start(literal, kind):
     # Java forbids line terminators in string and char literals; accepting

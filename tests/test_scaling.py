@@ -155,6 +155,9 @@ NESTED = {
     "blocks": lambda k: client("{" * k + "return b;" + "}" * k),
     "ifs": lambda k: client("if (a > 0) " * k + "return b; return b;"),
     "assignments": lambda k: client("a" + " = a" * k + "; return b;"),
+    "rising-precedence": lambda k: client(
+        "return " + "a || a && a | a ^ a & a == a < a + a * (" * k + "b" + ")" * k + ";"
+    ),
     "lambdas": lambda k: client("return " + "(x) -> " * k + "b;"),
     "block-lambdas": lambda k: client("return " + "(x) -> { return " * k + "b" + "; }" * k + ";"),
     "anonymous-classes": lambda k: client(

@@ -114,8 +114,8 @@ def test_supertype_closure_nearest_first_no_duplicates():
     assert set(closure) == {"p.B", "p.A", "p.J", "p.I"}
     assert len(closure) == len(set(closure))  # diamond visited once
     assert closure.index("p.A") < closure.index("p.I")
-    assert table.is_subtype("p.B", "p.I")
-    assert not table.is_subtype("p.I", "p.B")
+    assert "p.I" in table.supertype_closure("p.B")
+    assert "p.B" not in table.supertype_closure("p.I")
 
 
 def test_overlay_table_sees_base_types():
