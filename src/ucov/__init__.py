@@ -5,99 +5,44 @@ mapped to its legal use kinds); the client side extracts a usage footprint
 (every located actual use). Metrics derive coverage scores, coverage
 levels, popularity rankings, usage profiles, and cross-footprint
 intersection regions from the two.
+
+Importing the package loads none of its modules: each public name is
+imported from its module the first time it is read (PEP 562).
 """
 
-from .errors import (
-    CyclicHierarchy,
-    DuplicateSymbol,
-    ModelMismatch,
-    ParseError,
-    UcovError,
-    UnknownSymbol,
-)
-from .footprint import (
-    Diagnostic,
-    DiagnosticKind,
-    Footprint,
-    UseTriple,
-    diff,
-    extract_uses,
-    footprint_from_dict,
-    footprint_of_corpus,
-    footprint_to_dict,
-    merge,
-)
-from .metrics import (
-    CoverageLevel,
-    CoverageReport,
-    IntersectionRegions,
-    ProfileDistribution,
-    compute_coverage,
-    coverage_level,
-    exclusive_regions,
-    popularity,
-    profile,
-)
-from .model import (
-    Symbol,
-    SymbolKind,
-    UsageModel,
-    UseKind,
-    build_sum,
-    is_effectively_extensible,
-    is_exported,
-    legal_uses,
-    model_from_dict,
-    model_to_dict,
-)
-from .nodes import Location, SourceUnit
-from .parser import parse_unit
-from .symtab import SymbolTable, build_symbol_table
-from .typing_env import Env, static_type_of
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoverageLevel",
-    "CoverageReport",
-    "CyclicHierarchy",
-    "Diagnostic",
-    "DiagnosticKind",
-    "DuplicateSymbol",
-    "Env",
-    "Footprint",
-    "IntersectionRegions",
-    "Location",
-    "ModelMismatch",
-    "ParseError",
-    "ProfileDistribution",
-    "SourceUnit",
-    "Symbol",
-    "SymbolKind",
-    "SymbolTable",
-    "UcovError",
-    "UnknownSymbol",
-    "UsageModel",
-    "UseKind",
-    "UseTriple",
-    "build_sum",
-    "build_symbol_table",
-    "compute_coverage",
-    "coverage_level",
-    "diff",
-    "exclusive_regions",
-    "extract_uses",
-    "footprint_from_dict",
-    "footprint_of_corpus",
-    "footprint_to_dict",
-    "is_effectively_extensible",
-    "is_exported",
-    "legal_uses",
-    "merge",
-    "model_from_dict",
-    "model_to_dict",
-    "parse_unit",
-    "popularity",
-    "profile",
-    "static_type_of",
-]
+_MODULES = {
+    "errors": ("CyclicHierarchy", "DuplicateSymbol", "ModelMismatch", "ParseError",
+               "UcovError", "UnknownSymbol"),
+    "uses": ("Diagnostic", "DiagnosticKind", "Footprint", "Location", "UseTriple", "diff",
+             "footprint_from_dict", "footprint_to_dict", "merge"),
+    "footprint": ("extract_uses", "footprint_of_corpus"),
+    "metrics": ("CoverageLevel", "CoverageReport", "IntersectionRegions",
+                "ProfileDistribution", "compute_coverage", "coverage_level",
+                "exclusive_regions", "popularity", "profile"),
+    "model": ("Symbol", "SymbolKind", "UsageModel", "UseKind", "model_from_dict",
+              "model_to_dict"),
+    "library": ("build_sum", "is_effectively_extensible", "is_exported", "legal_uses"),
+    "nodes": ("SourceUnit",),
+    "parser": ("parse_unit",),
+    "symtab": ("SymbolTable", "build_symbol_table"),
+    "typing_env": ("Env", "static_type_of"),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

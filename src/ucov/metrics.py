@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ModelMismatch, UnknownSymbol
-from .footprint import Footprint
+from .uses import Footprint
 from .model import Symbol, UsageModel, UsePair, UseKind, level_key
 
 log = logging.getLogger("ucov")

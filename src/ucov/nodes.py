@@ -12,15 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
-
-@dataclass(frozen=True, order=True)
-class Location:
-    file: str
-    line: int
-    column: int
-
-    def __str__(self) -> str:
-        return f"{self.file}:{self.line}:{self.column}"
+from .uses import Location  # noqa: F401 - a value, defined with the use triples
 
 
 class TypeKind(Enum):

@@ -12,7 +12,8 @@ by bounded backtracking over the token stream.
 
 from __future__ import annotations
 
-from typing import Optional
+from pathlib import Path
+from typing import Optional, Union
 
 from . import nodes as n
 from .errors import ParseError
@@ -603,3 +604,16 @@ def parse_unit(text: str, path: str) -> n.SourceUnit:
     """
     parser = _Parser(tokenize(text, path), path)
     return parser.parse_unit()
+
+
+def collect_source_files(roots: list[Union[str, Path]]) -> list[Path]:
+    """The files named in ``roots`` and the ``.java`` files under the
+    directories among them, each directory's in sorted order."""
+    files: list[Path] = []
+    for root in roots:
+        root = Path(root)
+        if root.is_file():
+            files.append(root)
+        else:
+            files.extend(sorted(root.rglob("*.java")))
+    return files

@@ -320,6 +320,38 @@ class UnitContext:
         return base + "[]" * ref.array_dims
 
 
+def table_from_dict(resolution: dict) -> SymbolTable:
+    """The resolution table of a serialized model's resolution section."""
+    table = SymbolTable()
+    members_by_type: dict[str, list[MemberInfo]] = {}
+    for m in resolution["members"]:
+        members_by_type.setdefault(m["declaring"], []).append(
+            MemberInfo(
+                declaring=m["declaring"],
+                kind=n.MemberKind(m["kind"]),
+                name=m["name"],
+                modifiers=frozenset(m["modifiers"]),
+                signature=m["signature"],
+                param_types=tuple(m["params"]),
+                return_type=m["returns"],
+                field_type=m["field_type"],
+                synthesized=m.get("synthesized", False),
+            )
+        )
+    for t in resolution["types"]:
+        table.types[t["fqn"]] = TypeInfo(
+            fqn=t["fqn"],
+            kind=n.TypeKind(t["kind"]),
+            modifiers=frozenset(t["modifiers"]),
+            type_params=tuple(t["type_params"]),
+            supertypes=tuple(t["supertypes"]),
+            external_supertypes=frozenset(t["external"]),
+            members=tuple(members_by_type.get(t["fqn"], [])),
+            enclosing=t.get("enclosing"),
+        )
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Table construction
 # ---------------------------------------------------------------------------
@@ -346,36 +378,9 @@ def build_symbol_table(
     """
     table = SymbolTable(base)
     pending: list[_PendingType] = []
-
-    def register(decl: n.TypeDecl, unit: n.SourceUnit, enclosing: tuple[str, ...],
-                 params: frozenset[str]) -> None:
-        if enclosing:
-            fqn = f"{enclosing[-1]}.{decl.simple_name}"
-        elif unit.package_name:
-            fqn = f"{unit.package_name}.{decl.simple_name}"
-        else:
-            fqn = decl.simple_name
-        if fqn in table.types:
-            raise DuplicateSymbol(f"type {fqn} declared more than once")
-        table.types[fqn] = TypeInfo(
-            fqn=fqn,
-            kind=decl.kind,
-            modifiers=frozenset(decl.modifiers),
-            type_params=tuple(decl.type_params),
-            supertypes=(),
-            external_supertypes=frozenset(),
-            members=(),
-            enclosing=enclosing[-1] if enclosing else None,
-            location=decl.location,
-        )
-        all_params = params | frozenset(decl.type_params)
-        pending.append(_PendingType(decl, fqn, unit, enclosing, all_params))
-        for inner in decl.nested:
-            register(inner, unit, enclosing + (fqn,), all_params)
-
     for unit in units:
         for decl in unit.types:
-            register(decl, unit, (), frozenset())
+            _register(table, pending, decl, unit, (), frozenset())
 
     contexts: dict[str, UnitContext] = {}
     for p in pending:
@@ -408,6 +413,37 @@ def build_symbol_table(
 
     _check_acyclic(table)
     return table
+
+
+def _register(table: SymbolTable, pending: list[_PendingType], decl: n.TypeDecl,
+              unit: n.SourceUnit, enclosing: tuple[str, ...], params: frozenset[str]) -> None:
+    """Declare ``decl`` and its nested types in ``table`` and queue them in
+    ``pending``. A module function, not a closure: a nested function that
+    calls itself is a reference cycle, which would keep ``pending`` and
+    every AST it holds alive until a full collection."""
+    if enclosing:
+        fqn = f"{enclosing[-1]}.{decl.simple_name}"
+    elif unit.package_name:
+        fqn = f"{unit.package_name}.{decl.simple_name}"
+    else:
+        fqn = decl.simple_name
+    if fqn in table.types:
+        raise DuplicateSymbol(f"type {fqn} declared more than once")
+    table.types[fqn] = TypeInfo(
+        fqn=fqn,
+        kind=decl.kind,
+        modifiers=frozenset(decl.modifiers),
+        type_params=tuple(decl.type_params),
+        supertypes=(),
+        external_supertypes=frozenset(),
+        members=(),
+        enclosing=enclosing[-1] if enclosing else None,
+        location=decl.location,
+    )
+    all_params = params | frozenset(decl.type_params)
+    pending.append(_PendingType(decl, fqn, unit, enclosing, all_params))
+    for inner in decl.nested:
+        _register(table, pending, inner, unit, enclosing + (fqn,), all_params)
 
 
 def _build_members(
@@ -498,23 +534,27 @@ def _build_members(
 
 
 def _check_acyclic(table: SymbolTable) -> None:
-    WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[str, int] = {}
-
-    def visit(fqn: str, path: list[str]) -> None:
-        state = color.get(fqn, WHITE)
-        if state == BLACK:
-            return
-        if state == GRAY:
-            cycle = " -> ".join(path + [fqn])
-            raise CyclicHierarchy(f"supertype cycle: {cycle}")
-        color[fqn] = GRAY
-        info = table.types.get(fqn)
-        if info is not None:
-            for sup in info.supertypes:
-                if table.lookup_type(sup) is not None:
-                    visit(sup, path + [fqn])
-        color[fqn] = BLACK
-
     for fqn in table.types:
-        visit(fqn, [])
+        _visit(table, color, fqn, [])
+
+
+_WHITE, _GRAY, _BLACK = 0, 1, 2
+
+
+def _visit(table: SymbolTable, color: dict[str, int], fqn: str, path: list[str]) -> None:
+    """Depth-first colouring for ``_check_acyclic``; a module function for the
+    reason given at ``_register``."""
+    state = color.get(fqn, _WHITE)
+    if state == _BLACK:
+        return
+    if state == _GRAY:
+        cycle = " -> ".join(path + [fqn])
+        raise CyclicHierarchy(f"supertype cycle: {cycle}")
+    color[fqn] = _GRAY
+    info = table.types.get(fqn)
+    if info is not None:
+        for sup in info.supertypes:
+            if table.lookup_type(sup) is not None:
+                _visit(table, color, sup, path + [fqn])
+    color[fqn] = _BLACK

@@ -1,0 +1,161 @@
+"""Footprint values: located uses, diagnostics, their set algebra and JSON
+form, without the frontend or the extractor (``ucov.nodes`` and
+``ucov.footprint`` re-export them)."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from enum import Enum
+from typing import Optional
+
+from .errors import ModelMismatch
+from .model import TYPE_USES, Symbol, UsageModel, UseKind
+
+
+@dataclass(frozen=True, order=True)
+class Location:
+    file: str
+    line: int
+    column: int
+
+    def __str__(self) -> str:
+        return f"{self.file}:{self.line}:{self.column}"
+
+
+class DiagnosticKind(Enum):
+    UNRESOLVED = "Unresolved"
+    AMBIGUOUS = "Ambiguous"
+    ILLEGAL_USE = "IllegalUse"
+    PARSE_ERROR = "ParseError"
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    location: Location
+    kind: DiagnosticKind
+    message: str
+
+
+@dataclass(frozen=True)
+class UseTriple:
+    symbol: Symbol
+    use: UseKind
+    location: Location
+
+    @property
+    def pair(self) -> tuple[str, Optional[str], UseKind]:
+        return (self.symbol.fqn, self.symbol.signature, self.use)
+
+    def sort_key(self):
+        return (self.symbol.sort_key(), self.use.value, self.location)
+
+
+@dataclass
+class Footprint:
+    label: str
+    library: str
+    triples: set[UseTriple] = field(default_factory=set)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
+
+    @property
+    def unique_uses(self) -> set[tuple[str, Optional[str], UseKind]]:
+        return {t.pair for t in self.triples}
+
+    @property
+    def total_uses(self) -> int:
+        return len(self.triples)
+
+
+def merge(f1: Footprint, f2: Footprint, label: Optional[str] = None) -> Footprint:
+    """Set union of two footprints governed by the same model."""
+    if f1.library != f2.library:
+        raise ModelMismatch(f"cannot merge footprints of {f1.library} and {f2.library}")
+    return Footprint(
+        label=label if label is not None else f"{f1.label}+{f2.label}",
+        library=f1.library,
+        triples=f1.triples | f2.triples,
+        diagnostics=f1.diagnostics + f2.diagnostics,
+    )
+
+
+def diff(f1: Footprint, f2: Footprint, label: Optional[str] = None) -> Footprint:
+    """Triples of f1 whose (symbol, use) pair does not occur in f2.
+
+    The comparison is location-insensitive: it is a difference of unique
+    uses, not of individual use sites.
+    """
+    if f1.library != f2.library:
+        raise ModelMismatch(f"cannot diff footprints of {f1.library} and {f2.library}")
+    excluded = f2.unique_uses
+    return Footprint(
+        label=label if label is not None else f"{f1.label}-{f2.label}",
+        library=f1.library,
+        triples={t for t in f1.triples if t.pair not in excluded},
+        diagnostics=list(f1.diagnostics),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Serialization
+# ---------------------------------------------------------------------------
+
+
+def footprint_to_dict(fp: Footprint) -> dict:
+    uses = sorted(fp.triples, key=lambda t: t.sort_key())
+    diagnostics = sorted(
+        fp.diagnostics, key=lambda d: (d.location, d.kind.value, d.message)
+    )
+    return {
+        "label": fp.label,
+        "library": fp.library,
+        "uses": [
+            {
+                "fqn": t.symbol.fqn,
+                "signature": t.symbol.signature,
+                "use": t.use.value,
+                "file": t.location.file,
+                "line": t.location.line,
+                "col": t.location.column,
+            }
+            for t in uses
+        ],
+        "diagnostics": [
+            {
+                "kind": d.kind.value,
+                "file": d.location.file,
+                "line": d.location.line,
+                "col": d.location.column,
+                "message": d.message,
+            }
+            for d in diagnostics
+        ],
+    }
+
+
+def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
+    if data["library"] != model.library_name:
+        raise ModelMismatch(
+            f"footprint is for {data['library']!r}, model is {model.library_name!r}"
+        )
+    triples: set[UseTriple] = set()
+    for u in data["uses"]:
+        use = UseKind(u["use"])
+        if use in TYPE_USES:
+            sym = model.type_symbol(u["fqn"])
+        else:
+            sym = model.symbol_for(u["fqn"], u["signature"])
+        if sym is None or use not in model.entries[sym]:
+            raise ModelMismatch(
+                f"{use.value} of {u['fqn']} is not a legal use in model "
+                f"{model.library_name!r}"
+            )
+        triples.add(UseTriple(sym, use, Location(u["file"], u["line"], u["col"])))
+    diagnostics = [
+        Diagnostic(
+            Location(d["file"], d["line"], d["col"]),
+            DiagnosticKind(d["kind"]),
+            d["message"],
+        )
+        for d in data.get("diagnostics", [])
+    ]
+    return Footprint(data["label"], data["library"], triples, diagnostics)
