@@ -16,7 +16,6 @@ logging verbosity.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import logging
 import os
@@ -25,14 +24,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
+from . import footprint as suf
+from . import metrics, uses
+from . import model as models, parser as frontend
 from .errors import ParseError, UcovError
 
 if TYPE_CHECKING:
     from .model import UsageModel
     from .uses import Footprint
 
-# Each command imports the layers it runs, so ``coverage``, ``compare`` and
-# ``profile`` never load the frontend, the symbol table or the extractor.
+# Each layer runs the first time a command uses it (see ``ucov/__init__``),
+# so ``coverage``, ``compare`` and ``profile`` never run the frontend, the
+# symbol table or the extractor.
 
 log = logging.getLogger("ucov")
 
@@ -105,14 +108,12 @@ def _atomic_write(path: Path, content: str) -> None:
 
 
 def _parse_library(root: Path) -> list:
-    from .parser import collect_source_files, parse_unit
-
     if not root.exists():
         raise UsageError(f"library root {root} does not exist")
-    files = collect_source_files([root])
+    files = frontend.collect_source_files([root])
     if not files:
         raise UsageError(f"no source files found under {root}")
-    return [parse_unit(p.read_text(encoding="utf-8"), str(p)) for p in files]
+    return [frontend.parse_unit(p.read_text(encoding="utf-8"), str(p)) for p in files]
 
 
 T = TypeVar("T")
@@ -123,34 +124,22 @@ def _read_json(path: str, load: Callable[[dict], T], unique_keys: bool = False) 
     that cannot be read, is not a JSON object or lacks a key the conversion
     needs ends in a one-line UsageError naming the file. With
     ``unique_keys``, so does an object with a repeated key, which
-    ``json.loads`` would otherwise resolve by keeping the last value.
-
-    The cyclic collector is paused while the file is decoded and converted,
-    and what is loaded is then frozen (``gc.freeze``): models, footprints
-    and configs hold no cycles, so collections need not walk them while the
-    command runs. ``main`` unfreezes them before it returns."""
-    enabled = gc.isenabled()
-    gc.disable()
+    ``json.loads`` would otherwise resolve by keeping the last value."""
+    hook = _reject_duplicate_keys if unique_keys else None
     try:
-        hook = _reject_duplicate_keys if unique_keys else None
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=hook)
-        except OSError as exc:
-            raise UsageError(f"{path}: {exc.strerror or exc}") from exc
-        except ValueError as exc:  # invalid JSON or invalid UTF-8
-            raise UsageError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise UsageError(f"{path}: expected a JSON object, found {type(data).__name__}")
-        try:
-            return load(data)
-        except KeyError as exc:
-            raise UsageError(f"{path}: missing key {exc}") from exc
-        except (TypeError, AttributeError, ValueError) as exc:
-            raise UsageError(f"{path}: malformed content: {exc}") from exc
-    finally:
-        gc.freeze()
-        if enabled:
-            gc.enable()
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=hook)
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise UsageError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: expected a JSON object, found {type(data).__name__}")
+    try:
+        return load(data)
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing key {exc}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise UsageError(f"{path}: malformed content: {exc}") from exc
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -167,10 +156,8 @@ def _load_model(path: str, resolve: bool = False) -> UsageModel:
     ``resolve`` it is built here, so a malformed resolution section is
     reported like any other malformed content."""
 
-    from .model import model_from_dict
-
     def load(data: dict) -> UsageModel:
-        model = model_from_dict(data)
+        model = models.model_from_dict(data)
         if resolve:
             model.table  # noqa: B018 - built for its errors
         return model
@@ -179,9 +166,7 @@ def _load_model(path: str, resolve: bool = False) -> UsageModel:
 
 
 def _load_footprint(path: str, model: UsageModel) -> Footprint:
-    from .uses import footprint_from_dict
-
-    return _read_json(path, lambda data: footprint_from_dict(data, model))
+    return _read_json(path, lambda data: uses.footprint_from_dict(data, model))
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +175,16 @@ def _load_footprint(path: str, model: UsageModel) -> Footprint:
 
 
 def cmd_sum(args: argparse.Namespace) -> int:
-    from .library import build_sum
-    from .model import model_to_dict
-
     root = Path(args.library)
     units = _parse_library(root)
     name = args.name or root.name
-    model = build_sum(units, name)
-    _atomic_write(Path(args.output), _dump_json(model_to_dict(model)))
+    model = models.build_sum(units, name)
+    _atomic_write(Path(args.output), _dump_json(models.model_to_dict(model)))
     print(f"symbols: {len(model.entries)}, legal uses: {model.legal_use_count}")
     return EXIT_OK
 
 
 def cmd_suf(args: argparse.Namespace) -> int:
-    from .footprint import footprint_of_corpus, footprint_to_dict
-
     model = _load_model(args.sum, resolve=True)
     if args.config:
         config = _read_json(args.config, CorpusConfig.from_dict, unique_keys=True)
@@ -219,10 +199,10 @@ def cmd_suf(args: argparse.Namespace) -> int:
         for root in roots:
             if not Path(root).exists():
                 raise UsageError(f"{label}: client root {root} does not exist")
-    footprints = footprint_of_corpus(groups, model, lenient=lenient)
+    footprints = suf.footprint_of_corpus(groups, model, lenient=lenient)
     for label, fp in sorted(footprints.items()):
         output = Path(args.output) / f"{label}.json" if args.config else Path(args.output)
-        _atomic_write(output, _dump_json(footprint_to_dict(fp)))
+        _atomic_write(output, _dump_json(uses.footprint_to_dict(fp)))
         _report_footprint(fp)
     return EXIT_OK
 
@@ -238,16 +218,13 @@ def _report_footprint(fp: Footprint) -> None:
 
 
 def cmd_coverage(args: argparse.Namespace) -> int:
-    from . import metrics
-    from .uses import merge
-
     model = _load_model(args.sum)
     footprints = [_load_footprint(p, model) for p in args.sufs]
     reports = [(fp.label, metrics.compute_coverage(model, fp)) for fp in footprints]
     if len(footprints) > 1:
         merged = footprints[0]
         for fp in footprints[1:]:
-            merged = merge(merged, fp)
+            merged = uses.merge(merged, fp)
         reports.append(("All", metrics.compute_coverage(model, merged)))
     if args.format == "json":
         payload = {
@@ -283,8 +260,6 @@ def _coverage_text(model: UsageModel, reports) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from . import metrics
-
     if len(args.sufs) < 2:
         raise UsageError("compare requires at least two footprints")
     model = _load_model(args.sum)
@@ -299,8 +274,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    from . import metrics
-
     model = _load_model(args.sum)
     if args.suf:
         fp = _load_footprint(args.suf, model)
@@ -360,15 +333,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    frozen = gc.get_freeze_count()
-    try:
-        return _run(argv)
-    finally:
-        if not frozen:  # what _read_json froze; a caller's own freeze stays
-            gc.unfreeze()
-
-
-def _run(argv: Optional[list[str]]) -> int:
     _setup_logging()
     parser = build_arg_parser()
     try:

@@ -1,22 +1,18 @@
-"""Usage models: exported API symbols mapped to their sets of legal uses.
-
-This is the reading side, which needs no parser: ``ucov.library`` builds a
-model from library sources and ``ucov.symtab`` its resolution table.
-"""
+"""Usage models: exported API symbols mapped to their sets of legal uses."""
 
 from __future__ import annotations
 
 import logging
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
+from . import nodes as n, symtab  # run when first used: reading a model needs neither
 from .errors import ModelMismatch
 
 if TYPE_CHECKING:
-    from .symtab import SymbolTable
+    from .symtab import MemberInfo, SymbolTable, TypeInfo
 
 log = logging.getLogger("ucov")
 
@@ -43,7 +39,7 @@ class SymbolKind(Enum):
     FIELD = "Field"
 
 
-TYPE_KINDS = frozenset({SymbolKind.CLASS, SymbolKind.INTERFACE})
+_TYPE_KINDS = frozenset({SymbolKind.CLASS, SymbolKind.INTERFACE})
 
 # Uses of a type; every other use kind is a use of a member.
 TYPE_USES = frozenset(
@@ -115,7 +111,7 @@ class UsageModel:
         self._types: dict[str, Symbol] = {}
         self._members: dict[tuple[str, Optional[str]], Symbol] = {}
         for sym in entries:
-            if sym.kind in TYPE_KINDS:
+            if sym.kind in _TYPE_KINDS:
                 self._types[sym.fqn] = sym
             else:
                 self._members[(sym.fqn, sym.signature)] = sym
@@ -185,8 +181,145 @@ class UsageModel:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Export rules
 # ---------------------------------------------------------------------------
+
+
+def is_effectively_extensible_info(info: TypeInfo) -> bool:
+    if "final" in info.modifiers or "sealed" in info.modifiers:
+        return False
+    if info.kind is n.TypeKind.CLASS:
+        return any(
+            m.kind is n.MemberKind.CONSTRUCTOR and m.visibility() in ("public", "protected")
+            for m in info.members
+        )
+    return True
+
+
+def _accessible_in(vis: str, outer: TypeInfo) -> bool:
+    """Whether a declaration of visibility ``vis`` inside the exported type
+    ``outer`` is exported."""
+    return vis == "public" or (vis == "protected" and is_effectively_extensible_info(outer))
+
+
+def _type_exported(info: TypeInfo, table: SymbolTable) -> bool:
+    if info.enclosing is None:
+        return info.visibility() == "public"
+    outer = table.lookup_type(info.enclosing)
+    return (
+        outer is not None
+        and _type_exported(outer, table)
+        and _accessible_in(info.visibility(), outer)
+    )
+
+
+def _symbol_for_member(member: MemberInfo) -> Symbol:
+    return Symbol(
+        fqn=member.fqn,
+        kind=SymbolKind[member.kind.name],
+        signature=member.signature,
+        declaring_type=member.declaring,
+        modifiers=member.modifiers,
+    )
+
+
+def is_exported(sym: Symbol, table: SymbolTable) -> bool:
+    """Whether client code may access the symbol at all (visibility rules)."""
+    if sym.kind in _TYPE_KINDS:
+        info = table.lookup_type(sym.fqn)
+        return info is not None and _type_exported(info, table)
+    member = _find_member(sym, table)
+    if member is None:
+        return False
+    outer = table.lookup_type(member.declaring)
+    return _type_exported(outer, table) and _accessible_in(member.visibility(), outer)
+
+
+def is_effectively_extensible(sym: Symbol, table: SymbolTable) -> bool:
+    """Neither final nor sealed; classes additionally need an accessible
+    (public or protected) constructor."""
+    info = table.lookup_type(sym.fqn)
+    if info is None:
+        return False
+    return is_effectively_extensible_info(info)
+
+
+def _find_member(sym: Symbol, table: SymbolTable) -> Optional[MemberInfo]:
+    members = table.members_of(sym.declaring_type) if sym.declaring_type else ()
+    return next((m for m in members if _symbol_for_member(m) == sym), None)
+
+
+# ---------------------------------------------------------------------------
+# Legal uses
+# ---------------------------------------------------------------------------
+
+
+def _has_public_constructor(info: TypeInfo) -> bool:
+    return any(
+        m.kind is n.MemberKind.CONSTRUCTOR and m.visibility() == "public"
+        for m in info.members
+    )
+
+
+def legal_uses(sym: Symbol, table: SymbolTable) -> frozenset[UseKind]:
+    """The set of legal client uses of an exported symbol."""
+    uses: set[UseKind] = set()
+    if sym.kind is SymbolKind.CLASS:
+        info = table.lookup_type(sym.fqn)
+        uses.add(UseKind.TYPE_REFERENCE)
+        if info is not None:
+            if "abstract" not in info.modifiers and _has_public_constructor(info):
+                uses.add(UseKind.INSTANTIATION)
+            if is_effectively_extensible_info(info):
+                uses.add(UseKind.INHERITANCE)
+    elif sym.kind is SymbolKind.INTERFACE:
+        info = table.lookup_type(sym.fqn)
+        uses.add(UseKind.TYPE_REFERENCE)
+        if info is not None and is_effectively_extensible_info(info):
+            uses.add(UseKind.IMPLEMENTATION)
+            uses.add(UseKind.INTERFACE_EXTENSION)
+    elif sym.kind is SymbolKind.CONSTRUCTOR:
+        uses.add(UseKind.CONSTRUCTOR_INVOCATION)
+    elif sym.kind is SymbolKind.METHOD:
+        if "static" in sym.modifiers:
+            uses.add(UseKind.STATIC_INVOCATION)
+        else:
+            uses.add(UseKind.METHOD_INVOCATION)
+            if "final" not in sym.modifiers and sym.declaring_type is not None:
+                declaring = table.lookup_type(sym.declaring_type)
+                if declaring is not None and is_effectively_extensible_info(declaring):
+                    uses.add(UseKind.OVERRIDING)
+    elif sym.kind is SymbolKind.FIELD:
+        uses.add(UseKind.FIELD_READ)
+        if "final" not in sym.modifiers:
+            uses.add(UseKind.FIELD_WRITE)
+    return frozenset(uses)
+
+
+# ---------------------------------------------------------------------------
+# Model construction and serialization
+# ---------------------------------------------------------------------------
+
+
+def build_sum(
+    library_units: list[n.SourceUnit], library_name: str = "library"
+) -> UsageModel:
+    """Build the usage model of a library: every exported symbol mapped to
+    its legal uses."""
+    table = symtab.build_symbol_table(library_units)
+    entries: dict[Symbol, frozenset[UseKind]] = {}
+    for info in table.own_types():
+        if not _type_exported(info, table):
+            continue
+        kind = SymbolKind.CLASS if info.kind is n.TypeKind.CLASS else SymbolKind.INTERFACE
+        tsym = Symbol(fqn=info.fqn, kind=kind, modifiers=info.modifiers)
+        entries[tsym] = legal_uses(tsym, table)
+        for member in info.members:
+            if _accessible_in(member.visibility(), info):
+                msym = _symbol_for_member(member)
+                entries[msym] = legal_uses(msym, table)
+    ordered = dict(sorted(entries.items(), key=lambda kv: kv[0].sort_key()))
+    return UsageModel(library_name, ordered, table)
 
 
 def model_to_dict(model: UsageModel) -> dict:
@@ -249,7 +382,7 @@ def model_from_dict(data: dict) -> UsageModel:
     for s in data["symbols"]:
         kind = SymbolKind(s["kind"])
         declaring = None
-        if kind not in TYPE_KINDS:
+        if kind not in _TYPE_KINDS:
             declaring = s["fqn"].rsplit(".", 1)[0]
         sym = Symbol(
             fqn=s["fqn"],
@@ -267,19 +400,32 @@ def model_from_dict(data: dict) -> UsageModel:
 
 
 def _table_from_dict(resolution: dict) -> SymbolTable:
-    """The resolution table of a serialized model's resolution section. Only
-    ``suf`` builds it, so only ``suf`` loads the resolution layer."""
-    from .symtab import table_from_dict
-
-    return table_from_dict(resolution)
-
-
-_LIBRARY_NAMES = frozenset({"build_sum", "is_effectively_extensible", "is_exported", "legal_uses"})
-
-
-def __getattr__(name: str):
-    """The library side under its old module name: ``ucov.model.build_sum``
-    is ``ucov.library.build_sum``, resolved through the lazy package."""
-    if name in _LIBRARY_NAMES:
-        return getattr(sys.modules[__package__], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """The resolution table of a serialized model's resolution section."""
+    table = symtab.SymbolTable()
+    members_by_type: dict[str, list[MemberInfo]] = {}
+    for m in resolution["members"]:
+        members_by_type.setdefault(m["declaring"], []).append(
+            symtab.MemberInfo(
+                declaring=m["declaring"],
+                kind=n.MemberKind(m["kind"]),
+                name=m["name"],
+                modifiers=frozenset(m["modifiers"]),
+                signature=m["signature"],
+                param_types=tuple(m["params"]),
+                return_type=m["returns"],
+                field_type=m["field_type"],
+                synthesized=m.get("synthesized", False),
+            )
+        )
+    for t in resolution["types"]:
+        table.types[t["fqn"]] = symtab.TypeInfo(
+            fqn=t["fqn"],
+            kind=n.TypeKind(t["kind"]),
+            modifiers=frozenset(t["modifiers"]),
+            type_params=tuple(t["type_params"]),
+            supertypes=tuple(t["supertypes"]),
+            external_supertypes=frozenset(t["external"]),
+            members=tuple(members_by_type.get(t["fqn"], [])),
+            enclosing=t.get("enclosing"),
+        )
+    return table

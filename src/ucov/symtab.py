@@ -320,38 +320,6 @@ class UnitContext:
         return base + "[]" * ref.array_dims
 
 
-def table_from_dict(resolution: dict) -> SymbolTable:
-    """The resolution table of a serialized model's resolution section."""
-    table = SymbolTable()
-    members_by_type: dict[str, list[MemberInfo]] = {}
-    for m in resolution["members"]:
-        members_by_type.setdefault(m["declaring"], []).append(
-            MemberInfo(
-                declaring=m["declaring"],
-                kind=n.MemberKind(m["kind"]),
-                name=m["name"],
-                modifiers=frozenset(m["modifiers"]),
-                signature=m["signature"],
-                param_types=tuple(m["params"]),
-                return_type=m["returns"],
-                field_type=m["field_type"],
-                synthesized=m.get("synthesized", False),
-            )
-        )
-    for t in resolution["types"]:
-        table.types[t["fqn"]] = TypeInfo(
-            fqn=t["fqn"],
-            kind=n.TypeKind(t["kind"]),
-            modifiers=frozenset(t["modifiers"]),
-            type_params=tuple(t["type_params"]),
-            supertypes=tuple(t["supertypes"]),
-            external_supertypes=frozenset(t["external"]),
-            members=tuple(members_by_type.get(t["fqn"], [])),
-            enclosing=t.get("enclosing"),
-        )
-    return table
-
-
 # ---------------------------------------------------------------------------
 # Table construction
 # ---------------------------------------------------------------------------

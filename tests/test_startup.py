@@ -1,5 +1,5 @@
-"""Start-up: each command imports only the layers it runs, ``import ucov`` is
-lazy, and a command leaves the cyclic collector as it found it."""
+"""Start-up: each command runs only the layers it uses, ``import ucov`` is
+lazy, and the benchmark's tracer still sees every layer."""
 
 from __future__ import annotations
 
@@ -61,10 +61,12 @@ def child_env() -> dict:
 
 
 def modules_after(script: str, *args: str) -> set[str]:
-    """The ucov modules loaded in a fresh interpreter that runs ``script``;
-    the script's last line of output is the answer."""
-    script += "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'ucov')))"
-    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + script, *args],
+    """The ucov modules executed in a fresh interpreter that runs ``script``;
+    the script's last line of output is the answer. A module registered but
+    not yet used is still of the lazy module type, not ``ModuleType``."""
+    script += ("\nprint(json.dumps(sorted(name for name, m in sys.modules.items()"
+               " if name.split('.')[0] == 'ucov' and type(m) is types.ModuleType)))")
+    proc = subprocess.run([sys.executable, "-c", "import json, sys, types\n" + script, *args],
                           capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
@@ -74,12 +76,26 @@ def command_modules(*args: str) -> set[str]:
     return modules_after("import ucov.cli\nassert ucov.cli.main(sys.argv[1:]) == 0", *args)
 
 
-def test_importing_the_cli_or_the_package_loads_no_layer():
+def test_importing_the_cli_or_the_package_runs_no_layer():
     assert modules_after("import ucov.cli") == {"ucov", "ucov.cli", "ucov.errors"}
     assert modules_after("import ucov") == {"ucov"}
 
 
-def test_reading_commands_load_no_frontend_symtab_typing_or_extractor(saved):
+def test_every_module_is_registered_and_bound_at_once():
+    """Code that walks ``sys.modules`` or the package, such as the
+    benchmark's tracer, finds every module before any of them runs."""
+    script = ("import ucov\nassert all(getattr(ucov, name.split('.')[1]) is m"
+              " for name, m in sys.modules.items() if name.startswith('ucov.'))\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ucov.'))))")
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + script],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    registered = set(json.loads(proc.stdout))
+    on_disk = {f"ucov.{p.stem}" for p in (SRC / "ucov").glob("*.py")}
+    assert registered == on_disk - {"ucov.__init__", "ucov.cli"}
+
+
+def test_reading_commands_run_no_frontend_symtab_typing_or_extractor(saved):
     out, model, sufs = saved
     for args in (["coverage", "--sum", model, *sufs],
                  ["compare", "--sum", model, *sufs, "-o", str(out / "regions.json")],
@@ -90,9 +106,9 @@ def test_reading_commands_load_no_frontend_symtab_typing_or_extractor(saved):
         assert not loaded & READING_LAYERS, (args[0], loaded & READING_LAYERS)
 
 
-def test_sum_loads_no_typing_or_extractor(tmp_path):
+def test_sum_runs_no_typing_or_extractor(tmp_path):
     loaded = command_modules("sum", str(LIB), "-o", str(tmp_path / "sum.json"))
-    assert {"ucov.parser", "ucov.symtab", "ucov.library"} <= loaded
+    assert {"ucov.parser", "ucov.symtab", "ucov.model"} <= loaded
     assert not loaded & {"ucov.typing_env", "ucov.footprint"}
 
 
@@ -112,47 +128,12 @@ def test_package_names_are_unchanged_and_lazy():
 def test_moved_names_keep_their_old_modules():
     """The entry points the benchmark's tracer rebinds by module attribute are
     one object under every name."""
-    from ucov import footprint, library, model, nodes, uses
+    from ucov import footprint, nodes, uses
 
     assert nodes.Location is uses.Location
     for name in ("Diagnostic", "DiagnosticKind", "Footprint", "UseTriple", "diff", "merge",
                  "footprint_from_dict", "footprint_to_dict"):
         assert getattr(footprint, name) is getattr(uses, name), name
-    for name in ("build_sum", "is_effectively_extensible", "is_exported", "legal_uses"):
-        assert getattr(model, name) is getattr(library, name), name
-    with pytest.raises(AttributeError):
-        model.no_such_name  # noqa: B018
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
-@pytest.mark.parametrize("malformed", [False, True], ids=["coverage", "malformed-json"])
-def test_a_command_leaves_the_collector_as_it_found_it(saved, tmp_path, enabled, malformed):
-    _, model, sufs = saved
-    if malformed:
-        broken = tmp_path / "broken.json"
-        broken.write_text('{"label": ')
-        sufs = [str(broken)]
-    was_enabled = gc.isenabled()
-    try:
-        if not enabled:
-            gc.disable()
-        assert gc.get_freeze_count() == 0  # no earlier command left anything frozen
-        assert main(["coverage", "--sum", model, *sufs]) == (1 if malformed else 0)
-        assert gc.isenabled() is enabled
-        assert gc.get_freeze_count() == 0
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def test_a_callers_own_freeze_is_kept(saved):
-    _, model, sufs = saved
-    gc.freeze()
-    try:
-        assert main(["coverage", "--sum", model, *sufs]) == 0
-        assert gc.get_freeze_count() > 0
-    finally:
-        gc.unfreeze()
 
 
 def test_a_built_table_keeps_no_syntax_tree_alive():
@@ -179,12 +160,11 @@ def test_a_built_table_keeps_no_syntax_tree_alive():
 PERFBENCH = REPO / "perfbench"
 
 
-def run_tracer(saved, tmp_path, *program: str):
-    """Trace ``coverage`` over the saved files with ``python *program``, which
-    runs ``perfbench/tracer.py``; the summary of the spans it wrote."""
-    _, model, sufs = saved
+def traced(tmp_path, *args: str):
+    """Run one command under ``perfbench/tracer.py`` as the benchmark does, in
+    a fresh interpreter; the summary of the spans it wrote."""
     spans = tmp_path / "spans.bin"
-    proc = subprocess.run([sys.executable, *program, str(spans), "coverage", "--sum", model, *sufs],
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), str(spans), *args],
                           capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "not found" not in proc.stderr, proc.stderr
@@ -196,25 +176,32 @@ def run_tracer(saved, tmp_path, *program: str):
     return tracer.summarize(str(spans))
 
 
-def test_tracer_resolves_every_target(saved, tmp_path):
-    """``perfbench/tracer.py`` as the benchmark runs it: every traced entry
-    point still resolves under its old module."""
-    calls, _, counters = run_tracer(saved, tmp_path, str(PERFBENCH / "tracer.py"))
+def test_the_tracer_sees_every_layer_of_the_reading_commands(saved, tmp_path):
+    _, model, sufs = saved
+    calls, _, counters = traced(tmp_path, "coverage", "--sum", model, *sufs)
     assert calls["cli.main"] == 1 and calls["cli.dump_json"] == 1
     assert counters["cli.bytes_written"] > 0
-
-
-def test_tracer_rebinding_reaches_the_per_command_imports(saved, tmp_path):
-    """The tracer rewrites bindings only in the ucov modules loaded when it
-    starts, which is now ``ucov``, ``ucov.cli`` and ``ucov.errors``. With the
-    layers loaded first, the commands' own imports find the traced functions:
-    each re-exported name is the defining object."""
-    script = ("import sys, ucov.footprint, ucov.library, ucov.metrics\n"
-              f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
-              "import tracer\nsys.exit(tracer.main(sys.argv[1:]))")
-    calls, _, _ = run_tracer(saved, tmp_path, "-c", script)
     assert calls["model.from_dict"] == 1
     assert calls["footprint.from_dict"] == 2
     assert calls["footprint.merge"] == 1
     assert calls["metrics.compute_coverage"] == 3
     assert calls["metrics.to_dict"] == 3
+    calls, _, _ = traced(tmp_path, "compare", "--sum", model, *sufs)
+    assert calls["metrics.exclusive_regions"] == 1
+    calls, _, _ = traced(tmp_path, "profile", "--sum", model)
+    assert calls["metrics.profile"] == 1
+
+
+def test_the_tracer_sees_every_layer_of_sum_and_suf(saved, tmp_path):
+    _, model, _ = saved
+    calls, _, counters = traced(tmp_path, "sum", str(LIB), "-o", str(tmp_path / "sum.json"))
+    assert calls["lexer.tokenize"] == calls["parser.parse_unit"] > 0
+    assert calls["symtab.build"] == calls["model.build_sum"] == calls["model.to_dict"] == 1
+    assert counters["model.symbols"] > 0 and counters["model.legal_uses"] > 0
+    calls, _, counters = traced(tmp_path, "suf", "--sum", model, "--label", "classic",
+                                str(GROUPS["classic"]), "-o", str(tmp_path / "suf.json"))
+    assert calls["model.from_dict"] == 1 and calls["footprint.to_dict"] == 1
+    for span in ("lexer.tokenize", "parser.parse_unit", "symtab.build",
+                 "symtab.resolve_method", "typing_env.static_type_of", "footprint.extract"):
+        assert calls[span] > 0, span
+    assert counters["footprint.triples"] > 0
