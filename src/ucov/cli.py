@@ -185,6 +185,10 @@ def cmd_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_suf(args: argparse.Namespace) -> int:
+    if args.config and args.roots:
+        raise UsageError("--config defines the client roots; give none on the command line")
+    if args.config and args.label is not None:
+        raise UsageError("--config defines the labels; --label cannot be used with it")
     model = _load_model(args.sum, resolve=True)
     if args.config:
         config = _read_json(args.config, CorpusConfig.from_dict, unique_keys=True)
@@ -194,7 +198,8 @@ def cmd_suf(args: argparse.Namespace) -> int:
     else:
         if not args.roots:
             raise UsageError("at least one client root is required")
-        groups, lenient = {args.label: args.roots}, args.lenient
+        label = "client" if args.label is None else args.label
+        groups, lenient = {label: args.roots}, args.lenient
     for label, roots in groups.items():
         for root in roots:
             if not Path(root).exists():
@@ -306,7 +311,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suf", help="extract a usage footprint from client sources")
     p.add_argument("roots", nargs="*", help="client source roots")
     p.add_argument("--sum", required=True, help="usage model JSON")
-    p.add_argument("--label", default="client", help="footprint label")
+    p.add_argument("--label", help="footprint label (default: client)")
     p.add_argument("-o", "--output", required=True, help="output JSON path (or directory with --config)")
     p.add_argument("--lenient", action="store_true", help="skip unparseable files")
     p.add_argument("--config", help="corpus config JSON defining labeled groups")

@@ -24,7 +24,7 @@ from .symtab import (
     UnitContext,
     build_symbol_table,
 )
-from .typing_env import Env, Unknown, receiver_of, resolve_call, static_type_of
+from .typing_env import Env, Link, Unknown, bare_name, link_of, static_type_of
 from .uses import (  # noqa: F401 - the values and their JSON form, re-exported
     Diagnostic,
     DiagnosticKind,
@@ -352,20 +352,20 @@ class _Extractor:
         # A left-deep receiver chain is walked iteratively: descend to the
         # innermost receiver that is visited, then handle each link on the
         # way out, so a chain of any length uses constant stack.
-        links: list[tuple[n.Expr, Optional[str], bool]] = []
+        links: list[tuple[n.Expr, Link, bool]] = []
         while isinstance(expr, (n.MethodCall, n.FieldAccess)):
-            receiver_type, visit_receiver = receiver_of(expr, env)
-            links.append((expr, receiver_type, assign_target))
-            if not visit_receiver:
+            record = link_of(expr, env)
+            links.append((expr, record, assign_target))
+            if not record.receiver_is_expr:
                 break
             expr, assign_target = expr.receiver, False
         else:
             self._visit_operand(expr, env, expected, assign_target)
-        for link, receiver_type, target in reversed(links):
+        for link, record, target in reversed(links):
             if isinstance(link, n.MethodCall):
-                self._method_call(link, receiver_type, env)
+                self._method_call(link, record, env)
             else:
-                self._field_access_use(link, receiver_type, env, target)
+                self._field_access_use(link, record, target)
 
     def _visit_operand(
         self, expr: n.Expr, env: Env, expected: Optional[str], assign_target: bool
@@ -377,7 +377,7 @@ class _Extractor:
             self._new_expr(expr, env)
         elif isinstance(expr, n.Assign):
             self.visit_expr(expr.target, env, assign_target=True)
-            target_type = static_type_of(expr.target, env, self.table)
+            target_type = static_type_of(expr.target, env)
             self.visit_expr(expr.value, env, expected=target_type)
         elif isinstance(expr, n.Binary):
             # Left-deep operator chains are walked iteratively too.
@@ -399,25 +399,16 @@ class _Extractor:
             self._lambda(expr, env, expected)
 
     def _name_field_use(self, expr: n.Name, env: Env, assign_target: bool) -> None:
-        declared, _ = env.lookup(expr.identifier)
-        if declared or env.this_type is None:
-            return
-        member = self.table.find_field(env.this_type, expr.identifier)
+        _, member = bare_name(expr, env)
         if member is not None:
             use = UseKind.FIELD_WRITE if assign_target else UseKind.FIELD_READ
             self.emit_member_use(member, use, expr.location)
 
-    def _field_access_use(
-        self,
-        expr: n.FieldAccess,
-        receiver_type: Optional[str],
-        env: Env,
-        assign_target: bool,
-    ) -> None:
+    def _field_access_use(self, expr: n.FieldAccess, link: Link, assign_target: bool) -> None:
+        receiver_type = link.receiver_type
         if receiver_type is None:
             return
-        member = self.table.find_field(receiver_type, expr.name)
-        if member is None:
+        if link.member is None:
             if self.is_library_type(receiver_type):
                 self.diag(
                     expr.location,
@@ -426,11 +417,10 @@ class _Extractor:
                 )
             return
         use = UseKind.FIELD_WRITE if assign_target else UseKind.FIELD_READ
-        self.emit_member_use(member, use, expr.location)
+        self.emit_member_use(link.member, use, expr.location)
 
-    def _method_call(
-        self, call: n.MethodCall, receiver_type: Optional[str], env: Env
-    ) -> None:
+    def _method_call(self, call: n.MethodCall, link: Link, env: Env) -> None:
+        receiver_type, member = link.receiver_type, link.member
         if receiver_type is None:
             self.diag(
                 call.location,
@@ -439,8 +429,7 @@ class _Extractor:
             )
             self._visit_args(call.args, env, None)
             return
-        res = resolve_call(call, receiver_type, env)
-        if res.status is ResolutionStatus.UNRESOLVED or res.member is None:
+        if member is None:
             if self._worth_diagnosing(receiver_type):
                 self.diag(
                     call.location,
@@ -449,14 +438,13 @@ class _Extractor:
                 )
             self._visit_args(call.args, env, None)
             return
-        if res.status is ResolutionStatus.AMBIGUOUS:
+        if link.status is ResolutionStatus.AMBIGUOUS:
             self.diag(
                 call.location,
                 DiagnosticKind.AMBIGUOUS,
                 f"ambiguous call to {call.name} on {receiver_type}; "
-                f"chose {res.member.signature}",
+                f"chose {member.signature}",
             )
-        member = res.member
         if "static" in member.modifiers:
             self.emit_member_use(member, UseKind.STATIC_INVOCATION, call.location)
         else:
@@ -496,7 +484,7 @@ class _Extractor:
             return
         info = self.table.lookup_type(resolved)
         sym = self.model.type_symbol(resolved)
-        arg_types = [static_type_of(a, env, self.table) for a in expr.args]
+        arg_types = [static_type_of(a, env) for a in expr.args]
         ctor = self.table.resolve_constructor(resolved, arg_types)
         if expr.anon_body is not None:
             self._anonymous_class(expr, resolved, info, sym, ctor, env)

@@ -365,19 +365,10 @@ def build_symbol_table(
             supertypes.append(resolved)
             if not known:
                 externals.add(resolved)
-        members = _build_members(p, ctx, scope)
         info = table.types[p.fqn]
-        table.types[p.fqn] = TypeInfo(
-            fqn=info.fqn,
-            kind=info.kind,
-            modifiers=info.modifiers,
-            type_params=info.type_params,
-            supertypes=tuple(supertypes),
-            external_supertypes=frozenset(externals),
-            members=members,
-            enclosing=info.enclosing,
-            location=info.location,
-        )
+        info.supertypes = tuple(supertypes)
+        info.external_supertypes = frozenset(externals)
+        info.members = _build_members(p, ctx, scope)
 
     _check_acyclic(table)
     return table

@@ -7,35 +7,43 @@ diagnostics by the footprint extractor, not here.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import nodes as n
-from .symtab import MethodResolution, ResolutionStatus, SymbolTable, UnitContext
+from .symtab import MemberInfo, ResolutionStatus, SymbolTable, UnitContext
 
 Unknown = None
 
+ChainLink = Union[n.FieldAccess, n.MethodCall]
+_CHAIN_LINKS = (n.FieldAccess, n.MethodCall)
 
-class TypingMemo:
-    """Types and call resolutions of expression nodes, keyed by the node.
 
-    AST nodes hash by identity. An expression is only typed while its own
-    statement is visited, so its type does not change afterwards.
+class Link(NamedTuple):
+    """What typing decided for one receiver-chain link.
+
+    ``receiver_type`` is the type the field or method is looked up on and
+    ``receiver_is_expr`` whether the receiver is an expression rather than
+    a type name or the implicit ``this``. ``member`` is the chosen field or
+    method and ``status`` how it was chosen: Unresolved when there is none.
+    ``type`` is the link's static type and ``name`` the dotted name a chain
+    of field accesses on a name spells, or None.
     """
 
-    __slots__ = ("types", "calls", "names")
-
-    def __init__(self) -> None:
-        self.types: dict[n.Expr, Optional[str]] = {}
-        self.calls: dict[n.MethodCall, tuple[str, MethodResolution]] = {}
-        self.names: dict[n.FieldAccess, Optional[str]] = {}
+    receiver_type: Optional[str]
+    receiver_is_expr: bool
+    member: Optional[MemberInfo]
+    status: ResolutionStatus
+    type: Optional[str]
+    name: Optional[str]
 
 
 class Env:
     """Lexical environment mapping in-scope names to declared type FQNs.
 
-    ``memo`` holds the types and call resolutions computed for expressions
-    in this scope. Child scopes share it; a root environment (one per
-    type body) starts its own, so memory is bounded by one type body.
+    ``links`` holds the record of every chain link typed in this scope,
+    keyed by the node (AST nodes hash by identity). Child scopes share it;
+    a root environment (one per type body) starts its own, so memory is
+    bounded by one type body.
     """
 
     def __init__(
@@ -54,7 +62,7 @@ class Env:
         self.type_params = type_params
         self.parent = parent
         self.vars: dict[str, Optional[str]] = {}
-        self.memo = parent.memo if parent is not None else TypingMemo()
+        self.links: dict[ChainLink, Link] = parent.links if parent is not None else {}
 
     def child(self) -> "Env":
         return Env(
@@ -83,10 +91,17 @@ def as_type_name(expr: n.Expr, env: Env) -> Optional[str]:
     """If the expression is a dotted name chain denoting a known type,
     return its FQN; otherwise None.
 
-    Names shadowed by in-scope variables are never type names.
+    Names shadowed by in-scope variables are never type names. A chain
+    of field accesses is typed on the way: its link records hold the name
+    it spells.
     """
-    name = _dotted_name(expr, env.memo)
-    if name is None:
+    if isinstance(expr, n.Name):
+        name = expr.identifier
+    elif isinstance(expr, n.FieldAccess):
+        name = link_of(expr, env).name
+        if name is None:
+            return None
+    else:
         return None
     declared, _ = env.lookup(name.partition(".")[0])
     if declared:
@@ -95,27 +110,14 @@ def as_type_name(expr: n.Expr, env: Env) -> Optional[str]:
     return fqn if known else None
 
 
-def _dotted_name(expr: n.Expr, memo: TypingMemo) -> Optional[str]:
-    """The dotted name a chain of field accesses on a name spells, or None.
-
-    Each link's name is memoized and extends its receiver's, so naming
-    every link of a chain costs time linear in its length.
-    """
-    names = memo.names
-    links = []
-    while isinstance(expr, n.FieldAccess):
-        if expr in names:
-            name = names[expr]
-            break
-        links.append(expr)
-        expr = expr.receiver
-    else:
-        name = expr.identifier if isinstance(expr, n.Name) else None
-    for link in reversed(links):
-        if name is not None:
-            name = f"{name}.{link.name}"
-        names[link] = name
-    return name
+def bare_name(expr: n.Name, env: Env) -> tuple[Optional[str], Optional[MemberInfo]]:
+    """(static type, field of ``this``) a bare name denotes. A variable in
+    scope hides a field of the same name."""
+    declared, t = env.lookup(expr.identifier)
+    if declared or env.this_type is None:
+        return t, None
+    f = env.table.find_field(env.this_type, expr.identifier)
+    return (f.field_type, f) if f is not None else (Unknown, None)
 
 
 _LITERAL_TYPES = {
@@ -129,26 +131,13 @@ _LITERAL_TYPES = {
 _BOOLEAN_OPS = frozenset({"==", "!=", "<", ">", "<=", ">=", "&&", "||"})
 
 
-def static_type_of(expr: n.Expr, env: Env, table: SymbolTable) -> Optional[str]:
-    """Declared static type of an expression, or Unknown (None).
-
-    ``table`` is the table ``env`` was built over. A left-deep receiver
-    chain is typed iteratively, innermost link first, and each link's type
-    is memoized in ``env.memo``, so chains of any length cost linear time
-    and constant stack.
-    """
+def static_type_of(expr: n.Expr, env: Env) -> Optional[str]:
+    """Declared static type of an expression, or Unknown (None)."""
     while True:  # assignments and operators take the type of one operand
         if isinstance(expr, _CHAIN_LINKS):
-            return _chain_type(expr, env)
+            return link_of(expr, env).type
         if isinstance(expr, n.Name):
-            declared, t = env.lookup(expr.identifier)
-            if declared:
-                return t
-            if env.this_type is not None:
-                f = table.find_field(env.this_type, expr.identifier)
-                if f is not None:
-                    return f.field_type
-            return Unknown
+            return bare_name(expr, env)[0]
         if isinstance(expr, n.Literal):
             return _LITERAL_TYPES.get(expr.kind, Unknown)
         if isinstance(expr, n.This):
@@ -175,13 +164,29 @@ def static_type_of(expr: n.Expr, env: Env, table: SymbolTable) -> Optional[str]:
             return Unknown  # lambdas are context-typed
 
 
-_CHAIN_LINKS = (n.FieldAccess, n.MethodCall)
+def link_of(link: ChainLink, env: Env) -> Link:
+    """The record of a chain link, made when it is first asked for.
+
+    A left-deep chain is typed iteratively, innermost link first, so a
+    chain of any length costs linear time and constant stack. An
+    expression is only typed while its own statement is visited, so its
+    record holds for the rest of the scope.
+    """
+    links = env.links
+    record = links.get(link)
+    if record is None:
+        pending = [link]
+        node = link.receiver
+        while isinstance(node, _CHAIN_LINKS) and node not in links:
+            pending.append(node)
+            node = node.receiver
+        for node in reversed(pending):  # ends with ``link`` itself
+            record = links[node] = _type_link(node, env)
+    return record
 
 
-def receiver_of(
-    link: Union[n.FieldAccess, n.MethodCall], env: Env
-) -> tuple[Optional[str], bool]:
-    """(receiver type, whether the receiver is an expression) of a chain link.
+def _type_link(link: ChainLink, env: Env) -> Link:
+    """Decide one link whose receiver link, if any, has its record.
 
     This is the one receiver rule of typing and extraction. An unqualified
     call's receiver is ``this``. A call names a type receiver before typing
@@ -190,56 +195,34 @@ def receiver_of(
     type name. A receiver that is neither typed nor a type is an expression
     of Unknown type.
     """
-    receiver = link.receiver
+    receiver, name = link.receiver, None
     if isinstance(link, n.MethodCall):
-        if receiver is None:
-            return env.this_type, False
-        type_name = as_type_name(receiver, env)
-        if type_name is not None:
-            return type_name, False
-        return static_type_of(receiver, env, env.table), True
-    receiver_type = static_type_of(receiver, env, env.table)
-    if receiver_type is not None:
-        return receiver_type, True
-    type_name = as_type_name(receiver, env)
-    return type_name, type_name is None
-
-
-def _chain_type(expr: Union[n.FieldAccess, n.MethodCall], env: Env) -> Optional[str]:
-    types = env.memo.types
-    links = []
-    node: Optional[n.Expr] = expr
-    while isinstance(node, _CHAIN_LINKS) and node not in types:
-        links.append(node)
-        node = node.receiver
-    for link in reversed(links):  # innermost first: a receiver link is typed first
-        types[link] = _link_type(link, env)
-    return types[expr]
-
-
-def _link_type(link: Union[n.FieldAccess, n.MethodCall], env: Env) -> Optional[str]:
-    receiver_type, _ = receiver_of(link, env)
+        type_name = env.this_type if receiver is None else as_type_name(receiver, env)
+        is_expr = receiver is not None and type_name is None
+        receiver_type = static_type_of(receiver, env) if is_expr else type_name
+    else:
+        head = receiver.identifier if isinstance(receiver, n.Name) else None
+        if isinstance(receiver, n.FieldAccess):
+            head = env.links[receiver].name
+        name = None if head is None else f"{head}.{link.name}"
+        receiver_type = static_type_of(receiver, env)
+        is_expr = receiver_type is not None
+        if not is_expr:
+            receiver_type = as_type_name(receiver, env)
+            is_expr = receiver_type is None
     if receiver_type is None:
-        return Unknown
+        return Link(None, is_expr, None, ResolutionStatus.UNRESOLVED, Unknown, name)
     if isinstance(link, n.FieldAccess):
-        f = env.table.find_field(receiver_type, link.name)
-        return f.field_type if f is not None else Unknown
-    res = resolve_call(link, receiver_type, env)
-    if res.status is ResolutionStatus.UNRESOLVED or res.member is None:
-        return Unknown
-    rt = res.member.return_type
-    return Unknown if rt == "void" else rt
-
-
-def resolve_call(call: n.MethodCall, receiver_type: str, env: Env) -> MethodResolution:
-    """Resolution of ``call`` on ``receiver_type``, memoized per call node,
-    so typing a call and extracting its use resolve it once. A resolution
-    on another receiver type is stale and is redone."""
-    calls = env.memo.calls
-    hit = calls.get(call)
-    if hit is not None and hit[0] == receiver_type:
-        return hit[1]
-    arg_types = [static_type_of(a, env, env.table) for a in call.args]
-    res = env.table.resolve_method(receiver_type, call.name, arg_types)
-    calls[call] = (receiver_type, res)
-    return res
+        member = env.table.find_field(receiver_type, link.name)
+        status = ResolutionStatus.UNRESOLVED if member is None else ResolutionStatus.RESOLVED
+    else:
+        arg_types = [static_type_of(a, env) for a in link.args]
+        res = env.table.resolve_method(receiver_type, link.name, arg_types)
+        member, status = res.member, res.status
+    if member is None:
+        link_type = Unknown
+    elif member.kind is n.MemberKind.FIELD:
+        link_type = member.field_type
+    else:
+        link_type = Unknown if member.return_type == "void" else member.return_type
+    return Link(receiver_type, is_expr, member, status, link_type, name)

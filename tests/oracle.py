@@ -227,7 +227,7 @@ class _Collector:
                     use = UseKind.FIELD_WRITE if writing else UseKind.FIELD_READ
                     self.add(f.fqn, None, use, e.location)
         elif isinstance(e, n.FieldAccess):
-            rtype = static_type_of(e.receiver, env, self.table)
+            rtype = static_type_of(e.receiver, env)
             if rtype is None:
                 rtype = as_type_name(e.receiver, env)
             else:
@@ -243,7 +243,7 @@ class _Collector:
             self.new(e, env)
         elif isinstance(e, n.Assign):
             self.expr(e.target, env, None, writing=True)
-            self.expr(e.value, env, static_type_of(e.target, env, self.table))
+            self.expr(e.value, env, static_type_of(e.target, env))
         elif isinstance(e, n.Binary):
             self.expr(e.left, env, None)
             self.expr(e.right, env, None)
@@ -261,11 +261,11 @@ class _Collector:
         else:
             rtype = as_type_name(e.receiver, env)
             if rtype is None:
-                rtype = static_type_of(e.receiver, env, self.table)
+                rtype = static_type_of(e.receiver, env)
                 self.expr(e.receiver, env, None)
         member = None
         if rtype is not None:
-            arg_types = [static_type_of(a, env, self.table) for a in e.args]
+            arg_types = [static_type_of(a, env) for a in e.args]
             res = self.table.resolve_method(rtype, e.name, arg_types)
             member = res.member
         if member is not None:
@@ -296,7 +296,7 @@ class _Collector:
             self.type_ref(arg, env.enclosing, env.type_params, env.ctx)
         resolved, known = env.resolve_type(e.type_ref.name)
         info = self.table.lookup_type(resolved) if known else None
-        arg_types = [static_type_of(a, env, self.table) for a in e.args]
+        arg_types = [static_type_of(a, env) for a in e.args]
         ctor = self.table.resolve_constructor(resolved, arg_types) if known else None
         if info is not None:
             if e.anon_body is None:

@@ -43,6 +43,12 @@ def test_sum_command(tmp_path, capsys):
     assert "symbols: 3, legal uses: 6" in out
 
 
+def test_suf_label_defaults_to_client(sum_path, tmp_path):
+    out = tmp_path / "f.json"
+    assert main(["suf", "--sum", str(sum_path), CLASSIC, "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["label"] == "client"
+
+
 def test_suf_command(sum_path, tmp_path, capsys):
     out = suf(sum_path, tmp_path, "classic", CLASSIC)
     data = json.loads(out.read_text())
@@ -320,37 +326,54 @@ def test_duplicate_group_labels_exit_1(sum_path, tmp_path, capsys):
     assert not out.exists()
 
 
+ROOTS_GIVEN = "--config defines the client roots; give none on the command line"
+LABEL_GIVEN = "--config defines the labels; --label cannot be used with it"
+
+
 @pytest.mark.parametrize(
-    "config, message",
+    "config, extra, message",
     [
         (
             {"groups": {"../escaped": [CLASSIC]}},
+            [],
             "corpus config label '../escaped' contains a path separator",
         ),
         (
             {"groups": {"a\\b": [CLASSIC]}},
+            [],
             "corpus config label 'a\\\\b' contains a path separator",
         ),
         (
             {"groups": {"a": [CLASSIC]}, "lenient": "false"},
+            [],
             "corpus config lenient must be true or false",
         ),
         (
             {"groups": {"a": [CLASSIC], "b": [FRAMEWORK, "/nonexistent/root"]}},
+            [],
             "b: client root /nonexistent/root does not exist",
         ),
+        ({"groups": {"a": [CLASSIC]}}, ["no/such/dir"], ROOTS_GIVEN),
+        ({"groups": {"a": [CLASSIC]}}, [CLASSIC], ROOTS_GIVEN),
+        ({"groups": {"a": [CLASSIC]}}, ["--label", "other"], LABEL_GIVEN),
+        ({"groups": {"a": [CLASSIC]}}, ["--label", "client"], LABEL_GIVEN),
+        ({"groups": {"a": [CLASSIC]}}, ["--label", "other", "no/such/dir"], ROOTS_GIVEN),
     ],
-    ids=["label-with-slash", "label-with-backslash", "lenient-not-a-boolean", "missing-root"],
+    ids=[
+        "label-with-slash", "label-with-backslash", "lenient-not-a-boolean", "missing-root",
+        "with-missing-client-root", "with-client-root", "with-label", "with-default-label",
+        "with-label-and-client-root",
+    ],
 )
 def test_bad_corpus_config_exits_1_and_writes_nothing(
-    sum_path, tmp_path, capsys, config, message
+    sum_path, tmp_path, capsys, config, extra, message
 ):
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     capsys.readouterr()
     argv = ["suf", "--sum", str(sum_path), "--config", str(path), "-o", str(out / "sufs")]
-    assert main(argv) == 1
+    assert main(argv + extra) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from ucov import (
     build_sum,
     diff,
     extract_uses,
+    footprint,
     footprint_from_dict,
     footprint_of_corpus,
     footprint_to_dict,
@@ -23,6 +25,7 @@ from ucov import (
     model_from_dict,
     model_to_dict,
     parse_unit,
+    typing_env,
 )
 
 U = UseKind
@@ -309,6 +312,48 @@ def test_call_on_a_name_that_is_both_a_type_and_a_field_uses_the_type():
     assert fp.diagnostics == []
     got = {(t.symbol.fqn, t.symbol.signature, t.use, t.location) for t in fp.triples}
     assert got == oracle_extract(units, model)
+
+
+FIXTURE_GROUPS = sorted(
+    (corpus.name, group.name)
+    for corpus in FIXTURES.iterdir()
+    for group in corpus.iterdir()
+    if group.name != "lib"
+)
+
+
+@pytest.mark.parametrize(
+    "corpus,group", FIXTURE_GROUPS, ids=[f"{c}/{g}" for c, g in FIXTURE_GROUPS]
+)
+def test_extraction_reads_the_one_record_typing_made_per_link(corpus, group, monkeypatch):
+    # Each chain node is typed at most once, and every link the extractor
+    # visits is handled from the record typing made for that node.
+    typed: Counter = Counter()
+    made = {}
+    type_link = typing_env._type_link
+
+    def counted(link, env):
+        typed[link] += 1
+        made[link] = type_link(link, env)
+        return made[link]
+
+    visited = []
+
+    def reading(method):
+        def wrapper(self, link, record, *rest):
+            visited.append((link, record))
+            return method(self, link, record, *rest)
+
+        return wrapper
+
+    monkeypatch.setattr(typing_env, "_type_link", counted)
+    for name in ("_method_call", "_field_access_use"):
+        method = getattr(footprint._Extractor, name)
+        monkeypatch.setattr(footprint._Extractor, name, reading(method))
+    extract_uses(client_units(corpus, group), model_for(corpus))
+    assert max(typed.values(), default=1) == 1
+    for link, record in visited:
+        assert link in made and made[link] is record
 
 
 def test_unrelated_client_code_produces_nothing():

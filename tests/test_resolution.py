@@ -50,8 +50,8 @@ def expr_of(src: str):
 
 
 def type_of(src: str, body_vars=None):
-    table, env = setup_env(body_vars)
-    return static_type_of(expr_of(src), env, table)
+    _, env = setup_env(body_vars)
+    return static_type_of(expr_of(src), env)
 
 
 def test_literal_types():
@@ -95,10 +95,15 @@ def test_equal_calls_in_different_statements_are_memoized_apart():
     # AST nodes are hashable and compare by identity, not by structure
     assert first == first and first != second
     assert len({first, second}) == 2
-    table, env = setup_env({"c": "lib.Conn"})
-    assert static_type_of(first, env, table) == static_type_of(second, env, table) == "lib.Doc"
-    assert set(env.memo.calls) == {first, second}
-    assert {first, second} <= set(env.memo.types)
+    _, env = setup_env({"c": "lib.Conn"})
+    assert static_type_of(first, env) == static_type_of(second, env) == "lib.Doc"
+    # one record per call node, each holding its own resolution
+    assert set(env.links) == {first, second}
+    records = env.links[first], env.links[second]
+    assert records[0] is not records[1]
+    for record in records:
+        assert record.status is ResolutionStatus.RESOLVED
+        assert record.member.fqn == "lib.Conn.done" and record.type == "lib.Doc"
 
 
 def test_typing_memo_is_keyed_by_node_not_by_id():

@@ -73,10 +73,11 @@ def test_typing_and_resolution_grow_linearly_with_chain_length(model, monkeypatc
         return wrapper
 
     monkeypatch.setattr(SymbolTable, "resolve_method", counted("resolve_method", resolve_method))
+    # link typing is counted too: it runs once per chain link
+    monkeypatch.setattr(typing_env, "_type_link", counted("_type_link", typing_env._type_link))
+    static_type_of = counted("static_type_of", typing_env.static_type_of)
     for module in (typing_env, footprint):
-        # resolve_call is counted too: it runs once per typed call link
-        for name in ("static_type_of", "resolve_call"):
-            monkeypatch.setattr(module, name, counted(name, getattr(typing_env, name)))
+        monkeypatch.setattr(module, "static_type_of", static_type_of)
 
     def extract(links: int) -> Counter:
         counts.clear()
@@ -84,7 +85,7 @@ def test_typing_and_resolution_grow_linearly_with_chain_length(model, monkeypatc
         return Counter(counts)
 
     short, long = extract(500), extract(2000)
-    for name in ("resolve_method", "static_type_of", "resolve_call"):
+    for name in ("resolve_method", "static_type_of", "_type_link"):
         assert 0 < long[name] <= 4 * short[name] + 8, (name, short, long)
     # one resolution per call site
     assert long["resolve_method"] <= sum(1 for i in range(2000) if i % 3 != 2) + 1
