@@ -30,8 +30,7 @@ _MODULES = {
                 "ProfileDistribution", "compute_coverage", "coverage_level",
                 "exclusive_regions", "popularity", "profile"),
     "model": ("Symbol", "SymbolKind", "UsageModel", "UseKind", "build_sum",
-              "is_effectively_extensible", "is_exported", "legal_uses", "model_from_dict",
-              "model_to_dict"),
+              "model_from_dict", "model_to_dict"),
     "lexer": (),
     "nodes": ("SourceUnit",),
     "parser": ("parse_unit",),

@@ -18,11 +18,14 @@ from .model import Symbol, UsageModel, UseKind
 from .parser import collect_source_files, parse_unit
 from .symtab import (
     PRIMITIVES,
+    Declaration,
     MemberInfo,
     ResolutionStatus,
     SymbolTable,
-    UnitContext,
+    TypeInfo,
     build_symbol_table,
+    declarations,
+    erased_signature,
 )
 from .typing_env import Env, Link, Unknown, bare_name, link_of, static_type_of
 from .uses import (  # noqa: F401 - the values and their JSON form, re-exported
@@ -47,9 +50,10 @@ def extract_uses(
 ) -> Footprint:
     """Extract the footprint of client units against a usage model, over a
     client symbol table layered on the library's."""
-    extractor = _Extractor(model, build_symbol_table(client_units, base=model.table))
-    for unit in client_units:
-        extractor.visit_unit(unit)
+    table = build_symbol_table(client_units, base=model.table)
+    extractor = _Extractor(model, table)
+    for d in declarations(client_units, table):
+        extractor.visit_type(d)
     return Footprint(
         label=label,
         library=model.library_name,
@@ -136,44 +140,23 @@ class _Extractor:
 
     # -- declarations --------------------------------------------------------
 
-    def visit_unit(self, unit: n.SourceUnit) -> None:
-        ctx = UnitContext.for_unit(self.table, unit)
-        for decl in unit.types:
-            fqn = (
-                f"{unit.package_name}.{decl.simple_name}"
-                if unit.package_name
-                else decl.simple_name
-            )
-            self.visit_type(decl, fqn, ctx, (), frozenset())
-
-    def visit_type(
-        self,
-        decl: n.TypeDecl,
-        fqn: str,
-        ctx: UnitContext,
-        enclosing: tuple[str, ...],
-        outer_params: frozenset[str],
-    ) -> None:
-        scope = enclosing + (fqn,)
-        params = outer_params | frozenset(decl.type_params)
-        env = Env(self.table, ctx, this_type=fqn, enclosing=scope, type_params=params)
-        self._heritage_uses(decl, env)
-        info = self.table.lookup_type(fqn)
-        if info is not None:
-            self._overriding_uses(info)
-            self._implicit_super_constructors(info)
-        for member in decl.members:
+    def visit_type(self, d: Declaration) -> None:
+        env = Env(self.table, d.ctx, this_type=d.fqn, enclosing=d.scope,
+                  type_params=d.type_params)
+        info = self.table.types[d.fqn]
+        self._heritage_uses(d.decl, info, env)
+        self._overriding_uses(info)
+        self._implicit_super_constructors(info)
+        for member in d.decl.members:
             self._member_type_references(member, env)
             self._visit_member_body(member, env)
-        for inner in decl.nested:
-            self.visit_type(inner, f"{fqn}.{inner.simple_name}", ctx, scope, params)
 
-    def _heritage_uses(self, decl: n.TypeDecl, env: Env) -> None:
-        for ref in decl.extends_refs + decl.implements_refs:
+    def _heritage_uses(self, decl: n.TypeDecl, info: TypeInfo, env: Env) -> None:
+        refs = decl.extends_refs + decl.implements_refs
+        for ref, resolved in zip(refs, info.supertypes):
             for arg in ref.type_args:
                 self._type_reference(arg, env)
-            resolved, known = env.resolve_type(ref.name)
-            if not known:
+            if resolved in info.external_supertypes:
                 continue
             target = self.model.type_symbol(resolved)
             if target is None:
@@ -194,7 +177,7 @@ class _Extractor:
             else:
                 self.emit(target, UseKind.INHERITANCE, ref.location)
 
-    def _overriding_uses(self, info) -> None:
+    def _overriding_uses(self, info: TypeInfo) -> None:
         for member in info.members:
             if member.kind is not n.MemberKind.METHOD or "static" in member.modifiers:
                 continue
@@ -212,7 +195,7 @@ class _Extractor:
             if "static" not in m.modifiers:
                 self.emit_member_use(m, use, loc)
 
-    def _implicit_super_constructors(self, info) -> None:
+    def _implicit_super_constructors(self, info: TypeInfo) -> None:
         # An explicitly declared constructor of a client subclass implicitly
         # invokes the API superclass's zero-arg constructor.
         superclass = None
@@ -524,8 +507,9 @@ class _Extractor:
         )
         for member in expr.anon_body or []:
             if member.kind is n.MemberKind.METHOD:
-                sig_params = tuple(inner.erase(p.type_ref) for p in member.params)
-                signature = f"{member.name}({','.join(sig_params)})"
+                signature = erased_signature(
+                    member.name, (inner.erase(p.type_ref) for p in member.params)
+                )
                 self._emit_library_methods(
                     self.table.overridden_methods(resolved, signature),
                     UseKind.OVERRIDING,

@@ -57,7 +57,7 @@ def _check_governed(model: UsageModel, fp: Footprint) -> None:
 def _covered_pairs(model: UsageModel, fp: Footprint) -> set[UsePair]:
     """The footprint's (symbol, use) pairs that are legal uses in the model."""
     legal = model.legal_pairs
-    return {pair for pair in {(t.symbol, t.use) for t in fp.triples} if pair in legal}
+    return {pair for pair in fp.unique_uses if pair in legal}
 
 
 def compute_coverage(model: UsageModel, fp: Footprint) -> CoverageReport:
@@ -151,7 +151,7 @@ def profile(basis: Union[UsageModel, Footprint]) -> ProfileDistribution:
         kinds = [u for uses in basis.entries.values() for u in uses]
         basis_name = "LegalUses"
     else:
-        kinds = [use for (_, _, use) in basis.unique_uses]
+        kinds = [use for _, use in basis.unique_uses]
         basis_name = "ActualUniqueUses"
     counts = Counter(kinds)
     total = len(kinds)
@@ -171,7 +171,7 @@ def exclusive_regions(footprints: list[Footprint]) -> IntersectionRegions:
     labels = [fp.label for fp in footprints]
     if len(set(labels)) != len(labels):
         raise ValueError(f"footprint labels are not unique: {labels}")
-    membership: dict[tuple, frozenset[str]] = {}
+    membership: dict[UsePair, frozenset[str]] = {}
     for fp in footprints:
         for pair in fp.unique_uses:
             membership[pair] = membership.get(pair, frozenset()) | {fp.label}
@@ -196,15 +196,14 @@ def _fmt_ratio(x: Fraction) -> float:
 def coverage_to_dict(report: CoverageReport, model: UsageModel) -> dict:
     """Serializable form of a report of ``model``. Levels and uncovered uses
     are read off the model's precomputed orders: a level key shows None
-    unless its symbol is graded higher, and a legal use is uncovered
-    unless the report covers it."""
+    unless its symbol is covered, and so graded higher, and a legal use is
+    uncovered unless the report covers it."""
     level_keys = model.level_keys
     levels = dict.fromkeys(level_keys, CoverageLevel.NONE.value)
-    for sym, level in report.levels.items():
-        if level is not CoverageLevel.NONE:
-            key = level_key(sym)
-            if level_keys.get(key) == sym:
-                levels[key] = level.value
+    for sym in report.covered_symbols:
+        key = level_key(sym)
+        if level_keys.get(key) == sym:
+            levels[key] = report.levels[sym].value
     legal = model.legal_pairs
     covered = {legal.get(pair) for pair in report.covered_uses}
     uncovered = [

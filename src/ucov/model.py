@@ -181,11 +181,59 @@ class UsageModel:
 
 
 # ---------------------------------------------------------------------------
-# Export rules
+# Model construction and serialization
 # ---------------------------------------------------------------------------
 
 
-def is_effectively_extensible_info(info: TypeInfo) -> bool:
+def build_sum(
+    library_units: list[n.SourceUnit], library_name: str = "library"
+) -> UsageModel:
+    """Build the usage model of a library: every exported symbol mapped to
+    its legal uses.
+
+    A top-level type is exported when public. A nested type or a member is
+    exported when its enclosing type is and it is public, or protected in
+    an effectively extensible type.
+    """
+    table = symtab.build_symbol_table(library_units)
+    entries: dict[Symbol, frozenset[UseKind]] = {}
+    extensible: dict[str, bool] = {}  # by FQN, of each exported type
+    for info in table.own_types():  # in declaration preorder: outer types first
+        if info.enclosing is None:
+            exported = info.visibility() == "public"
+        else:
+            outer = extensible.get(info.enclosing)
+            exported = outer is not None and _accessible(info.visibility(), outer)
+        if not exported:
+            continue
+        ext = extensible[info.fqn] = _is_extensible(info)
+        kind = SymbolKind.CLASS if info.kind is n.TypeKind.CLASS else SymbolKind.INTERFACE
+        entries[Symbol(fqn=info.fqn, kind=kind, modifiers=info.modifiers)] = _type_uses(
+            info, ext
+        )
+        for member in info.members:
+            if _accessible(member.visibility(), ext):
+                msym = Symbol(
+                    fqn=member.fqn,
+                    kind=SymbolKind[member.kind.name],
+                    signature=member.signature,
+                    declaring_type=member.declaring,
+                    modifiers=member.modifiers,
+                )
+                entries[msym] = _member_uses(member, ext)
+    ordered = dict(sorted(entries.items(), key=lambda kv: kv[0].sort_key()))
+    return UsageModel(library_name, ordered, table)
+
+
+def _accessible(vis: str, outer_extensible: bool) -> bool:
+    """Whether a declaration of visibility ``vis`` in an exported type is
+    exported."""
+    return vis == "public" or (vis == "protected" and outer_extensible)
+
+
+def _is_extensible(info: TypeInfo) -> bool:
+    """Neither final nor sealed; a class also needs a public or protected
+    constructor."""
     if "final" in info.modifiers or "sealed" in info.modifiers:
         return False
     if info.kind is n.TypeKind.CLASS:
@@ -196,130 +244,37 @@ def is_effectively_extensible_info(info: TypeInfo) -> bool:
     return True
 
 
-def _accessible_in(vis: str, outer: TypeInfo) -> bool:
-    """Whether a declaration of visibility ``vis`` inside the exported type
-    ``outer`` is exported."""
-    return vis == "public" or (vis == "protected" and is_effectively_extensible_info(outer))
-
-
-def _type_exported(info: TypeInfo, table: SymbolTable) -> bool:
-    if info.enclosing is None:
-        return info.visibility() == "public"
-    outer = table.lookup_type(info.enclosing)
-    return (
-        outer is not None
-        and _type_exported(outer, table)
-        and _accessible_in(info.visibility(), outer)
-    )
-
-
-def _symbol_for_member(member: MemberInfo) -> Symbol:
-    return Symbol(
-        fqn=member.fqn,
-        kind=SymbolKind[member.kind.name],
-        signature=member.signature,
-        declaring_type=member.declaring,
-        modifiers=member.modifiers,
-    )
-
-
-def is_exported(sym: Symbol, table: SymbolTable) -> bool:
-    """Whether client code may access the symbol at all (visibility rules)."""
-    if sym.kind in _TYPE_KINDS:
-        info = table.lookup_type(sym.fqn)
-        return info is not None and _type_exported(info, table)
-    member = _find_member(sym, table)
-    if member is None:
-        return False
-    outer = table.lookup_type(member.declaring)
-    return _type_exported(outer, table) and _accessible_in(member.visibility(), outer)
-
-
-def is_effectively_extensible(sym: Symbol, table: SymbolTable) -> bool:
-    """Neither final nor sealed; classes additionally need an accessible
-    (public or protected) constructor."""
-    info = table.lookup_type(sym.fqn)
-    if info is None:
-        return False
-    return is_effectively_extensible_info(info)
-
-
-def _find_member(sym: Symbol, table: SymbolTable) -> Optional[MemberInfo]:
-    members = table.members_of(sym.declaring_type) if sym.declaring_type else ()
-    return next((m for m in members if _symbol_for_member(m) == sym), None)
-
-
-# ---------------------------------------------------------------------------
-# Legal uses
-# ---------------------------------------------------------------------------
-
-
-def _has_public_constructor(info: TypeInfo) -> bool:
-    return any(
-        m.kind is n.MemberKind.CONSTRUCTOR and m.visibility() == "public"
-        for m in info.members
-    )
-
-
-def legal_uses(sym: Symbol, table: SymbolTable) -> frozenset[UseKind]:
-    """The set of legal client uses of an exported symbol."""
-    uses: set[UseKind] = set()
-    if sym.kind is SymbolKind.CLASS:
-        info = table.lookup_type(sym.fqn)
-        uses.add(UseKind.TYPE_REFERENCE)
-        if info is not None:
-            if "abstract" not in info.modifiers and _has_public_constructor(info):
-                uses.add(UseKind.INSTANTIATION)
-            if is_effectively_extensible_info(info):
-                uses.add(UseKind.INHERITANCE)
-    elif sym.kind is SymbolKind.INTERFACE:
-        info = table.lookup_type(sym.fqn)
-        uses.add(UseKind.TYPE_REFERENCE)
-        if info is not None and is_effectively_extensible_info(info):
-            uses.add(UseKind.IMPLEMENTATION)
-            uses.add(UseKind.INTERFACE_EXTENSION)
-    elif sym.kind is SymbolKind.CONSTRUCTOR:
-        uses.add(UseKind.CONSTRUCTOR_INVOCATION)
-    elif sym.kind is SymbolKind.METHOD:
-        if "static" in sym.modifiers:
-            uses.add(UseKind.STATIC_INVOCATION)
-        else:
-            uses.add(UseKind.METHOD_INVOCATION)
-            if "final" not in sym.modifiers and sym.declaring_type is not None:
-                declaring = table.lookup_type(sym.declaring_type)
-                if declaring is not None and is_effectively_extensible_info(declaring):
-                    uses.add(UseKind.OVERRIDING)
-    elif sym.kind is SymbolKind.FIELD:
-        uses.add(UseKind.FIELD_READ)
-        if "final" not in sym.modifiers:
-            uses.add(UseKind.FIELD_WRITE)
+def _type_uses(info: TypeInfo, extensible: bool) -> frozenset[UseKind]:
+    """The legal client uses of an exported type."""
+    uses = {UseKind.TYPE_REFERENCE}
+    if info.kind is n.TypeKind.INTERFACE:
+        if extensible:
+            uses.update((UseKind.IMPLEMENTATION, UseKind.INTERFACE_EXTENSION))
+    else:
+        if "abstract" not in info.modifiers and any(
+            m.kind is n.MemberKind.CONSTRUCTOR and m.visibility() == "public"
+            for m in info.members
+        ):
+            uses.add(UseKind.INSTANTIATION)
+        if extensible:
+            uses.add(UseKind.INHERITANCE)
     return frozenset(uses)
 
 
-# ---------------------------------------------------------------------------
-# Model construction and serialization
-# ---------------------------------------------------------------------------
-
-
-def build_sum(
-    library_units: list[n.SourceUnit], library_name: str = "library"
-) -> UsageModel:
-    """Build the usage model of a library: every exported symbol mapped to
-    its legal uses."""
-    table = symtab.build_symbol_table(library_units)
-    entries: dict[Symbol, frozenset[UseKind]] = {}
-    for info in table.own_types():
-        if not _type_exported(info, table):
-            continue
-        kind = SymbolKind.CLASS if info.kind is n.TypeKind.CLASS else SymbolKind.INTERFACE
-        tsym = Symbol(fqn=info.fqn, kind=kind, modifiers=info.modifiers)
-        entries[tsym] = legal_uses(tsym, table)
-        for member in info.members:
-            if _accessible_in(member.visibility(), info):
-                msym = _symbol_for_member(member)
-                entries[msym] = legal_uses(msym, table)
-    ordered = dict(sorted(entries.items(), key=lambda kv: kv[0].sort_key()))
-    return UsageModel(library_name, ordered, table)
+def _member_uses(member: MemberInfo, extensible: bool) -> frozenset[UseKind]:
+    """The legal client uses of an exported member of a type that is
+    ``extensible`` or not."""
+    if member.kind is n.MemberKind.CONSTRUCTOR:
+        return frozenset({UseKind.CONSTRUCTOR_INVOCATION})
+    if member.kind is n.MemberKind.FIELD:
+        if "final" in member.modifiers:
+            return frozenset({UseKind.FIELD_READ})
+        return frozenset({UseKind.FIELD_READ, UseKind.FIELD_WRITE})
+    if "static" in member.modifiers:
+        return frozenset({UseKind.STATIC_INVOCATION})
+    if extensible and "final" not in member.modifiers:
+        return frozenset({UseKind.METHOD_INVOCATION, UseKind.OVERRIDING})
+    return frozenset({UseKind.METHOD_INVOCATION})
 
 
 def model_to_dict(model: UsageModel) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import nodes as n
 from .errors import CyclicHierarchy, DuplicateSymbol
@@ -325,13 +325,36 @@ class UnitContext:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _PendingType:
+class Declaration(NamedTuple):
+    """One declared type: its syntax, its FQN, the scope of its source unit,
+    the FQNs of its enclosing types and itself (innermost last), and the
+    type parameters in scope in its body (its own and its enclosing
+    types')."""
+
     decl: n.TypeDecl
     fqn: str
-    ctx_unit: n.SourceUnit
-    enclosing: tuple[str, ...]
+    ctx: UnitContext
+    scope: tuple[str, ...]
     type_params: frozenset[str]
+
+
+def declarations(units: list[n.SourceUnit], table: SymbolTable) -> list[Declaration]:
+    """One record per type declared in ``units``, nested types included, in
+    source preorder. Names resolve against ``table``, which the records
+    reference; the table references no record."""
+    out: list[Declaration] = []
+    for unit in units:
+        ctx = UnitContext.for_unit(table, unit)
+        prefix = f"{unit.package_name}." if unit.package_name else ""
+        stack = [(decl, prefix, (), frozenset()) for decl in reversed(unit.types)]
+        while stack:
+            decl, prefix, enclosing, outer_params = stack.pop()
+            fqn = prefix + decl.simple_name
+            scope = enclosing + (fqn,)
+            params = outer_params | frozenset(decl.type_params)
+            out.append(Declaration(decl, fqn, ctx, scope, params))
+            stack.extend((inner, f"{fqn}.", scope, params) for inner in reversed(decl.nested))
+    return out
 
 
 def build_symbol_table(
@@ -345,70 +368,47 @@ def build_symbol_table(
     CyclicHierarchy on supertype cycles.
     """
     table = SymbolTable(base)
-    pending: list[_PendingType] = []
-    for unit in units:
-        for decl in unit.types:
-            _register(table, pending, decl, unit, (), frozenset())
+    declared = declarations(units, table)
+    for d in declared:
+        if d.fqn in table.types:
+            raise DuplicateSymbol(f"type {d.fqn} declared more than once")
+        table.types[d.fqn] = TypeInfo(
+            fqn=d.fqn,
+            kind=d.decl.kind,
+            modifiers=frozenset(d.decl.modifiers),
+            type_params=tuple(d.decl.type_params),
+            supertypes=(),
+            external_supertypes=frozenset(),
+            members=(),
+            enclosing=d.scope[-2] if len(d.scope) > 1 else None,
+            location=d.decl.location,
+        )
 
-    contexts: dict[str, UnitContext] = {}
-    for p in pending:
-        if p.ctx_unit.path not in contexts:
-            contexts[p.ctx_unit.path] = UnitContext.for_unit(table, p.ctx_unit)
-
-    for p in pending:
-        ctx = contexts[p.ctx_unit.path]
-        scope = p.enclosing + (p.fqn,)
+    for d in declared:
         supertypes: list[str] = []
         externals: set[str] = set()
-        for ref in p.decl.extends_refs + p.decl.implements_refs:
-            resolved, known = ctx.resolve_type_name(ref.name, scope, p.type_params)
+        for ref in d.decl.extends_refs + d.decl.implements_refs:
+            resolved, known = d.ctx.resolve_type_name(ref.name, d.scope, d.type_params)
             supertypes.append(resolved)
             if not known:
                 externals.add(resolved)
-        info = table.types[p.fqn]
+        info = table.types[d.fqn]
         info.supertypes = tuple(supertypes)
         info.external_supertypes = frozenset(externals)
-        info.members = _build_members(p, ctx, scope)
+        info.members = _build_members(d)
 
     _check_acyclic(table)
     return table
 
 
-def _register(table: SymbolTable, pending: list[_PendingType], decl: n.TypeDecl,
-              unit: n.SourceUnit, enclosing: tuple[str, ...], params: frozenset[str]) -> None:
-    """Declare ``decl`` and its nested types in ``table`` and queue them in
-    ``pending``. A module function, not a closure: a nested function that
-    calls itself is a reference cycle, which would keep ``pending`` and
-    every AST it holds alive until a full collection."""
-    if enclosing:
-        fqn = f"{enclosing[-1]}.{decl.simple_name}"
-    elif unit.package_name:
-        fqn = f"{unit.package_name}.{decl.simple_name}"
-    else:
-        fqn = decl.simple_name
-    if fqn in table.types:
-        raise DuplicateSymbol(f"type {fqn} declared more than once")
-    table.types[fqn] = TypeInfo(
-        fqn=fqn,
-        kind=decl.kind,
-        modifiers=frozenset(decl.modifiers),
-        type_params=tuple(decl.type_params),
-        supertypes=(),
-        external_supertypes=frozenset(),
-        members=(),
-        enclosing=enclosing[-1] if enclosing else None,
-        location=decl.location,
-    )
-    all_params = params | frozenset(decl.type_params)
-    pending.append(_PendingType(decl, fqn, unit, enclosing, all_params))
-    for inner in decl.nested:
-        _register(table, pending, inner, unit, enclosing + (fqn,), all_params)
+def erased_signature(name: str, param_types: Iterable[str]) -> str:
+    """The signature that identifies a method or constructor: its name and
+    its erased parameter types, ``add(java.lang.Object)``."""
+    return f"{name}({','.join(param_types)})"
 
 
-def _build_members(
-    p: _PendingType, ctx: UnitContext, scope: tuple[str, ...]
-) -> tuple[MemberInfo, ...]:
-    decl = p.decl
+def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
+    decl, ctx, scope = d.decl, d.ctx, d.scope
     out: list[MemberInfo] = []
     seen: set[tuple[str, str]] = set()
     in_interface = decl.kind is n.TypeKind.INTERFACE
@@ -430,30 +430,30 @@ def _build_members(
         mods = normalize(member)
         if member.kind is n.MemberKind.FIELD:
             info = MemberInfo(
-                declaring=p.fqn,
+                declaring=d.fqn,
                 kind=member.kind,
                 name=member.name,
                 modifiers=mods,
                 signature=None,
                 param_types=(),
                 return_type=None,
-                field_type=ctx.erase(member.field_type, scope, p.type_params),
+                field_type=ctx.erase(member.field_type, scope, d.type_params),
                 location=member.location,
             )
             key = (member.name, "")
         else:
             param_types = tuple(
-                ctx.erase(prm.type_ref, scope, p.type_params) for prm in member.params
+                ctx.erase(prm.type_ref, scope, d.type_params) for prm in member.params
             )
-            signature = f"{member.name}({','.join(param_types)})"
+            signature = erased_signature(member.name, param_types)
             if member.kind is n.MemberKind.CONSTRUCTOR:
                 return_type = None
             elif member.is_void:
                 return_type = "void"
             else:
-                return_type = ctx.erase(member.return_type, scope, p.type_params)
+                return_type = ctx.erase(member.return_type, scope, d.type_params)
             info = MemberInfo(
-                declaring=p.fqn,
+                declaring=d.fqn,
                 kind=member.kind,
                 name=member.name,
                 modifiers=mods,
@@ -466,7 +466,7 @@ def _build_members(
             key = (member.name, signature)
         if key in seen:
             raise DuplicateSymbol(
-                f"member {p.fqn}.{member.name} with signature {key[1] or '(field)'} "
+                f"member {d.fqn}.{member.name} with signature {key[1] or '(field)'} "
                 "declared more than once"
             )
         seen.add(key)
@@ -477,11 +477,11 @@ def _build_members(
     ):
         out.append(
             MemberInfo(
-                declaring=p.fqn,
+                declaring=d.fqn,
                 kind=n.MemberKind.CONSTRUCTOR,
                 name=decl.simple_name,
                 modifiers=frozenset({"public"}),
-                signature=f"{decl.simple_name}()",
+                signature=erased_signature(decl.simple_name, ()),
                 param_types=(),
                 return_type=None,
                 field_type=None,
@@ -502,8 +502,9 @@ _WHITE, _GRAY, _BLACK = 0, 1, 2
 
 
 def _visit(table: SymbolTable, color: dict[str, int], fqn: str, path: list[str]) -> None:
-    """Depth-first colouring for ``_check_acyclic``; a module function for the
-    reason given at ``_register``."""
+    """Depth-first colouring for ``_check_acyclic``. A module function, not a
+    closure: a nested function that calls itself is a reference cycle, which
+    would keep the table alive until a full collection."""
     state = color.get(fqn, _WHITE)
     if state == _BLACK:
         return

@@ -9,7 +9,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import ModelMismatch
-from .model import TYPE_USES, Symbol, UsageModel, UseKind
+from .model import TYPE_USES, Symbol, UsageModel, UseKind, UsePair
 
 
 @dataclass(frozen=True, order=True)
@@ -43,8 +43,8 @@ class UseTriple:
     location: Location
 
     @property
-    def pair(self) -> tuple[str, Optional[str], UseKind]:
-        return (self.symbol.fqn, self.symbol.signature, self.use)
+    def pair(self) -> UsePair:
+        return (self.symbol, self.use)
 
     def sort_key(self):
         return (self.symbol.sort_key(), self.use.value, self.location)
@@ -58,7 +58,7 @@ class Footprint:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     @property
-    def unique_uses(self) -> set[tuple[str, Optional[str], UseKind]]:
+    def unique_uses(self) -> set[UsePair]:
         return {t.pair for t in self.triples}
 
     @property
@@ -137,6 +137,9 @@ def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
         raise ModelMismatch(
             f"footprint is for {data['library']!r}, model is {model.library_name!r}"
         )
+    label = data["label"]
+    if not isinstance(label, str):
+        raise TypeError(f"footprint label must be a string, found {type(label).__name__}")
     triples: set[UseTriple] = set()
     for u in data["uses"]:
         use = UseKind(u["use"])
@@ -158,4 +161,4 @@ def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
         )
         for d in data.get("diagnostics", [])
     ]
-    return Footprint(data["label"], data["library"], triples, diagnostics)
+    return Footprint(label, data["library"], triples, diagnostics)

@@ -169,6 +169,18 @@ def _illegal_row_footprint(sum_path, tmp_path):
     return ["coverage", "--sum", str(sum_path), "--format", "text", str(path)]
 
 
+def _labelled(label, command):
+    def argv(sum_path, tmp_path):
+        data = json.loads(suf(sum_path, tmp_path, "classic", CLASSIC).read_text())
+        data["label"] = label
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps(data))
+        other = suf(sum_path, tmp_path, "framework", FRAMEWORK)
+        return [command, "--sum", str(sum_path), str(path), str(other)]
+
+    return argv
+
+
 def _config(content):
     def argv(sum_path, tmp_path):
         path = tmp_path / "corpus.json"
@@ -198,6 +210,8 @@ def _without_symbols(data):
     "make_argv",
     [
         _illegal_row_footprint,
+        _labelled(5, "coverage"),
+        _labelled([5], "compare"),
         _config(None),
         _config({"groups": ["a"]}),
         _model(lambda data: []),
@@ -205,6 +219,8 @@ def _without_symbols(data):
     ],
     ids=[
         "illegal-footprint-row",
+        "footprint-label-a-number",
+        "footprint-label-a-list",
         "missing-config",
         "config-groups-not-a-map",
         "model-not-an-object",

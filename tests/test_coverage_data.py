@@ -279,7 +279,7 @@ def test_profile_weights_equal_the_naive_sum(corpus, group):
     model, fp = fixture(corpus, group)
     bases = [
         (model, [u for uses in model.entries.values() for u in uses]),
-        (fp, [use for _, _, use in fp.unique_uses]),
+        (fp, [use for _, use in fp.unique_uses]),
     ]
     for basis, kinds in bases:
         weights = profile(basis).weights

@@ -37,7 +37,7 @@ def extract(corpus: str, group: str = "client"):
 
 
 def pairs(fp):
-    return fp.unique_uses
+    return {(sym.fqn, sym.signature, use) for sym, use in fp.unique_uses}
 
 
 def located(fp):
@@ -217,6 +217,17 @@ def test_extending_final_class_is_illegal():
         "package app; import lib.A; class C extends A { }",
     )
     assert [d.kind for d in fp.diagnostics] == [DiagnosticKind.ILLEGAL_USE]
+    assert pairs(fp) == set()
+
+
+def test_heritage_of_unknown_and_non_exported_supertypes():
+    _, fp = lib_and_client(
+        "package lib; public class A { public A() { } } interface Hidden { }",
+        "package app; import lib.Hidden; class C extends Unseen implements Hidden { }",
+    )
+    assert [(d.kind, d.message) for d in fp.diagnostics] == [
+        (DiagnosticKind.ILLEGAL_USE, "extension of non-exported type lib.Hidden")
+    ]
     assert pairs(fp) == set()
 
 

@@ -9,7 +9,6 @@ from ucov import (
     Symbol,
     UseKind,
     build_sum,
-    is_exported,
     model_from_dict,
     model_to_dict,
     parse_unit,
@@ -210,10 +209,11 @@ def test_is_exported_agrees_with_the_model():
         "package p; public class A { public A() { } private int x; public int y; "
         "public void f() { } void g() { } public static class y { } }"
     )
-    assert all(is_exported(s, model.table) for s in model.entries)
-    assert not is_exported(Symbol("p.A.x", SymbolKind.FIELD, None, "p.A"), model.table)
-    assert not is_exported(Symbol("p.A.g", SymbolKind.METHOD, "g()", "p.A"), model.table)
-    assert not is_exported(Symbol("p.A.y", SymbolKind.METHOD, None, "p.A"), model.table)
+    assert Symbol("p.A.y", SymbolKind.FIELD) in model.entries
+    assert Symbol("p.A.y", SymbolKind.CLASS) in model.entries
+    assert Symbol("p.A.x", SymbolKind.FIELD, None, "p.A") not in model.entries
+    assert Symbol("p.A.g", SymbolKind.METHOD, "g()", "p.A") not in model.entries
+    assert Symbol("p.A.y", SymbolKind.METHOD, None, "p.A") not in model.entries
 
 
 def test_model_entries_are_sorted():

@@ -24,7 +24,8 @@ LIB = FIXTURES / "arraylist" / "lib"
 GROUPS = {"classic": FIXTURES / "arraylist" / "classic",
           "framework": FIXTURES / "arraylist" / "framework"}
 
-# The public names of the package, as they were when it imported every module.
+# The public names of the package, as they were when it imported every module,
+# less the export rules that ``UsageModel.entries`` answers.
 PUBLIC = [
     "CoverageLevel", "CoverageReport", "CyclicHierarchy", "Diagnostic", "DiagnosticKind",
     "DuplicateSymbol", "Env", "Footprint", "IntersectionRegions", "Location",
@@ -32,9 +33,8 @@ PUBLIC = [
     "SymbolKind", "SymbolTable", "UcovError", "UnknownSymbol", "UsageModel", "UseKind",
     "UseTriple", "build_sum", "build_symbol_table", "compute_coverage", "coverage_level",
     "diff", "exclusive_regions", "extract_uses", "footprint_from_dict",
-    "footprint_of_corpus", "footprint_to_dict", "is_effectively_extensible", "is_exported",
-    "legal_uses", "merge", "model_from_dict", "model_to_dict", "parse_unit", "popularity",
-    "profile", "static_type_of",
+    "footprint_of_corpus", "footprint_to_dict", "merge", "model_from_dict", "model_to_dict",
+    "parse_unit", "popularity", "profile", "static_type_of",
 ]
 
 READING_LAYERS = {"ucov.nodes", "ucov.lexer", "ucov.parser", "ucov.symtab",

@@ -6,7 +6,7 @@ import pytest
 
 from ucov import CyclicHierarchy, DuplicateSymbol, build_symbol_table, parse_unit
 from ucov import nodes as n
-from ucov.symtab import ROOT_TYPE, UnitContext
+from ucov.symtab import ROOT_TYPE, UnitContext, declarations
 
 
 def table_of(*sources: str):
@@ -25,6 +25,39 @@ def test_fqn_assignment_and_nesting():
 def test_default_package_fqn():
     table = table_of("class A { }")
     assert table.lookup_type("A") is not None
+
+
+def test_declarations_name_scope_and_type_parameters():
+    units = [
+        parse_unit("package p.q; public class A<T> { class B<U> { interface C { } } }",
+                   "S0.java"),
+        parse_unit("class D { } class E { }", "S1.java"),
+    ]
+    table = build_symbol_table(units)
+    declared = declarations(units, table)
+    assert [d.fqn for d in declared] == list(table.types)
+    assert [d.fqn for d in declared] == ["p.q.A", "p.q.A.B", "p.q.A.B.C", "D", "E"]
+    by_fqn = {d.fqn: d for d in declared}
+    assert by_fqn["p.q.A"].scope == ("p.q.A",)
+    assert by_fqn["p.q.A.B.C"].scope == ("p.q.A", "p.q.A.B", "p.q.A.B.C")
+    assert by_fqn["D"].scope == ("D",)
+    assert by_fqn["p.q.A"].type_params == {"T"}
+    assert by_fqn["p.q.A.B"].type_params == {"T", "U"}
+    assert by_fqn["p.q.A.B.C"].type_params == {"T", "U"}
+    assert by_fqn["E"].type_params == frozenset()
+    assert by_fqn["p.q.A.B.C"].decl.simple_name == "C"
+    assert by_fqn["p.q.A.B"].ctx is by_fqn["p.q.A"].ctx
+    assert by_fqn["D"].ctx.package == "" and by_fqn["p.q.A"].ctx.package == "p.q"
+    assert all(d.ctx.table is table for d in declared)
+
+
+def test_units_with_the_same_path_keep_their_own_imports():
+    units = [
+        parse_unit("package a; public class Base { }", "X.java"),
+        parse_unit("package c; public class Base { }", "Y.java"),
+        parse_unit("package b; import c.Base; public class C extends Base { }", "X.java"),
+    ]
+    assert build_symbol_table(units).lookup_type("b.C").supertypes == ("c.Base",)
 
 
 def test_synthesized_constructor():
