@@ -17,7 +17,6 @@ from .errors import ParseError
 from .model import Symbol, UsageModel, UseKind
 from .parser import collect_source_files, parse_unit
 from .symtab import (
-    PRIMITIVES,
     Declaration,
     MemberInfo,
     ResolutionStatus,
@@ -27,7 +26,7 @@ from .symtab import (
     declarations,
     erased_signature,
 )
-from .typing_env import Env, Link, Unknown, bare_name, link_of, static_type_of
+from .typing_env import Env, Link, Unknown, bare_name, declared_type, link_of, static_type_of
 from .uses import (  # noqa: F401 - the values and their JSON form, re-exported
     Diagnostic,
     DiagnosticKind,
@@ -104,7 +103,6 @@ class _Extractor:
         self.lib_table = model.table
         self.triples: set[UseTriple] = set()
         self.diagnostics: list[Diagnostic] = []
-        self.return_type_stack: list[Optional[str]] = []
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -114,11 +112,8 @@ class _Extractor:
     def is_library_type(self, fqn: str) -> bool:
         return self.lib_table.lookup_type(fqn) is not None
 
-    def emit(self, symbol: Optional[Symbol], use: UseKind, loc: n.Location) -> None:
-        if symbol is None:
-            return
-        legal = self.model.entries.get(symbol)
-        if legal is not None and use in legal:
+    def emit(self, symbol: Symbol, use: UseKind, loc: n.Location) -> None:
+        if use in self.model.entries[symbol]:
             self.triples.add(UseTriple(symbol, use, loc))
         else:
             self.diag(
@@ -206,14 +201,7 @@ class _Extractor:
                 break
         if superclass is None or not self.is_library_type(superclass.fqn):
             return
-        zero_arg = next(
-            (
-                m
-                for m in superclass.members
-                if m.kind is n.MemberKind.CONSTRUCTOR and not m.param_types
-            ),
-            None,
-        )
+        zero_arg = self.table.resolve_constructor(superclass.fqn, []).member
         if zero_arg is None:
             return
         for member in info.members:
@@ -246,31 +234,17 @@ class _Extractor:
         if member.kind is n.MemberKind.FIELD:
             if member.field_init is not None:
                 env = type_env.child()
-                expected = type_env.erase(member.field_type) if member.field_type else None
+                expected = declared_type(member.field_type, env) if member.field_type else None
                 self.visit_expr(member.field_init, env, expected=expected)
             return
         if member.body is None:
             return
         env = type_env.child()
         for p in member.params:
-            env.declare(p.name, self._declared_type(p.type_ref, env))
-        if member.kind is n.MemberKind.METHOD and member.return_type is not None:
-            self.return_type_stack.append(env.erase(member.return_type))
-        else:
-            self.return_type_stack.append(None)
+            env.declare(p.name, declared_type(p.type_ref, env))
+        if member.return_type is not None:
+            env.returns = declared_type(member.return_type, env)
         self.visit_block(member.body, env)
-        self.return_type_stack.pop()
-
-    def _declared_type(self, ref: n.TypeRef, env: Env) -> Optional[str]:
-        if not ref.name:
-            return Unknown
-        erased = env.erase(ref)
-        base = erased.rstrip("[]")
-        if base in PRIMITIVES:
-            return erased
-        if self.table.lookup_type(base) is not None:
-            return erased
-        return Unknown
 
     # -- statements ------------------------------------------------------------
 
@@ -284,10 +258,10 @@ class _Extractor:
             self.visit_block(stmt, env)
         elif isinstance(stmt, n.LocalDecl):
             self._type_reference(stmt.type_ref, env)
-            declared = self._declared_type(stmt.type_ref, env)
+            declared = declared_type(stmt.type_ref, env)
             env.declare(stmt.name, declared)
             if stmt.init is not None:
-                self.visit_expr(stmt.init, env, expected=env.erase(stmt.type_ref))
+                self.visit_expr(stmt.init, env, expected=declared)
         elif isinstance(stmt, n.ExprStmt):
             self.visit_expr(stmt.expr, env)
         elif isinstance(stmt, n.If):
@@ -309,8 +283,7 @@ class _Extractor:
             self.visit_stmt(stmt.body, inner.child())
         elif isinstance(stmt, n.Return):
             if stmt.expr is not None:
-                expected = self.return_type_stack[-1] if self.return_type_stack else None
-                self.visit_expr(stmt.expr, env, expected=expected)
+                self.visit_expr(stmt.expr, env, expected=env.returns)
         elif isinstance(stmt, n.Throw):
             self.visit_expr(stmt.expr, env)
         elif isinstance(stmt, n.Try):
@@ -318,7 +291,7 @@ class _Extractor:
             for catch in stmt.catches:
                 self._type_reference(catch.param_type, env)
                 inner = env.child()
-                inner.declare(catch.name, self._declared_type(catch.param_type, inner))
+                inner.declare(catch.name, declared_type(catch.param_type, inner))
                 self.visit_block(catch.body, inner)
             if stmt.finally_block is not None:
                 self.visit_block(stmt.finally_block, env)
@@ -538,10 +511,11 @@ class _Extractor:
                     self.emit(sym, UseKind.IMPLEMENTATION, expr.location)
                     self.emit_member_use(sam, UseKind.OVERRIDING, expr.location)
         inner = env.child()
+        inner.returns = sam.return_type if sam is not None else Unknown
         for i, p in enumerate(expr.params):
             if p.type_ref.name:
                 self._type_reference(p.type_ref, env)
-                inner.declare(p.name, self._declared_type(p.type_ref, inner))
+                inner.declare(p.name, declared_type(p.type_ref, inner))
             elif sam is not None and i < len(sam.param_types):
                 inner.declare(p.name, sam.param_types[i])
             else:
@@ -549,5 +523,4 @@ class _Extractor:
         if isinstance(expr.body, n.Block):
             self.visit_block(expr.body, inner)
         else:
-            ret = sam.return_type if sam is not None else None
-            self.visit_expr(expr.body, inner, expected=ret)
+            self.visit_expr(expr.body, inner, expected=inner.returns)

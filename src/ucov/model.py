@@ -59,14 +59,13 @@ class Symbol:
 
     Identity is ``(fqn, kind, signature)``: types are identified by FQN,
     members by FQN and erased signature, and the kind tells a field from a
-    nested type of the same name. ``declaring_type`` and ``modifiers`` are
-    carried along but take no part in equality or hashing.
+    nested type of the same name. ``modifiers`` are carried along but take
+    no part in equality or hashing.
     """
 
     fqn: str
     kind: SymbolKind
     signature: Optional[str] = None  # erased; methods and constructors only
-    declaring_type: Optional[str] = field(default=None, compare=False)  # members only
     modifiers: frozenset[str] = field(default=frozenset(), compare=False)
 
     def sort_key(self) -> tuple[str, str, str]:
@@ -74,7 +73,7 @@ class Symbol:
 
     def __str__(self) -> str:
         if self.kind in (SymbolKind.METHOD, SymbolKind.CONSTRUCTOR):
-            return f"{self.declaring_type}.{self.signature}"
+            return f"{self.fqn.rsplit('.', 1)[0]}.{self.signature}"
         return self.fqn
 
 
@@ -217,7 +216,6 @@ def build_sum(
                     fqn=member.fqn,
                     kind=SymbolKind[member.kind.name],
                     signature=member.signature,
-                    declaring_type=member.declaring,
                     modifiers=member.modifiers,
                 )
                 entries[msym] = _member_uses(member, ext)
@@ -335,15 +333,10 @@ def model_from_dict(data: dict) -> UsageModel:
     entries: dict[Symbol, frozenset[UseKind]] = {}
     use_sets: dict[tuple[str, ...], frozenset[UseKind]] = {}  # a handful, shared
     for s in data["symbols"]:
-        kind = SymbolKind(s["kind"])
-        declaring = None
-        if kind not in _TYPE_KINDS:
-            declaring = s["fqn"].rsplit(".", 1)[0]
         sym = Symbol(
             fqn=s["fqn"],
-            kind=kind,
+            kind=SymbolKind(s["kind"]),
             signature=s["signature"],
-            declaring_type=declaring,
             modifiers=frozenset(s["modifiers"]),
         )
         names = tuple(s["uses"])

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Union
 
 from . import nodes as n
-from .symtab import MemberInfo, ResolutionStatus, SymbolTable, UnitContext
+from .symtab import PRIMITIVES, MemberInfo, ResolutionStatus, SymbolTable, UnitContext
 
 Unknown = None
 
@@ -40,6 +40,11 @@ class Link(NamedTuple):
 class Env:
     """Lexical environment mapping in-scope names to declared type FQNs.
 
+    ``returns`` is the expected type of a ``return`` in this scope: the
+    declared return type of the enclosing method, or the return type of
+    the enclosing lambda's single abstract method; Unknown when there is
+    none. Child scopes inherit it.
+
     ``links`` holds the record of every chain link typed in this scope,
     keyed by the node (AST nodes hash by identity). Child scopes share it;
     a root environment (one per type body) starts its own, so memory is
@@ -62,6 +67,7 @@ class Env:
         self.type_params = type_params
         self.parent = parent
         self.vars: dict[str, Optional[str]] = {}
+        self.returns: Optional[str] = parent.returns if parent is not None else Unknown
         self.links: dict[ChainLink, Link] = parent.links if parent is not None else {}
 
     def child(self) -> "Env":
@@ -85,6 +91,19 @@ class Env:
 
     def erase(self, ref: n.TypeRef) -> str:
         return self.ctx.erase(ref, self.enclosing, self.type_params)
+
+
+def declared_type(ref: n.TypeRef, env: Env) -> Optional[str]:
+    """Static type a declared type reference denotes: its erasure, array
+    dimensions kept, when that is a primitive or a known type; otherwise
+    Unknown. An untyped lambda parameter's empty name is Unknown too."""
+    if not ref.name:
+        return Unknown
+    erased = env.erase(ref)
+    base = erased.rstrip("[]")
+    if base in PRIMITIVES or env.table.lookup_type(base) is not None:
+        return erased
+    return Unknown
 
 
 def as_type_name(expr: n.Expr, env: Env) -> Optional[str]:
@@ -142,14 +161,8 @@ def static_type_of(expr: n.Expr, env: Env) -> Optional[str]:
             return _LITERAL_TYPES.get(expr.kind, Unknown)
         if isinstance(expr, n.This):
             return env.this_type
-        if isinstance(expr, n.New):
-            fqn, known = env.resolve_type(expr.type_ref.name)
-            return fqn if known else Unknown
-        if isinstance(expr, n.Cast):
-            if expr.type_ref.name in ("int", "boolean", "char"):
-                return expr.type_ref.name
-            fqn, known = env.resolve_type(expr.type_ref.name)
-            return fqn if known else Unknown
+        if isinstance(expr, (n.New, n.Cast)):
+            return declared_type(expr.type_ref, env)
         if isinstance(expr, n.Assign):
             expr = expr.target
         elif isinstance(expr, n.Binary):

@@ -325,6 +325,76 @@ def test_call_on_a_name_that_is_both_a_type_and_a_field_uses_the_type():
     assert got == oracle_extract(units, model)
 
 
+def typed_extract(lib: dict[str, str], client_src: str):
+    """The located triples and diagnostics of one client file against a
+    library of one unit per type; the triples must agree with the oracle."""
+    model = build_sum([parse_unit(src, f"{name}.java") for name, src in lib.items()], "p")
+    units = [parse_unit(client_src, "C.java")]
+    fp = extract_uses(units, model)
+    got = {(t.symbol.fqn, t.symbol.signature, t.use, t.location) for t in fp.triples}
+    assert got == oracle_extract(units, model)
+    return located(fp), fp.diagnostics
+
+
+def test_an_array_cast_is_not_typed_as_its_element_type():
+    triples, diagnostics = typed_extract(
+        {"Foo": "package p; public class Foo { public Foo() { } public void bar() { } }"},
+        "import p.Foo; class C { void m(Object o) { ((Foo[]) o).bar(); } }",
+    )
+    assert triples == {("p.Foo", None, U.TYPE_REFERENCE, 1)}
+    assert diagnostics == []
+
+
+FUNCTIONS = {
+    "Fn": "package p; public interface Fn { Object apply(Object x); }",
+    "Gn": "package p; public interface Gn { Object go(Object x); }",
+    "Sup": "package p; public interface Sup { Fn get(); }",
+}
+SUP_LAMBDA = [
+    ("p.Sup", None, U.TYPE_REFERENCE, 2),
+    ("p.Sup", None, U.IMPLEMENTATION, 2),
+    ("p.Sup.get", "get()", U.OVERRIDING, 2),
+    ("p.Fn", None, U.IMPLEMENTATION, 3),
+    ("p.Fn.apply", "apply(Object)", U.OVERRIDING, 3),
+]
+
+
+def test_a_block_lambda_return_targets_the_lambda_return_type():
+    triples, diagnostics = typed_extract(
+        FUNCTIONS,
+        "package p; class C { void m() {\n"
+        "  Sup s = () -> {\n"
+        "    return (y) -> y; }; } }",
+    )
+    assert triples == set(SUP_LAMBDA)
+    assert diagnostics == []
+
+
+def test_a_block_lambda_return_does_not_target_the_method_return_type():
+    triples, diagnostics = typed_extract(
+        FUNCTIONS,
+        "package p; class C { Gn m() {\n"
+        "  Sup s = () -> {\n"
+        "    return (y) -> y; }; return null; } }",
+    )
+    assert triples == {("p.Gn", None, U.TYPE_REFERENCE, 1), *SUP_LAMBDA}
+    assert diagnostics == []
+
+
+def test_a_return_in_a_nested_block_targets_the_method_return_type():
+    triples, diagnostics = typed_extract(
+        FUNCTIONS,
+        "package p; class C { Gn m(boolean b) {\n"
+        "  if (b) { return (z) -> z; } return null; } }",
+    )
+    assert triples == {
+        ("p.Gn", None, U.TYPE_REFERENCE, 1),
+        ("p.Gn", None, U.IMPLEMENTATION, 2),
+        ("p.Gn.go", "go(Object)", U.OVERRIDING, 2),
+    }
+    assert diagnostics == []
+
+
 FIXTURE_GROUPS = sorted(
     (corpus.name, group.name)
     for corpus in FIXTURES.iterdir()

@@ -195,13 +195,13 @@ def test_arraylist_model(arraylist_model):
 
 
 def test_symbol_identity_is_fqn_kind_and_signature():
-    field = Symbol("a.B.C", SymbolKind.FIELD, None, "a.B", frozenset({"public"}))
+    field = Symbol("a.B.C", SymbolKind.FIELD, None, frozenset({"public"}))
     bare = Symbol("a.B.C", SymbolKind.FIELD)
     assert field == bare and hash(field) == hash(bare)
     assert field != Symbol("a.B.C", SymbolKind.CLASS)
-    method = Symbol("a.B.f", SymbolKind.METHOD, "f()", "a.B", frozenset({"public"}))
-    assert method == Symbol("a.B.f", SymbolKind.METHOD, "f()", "x.Y", frozenset({"static"}))
-    assert method != Symbol("a.B.f", SymbolKind.METHOD, "f(int)", "a.B")
+    method = Symbol("a.B.f", SymbolKind.METHOD, "f()", frozenset({"public"}))
+    assert method == Symbol("a.B.f", SymbolKind.METHOD, "f()", frozenset({"static"}))
+    assert method != Symbol("a.B.f", SymbolKind.METHOD, "f(int)")
 
 
 def test_is_exported_agrees_with_the_model():
@@ -211,9 +211,9 @@ def test_is_exported_agrees_with_the_model():
     )
     assert Symbol("p.A.y", SymbolKind.FIELD) in model.entries
     assert Symbol("p.A.y", SymbolKind.CLASS) in model.entries
-    assert Symbol("p.A.x", SymbolKind.FIELD, None, "p.A") not in model.entries
-    assert Symbol("p.A.g", SymbolKind.METHOD, "g()", "p.A") not in model.entries
-    assert Symbol("p.A.y", SymbolKind.METHOD, None, "p.A") not in model.entries
+    assert Symbol("p.A.x", SymbolKind.FIELD) not in model.entries
+    assert Symbol("p.A.g", SymbolKind.METHOD, "g()") not in model.entries
+    assert Symbol("p.A.y", SymbolKind.METHOD) not in model.entries
 
 
 def test_model_entries_are_sorted():

@@ -5,9 +5,10 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from ucov import build_symbol_table, parse_unit, typing_env
+from ucov import build_sum, build_symbol_table, extract_uses, parse_unit, typing_env
+from ucov.nodes import TypeRef
 from ucov.symtab import ResolutionStatus, UnitContext
-from ucov.typing_env import Env, Unknown, as_type_name, static_type_of
+from ucov.typing_env import Env, Unknown, as_type_name, declared_type, static_type_of
 
 LIB = """
 package lib;
@@ -77,6 +78,44 @@ def test_field_and_cast_types():
     assert type_of("c.count", {"c": "lib.Conn"}) == "int"
     assert type_of("(Doc) x", {"x": Unknown}) == "lib.Doc"
     assert type_of("x == null", {"x": Unknown}) == "boolean"
+
+
+def ref_of(src: str) -> TypeRef:
+    unit = parse_unit(f"class W {{ void w() {{ {src} v; }} }}", "W.java")
+    return unit.types[0].members[0].body.statements[0].type_ref
+
+
+def test_declared_type_keeps_primitives_arrays_and_known_types():
+    _, env = setup_env()
+    assert declared_type(ref_of("int"), env) == "int"
+    assert declared_type(ref_of("long"), env) == "long"
+    assert declared_type(ref_of("Doc[]"), env) == "lib.Doc[]"
+    assert declared_type(ref_of("Nowhere"), env) is Unknown
+    # a type parameter erases to java.lang.Object, which this table lacks
+    generic = Env(env.table, env.ctx, type_params=frozenset({"T"}))
+    assert declared_type(ref_of("T"), generic) is Unknown
+    # an untyped lambda parameter
+    assert declared_type(TypeRef(""), env) is Unknown
+
+
+def test_casts_and_new_are_typed_like_declarations():
+    _, env = setup_env({"o": Unknown, "x": "int"})
+    for src, ref, want in (
+        ("(Doc[]) o", "Doc[]", "lib.Doc[]"),
+        ("(long) x", "long", "long"),
+        ("new Doc()", "Doc", "lib.Doc"),
+    ):
+        assert static_type_of(expr_of(src), env) == declared_type(ref_of(ref), env) == want
+
+
+def test_a_primitive_cast_receiver_is_diagnosed_like_a_primitive_variable():
+    model = build_sum([parse_unit(DOC, "Doc.java")], "lib")
+
+    def diagnostics(body: str):
+        unit = parse_unit(f"class C {{ void m(int x) {{ {body} }} }}", "C.java")
+        return extract_uses([unit], model).diagnostics
+
+    assert diagnostics("((long) x).bar();") == diagnostics("long y; y.bar();") == []
 
 
 def test_as_type_name_respects_shadowing():
