@@ -9,25 +9,23 @@ Commands:
   ucov profile --sum sum.json [--suf f.json]
 
 Exit codes: 0 success, 1 usage/consistency error, 2 parse error (strict
-mode), 3 internal failure. UCOV_LOG={error,warn,info,debug} controls
-logging verbosity.
+mode), 3 internal failure. Warnings go to standard error; UCOV_LOG=error
+hides them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, TypeVar
 
 from . import footprint as suf
 from . import metrics, uses
 from . import model as models, parser as frontend
-from .errors import ParseError, UcovError
+from .errors import ParseError, UcovError, warn
 
 if TYPE_CHECKING:
     from .model import UsageModel
@@ -36,8 +34,6 @@ if TYPE_CHECKING:
 # Each layer runs the first time a command uses it (see ``ucov/__init__``),
 # so ``coverage``, ``compare`` and ``profile`` never run the frontend, the
 # symbol table or the extractor.
-
-log = logging.getLogger("ucov")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,40 +45,23 @@ class UsageError(UcovError):
     pass
 
 
-@dataclass
-class CorpusConfig:
-    groups: dict[str, list[str]] = field(default_factory=dict)
-    lenient: bool = True
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorpusConfig":
-        groups = data.get("groups", {})
-        if not isinstance(groups, dict) or not all(
-            isinstance(roots, list) and all(isinstance(r, str) for r in roots)
-            for roots in groups.values()
-        ):
-            raise UsageError("corpus config groups must map labels to lists of roots")
-        if "" in groups:
-            raise UsageError("corpus config labels must be non-empty")
-        for label in groups:  # each label names a file in the output directory
-            if "/" in label or "\\" in label:
-                raise UsageError(f"corpus config label {label!r} contains a path separator")
-        lenient = data.get("lenient", True)
-        if not isinstance(lenient, bool):
-            raise UsageError("corpus config lenient must be true or false")
-        return cls(groups=groups, lenient=lenient)
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("UCOV_LOG", "warn").lower()
-    level = {
-        "error": logging.ERROR,
-        "warn": logging.WARNING,
-        "warning": logging.WARNING,
-        "info": logging.INFO,
-        "debug": logging.DEBUG,
-    }.get(level_name, logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+def _corpus_config(data: dict) -> tuple[dict[str, list[str]], bool]:
+    """The labeled groups of roots and the lenient flag of a corpus config."""
+    groups = data.get("groups", {})
+    if not isinstance(groups, dict) or not all(
+        isinstance(roots, list) and all(isinstance(r, str) for r in roots)
+        for roots in groups.values()
+    ):
+        raise UsageError("corpus config groups must map labels to lists of roots")
+    if "" in groups:
+        raise UsageError("corpus config labels must be non-empty")
+    for label in groups:  # each label names a file in the output directory
+        if "/" in label or "\\" in label:
+            raise UsageError(f"corpus config label {label!r} contains a path separator")
+    lenient = data.get("lenient", True)
+    if not isinstance(lenient, bool):
+        raise UsageError("corpus config lenient must be true or false")
+    return groups, lenient
 
 
 def _dump_json(data: dict) -> str:
@@ -191,10 +170,10 @@ def cmd_suf(args: argparse.Namespace) -> int:
         raise UsageError("--config defines the labels; --label cannot be used with it")
     model = _load_model(args.sum, resolve=True)
     if args.config:
-        config = _read_json(args.config, CorpusConfig.from_dict, unique_keys=True)
-        if not config.groups:
+        groups, lenient = _read_json(args.config, _corpus_config, unique_keys=True)
+        if not groups:
             raise UsageError("corpus config defines no groups")
-        groups, lenient = config.groups, args.lenient or config.lenient
+        lenient = args.lenient or lenient
     else:
         if not args.roots:
             raise UsageError("at least one client root is required")
@@ -283,7 +262,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.suf:
         fp = _load_footprint(args.suf, model)
         if not fp.triples:
-            log.warning("footprint %r is empty; profile weights are all zero", fp.label)
+            warn(f"footprint {fp.label!r} is empty; profile weights are all zero")
         dist = metrics.profile(fp)
     else:
         dist = metrics.profile(model)
@@ -338,7 +317,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _setup_logging()
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
@@ -353,7 +331,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive
-        log.exception("internal failure")
+        import traceback
+
+        print("ERROR ucov: internal failure", file=sys.stderr)
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

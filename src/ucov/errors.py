@@ -1,6 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one warning channel."""
 
 from __future__ import annotations
+
+import os
+import sys
+
+
+def warn(message: str) -> None:
+    """Print ``WARNING ucov: <message>`` to standard error, unless
+    ``UCOV_LOG=error``."""
+    if os.environ.get("UCOV_LOG", "warn").lower() != "error":
+        print(f"WARNING ucov: {message}", file=sys.stderr)
 
 
 class UcovError(Exception):

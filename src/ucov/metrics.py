@@ -3,18 +3,14 @@ regions derived from a usage model and one or more footprints."""
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
-from .errors import ModelMismatch, UnknownSymbol
+from .errors import ModelMismatch, UnknownSymbol, warn
 from .uses import Footprint
 from .model import Symbol, UsageModel, UsePair, UseKind, level_key
-
-log = logging.getLogger("ucov")
 
 
 class CoverageLevel(Enum):
@@ -23,8 +19,7 @@ class CoverageLevel(Enum):
     NONE = "None"
 
 
-@dataclass
-class CoverageReport:
+class CoverageReport(NamedTuple):
     covered_symbols: set[Symbol]
     covered_uses: set[UsePair]
     symbol_coverage: Fraction
@@ -35,14 +30,12 @@ class CoverageReport:
     total_uses: int
 
 
-@dataclass
-class ProfileDistribution:
+class ProfileDistribution(NamedTuple):
     weights: dict[UseKind, Fraction]
     basis: str  # "LegalUses" or "ActualUniqueUses"
 
 
-@dataclass
-class IntersectionRegions:
+class IntersectionRegions(NamedTuple):
     labels: list[str]
     regions: dict[frozenset[str], int]
 
@@ -74,13 +67,13 @@ def compute_coverage(model: UsageModel, fp: Footprint) -> CoverageReport:
     covered_symbols = set(hits)
     legal_uses = len(model.legal_pairs)
     if not model.entries:
-        log.warning("coverage over an empty API is vacuously 1.0")
+        warn("coverage over an empty API is vacuously 1.0")
         symbol_coverage = Fraction(1)
     else:
         symbol_coverage = Fraction(len(covered_symbols), len(model.entries))
     if not legal_uses:
         if model.entries:
-            log.warning("model has no legal uses; use coverage is vacuously 1.0")
+            warn("model has no legal uses; use coverage is vacuously 1.0")
         use_coverage = Fraction(1)
     else:
         use_coverage = Fraction(len(covered_uses), legal_uses)
@@ -126,18 +119,11 @@ def popularity(fp: Footprint, by: str = "SymbolUse") -> list[tuple[object, int]]
     (symbol, use) pair). Ties are broken by symbol order, then by use, so
     the ranking is deterministic.
     """
-    counts: dict[object, int] = {}
-    for t in fp.triples:
-        key: object = t.symbol if by == "Symbol" else (t.symbol, t.use)
-        counts[key] = counts.get(key, 0) + 1
-
-    def tie_break(key: object) -> tuple:
-        if isinstance(key, tuple):
-            sym, use = key
-            return (sym.sort_key(), use.value)
-        return key.sort_key()
-
-    return sorted(counts.items(), key=lambda kv: (-kv[1], tie_break(kv[0])))
+    if by == "Symbol":
+        counts = Counter(t.symbol for t in fp.triples)
+        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0].sort_key()))
+    counts = Counter(t.pair for t in fp.triples)
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0][0].sort_key(), kv[0][1].value))
 
 
 def profile(basis: Union[UsageModel, Footprint]) -> ProfileDistribution:

@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 from . import nodes as n, symtab  # run when first used: reading a model needs neither
-from .errors import ModelMismatch
+from .errors import ModelMismatch, warn
 
 if TYPE_CHECKING:
     from .symtab import MemberInfo, SymbolTable, TypeInfo
-
-log = logging.getLogger("ucov")
 
 
 class UseKind(Enum):
@@ -53,20 +49,16 @@ TYPE_USES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """A uniquely identified library declaration.
+class Symbol(NamedTuple):
+    """A uniquely identified library declaration, and nothing more.
 
-    Identity is ``(fqn, kind, signature)``: types are identified by FQN,
-    members by FQN and erased signature, and the kind tells a field from a
-    nested type of the same name. ``modifiers`` are carried along but take
-    no part in equality or hashing.
+    Types are identified by FQN, members by FQN and erased signature, and
+    the kind tells a field from a nested type of the same name.
     """
 
     fqn: str
     kind: SymbolKind
     signature: Optional[str] = None  # erased; methods and constructors only
-    modifiers: frozenset[str] = field(default=frozenset(), compare=False)
 
     def sort_key(self) -> tuple[str, str, str]:
         return (self.fqn, self.signature or "", self.kind.value)
@@ -171,10 +163,9 @@ class UsageModel:
                 shared.append(f"{keys[key].kind.value} and {sym.kind.value} {key}")
             keys[key] = sym
         if shared:
-            log.warning(
+            warn(
                 "coverage levels share a key and show only the second symbol's "
-                "level: %s",
-                "; ".join(shared),
+                f"level: {'; '.join(shared)}"
             )
         return keys
 
@@ -206,19 +197,11 @@ def build_sum(
         if not exported:
             continue
         ext = extensible[info.fqn] = _is_extensible(info)
-        kind = SymbolKind.CLASS if info.kind is n.TypeKind.CLASS else SymbolKind.INTERFACE
-        entries[Symbol(fqn=info.fqn, kind=kind, modifiers=info.modifiers)] = _type_uses(
-            info, ext
-        )
+        entries[Symbol(info.fqn, SymbolKind[info.kind.name])] = _type_uses(info, ext)
         for member in info.members:
             if _accessible(member.visibility(), ext):
-                msym = Symbol(
-                    fqn=member.fqn,
-                    kind=SymbolKind[member.kind.name],
-                    signature=member.signature,
-                    modifiers=member.modifiers,
-                )
-                entries[msym] = _member_uses(member, ext)
+                sym = Symbol(member.fqn, SymbolKind[member.kind.name], member.signature)
+                entries[sym] = _member_uses(member, ext)
     ordered = dict(sorted(entries.items(), key=lambda kv: kv[0].sort_key()))
     return UsageModel(library_name, ordered, table)
 
@@ -278,20 +261,15 @@ def _member_uses(member: MemberInfo, extensible: bool) -> frozenset[UseKind]:
 def model_to_dict(model: UsageModel) -> dict:
     """Serializable form: the normative symbol list plus a resolution
     section (type hierarchy, member types) so client analysis can run from
-    the serialized model alone."""
-    symbols = [
-        {
-            "fqn": sym.fqn,
-            "kind": sym.kind.value,
-            "signature": sym.signature,
-            "modifiers": sorted(sym.modifiers),
-            "uses": sorted(u.value for u in uses),
-        }
-        for sym, uses in model.sorted_entries
-    ]
+    the serialized model alone. Each symbol's modifiers are those of its
+    declaration in the resolution section."""
+    kind_of = {k: SymbolKind[k.name] for k in (*n.TypeKind, *n.MemberKind)}
+    # by (fqn, kind, signature): a plain tuple equals the Symbol of that content
+    modifiers: dict[tuple, frozenset[str]] = {}
     types = []
     members = []
     for info in sorted(model.table.own_types(), key=lambda t: t.fqn):
+        modifiers[(info.fqn, kind_of[info.kind], None)] = info.modifiers
         types.append(
             {
                 "fqn": info.fqn,
@@ -304,6 +282,7 @@ def model_to_dict(model: UsageModel) -> dict:
             }
         )
         for m in sorted(info.members, key=lambda m: (m.name, m.signature or "")):
+            modifiers[(m.fqn, kind_of[m.kind], m.signature)] = m.modifiers
             members.append(
                 {
                     "declaring": m.declaring,
@@ -317,6 +296,16 @@ def model_to_dict(model: UsageModel) -> dict:
                     "synthesized": m.synthesized,
                 }
             )
+    symbols = [
+        {
+            "fqn": sym.fqn,
+            "kind": sym.kind.value,
+            "signature": sym.signature,
+            "modifiers": sorted(modifiers[sym]),
+            "uses": sorted(u.value for u in uses),
+        }
+        for sym, uses in model.sorted_entries
+    ]
     return {
         "library": model.library_name,
         "symbols": symbols,
@@ -326,19 +315,15 @@ def model_to_dict(model: UsageModel) -> dict:
 
 def model_from_dict(data: dict) -> UsageModel:
     """Load a serialized model. Its resolution table is built from the
-    resolution section only when ``table`` is first used."""
+    resolution section only when ``table`` is first used; the symbols'
+    modifiers are not read."""
     resolution = data.get("resolution")
     if resolution is None:
         raise ModelMismatch("model file lacks the resolution section")
     entries: dict[Symbol, frozenset[UseKind]] = {}
     use_sets: dict[tuple[str, ...], frozenset[UseKind]] = {}  # a handful, shared
     for s in data["symbols"]:
-        sym = Symbol(
-            fqn=s["fqn"],
-            kind=SymbolKind(s["kind"]),
-            signature=s["signature"],
-            modifiers=frozenset(s["modifiers"]),
-        )
+        sym = Symbol(s["fqn"], SymbolKind(s["kind"]), s["signature"])
         names = tuple(s["uses"])
         uses = use_sets.get(names)
         if uses is None:

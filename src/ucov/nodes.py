@@ -57,7 +57,7 @@ class Param:
 @dataclass(eq=False)
 class Literal:
     value: object
-    kind: str  # int, string, char, boolean, null
+    kind: str  # int, long, float, double, string, char, boolean, null
     location: Location
 
 

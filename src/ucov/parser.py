@@ -482,7 +482,7 @@ class _Parser:
         tok = self.peek()
         if tok.type == "INT":
             self.advance()
-            return n.Literal(tok.value, "int", self.loc(tok))
+            return n.Literal(tok.value, _number_kind(tok.value), self.loc(tok))
         if tok.type == "STRING":
             self.advance()
             return n.Literal(tok.value, "string", self.loc(tok))
@@ -594,6 +594,21 @@ class _Parser:
             return None
         operand = self.parse_unary()
         return n.Cast(type_ref, operand, self.loc(head))
+
+
+def _number_kind(text: str) -> str:
+    """The primitive type of a numeric literal, read off its form in any
+    case: an ``L`` suffix makes a long, a hex number is otherwise an int,
+    an ``F`` suffix makes a float, and a point, an exponent or a ``D``
+    suffix a double."""
+    text = text.lower()
+    if text.endswith("l"):
+        return "long"
+    if text.startswith("0x"):
+        return "int"
+    if text.endswith("f"):
+        return "float"
+    return "double" if text.endswith("d") or "." in text or "e" in text else "int"
 
 
 def parse_unit(text: str, path: str) -> n.SourceUnit:

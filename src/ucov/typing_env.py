@@ -141,6 +141,9 @@ def bare_name(expr: n.Name, env: Env) -> tuple[Optional[str], Optional[MemberInf
 
 _LITERAL_TYPES = {
     "int": "int",
+    "long": "long",
+    "float": "float",
+    "double": "double",
     "boolean": "boolean",
     "char": "char",
     "string": "java.lang.String",

@@ -4,16 +4,14 @@ form, without the frontend or the extractor (``ucov.nodes`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ModelMismatch
 from .model import TYPE_USES, Symbol, UsageModel, UseKind, UsePair
 
 
-@dataclass(frozen=True, order=True)
-class Location:
+class Location(NamedTuple):
     file: str
     line: int
     column: int
@@ -29,15 +27,13 @@ class DiagnosticKind(Enum):
     PARSE_ERROR = "ParseError"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     location: Location
     kind: DiagnosticKind
     message: str
 
 
-@dataclass(frozen=True)
-class UseTriple:
+class UseTriple(NamedTuple):
     symbol: Symbol
     use: UseKind
     location: Location
@@ -50,12 +46,15 @@ class UseTriple:
         return (self.symbol.sort_key(), self.use.value, self.location)
 
 
-@dataclass
 class Footprint:
-    label: str
-    library: str
-    triples: set[UseTriple] = field(default_factory=set)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    """The located uses of a labeled client corpus, and its diagnostics."""
+
+    def __init__(self, label: str, library: str, triples: Optional[set[UseTriple]] = None,
+                 diagnostics: Optional[list[Diagnostic]] = None) -> None:
+        self.label = label
+        self.library = library
+        self.triples = set() if triples is None else triples
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def unique_uses(self) -> set[UsePair]:

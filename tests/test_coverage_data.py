@@ -262,6 +262,53 @@ def test_colliding_level_keys_warn_and_keep_the_json(tmp_path):
     assert [r["levels"]["a.B.C"] for r in reports] == ["Partial", "None", "Partial"]
 
 
+def colliding_coverage(tmp_path, ucov_log) -> list[str]:
+    """The warning lines of ``coverage`` over the colliding library's two
+    footprints, run with ``UCOV_LOG`` set to ``ucov_log`` (unset if None)."""
+    (tmp_path / "lib" / "a").mkdir(parents=True)
+    (tmp_path / "lib" / "a" / "B.java").write_text(COLLIDING_LIB)
+    sum_path = tmp_path / "sum.json"
+    assert main(["sum", str(tmp_path / "lib"), "-o", str(sum_path)]) == 0
+    sufs = []
+    for label, text in COLLIDING_CLIENTS.items():
+        (tmp_path / label).mkdir()
+        (tmp_path / label / "C.java").write_text(text)
+        sufs.append(str(tmp_path / f"{label}.json"))
+        assert main(["suf", "--sum", str(sum_path), "--label", label, str(tmp_path / label),
+                     "-o", sufs[-1]]) == 0
+    env = {k: v for k, v in os.environ.items() if k != "UCOV_LOG"}
+    env["PYTHONPATH"] = str(SRC)
+    if ucov_log is not None:
+        env["UCOV_LOG"] = ucov_log
+    run = subprocess.run(
+        [sys.executable, "-m", "ucov.cli", "coverage", "--sum", str(sum_path), *sufs],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return [line for line in run.stderr.splitlines() if line.startswith("WARNING")]
+
+
+@pytest.mark.parametrize("ucov_log", [None, "warn", "info", "debug", "other", "error", "ERROR"])
+def test_a_warning_prints_unless_ucov_log_is_error(tmp_path, ucov_log):
+    shown = ucov_log not in ("error", "ERROR")
+    assert colliding_coverage(tmp_path, ucov_log) == [
+        "WARNING ucov: coverage levels share a key and show only the second symbol's "
+        "level: Class and Field a.B.C"
+    ] * shown
+
+
+def test_symbol_modifiers_are_those_of_the_declaration_of_that_kind(tmp_path):
+    """A field and a nested class share an FQN; each symbol gets its own
+    declaration's modifiers."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "B.java").write_text(COLLIDING_LIB)
+    sum_path = tmp_path / "sum.json"
+    assert main(["sum", str(tmp_path), "-o", str(sum_path)]) == 0
+    symbols = json.loads(sum_path.read_text())["symbols"]
+    modifiers = {(s["fqn"], s["kind"]): s["modifiers"] for s in symbols}
+    assert modifiers[("a.B.C", "Field")] == ["public"]
+    assert modifiers[("a.B.C", "Class")] == ["public", "static"]
+
+
 # ---------------------------------------------------------------------------
 # Profiles
 # ---------------------------------------------------------------------------

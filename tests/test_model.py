@@ -195,12 +195,13 @@ def test_arraylist_model(arraylist_model):
 
 
 def test_symbol_identity_is_fqn_kind_and_signature():
-    field = Symbol("a.B.C", SymbolKind.FIELD, None, frozenset({"public"}))
+    assert Symbol._fields == ("fqn", "kind", "signature")
+    field = Symbol("a.B.C", SymbolKind.FIELD, None)
     bare = Symbol("a.B.C", SymbolKind.FIELD)
     assert field == bare and hash(field) == hash(bare)
     assert field != Symbol("a.B.C", SymbolKind.CLASS)
-    method = Symbol("a.B.f", SymbolKind.METHOD, "f()", frozenset({"public"}))
-    assert method == Symbol("a.B.f", SymbolKind.METHOD, "f()", frozenset({"static"}))
+    method = Symbol("a.B.f", SymbolKind.METHOD, "f()")
+    assert method == Symbol("a.B.f", SymbolKind.METHOD, "f()")
     assert method != Symbol("a.B.f", SymbolKind.METHOD, "f(int)")
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from ucov import build_sum, build_symbol_table, extract_uses, parse_unit, typing_env
+from ucov import UseKind, build_sum, build_symbol_table, extract_uses, parse_unit, typing_env
 from ucov.nodes import TypeRef
 from ucov.symtab import ResolutionStatus, UnitContext
 from ucov.typing_env import Env, Unknown, as_type_name, declared_type, static_type_of
@@ -211,3 +211,31 @@ def test_constructor_resolution():
         table.resolve_constructor("p.A", ["int", "int"]).status
         is ResolutionStatus.UNRESOLVED
     )
+
+
+def test_numeric_literals_are_typed_by_their_form():
+    assert [type_of(t) for t in ("2", "0x1F", "0b101", "017")] == ["int"] * 4
+    assert [type_of(t) for t in ("10L", "10l", "0xFFL")] == ["long"] * 3
+    assert [type_of(t) for t in ("2f", "1.5F", "1e3f")] == ["float"] * 3
+    assert [type_of(t) for t in ("1.5", "1.", "1e3", "1E3", "7d", "7D")] == ["double"] * 6
+
+
+NUMERIC_LIB = "package p; public class A { public void f(int x) { } public void f(double d) { } }"
+
+
+def call_with(arg: str) -> tuple[list[str], list[str]]:
+    """The methods a client call ``a.f(<arg>)`` uses, and its diagnostics' kinds."""
+    model = build_sum([parse_unit(NUMERIC_LIB, "A.java")], "p")
+    client = parse_unit(
+        f"package c; import p.A; class C {{ void g(A a) {{ a.f({arg}); }} }}", "C.java"
+    )
+    fp = extract_uses([client], model)
+    methods = sorted(str(t.symbol) for t in fp.triples if t.use is UseKind.METHOD_INVOCATION)
+    return methods, [d.kind.value for d in fp.diagnostics]
+
+
+def test_a_numeric_argument_picks_the_overload_of_its_type():
+    assert call_with("1.5") == (["p.A.f(double)"], [])
+    assert call_with("2") == (["p.A.f(int)"], [])
+    # primitive widening is not modelled: a long fits neither overload
+    assert call_with("10L") == (["p.A.f(double)"], ["Ambiguous"])

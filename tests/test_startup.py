@@ -60,25 +60,49 @@ def child_env() -> dict:
     return env
 
 
-def modules_after(script: str, *args: str) -> set[str]:
-    """The ucov modules executed in a fresh interpreter that runs ``script``;
-    the script's last line of output is the answer. A module registered but
-    not yet used is still of the lazy module type, not ``ModuleType``."""
-    script += ("\nprint(json.dumps(sorted(name for name, m in sys.modules.items()"
-               " if name.split('.')[0] == 'ucov' and type(m) is types.ModuleType)))")
+def child_json(script: str, *args: str):
+    """Run ``script`` in a fresh interpreter; the JSON of its last line of output."""
     proc = subprocess.run([sys.executable, "-c", "import json, sys, types\n" + script, *args],
                           capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def modules_after(script: str, *args: str) -> set[str]:
+    """The ucov modules executed in a fresh interpreter that runs ``script``.
+    A module registered but not yet used is still of the lazy module type,
+    not ``ModuleType``."""
+    script += ("\nprint(json.dumps(sorted(name for name, m in sys.modules.items()"
+               " if name.split('.')[0] == 'ucov' and type(m) is types.ModuleType)))")
+    return set(child_json(script, *args))
+
+
+COMMAND = "import ucov.cli\nassert ucov.cli.main(sys.argv[1:]) == 0"
 
 
 def command_modules(*args: str) -> set[str]:
-    return modules_after("import ucov.cli\nassert ucov.cli.main(sys.argv[1:]) == 0", *args)
+    return modules_after(COMMAND, *args)
 
 
 def test_importing_the_cli_or_the_package_runs_no_layer():
     assert modules_after("import ucov.cli") == {"ucov", "ucov.cli", "ucov.errors"}
     assert modules_after("import ucov") == {"ucov"}
+
+
+def test_the_cli_and_the_reading_commands_import_no_dataclasses_or_logging(saved):
+    """Against a bare interpreter, not a fixed list: what ``site`` imports
+    differs from host to host."""
+    out, model, sufs = saved
+    every_module = "\nprint(json.dumps(sorted(sys.modules)))"
+    bare = set(child_json("pass" + every_module))
+    for script, args in (("import ucov.cli", ()),
+                         (COMMAND, ("coverage", "--sum", model, *sufs)),
+                         (COMMAND, ("compare", "--sum", model, *sufs,
+                                    "-o", str(out / "regions.json"))),
+                         (COMMAND, ("profile", "--sum", model)),
+                         (COMMAND, ("profile", "--sum", model, "--suf", sufs[0]))):
+        added = set(child_json(script + every_module, *args)) - bare
+        assert not added & {"dataclasses", "logging"}, args[:1]
 
 
 def test_every_module_is_registered_and_bound_at_once():
