@@ -340,4 +340,17 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Under ``python -m ucov.cli`` the process ends without tearing down the
+    # interpreter: every output file is complete when ``main`` returns, and
+    # freeing the parsed inputs, the model and the reports one object at a
+    # time would only cost time. ``os._exit`` skips the final flush of the
+    # standard streams too, so they are flushed here. A flush that fails
+    # leaves the exit to the interpreter, which reports it as it always has.
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process was started without it
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)

@@ -29,15 +29,20 @@ class Token(NamedTuple):
 # ``\r\n``, ``\r`` and ``\n`` each end a line, as in Java; a line end inside
 # a literal leaves it unterminated. ``[^\W\d]`` also admits numerics such as
 # '²' and 'Ⅷ', which ``tokenize`` rejects: an identifier starts with a
-# letter or '_'. ``bad`` is the opening of an unterminated comment or
-# literal, so it precedes the operator '/', and two-character operators
-# precede the one-character ones. A character that no rule takes matches
-# the last, unnamed alternative and leaves ``lastgroup`` None.
+# letter or '_'. A number runs over letters, digits and points; '_' joins
+# two of its digits (hex digits in a hex number), and in a decimal number a
+# sign right after 'e' or 'E' belongs to the literal, so ``1e-5f`` is one
+# literal and ``0x1e-5`` a subtraction, as in Java. ``bad`` is the opening
+# of an unterminated comment or literal, so it precedes the operator '/',
+# and two-character operators precede the one-character ones. A character
+# that no rule takes matches the last, unnamed alternative and leaves
+# ``lastgroup`` None.
 _TOKEN = re.compile(
     r"""
       (?P<skip>   [ \t\r\n]+ | //[^\r\n]* | /\*(?s:.*?)\*/ )
     | (?P<IDENT>  [^\W\d]\w* )
-    | (?P<INT>    \d(?:[^\W_]|\.)* )
+    | (?P<INT>    0[xX](?:[^\W_]|\.|(?<=[0-9A-Fa-f])_+(?=[0-9A-Fa-f]))*
+                | \d(?:[^\W_]|\.|(?<=\d)_+(?=\d)|(?<=[eE])[+-])* )
     | (?P<STRING> "(?:[^"\\\r\n]|\\[^\r\n])*" )
     | (?P<CHAR>   '(?:\\[^\r\n]|[^\\\r\n])' )
     | (?P<bad>    /\* | " | ' )

@@ -14,6 +14,12 @@ if TYPE_CHECKING:
 
 
 class UseKind(Enum):
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with equality. It runs in C, where ``Enum.__hash__`` hashes the
+    # member's name in Python on every set or dict operation on a symbol or
+    # a (symbol, use) pair.
+    __hash__ = object.__hash__
+
     TYPE_REFERENCE = "TypeReference"
     INSTANTIATION = "Instantiation"
     INHERITANCE = "Inheritance"
@@ -28,6 +34,8 @@ class UseKind(Enum):
 
 
 class SymbolKind(Enum):
+    __hash__ = object.__hash__  # as for UseKind
+
     CLASS = "Class"
     INTERFACE = "Interface"
     METHOD = "Method"

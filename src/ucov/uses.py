@@ -47,18 +47,23 @@ class UseTriple(NamedTuple):
 
 
 class Footprint:
-    """The located uses of a labeled client corpus, and its diagnostics."""
+    """The located uses of a labeled client corpus, and its diagnostics.
+
+    ``unique_uses``, the set of (symbol, use) pairs of ``triples``, is fixed
+    at construction: it is computed from ``triples`` unless a caller that
+    already has it passes it. ``triples`` must not change afterwards.
+    """
 
     def __init__(self, label: str, library: str, triples: Optional[set[UseTriple]] = None,
-                 diagnostics: Optional[list[Diagnostic]] = None) -> None:
+                 diagnostics: Optional[list[Diagnostic]] = None,
+                 unique_uses: Optional[set[UsePair]] = None) -> None:
         self.label = label
         self.library = library
         self.triples = set() if triples is None else triples
         self.diagnostics = [] if diagnostics is None else diagnostics
-
-    @property
-    def unique_uses(self) -> set[UsePair]:
-        return {t.pair for t in self.triples}
+        self.unique_uses = (
+            {t.pair for t in self.triples} if unique_uses is None else unique_uses
+        )
 
     @property
     def total_uses(self) -> int:
@@ -74,6 +79,7 @@ def merge(f1: Footprint, f2: Footprint, label: Optional[str] = None) -> Footprin
         library=f1.library,
         triples=f1.triples | f2.triples,
         diagnostics=f1.diagnostics + f2.diagnostics,
+        unique_uses=f1.unique_uses | f2.unique_uses,
     )
 
 
@@ -91,6 +97,7 @@ def diff(f1: Footprint, f2: Footprint, label: Optional[str] = None) -> Footprint
         library=f1.library,
         triples={t for t in f1.triples if t.pair not in excluded},
         diagnostics=list(f1.diagnostics),
+        unique_uses=f1.unique_uses - excluded,
     )
 
 
@@ -131,7 +138,19 @@ def footprint_to_dict(fp: Footprint) -> dict:
     }
 
 
+# The signature part of the key of a row that has none: a type use reads no
+# signature, so such a row is legal, and it must not share a key with a row
+# whose signature is null.
+_NO_SIGNATURE = object()
+
+
 def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
+    """The footprint in ``data``, checked against ``model``.
+
+    Rows that share a (use, fqn, signature) key decode to one pair: the
+    use kind, the symbol lookup and the legality check run on the key's
+    first row only. Every row adds its own located triple.
+    """
     if data["library"] != model.library_name:
         raise ModelMismatch(
             f"footprint is for {data['library']!r}, model is {model.library_name!r}"
@@ -139,18 +158,24 @@ def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
     label = data["label"]
     if not isinstance(label, str):
         raise TypeError(f"footprint label must be a string, found {type(label).__name__}")
+    pairs: dict[tuple, UsePair] = {}
     triples: set[UseTriple] = set()
     for u in data["uses"]:
-        use = UseKind(u["use"])
-        if use in TYPE_USES:
-            sym = model.type_symbol(u["fqn"])
-        else:
-            sym = model.symbol_for(u["fqn"], u["signature"])
-        if sym is None or use not in model.entries[sym]:
-            raise ModelMismatch(
-                f"{use.value} of {u['fqn']} is not a legal use in model "
-                f"{model.library_name!r}"
-            )
+        key = (u["use"], u["fqn"], u.get("signature", _NO_SIGNATURE))
+        pair = pairs.get(key)
+        if pair is None:
+            use = UseKind(u["use"])
+            if use in TYPE_USES:
+                sym = model.type_symbol(u["fqn"])
+            else:
+                sym = model.symbol_for(u["fqn"], u["signature"])
+            if sym is None or use not in model.entries[sym]:
+                raise ModelMismatch(
+                    f"{use.value} of {u['fqn']} is not a legal use in model "
+                    f"{model.library_name!r}"
+                )
+            pair = pairs[key] = (sym, use)
+        sym, use = pair
         triples.add(UseTriple(sym, use, Location(u["file"], u["line"], u["col"])))
     diagnostics = [
         Diagnostic(
@@ -160,4 +185,5 @@ def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
         )
         for d in data.get("diagnostics", [])
     ]
-    return Footprint(label, data["library"], triples, diagnostics)
+    return Footprint(label, data["library"], triples, diagnostics, set(pairs.values()))
+

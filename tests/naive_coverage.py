@@ -3,15 +3,22 @@ set, grades every symbol and sorts every row for each report.
 
 The program computes the model-wide parts once per model instead; the tests
 check that both give equal reports and equal serialized reports.
+
+Reference footprint reader: the per-row loop that decodes, looks up and
+checks every row. The program decodes each distinct (use, fqn, signature)
+key once; the tests check that both read equal footprints and fail on the
+same rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from ucov.errors import ModelMismatch
 from ucov.footprint import Footprint
 from ucov.metrics import CoverageLevel, CoverageReport, _fmt_ratio
-from ucov.model import Symbol, UsageModel, UseKind
+from ucov.model import TYPE_USES, Symbol, UsageModel, UseKind
+from ucov.uses import Diagnostic, DiagnosticKind, Location, UseTriple
 
 UsePair = tuple[Symbol, UseKind]
 
@@ -75,3 +82,35 @@ def naive_coverage_to_dict(report: CoverageReport, model: UsageModel) -> dict:
         "levels": level_names,
         "uncovered_uses": uncovered,
     }
+
+
+def naive_footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
+    if data["library"] != model.library_name:
+        raise ModelMismatch(
+            f"footprint is for {data['library']!r}, model is {model.library_name!r}"
+        )
+    label = data["label"]
+    if not isinstance(label, str):
+        raise TypeError(f"footprint label must be a string, found {type(label).__name__}")
+    triples: set[UseTriple] = set()
+    for u in data["uses"]:
+        use = UseKind(u["use"])
+        if use in TYPE_USES:
+            sym = model.type_symbol(u["fqn"])
+        else:
+            sym = model.symbol_for(u["fqn"], u["signature"])
+        if sym is None or use not in model.entries[sym]:
+            raise ModelMismatch(
+                f"{use.value} of {u['fqn']} is not a legal use in model "
+                f"{model.library_name!r}"
+            )
+        triples.add(UseTriple(sym, use, Location(u["file"], u["line"], u["col"])))
+    diagnostics = [
+        Diagnostic(
+            Location(d["file"], d["line"], d["col"]),
+            DiagnosticKind(d["kind"]),
+            d["message"],
+        )
+        for d in data.get("diagnostics", [])
+    ]
+    return Footprint(label, data["library"], triples, diagnostics)

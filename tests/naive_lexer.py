@@ -15,6 +15,7 @@ from ucov.lexer import KEYWORDS, Token
 # Longest-match first.
 TWO_CHAR_OPS = ("->", "==", "!=", "<=", ">=", "&&", "||", "++", "--")
 ONE_CHAR_OPS = "+-*/%<>!&|^~=.,;:()[]{}?@"
+HEX_DIGITS = "0123456789abcdefABCDEF"
 
 
 def naive_tokenize(text: str, path: str) -> list[Token]:
@@ -65,8 +66,25 @@ def naive_tokenize(text: str, path: str) -> list[Token]:
             continue
         if c.isdigit():
             start = i
-            while i < n and (text[i].isalnum() or text[i] == "."):
-                i += 1
+            # '_' joins two digits; in a decimal number a sign right after
+            # 'e' or 'E' belongs to the literal.
+            hexadecimal = text.startswith(("0x", "0X"), i)
+            is_digit = HEX_DIGITS.__contains__ if hexadecimal else str.isdecimal
+            i += 1
+            while i < n:
+                if text[i].isalnum() or text[i] == ".":
+                    i += 1
+                elif text[i] in "+-" and text[i - 1] in "eE" and not hexadecimal:
+                    i += 1
+                elif text[i] == "_" and is_digit(text[i - 1]):
+                    j = i
+                    while j < n and text[j] == "_":
+                        j += 1
+                    if j == n or not is_digit(text[j]):
+                        break
+                    i = j
+                else:
+                    break
             tokens.append(Token("INT", text[start:i], line, col))
             col += i - start
             continue

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from naive_lexer import naive_tokenize
-from ucov import ParseError
+from ucov import ParseError, parse_unit
 from ucov.lexer import tokenize
 
 
@@ -32,10 +32,11 @@ def test_scanner_matches_the_reference_on_every_fixture_file():
 
 
 # Letters (one non-ASCII), '_', decimal digits (one Arabic-Indic), numerics
-# that are not decimal digits, quotes, backslashes, comment delimiters,
-# every operator character and every character the scanner skips but '\r'.
+# that are not decimal digits, signed exponents, quotes, backslashes,
+# comment delimiters, every operator character and every character the
+# scanner skips but '\r'.
 PIECES = [
-    "a", "Z", "é", "_", "class", "new", "0", "7", "٣", "²", "½", "Ⅷ",
+    "a", "Z", "é", "_", "class", "new", "0", "7", "٣", "²", "½", "Ⅷ", "e-", "E+",
     '"', "'", "\\", "//", "/*", "*/", *"+-*/%<>!&|^~=.,;:()[]{}?@",
     " ", "\t", "\f", "\n",
 ]
@@ -97,3 +98,29 @@ def test_eof_after_a_trailing_line_comment_is_placed_after_it():
     text = "int x; // end"
     assert tokenize(text, "A.java")[-1] == ("EOF", "", 1, 14)
     assert naive_tokenize(text, "A.java")[-1] == ("EOF", "", 1, 8)
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        ("1_000", ["1_000"]),
+        ("1e-5f", ["1e-5f"]),
+        ("1.5e+3", ["1.5e+3"]),
+        ("0x1e-5", ["0x1e", "-", "5"]),  # no exponent in a hex number
+        ("0xFF_FF 1__0 1_000L", ["0xFF_FF", "1__0", "1_000L"]),
+        ("1_e 1e--5", ["1", "_e", "1e-", "-", "5"]),
+    ],
+)
+def test_numbers_take_signed_exponents_and_digit_separators(text, values):
+    assert [t.value for t in tokenize(text, "A.java")[:-1]] == values
+    assert [t.value for t in naive_tokenize(text, "A.java")[:-1]] == values
+
+
+def test_a_separator_that_ends_a_number_is_still_a_parse_error_at_its_location():
+    with pytest.raises(ParseError) as exc:
+        parse_unit("class A { int x = 1_; }", "A.java")
+    assert (exc.value.reason, exc.value.line, exc.value.column) == (
+        "expected ';', found '_'",
+        1,
+        20,
+    )

@@ -239,3 +239,25 @@ def test_a_numeric_argument_picks_the_overload_of_its_type():
     assert call_with("2") == (["p.A.f(int)"], [])
     # primitive widening is not modelled: a long fits neither overload
     assert call_with("10L") == (["p.A.f(double)"], ["Ambiguous"])
+
+
+def test_signed_exponents_and_digit_separators_keep_the_type_of_the_literal():
+    assert [type_of(t) for t in ("1_000", "0xFF_FF")] == ["int"] * 2
+    assert type_of("1_000L") == "long"
+    assert [type_of(t) for t in ("1e-5f", "1E+5F")] == ["float"] * 2
+    assert [type_of(t) for t in ("1.5e+3", "1e-5", "1_0.5")] == ["double"] * 3
+    assert type_of("0x1e-5") == "int"  # a subtraction of two ints
+
+
+FLOAT_LIB = "package p; public class A { public void f(float x) { } public void f(double d) { } }"
+
+
+def test_a_float_with_a_signed_exponent_picks_the_float_overload():
+    model = build_sum([parse_unit(FLOAT_LIB, "A.java")], "p")
+    for arg, want in (("1e-5f", "p.A.f(float)"), ("1e-5", "p.A.f(double)")):
+        client = parse_unit(
+            f"package c; import p.A; class C {{ void g(A a) {{ a.f({arg}); }} }}", "C.java"
+        )
+        fp = extract_uses([client], model)
+        assert [str(t.symbol) for t in fp.triples if t.use is UseKind.METHOD_INVOCATION] == [want]
+        assert fp.diagnostics == []
