@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, NoReturn, Optional, TypeVar
 
 from . import footprint as suf
 from . import metrics, uses
@@ -339,13 +339,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INTERNAL
 
 
-if __name__ == "__main__":
-    # Under ``python -m ucov.cli`` the process ends without tearing down the
-    # interpreter: every output file is complete when ``main`` returns, and
-    # freeing the parsed inputs, the model and the reports one object at a
-    # time would only cost time. ``os._exit`` skips the final flush of the
-    # standard streams too, so they are flushed here. A flush that fails
-    # leaves the exit to the interpreter, which reports it as it always has.
+def run() -> NoReturn:
+    """Run ``main`` on the command line and end the process with its code.
+
+    This is the entry point of the ``ucov`` console script and of
+    ``python -m ucov.cli``. The process ends without tearing down the
+    interpreter: every output file is complete when ``main`` returns, and
+    freeing the parsed inputs, the model and the reports one object at a
+    time would only cost time. ``os._exit`` skips the final flush of the
+    standard streams too, so they are flushed here. A flush that fails
+    leaves the exit to the interpreter, which reports it as it always has.
+    """
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):
@@ -354,3 +358,7 @@ if __name__ == "__main__":
     except OSError:
         sys.exit(code)
     os._exit(code)
+
+
+if __name__ == "__main__":
+    run()

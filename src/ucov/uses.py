@@ -49,21 +49,17 @@ class UseTriple(NamedTuple):
 class Footprint:
     """The located uses of a labeled client corpus, and its diagnostics.
 
-    ``unique_uses``, the set of (symbol, use) pairs of ``triples``, is fixed
-    at construction: it is computed from ``triples`` unless a caller that
-    already has it passes it. ``triples`` must not change afterwards.
+    ``unique_uses``, the set of (symbol, use) pairs of ``triples``, is
+    computed once at construction, so ``triples`` must not change afterwards.
     """
 
     def __init__(self, label: str, library: str, triples: Optional[set[UseTriple]] = None,
-                 diagnostics: Optional[list[Diagnostic]] = None,
-                 unique_uses: Optional[set[UsePair]] = None) -> None:
+                 diagnostics: Optional[list[Diagnostic]] = None) -> None:
         self.label = label
         self.library = library
         self.triples = set() if triples is None else triples
         self.diagnostics = [] if diagnostics is None else diagnostics
-        self.unique_uses = (
-            {t.pair for t in self.triples} if unique_uses is None else unique_uses
-        )
+        self.unique_uses: set[UsePair] = {t.pair for t in self.triples}
 
     @property
     def total_uses(self) -> int:
@@ -79,7 +75,6 @@ def merge(f1: Footprint, f2: Footprint, label: Optional[str] = None) -> Footprin
         library=f1.library,
         triples=f1.triples | f2.triples,
         diagnostics=f1.diagnostics + f2.diagnostics,
-        unique_uses=f1.unique_uses | f2.unique_uses,
     )
 
 
@@ -97,7 +92,6 @@ def diff(f1: Footprint, f2: Footprint, label: Optional[str] = None) -> Footprint
         library=f1.library,
         triples={t for t in f1.triples if t.pair not in excluded},
         diagnostics=list(f1.diagnostics),
-        unique_uses=f1.unique_uses - excluded,
     )
 
 
@@ -185,5 +179,5 @@ def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
         )
         for d in data.get("diagnostics", [])
     ]
-    return Footprint(label, data["library"], triples, diagnostics, set(pairs.values()))
+    return Footprint(label, data["library"], triples, diagnostics)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,8 @@ from ucov.cli import main
 from ucov.model import TYPE_USES, SymbolKind, UseKind
 from ucov.uses import diff, merge
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 ARRAYLIST_LIB = str(FIXTURES / "arraylist" / "lib")
 CLASSIC = str(FIXTURES / "arraylist" / "classic")
 FRAMEWORK = str(FIXTURES / "arraylist" / "framework")
@@ -149,7 +151,7 @@ def test_reader_matches_the_per_row_reference(case):
         assert unique_uses == {t.pair for t in triples}
 
 
-def test_unique_uses_are_fixed_at_construction_and_carried_by_merge_and_diff():
+def test_unique_uses_are_the_pairs_of_the_triples_after_merge_and_diff():
     model, data = fixture_data("arraylist", "classic")
     _, other = fixture_data("arraylist", "framework")
     a = footprint_from_dict(data, model)
@@ -239,16 +241,30 @@ def test_use_and_symbol_kinds_hash_by_identity():
 
 
 # ---------------------------------------------------------------------------
-# The ``python -m ucov.cli`` process exit
+# The process exit of ``python -m ucov.cli`` and of the ``ucov`` script
 # ---------------------------------------------------------------------------
 
+# How each entry starts ucov: ``python -m``, and the wrapper that installers
+# write for the ``ucov`` console script (``sys.exit`` of the named function).
+ENTRIES = {
+    "module": ["-m", "ucov.cli"],
+    "script": ["-c", "import sys; from ucov.cli import run; sys.exit(run())"],
+}
 
-def child(*args: str, cwd: Path) -> subprocess.CompletedProcess:
-    """``python -m ucov.cli`` with block-buffered standard output on a pipe."""
+
+def child(*args: str, cwd: Path, entry: str = "module") -> subprocess.CompletedProcess:
+    """A ucov process with block-buffered standard output on a pipe."""
     env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "UCOV_"))}
     env["PYTHONPATH"] = str(SRC)
-    return subprocess.run([sys.executable, "-m", "ucov.cli", *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *ENTRIES[entry], *args], cwd=cwd, env=env,
                           capture_output=True, timeout=60)
+
+
+def test_the_console_script_runs_the_module_entry():
+    scripts = re.search(r"^\[project\.scripts\]\n((?:.+\n)*)",
+                        (ROOT / "pyproject.toml").read_text(), re.M)
+    assert scripts is not None
+    assert scripts.group(1).split() == ["ucov", "=", '"ucov.cli:run"']
 
 
 @pytest.fixture()
@@ -262,9 +278,10 @@ def sufs(sum_path, tmp_path) -> list[str]:
     return out
 
 
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
 @pytest.mark.parametrize("command", ["coverage", "coverage-text", "profile", "profile-suf"])
 def test_child_stdout_on_a_pipe_equals_the_in_process_output(
-        sum_path, sufs, tmp_path, capsys, command):
+        sum_path, sufs, tmp_path, capsys, command, entry):
     argv = {
         "coverage": ["coverage", "--sum", str(sum_path), *sufs],
         "coverage-text": ["coverage", "--sum", str(sum_path), "--format", "text", *sufs],
@@ -274,7 +291,7 @@ def test_child_stdout_on_a_pipe_equals_the_in_process_output(
     capsys.readouterr()
     assert main(argv) == 0
     want = capsys.readouterr().out.encode("utf-8")
-    proc = child(*argv, cwd=tmp_path)
+    proc = child(*argv, cwd=tmp_path, entry=entry)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, b"")
 
 
