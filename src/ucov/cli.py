@@ -71,6 +71,20 @@ def _dump_json(data: dict) -> str:
     return json.dumps(data, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
+def _write_stdout(content: str) -> None:
+    """Write a command's result to standard output and flush it. A closed
+    pipe or a full device there ends the command with a one-line error."""
+    try:
+        sys.stdout.write(content)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _stdout_failure(exc) from exc
+
+
+def _stdout_failure(exc: OSError) -> UsageError:
+    return UsageError(f"cannot write to standard output: {exc.strerror or exc}")
+
+
 def _atomic_write(path: Path, content: str) -> None:
     import tempfile
 
@@ -159,7 +173,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
     name = args.name or root.name
     model = models.build_sum(units, name)
     _atomic_write(Path(args.output), _dump_json(models.model_to_dict(model)))
-    print(f"symbols: {len(model.entries)}, legal uses: {model.legal_use_count}")
+    _write_stdout(f"symbols: {len(model.entries)}, legal uses: {model.legal_use_count}\n")
     return EXIT_OK
 
 
@@ -192,7 +206,7 @@ def cmd_suf(args: argparse.Namespace) -> int:
 
 
 def _report_footprint(fp: Footprint) -> None:
-    print(f"{fp.label}: unique uses: {len(fp.unique_uses)}, total uses: {fp.total_uses}")
+    _write_stdout(f"{fp.label}: unique uses: {len(fp.unique_uses)}, total uses: {fp.total_uses}\n")
     if fp.diagnostics:
         counts: dict[str, int] = {}
         for d in fp.diagnostics:
@@ -218,9 +232,9 @@ def cmd_coverage(args: argparse.Namespace) -> int:
                 for label, report in reports
             ],
         }
-        sys.stdout.write(_dump_json(payload))
+        _write_stdout(_dump_json(payload))
     else:
-        sys.stdout.write(_coverage_text(model, reports))
+        _write_stdout(_coverage_text(model, reports))
     return EXIT_OK
 
 
@@ -253,7 +267,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.output:
         _atomic_write(Path(args.output), content)
     else:
-        sys.stdout.write(content)
+        _write_stdout(content)
     return EXIT_OK
 
 
@@ -266,7 +280,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         dist = metrics.profile(fp)
     else:
         dist = metrics.profile(model)
-    sys.stdout.write(_dump_json(metrics.profile_to_dict(dist)))
+    _write_stdout(_dump_json(metrics.profile_to_dict(dist)))
     return EXIT_OK
 
 
@@ -347,16 +361,25 @@ def run() -> NoReturn:
     interpreter: every output file is complete when ``main`` returns, and
     freeing the parsed inputs, the model and the reports one object at a
     time would only cost time. ``os._exit`` skips the final flush of the
-    standard streams too, so they are flushed here. A flush that fails
-    leaves the exit to the interpreter, which reports it as it always has.
+    standard streams too, so they are flushed here. A failed flush of
+    standard output is a one-line error and exit 1, unless ``main`` has
+    already failed; one of standard error leaves the exit to the
+    interpreter, which reports it as it always has. A stream is None when
+    the process was started without it.
     """
     code = main()
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None when the process was started without it
-                stream.flush()
-    except OSError:
-        sys.exit(code)
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            if code == EXIT_OK:
+                print(f"error: {_stdout_failure(exc)}", file=sys.stderr)
+                code = EXIT_USAGE
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            sys.exit(code)
     os._exit(code)
 
 

@@ -36,6 +36,7 @@ from .uses import (  # noqa: F401 - the values and their JSON form, re-exported
     footprint_from_dict,
     footprint_to_dict,
     merge,
+    new_value,
 )
 
 
@@ -114,7 +115,7 @@ class _Extractor:
 
     def emit(self, symbol: Symbol, use: UseKind, loc: n.Location) -> None:
         if use in self.model.entries[symbol]:
-            self.triples.add(UseTriple(symbol, use, loc))
+            self.triples.add(new_value(UseTriple, (symbol, use, loc)))
         else:
             self.diag(
                 loc,

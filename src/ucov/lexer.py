@@ -1,10 +1,14 @@
 """Tokenizer for the J-lite subject language: one compiled master pattern
-with one named group per token rule, tried in order at each position."""
+with one named group per token rule, tried in order at each position.
+
+Tokens are kept as parallel lists rather than one object each, and a
+token's line and column are computed from its offset only when a node or
+an error needs them."""
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from bisect import bisect_right
 
 from .errors import ParseError
 
@@ -18,30 +22,23 @@ KEYWORDS = frozenset(
     }
 )
 
-
-class Token(NamedTuple):
-    type: str  # IDENT, INT, STRING, CHAR, EOF, a keyword, or an operator
-    value: str
-    line: int
-    column: int
-
-
 # ``\r\n``, ``\r`` and ``\n`` each end a line, as in Java; a line end inside
 # a literal leaves it unterminated. ``[^\W\d]`` also admits numerics such as
 # '²' and 'Ⅷ', which ``tokenize`` rejects: an identifier starts with a
 # letter or '_'. A number runs over letters, digits and points; '_' joins
-# two of its digits (hex digits in a hex number), and in a decimal number a
-# sign right after 'e' or 'E' belongs to the literal, so ``1e-5f`` is one
-# literal and ``0x1e-5`` a subtraction, as in Java. ``bad`` is the opening
-# of an unterminated comment or literal, so it precedes the operator '/',
-# and two-character operators precede the one-character ones. A character
-# that no rule takes matches the last, unnamed alternative and leaves
-# ``lastgroup`` None.
+# two of its digits (hex digits in a hex number), and a sign right after
+# the exponent letter belongs to the literal: 'e' or 'E' in a decimal
+# number, 'p' or 'P' in a hex one, so ``1e-5f`` and ``0x1p-3`` are one
+# literal each and ``0x1e-5`` a subtraction, as in Java. ``bad`` is the
+# opening of an unterminated comment or literal, so it precedes the
+# operator '/', and two-character operators precede the one-character
+# ones. A character that no rule takes matches the last, unnamed
+# alternative and leaves ``lastgroup`` None.
 _TOKEN = re.compile(
     r"""
       (?P<skip>   [ \t\r\n]+ | //[^\r\n]* | /\*(?s:.*?)\*/ )
     | (?P<IDENT>  [^\W\d]\w* )
-    | (?P<INT>    0[xX](?:[^\W_]|\.|(?<=[0-9A-Fa-f])_+(?=[0-9A-Fa-f]))*
+    | (?P<INT>    0[xX](?:[^\W_]|\.|(?<=[0-9A-Fa-f])_+(?=[0-9A-Fa-f])|(?<=[pP])[+-])*
                 | \d(?:[^\W_]|\.|(?<=\d)_+(?=\d)|(?<=[eE])[+-])* )
     | (?P<STRING> "(?:[^"\\\r\n]|\\[^\r\n])*" )
     | (?P<CHAR>   '(?:\\[^\r\n]|[^\\\r\n])' )
@@ -53,6 +50,10 @@ _TOKEN = re.compile(
     re.VERBOSE,
 )
 
+# Only skipped text (white space and comments) can hold a line end, so the
+# line ends of the whole text are those the tokens lie between.
+_LINE_END = re.compile(r"\r\n?|\n")
+
 # The error for a ``bad`` match, by its first character.
 _UNTERMINATED = {
     "/": "unterminated block comment",
@@ -61,26 +62,59 @@ _UNTERMINATED = {
 }
 
 
-def tokenize(text: str, path: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
+class Tokens:
+    """The tokens of one source text as parallel lists, ending with one
+    ``EOF`` token at the end of the text: ``types[i]`` is IDENT, INT,
+    STRING, CHAR, EOF, a keyword or an operator, ``values[i]`` the token's
+    text (a literal's without its quotes) and ``starts[i]`` its offset in
+    the text. ``line_starts`` holds the offset of each line's first
+    character. ``len`` is the number of tokens."""
+
+    __slots__ = ("types", "values", "starts", "line_starts")
+
+    def __init__(self, types: list[str], values: list[str], starts: list[int],
+                 line_starts: list[int]) -> None:
+        self.types = types
+        self.values = values
+        self.starts = starts
+        self.line_starts = line_starts
+
+    def __len__(self) -> int:
+        return len(self.types)
+
+    def position(self, i: int) -> tuple[int, int]:
+        """The 1-based line and column of token ``i``."""
+        return _position(self.line_starts, self.starts[i])
+
+
+def _line_starts(text: str) -> list[int]:
+    return [0, *(m.end() for m in _LINE_END.finditer(text))]
+
+
+def _position(line_starts: list[int], offset: int) -> tuple[int, int]:
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
+
+
+def tokenize(text: str, path: str) -> Tokens:
+    types: list[str] = []
+    values: list[str] = []
+    starts: list[int] = []
     for m in _TOKEN.finditer(text):
-        kind, value, start = m.lastgroup, m.group(), m.start()
+        kind = m.lastgroup
         if kind == "skip":
-            breaks = value.count("\n") + value.count("\r") - value.count("\r\n")
-            if breaks:
-                line += breaks
-                line_start = start + max(value.rfind("\n"), value.rfind("\r")) + 1
             continue
+        value = m.group()
         c = value[0]
         if kind is None or kind == "bad" or (kind == "IDENT" and not (c.isalpha() or c == "_")):
             message = _UNTERMINATED.get(c, f"unexpected character {c!r}")
-            raise ParseError(message, path, line, start - line_start + 1)
+            raise ParseError(message, path, *_position(_line_starts(text), m.start()))
         # Only an identifier can spell a keyword: the other values start
         # with a digit or a quote.
-        ttype = value if kind == "op" or value in KEYWORDS else kind
-        if kind in ("STRING", "CHAR"):
-            value = value[1:-1]
-        tokens.append(Token(ttype, value, line, start - line_start + 1))
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+        types.append(value if kind == "op" or value in KEYWORDS else kind)
+        values.append(value[1:-1] if kind == "STRING" or kind == "CHAR" else value)
+        starts.append(m.start())
+    types.append("EOF")
+    values.append("")
+    starts.append(len(text))
+    return Tokens(types, values, starts, _line_starts(text))

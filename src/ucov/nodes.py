@@ -2,17 +2,16 @@
 
 All nodes carry the location of their head identifier token (1-based
 line/column) so that downstream analyses can report precise use sites.
-Nodes compare and hash by identity, so analyses can key tables by node;
-``Location`` is a value.
+Nodes are plain classes with ``__slots__`` that compare and hash by
+identity, so analyses can key tables by node; ``Location`` is a value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
-from .uses import Location  # noqa: F401 - a value, defined with the use triples
+from .uses import Location
 
 
 class TypeKind(Enum):
@@ -26,27 +25,50 @@ class MemberKind(Enum):
     FIELD = "Field"
 
 
-@dataclass(eq=False)
-class TypeRef:
+class Node:
+    """The base of every node: a node's fields are its class's ``__slots__``.
+    A node can be weakly referenced, so a caller can see it freed."""
+
+    __slots__ = ("__weakref__",)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class TypeRef(Node):
     """A possibly-generic, possibly-array type reference such as ``List<String>[]``."""
 
-    name: str  # dotted qualified name as written
-    type_args: list["TypeRef"] = field(default_factory=list)
-    array_dims: int = 0
-    location: Optional[Location] = None
+    __slots__ = ("name", "type_args", "array_dims", "location")
+
+    def __init__(
+        self,
+        name: str,  # dotted qualified name as written
+        type_args: Optional[list[TypeRef]] = None,
+        array_dims: int = 0,
+        location: Optional[Location] = None,
+    ) -> None:
+        self.name = name
+        self.type_args = [] if type_args is None else type_args
+        self.array_dims = array_dims
+        self.location = location
 
 
-@dataclass(eq=False)
-class ImportDecl:
-    qname: str
-    on_demand: bool
-    location: Location
+class ImportDecl(Node):
+    __slots__ = ("qname", "on_demand", "location")
+
+    def __init__(self, qname: str, on_demand: bool, location: Location) -> None:
+        self.qname = qname
+        self.on_demand = on_demand
+        self.location = location
 
 
-@dataclass(eq=False)
-class Param:
-    name: str
-    type_ref: TypeRef
+class Param(Node):
+    __slots__ = ("name", "type_ref")
+
+    def __init__(self, name: str, type_ref: TypeRef) -> None:
+        self.name = name
+        self.type_ref = type_ref
 
 
 # ---------------------------------------------------------------------------
@@ -54,81 +76,130 @@ class Param:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class Literal:
-    value: object
-    kind: str  # int, long, float, double, string, char, boolean, null
-    location: Location
+class Literal(Node):
+    __slots__ = ("value", "kind", "location")
+
+    def __init__(
+        self,
+        value: object,
+        kind: str,  # int, long, float, double, string, char, boolean, null
+        location: Location,
+    ) -> None:
+        self.value = value
+        self.kind = kind
+        self.location = location
 
 
-@dataclass(eq=False)
-class Name:
-    identifier: str
-    location: Location
+class Name(Node):
+    __slots__ = ("identifier", "location")
+
+    def __init__(self, identifier: str, location: Location) -> None:
+        self.identifier = identifier
+        self.location = location
 
 
-@dataclass(eq=False)
-class This:
-    location: Location
+class This(Node):
+    __slots__ = ("location",)
+
+    def __init__(self, location: Location) -> None:
+        self.location = location
 
 
-@dataclass(eq=False)
-class FieldAccess:
-    receiver: "Expr"
-    name: str
-    location: Location  # of the accessed member's identifier
+class FieldAccess(Node):
+    __slots__ = ("receiver", "name", "location")
+
+    def __init__(
+        self,
+        receiver: Expr,
+        name: str,
+        location: Location,  # of the accessed member's identifier
+    ) -> None:
+        self.receiver = receiver
+        self.name = name
+        self.location = location
 
 
-@dataclass(eq=False)
-class MethodCall:
-    receiver: Optional["Expr"]  # None for bare calls such as f(x)
-    name: str
-    args: list["Expr"]
-    location: Location  # of the method name token
+class MethodCall(Node):
+    __slots__ = ("receiver", "name", "args", "location")
+
+    def __init__(
+        self,
+        receiver: Optional[Expr],  # None for bare calls such as f(x)
+        name: str,
+        args: list[Expr],
+        location: Location,  # of the method name token
+    ) -> None:
+        self.receiver = receiver
+        self.name = name
+        self.args = args
+        self.location = location
 
 
-@dataclass(eq=False)
-class New:
-    type_ref: TypeRef
-    args: list["Expr"]
-    anon_body: Optional[list["MemberDecl"]]
-    location: Location  # of the constructed type's head identifier
+class New(Node):
+    __slots__ = ("type_ref", "args", "anon_body", "location")
+
+    def __init__(
+        self,
+        type_ref: TypeRef,
+        args: list[Expr],
+        anon_body: Optional[list[MemberDecl]],
+        location: Location,  # of the constructed type's head identifier
+    ) -> None:
+        self.type_ref = type_ref
+        self.args = args
+        self.anon_body = anon_body
+        self.location = location
 
 
-@dataclass(eq=False)
-class Assign:
-    target: "Expr"
-    value: "Expr"
-    location: Location
+class Assign(Node):
+    __slots__ = ("target", "value", "location")
+
+    def __init__(self, target: Expr, value: Expr, location: Location) -> None:
+        self.target = target
+        self.value = value
+        self.location = location
 
 
-@dataclass(eq=False)
-class Binary:
-    op: str
-    left: "Expr"
-    right: "Expr"
-    location: Location
+class Binary(Node):
+    __slots__ = ("op", "left", "right", "location")
+
+    def __init__(self, op: str, left: Expr, right: Expr, location: Location) -> None:
+        self.op = op
+        self.left = left
+        self.right = right
+        self.location = location
 
 
-@dataclass(eq=False)
-class Unary:
-    op: str
-    operand: "Expr"
-    location: Location
+class Unary(Node):
+    __slots__ = ("op", "operand", "location")
+
+    def __init__(self, op: str, operand: Expr, location: Location) -> None:
+        self.op = op
+        self.operand = operand
+        self.location = location
 
 
-@dataclass(eq=False)
-class Cast:
-    type_ref: TypeRef
-    expr: "Expr"
-    location: Location
+class Cast(Node):
+    __slots__ = ("type_ref", "expr", "location")
+
+    def __init__(self, type_ref: TypeRef, expr: Expr, location: Location) -> None:
+        self.type_ref = type_ref
+        self.expr = expr
+        self.location = location
 
 
-@dataclass(eq=False)
-class Lambda:
-    params: list[Param]  # type_ref.name == "" when the parameter is untyped
-    body: Union["Expr", "Block"]
-    location: Location
+class Lambda(Node):
+    __slots__ = ("params", "body", "location")
+
+    def __init__(
+        self,
+        params: list[Param],  # type_ref.name == "" when the parameter is untyped
+        body: Union[Expr, Block],
+        location: Location,
+    ) -> None:
+        self.params = params
+        self.body = body
+        self.location = location
 
 
 Expr = Union[
@@ -141,67 +212,95 @@ Expr = Union[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class Block:
-    statements: list["Stmt"]
+class Block(Node):
+    __slots__ = ("statements",)
+
+    def __init__(self, statements: list[Stmt]) -> None:
+        self.statements = statements
 
 
-@dataclass(eq=False)
-class LocalDecl:
-    type_ref: TypeRef
-    name: str
-    init: Optional[Expr]
-    location: Location
+class LocalDecl(Node):
+    __slots__ = ("type_ref", "name", "init", "location")
+
+    def __init__(
+        self, type_ref: TypeRef, name: str, init: Optional[Expr], location: Location
+    ) -> None:
+        self.type_ref = type_ref
+        self.name = name
+        self.init = init
+        self.location = location
 
 
-@dataclass(eq=False)
-class ExprStmt:
-    expr: Expr
+class ExprStmt(Node):
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr) -> None:
+        self.expr = expr
 
 
-@dataclass(eq=False)
-class If:
-    cond: Expr
-    then: "Stmt"
-    orelse: Optional["Stmt"]
+class If(Node):
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond: Expr, then: Stmt, orelse: Optional[Stmt]) -> None:
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse
 
 
-@dataclass(eq=False)
-class While:
-    cond: Expr
-    body: "Stmt"
+class While(Node):
+    __slots__ = ("cond", "body")
+
+    def __init__(self, cond: Expr, body: Stmt) -> None:
+        self.cond = cond
+        self.body = body
 
 
-@dataclass(eq=False)
-class For:
-    init: Optional["Stmt"]  # LocalDecl or ExprStmt
-    cond: Optional[Expr]
-    update: Optional[Expr]
-    body: "Stmt"
+class For(Node):
+    __slots__ = ("init", "cond", "update", "body")
+
+    def __init__(
+        self,
+        init: Optional[Stmt],  # LocalDecl or ExprStmt
+        cond: Optional[Expr],
+        update: Optional[Expr],
+        body: Stmt,
+    ) -> None:
+        self.init = init
+        self.cond = cond
+        self.update = update
+        self.body = body
 
 
-@dataclass(eq=False)
-class Return:
-    expr: Optional[Expr]
+class Return(Node):
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Optional[Expr]) -> None:
+        self.expr = expr
 
 
-@dataclass(eq=False)
-class Throw:
-    expr: Expr
+class Throw(Node):
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr) -> None:
+        self.expr = expr
 
 
-@dataclass(eq=False)
-class Catch:
-    param_type: TypeRef
-    name: str
-    body: Block
+class Catch(Node):
+    __slots__ = ("param_type", "name", "body")
+
+    def __init__(self, param_type: TypeRef, name: str, body: Block) -> None:
+        self.param_type = param_type
+        self.name = name
+        self.body = body
 
 
-@dataclass(eq=False)
-class Try:
-    body: Block
-    catches: list[Catch]
-    finally_block: Optional[Block]
+class Try(Node):
+    __slots__ = ("body", "catches", "finally_block")
+
+    def __init__(self, body: Block, catches: list[Catch], finally_block: Optional[Block]) -> None:
+        self.body = body
+        self.catches = catches
+        self.finally_block = finally_block
 
 
 Stmt = Union[Block, LocalDecl, ExprStmt, If, While, For, Return, Throw, Try]
@@ -214,38 +313,73 @@ Stmt = Union[Block, LocalDecl, ExprStmt, If, While, For, Return, Throw, Try]
 VISIBILITY_MODIFIERS = frozenset({"public", "protected", "private"})
 
 
-@dataclass(eq=False)
-class MemberDecl:
-    kind: MemberKind
-    name: str
-    modifiers: set[str]
-    location: Location
-    return_type: Optional[TypeRef] = None  # None for void and for non-methods
-    is_void: bool = False
-    params: list[Param] = field(default_factory=list)
-    throws_refs: list[TypeRef] = field(default_factory=list)
-    field_type: Optional[TypeRef] = None
-    field_init: Optional[Expr] = None
-    body: Optional[Block] = None
+class MemberDecl(Node):
+    __slots__ = ("kind", "name", "modifiers", "location", "return_type", "is_void", "params",
+                 "throws_refs", "field_type", "field_init", "body")
+
+    def __init__(
+        self,
+        kind: MemberKind,
+        name: str,
+        modifiers: set[str],
+        location: Location,
+        return_type: Optional[TypeRef] = None,  # None for void and for non-methods
+        is_void: bool = False,
+        params: Optional[list[Param]] = None,
+        throws_refs: Optional[list[TypeRef]] = None,
+        field_type: Optional[TypeRef] = None,
+        field_init: Optional[Expr] = None,
+        body: Optional[Block] = None,
+    ) -> None:
+        self.kind = kind
+        self.name = name
+        self.modifiers = modifiers
+        self.location = location
+        self.return_type = return_type
+        self.is_void = is_void
+        self.params = [] if params is None else params
+        self.throws_refs = [] if throws_refs is None else throws_refs
+        self.field_type = field_type
+        self.field_init = field_init
+        self.body = body
 
 
-@dataclass(eq=False)
-class TypeDecl:
-    kind: TypeKind
-    simple_name: str
-    modifiers: set[str]
-    type_params: list[str]
-    extends_refs: list[TypeRef]
-    implements_refs: list[TypeRef]
-    permits_refs: list[TypeRef]
-    members: list[MemberDecl]
-    nested: list["TypeDecl"]
-    location: Location
+class TypeDecl(Node):
+    __slots__ = ("kind", "simple_name", "modifiers", "type_params", "extends_refs",
+                 "implements_refs", "permits_refs", "members", "nested", "location")
+
+    def __init__(
+        self,
+        kind: TypeKind,
+        simple_name: str,
+        modifiers: set[str],
+        type_params: list[str],
+        extends_refs: list[TypeRef],
+        implements_refs: list[TypeRef],
+        permits_refs: list[TypeRef],
+        members: list[MemberDecl],
+        nested: list[TypeDecl],
+        location: Location,
+    ) -> None:
+        self.kind = kind
+        self.simple_name = simple_name
+        self.modifiers = modifiers
+        self.type_params = type_params
+        self.extends_refs = extends_refs
+        self.implements_refs = implements_refs
+        self.permits_refs = permits_refs
+        self.members = members
+        self.nested = nested
+        self.location = location
 
 
-@dataclass(eq=False)
-class SourceUnit:
-    path: str
-    package_name: str
-    imports: list[ImportDecl]
-    types: list[TypeDecl]
+class SourceUnit(Node):
+    __slots__ = ("path", "package_name", "imports", "types")
+
+    def __init__(
+        self, path: str, package_name: str, imports: list[ImportDecl], types: list[TypeDecl]
+    ) -> None:
+        self.path = path
+        self.package_name = package_name
+        self.imports = imports
+        self.types = types

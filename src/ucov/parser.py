@@ -17,7 +17,8 @@ from typing import Optional, Union
 
 from . import nodes as n
 from .errors import ParseError
-from .lexer import Token, tokenize
+from .lexer import Tokens, tokenize
+from .uses import Location, new_value
 
 MODIFIER_KEYWORDS = frozenset(
     {"public", "protected", "private", "abstract", "final", "sealed", "static", "default"}
@@ -57,52 +58,57 @@ class _TooDeep(ParseError):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], path: str):
-        self.tokens = [*tokens, tokens[-1]]  # a second EOF for peek(1) at the end
+    """A token is known by its index ``i``: its type is ``types[i]`` and its
+    text ``values[i]``. ``pos`` is the index of the next token; ``advance``,
+    ``accept`` and ``expect`` never move past the EOF token, which no rule
+    expects."""
+
+    def __init__(self, tokens: Tokens, path: str):
+        self.tokens = tokens
+        self.types = [*tokens.types, "EOF"]  # a second EOF to look one past the end
+        self.values = tokens.values
         self.pos = 0
         self.path = path
         self.depth = 0
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[self.pos + offset]
-
     def at(self, ttype: str) -> bool:
-        return self.peek().type == ttype
+        return self.types[self.pos] == ttype
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.type != "EOF":
+    def advance(self) -> int:
+        i = self.pos
+        if self.types[i] != "EOF":
+            self.pos = i + 1
+        return i
+
+    def accept(self, ttype: str) -> bool:
+        if self.types[self.pos] == ttype:
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def accept(self, ttype: str) -> Optional[Token]:
-        if self.at(ttype):
-            return self.advance()
-        return None
+    def expect(self, ttype: str) -> int:
+        i = self.pos
+        if self.types[i] == ttype:
+            self.pos = i + 1
+            return i
+        raise self.error(f"expected {ttype!r}, found {self.values[i]!r}", i)
 
-    def expect(self, ttype: str) -> Token:
-        if self.at(ttype):
-            return self.advance()
-        tok = self.peek()
-        raise self.error(f"expected {ttype!r}, found {tok.value!r}", tok)
+    def error(self, msg: str, i: Optional[int] = None) -> ParseError:
+        return ParseError(msg, self.path, *self.tokens.position(self.pos if i is None else i))
 
-    def error(self, msg: str, tok: Optional[Token] = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(msg, self.path, tok.line, tok.column)
-
-    def loc(self, tok: Token) -> n.Location:
-        return n.Location(self.path, tok.line, tok.column)
+    def loc(self, i: int) -> Location:
+        return new_value(Location, (self.path, *self.tokens.position(i)))
 
     def enter(self) -> None:
         """Open one nesting level; the caller closes it with ``depth -= 1``.
         A ParseError leaves levels open, so backtracking restores ``depth``
         with ``pos`` (see ``mark``)."""
         if self.depth >= MAX_NESTING:
-            tok = self.peek()
             raise _TooDeep(
-                f"nesting deeper than {MAX_NESTING} levels", self.path, tok.line, tok.column
+                f"nesting deeper than {MAX_NESTING} levels", self.path,
+                *self.tokens.position(self.pos),
             )
         self.depth += 1
 
@@ -122,13 +128,13 @@ class _Parser:
         imports = []
         while self.at("import"):
             tok = self.advance()
-            parts = [self.expect("IDENT").value]
+            parts = [self.values[self.expect("IDENT")]]
             on_demand = False
             while self.accept("."):
                 if self.accept("*"):
                     on_demand = True
                     break
-                parts.append(self.expect("IDENT").value)
+                parts.append(self.values[self.expect("IDENT")])
             self.expect(";")
             imports.append(n.ImportDecl(".".join(parts), on_demand, self.loc(tok)))
         types = []
@@ -137,10 +143,10 @@ class _Parser:
         return n.SourceUnit(self.path, package_name, imports, types)
 
     def parse_qname(self) -> str:
-        parts = [self.expect("IDENT").value]
-        while self.at(".") and self.peek(1).type == "IDENT":
+        parts = [self.values[self.expect("IDENT")]]
+        while self.at(".") and self.types[self.pos + 1] == "IDENT":
             self.advance()
-            parts.append(self.advance().value)
+            parts.append(self.values[self.advance()])
         return ".".join(parts)
 
     # -- declarations -----------------------------------------------------
@@ -148,11 +154,11 @@ class _Parser:
     def parse_modifiers(self) -> set[str]:
         mods: set[str] = set()
         while True:
-            tok = self.peek()
-            if tok.type in MODIFIER_KEYWORDS:
+            t = self.types[self.pos]
+            if t in MODIFIER_KEYWORDS:
                 self.advance()
-                mods.add(tok.type)
-            elif tok.type == "@":
+                mods.add(t)
+            elif t == "@":
                 # Marker annotations (e.g. @Override) are lexed and discarded.
                 self.advance()
                 self.expect("IDENT")
@@ -174,9 +180,9 @@ class _Parser:
         name_tok = self.expect("IDENT")
         type_params: list[str] = []
         if self.accept("<"):
-            type_params.append(self.expect("IDENT").value)
+            type_params.append(self.values[self.expect("IDENT")])
             while self.accept(","):
-                type_params.append(self.expect("IDENT").value)
+                type_params.append(self.values[self.expect("IDENT")])
             self.expect(">")
         extends_refs = self.parse_ref_list("extends")
         implements_refs = self.parse_ref_list("implements")
@@ -189,12 +195,12 @@ class _Parser:
             if self.at("class") or self.at("interface"):
                 nested.append(self.parse_type_decl(member_mods))
             else:
-                members.append(self.parse_member(member_mods, name_tok.value))
+                members.append(self.parse_member(member_mods, self.values[name_tok]))
         self.expect("}")
         self.depth -= 1
         return n.TypeDecl(
             kind=kind,
-            simple_name=name_tok.value,
+            simple_name=self.values[name_tok],
             modifiers=mods,
             type_params=type_params,
             extends_refs=extends_refs,
@@ -217,8 +223,8 @@ class _Parser:
         # Constructor: the enclosing type's simple name immediately followed by '('.
         if (
             self.at("IDENT")
-            and self.peek().value == enclosing_name
-            and self.peek(1).type == "("
+            and self.values[self.pos] == enclosing_name
+            and self.types[self.pos + 1] == "("
         ):
             name_tok = self.advance()
             params = self.parse_params()
@@ -226,14 +232,14 @@ class _Parser:
             body = self.parse_block()
             return n.MemberDecl(
                 kind=n.MemberKind.CONSTRUCTOR,
-                name=name_tok.value,
+                name=self.values[name_tok],
                 modifiers=mods,
                 location=self.loc(name_tok),
                 params=params,
                 throws_refs=throws,
                 body=body,
             )
-        is_void = bool(self.accept("void"))
+        is_void = self.accept("void")
         return_type = None if is_void else self.parse_type_ref()
         name_tok = self.expect("IDENT")
         if self.at("("):
@@ -244,7 +250,7 @@ class _Parser:
                 body = self.parse_block()
             return n.MemberDecl(
                 kind=n.MemberKind.METHOD,
-                name=name_tok.value,
+                name=self.values[name_tok],
                 modifiers=mods,
                 location=self.loc(name_tok),
                 return_type=return_type,
@@ -261,7 +267,7 @@ class _Parser:
         self.expect(";")
         return n.MemberDecl(
             kind=n.MemberKind.FIELD,
-            name=name_tok.value,
+            name=self.values[name_tok],
             modifiers=mods,
             location=self.loc(name_tok),
             field_type=return_type,
@@ -280,12 +286,11 @@ class _Parser:
 
     def parse_param(self) -> n.Param:
         type_ref = self.parse_type_ref()
-        name = self.expect("IDENT").value
-        return n.Param(name, type_ref)
+        return n.Param(self.values[self.expect("IDENT")], type_ref)
 
     def parse_type_ref(self) -> n.TypeRef:
-        head = self.peek()
-        if head.type != "IDENT":
+        head = self.pos
+        if self.types[head] != "IDENT":
             raise self.error("expected type name")
         name = self.parse_qname()
         type_args: list[n.TypeRef] = []
@@ -306,7 +311,7 @@ class _Parser:
                 self.reset(save)
                 type_args = []
         dims = 0
-        while self.at("[") and self.peek(1).type == "]":
+        while self.at("[") and self.types[self.pos + 1] == "]":
             self.advance()
             self.advance()
             dims += 1
@@ -329,7 +334,7 @@ class _Parser:
         return stmt
 
     def _parse_stmt(self) -> n.Stmt:
-        t = self.peek().type
+        t = self.types[self.pos]
         if t == "{":
             return self.parse_block()
         if t == "if":
@@ -383,7 +388,7 @@ class _Parser:
                 self.advance()
                 self.expect("(")
                 ctype = self.parse_type_ref()
-                cname = self.expect("IDENT").value
+                cname = self.values[self.expect("IDENT")]
                 self.expect(")")
                 catches.append(n.Catch(ctype, cname, self.parse_block()))
             finally_block = None
@@ -404,7 +409,7 @@ class _Parser:
                 if self.accept("="):
                     init = self.parse_expr()
                 self.expect(";")
-                return n.LocalDecl(type_ref, name_tok.value, init, type_ref.location)
+                return n.LocalDecl(type_ref, self.values[name_tok], init, type_ref.location)
             except _TooDeep:
                 raise
             except ParseError:
@@ -434,18 +439,18 @@ class _Parser:
         bind tighter than its own, so recursion is at most one call per
         precedence level however long the chain."""
         left = self.parse_unary()
-        while (precedence := _PRECEDENCE.get(self.peek().type, 0)) >= min_precedence:
+        while (precedence := _PRECEDENCE.get(self.types[self.pos], 0)) >= min_precedence:
             tok = self.advance()
             right = self.parse_binary(precedence + 1)
-            left = n.Binary(tok.type, left, right, self.loc(tok))
+            left = n.Binary(self.types[tok], left, right, self.loc(tok))
         return left
 
     def parse_unary(self) -> n.Expr:
         self.enter()
-        t = self.peek().type
+        t = self.types[self.pos]
         if t in ("!", "~", "-", "+", "++", "--"):
             tok = self.advance()
-            expr: n.Expr = n.Unary(tok.type, self.parse_unary(), self.loc(tok))
+            expr: n.Expr = n.Unary(t, self.parse_unary(), self.loc(tok))
         else:
             expr = self.parse_postfix()
         self.depth -= 1
@@ -454,17 +459,18 @@ class _Parser:
     def parse_postfix(self) -> n.Expr:
         expr = self.parse_primary()
         while True:
-            if self.at(".") and self.peek(1).type == "IDENT":
+            if self.at(".") and self.types[self.pos + 1] == "IDENT":
                 self.advance()
                 name_tok = self.advance()
+                name = self.values[name_tok]
                 if self.at("("):
                     args = self.parse_args()
-                    expr = n.MethodCall(expr, name_tok.value, args, self.loc(name_tok))
+                    expr = n.MethodCall(expr, name, args, self.loc(name_tok))
                 else:
-                    expr = n.FieldAccess(expr, name_tok.value, self.loc(name_tok))
+                    expr = n.FieldAccess(expr, name, self.loc(name_tok))
             elif self.at("++") or self.at("--"):
                 tok = self.advance()
-                expr = n.Unary("post" + tok.type, expr, self.loc(tok))
+                expr = n.Unary("post" + self.types[tok], expr, self.loc(tok))
             else:
                 return expr
 
@@ -479,28 +485,29 @@ class _Parser:
         return args
 
     def parse_primary(self) -> n.Expr:
-        tok = self.peek()
-        if tok.type == "INT":
+        tok = self.pos
+        t, value = self.types[tok], self.values[tok]
+        if t == "INT":
             self.advance()
-            return n.Literal(tok.value, _number_kind(tok.value), self.loc(tok))
-        if tok.type == "STRING":
+            return n.Literal(value, _number_kind(value), self.loc(tok))
+        if t == "STRING":
             self.advance()
-            return n.Literal(tok.value, "string", self.loc(tok))
-        if tok.type == "CHAR":
+            return n.Literal(value, "string", self.loc(tok))
+        if t == "CHAR":
             self.advance()
-            return n.Literal(tok.value, "char", self.loc(tok))
-        if tok.type in ("true", "false"):
+            return n.Literal(value, "char", self.loc(tok))
+        if t in ("true", "false"):
             self.advance()
-            return n.Literal(tok.value, "boolean", self.loc(tok))
-        if tok.type == "null":
+            return n.Literal(value, "boolean", self.loc(tok))
+        if t == "null":
             self.advance()
             return n.Literal(None, "null", self.loc(tok))
-        if tok.type == "this":
+        if t == "this":
             self.advance()
             return n.This(self.loc(tok))
-        if tok.type == "new":
+        if t == "new":
             return self.parse_new()
-        if tok.type == "(":
+        if t == "(":
             lam = self.try_parse_lambda()
             if lam is not None:
                 return lam
@@ -511,14 +518,12 @@ class _Parser:
             expr = self.parse_expr()
             self.expect(")")
             return expr
-        if tok.type == "IDENT":
+        if t == "IDENT":
             self.advance()
-            name = n.Name(tok.value, self.loc(tok))
             if self.at("("):
-                args = self.parse_args()
-                return n.MethodCall(None, tok.value, args, self.loc(tok))
-            return name
-        raise self.error(f"unexpected token {tok.value!r} in expression", tok)
+                return n.MethodCall(None, value, self.parse_args(), self.loc(tok))
+            return n.Name(value, self.loc(tok))
+        raise self.error(f"unexpected token {value!r} in expression", tok)
 
     def parse_new(self) -> n.Expr:
         self.expect("new")
@@ -538,9 +543,9 @@ class _Parser:
     def _scan_matching_paren(self) -> int:
         """Index of the token after the ')' matching the '(' at self.pos, or -1."""
         depth = 0
-        i = self.pos
-        while i < len(self.tokens):
-            t = self.tokens[i].type
+        types = self.types
+        for i in range(self.pos, len(types)):
+            t = types[i]
             if t == "(":
                 depth += 1
             elif t == ")":
@@ -549,12 +554,11 @@ class _Parser:
                     return i + 1
             elif t in ("EOF", "{", "}", ";"):
                 return -1
-            i += 1
         return -1
 
     def try_parse_lambda(self) -> Optional[n.Expr]:
         after = self._scan_matching_paren()
-        if after < 0 or self.tokens[after].type != "->":
+        if after < 0 or self.types[after] != "->":
             return None
         head = self.advance()  # '('
         params: list[n.Param] = []
@@ -573,9 +577,9 @@ class _Parser:
 
     def parse_lambda_param(self) -> n.Param:
         # Typed form: `Type name`; untyped form: bare identifier.
-        if self.at("IDENT") and self.peek(1).type in (",", ")"):
+        if self.at("IDENT") and self.types[self.pos + 1] in (",", ")"):
             tok = self.advance()
-            return n.Param(tok.value, n.TypeRef("", location=self.loc(tok)))
+            return n.Param(self.values[tok], n.TypeRef("", location=self.loc(tok)))
         return self.parse_param()
 
     def try_parse_cast(self) -> Optional[n.Expr]:
@@ -589,7 +593,7 @@ class _Parser:
         except ParseError:
             self.reset(save)
             return None
-        if self.peek().type not in _EXPR_START:
+        if self.types[self.pos] not in _EXPR_START:
             self.reset(save)
             return None
         operand = self.parse_unary()
@@ -598,14 +602,17 @@ class _Parser:
 
 def _number_kind(text: str) -> str:
     """The primitive type of a numeric literal, read off its form in any
-    case: an ``L`` suffix makes a long, a hex number is otherwise an int,
-    an ``F`` suffix makes a float, and a point, an exponent or a ``D``
-    suffix a double."""
+    case: an ``L`` suffix makes a long. A hex number is otherwise an int,
+    unless it has a ``p`` exponent: then an ``F`` suffix makes a float and
+    no suffix a double. Any other number is a float with an ``F`` suffix,
+    and a double with a point, an exponent or a ``D`` suffix."""
     text = text.lower()
     if text.endswith("l"):
         return "long"
     if text.startswith("0x"):
-        return "int"
+        if "p" not in text:  # 'f' and 'd' are hex digits
+            return "int"
+        return "float" if text.endswith("f") else "double"
     if text.endswith("f"):
         return "float"
     return "double" if text.endswith("d") or "." in text or "e" in text else "int"

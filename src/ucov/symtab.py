@@ -11,7 +11,6 @@ parameters are replaced by the root reference type, so ``add(E)`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -25,20 +24,15 @@ PRIMITIVES = frozenset(
 )
 
 
-class _Declared:
+def _visibility(declared: MemberInfo | TypeInfo) -> str:
     """The visibility rule shared by type and member declarations."""
-
-    modifiers: frozenset[str]
-
-    def visibility(self) -> str:
-        for v in ("public", "protected", "private"):
-            if v in self.modifiers:
-                return v
-        return "packagePrivate"
+    for v in ("public", "protected", "private"):
+        if v in declared.modifiers:
+            return v
+    return "packagePrivate"
 
 
-@dataclass(frozen=True)
-class MemberInfo(_Declared):
+class MemberInfo(NamedTuple):
     declaring: str  # FQN of the declaring type
     kind: n.MemberKind
     name: str
@@ -50,22 +44,55 @@ class MemberInfo(_Declared):
     location: Optional[n.Location] = None
     synthesized: bool = False
 
+    visibility = _visibility
+
     @property
     def fqn(self) -> str:
         return f"{self.declaring}.{self.name}"
 
 
-@dataclass
-class TypeInfo(_Declared):
-    fqn: str
-    kind: n.TypeKind
-    modifiers: frozenset[str]
-    type_params: tuple[str, ...]
-    supertypes: tuple[str, ...]  # direct, resolved FQNs (raw names when external)
-    external_supertypes: frozenset[str]
-    members: tuple[MemberInfo, ...]
-    enclosing: Optional[str] = None  # FQN of the enclosing type, if nested
-    location: Optional[n.Location] = None
+class TypeInfo:
+    """A declared type. ``build_symbol_table`` fills in ``supertypes``,
+    ``external_supertypes`` and ``members`` once every type of the table is
+    known; two infos are equal when all their fields are, and an info is
+    not hashable."""
+
+    __slots__ = ("fqn", "kind", "modifiers", "type_params", "supertypes",
+                 "external_supertypes", "members", "enclosing", "location")
+
+    def __init__(
+        self,
+        fqn: str,
+        kind: n.TypeKind,
+        modifiers: frozenset[str],
+        type_params: tuple[str, ...],
+        supertypes: tuple[str, ...],  # direct, resolved FQNs (raw names when external)
+        external_supertypes: frozenset[str],
+        members: tuple[MemberInfo, ...],
+        enclosing: Optional[str] = None,  # FQN of the enclosing type, if nested
+        location: Optional[n.Location] = None,
+    ) -> None:
+        self.fqn = fqn
+        self.kind = kind
+        self.modifiers = modifiers
+        self.type_params = type_params
+        self.supertypes = supertypes
+        self.external_supertypes = external_supertypes
+        self.members = members
+        self.enclosing = enclosing
+        self.location = location
+
+    visibility = _visibility
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not TypeInfo:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 class ResolutionStatus(Enum):
@@ -74,8 +101,7 @@ class ResolutionStatus(Enum):
     UNRESOLVED = "Unresolved"
 
 
-@dataclass(frozen=True)
-class MethodResolution:
+class MethodResolution(NamedTuple):
     status: ResolutionStatus
     member: Optional[MemberInfo] = None
 
@@ -239,14 +265,13 @@ class SymbolTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class UnitContext:
+class UnitContext(NamedTuple):
     """Import/package scope of one source unit, used to resolve type names."""
 
     table: SymbolTable
     package: str
-    single_imports: dict[str, str] = field(default_factory=dict)
-    on_demand_imports: list[str] = field(default_factory=list)
+    single_imports: dict[str, str]
+    on_demand_imports: list[str]
 
     @classmethod
     def for_unit(cls, table: SymbolTable, unit: n.SourceUnit) -> "UnitContext":

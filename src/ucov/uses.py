@@ -11,6 +11,13 @@ from .errors import ModelMismatch
 from .model import TYPE_USES, Symbol, UsageModel, UseKind, UsePair
 
 
+# Builds a value below from a tuple of its fields, ``new_value(Location,
+# (file, line, column))``, in C: the ``__new__`` that ``NamedTuple``
+# generates is Python code, and the frontend, the extractor and the
+# footprint reader build these values by the thousand.
+new_value = tuple.__new__
+
+
 class Location(NamedTuple):
     file: str
     line: int
@@ -170,7 +177,8 @@ def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
                 )
             pair = pairs[key] = (sym, use)
         sym, use = pair
-        triples.add(UseTriple(sym, use, Location(u["file"], u["line"], u["col"])))
+        location = new_value(Location, (u["file"], u["line"], u["col"]))
+        triples.add(new_value(UseTriple, (sym, use, location)))
     diagnostics = [
         Diagnostic(
             Location(d["file"], d["line"], d["col"]),

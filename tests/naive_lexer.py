@@ -5,12 +5,30 @@ The tests check that both give equal tokens, or an equal error message at
 an equal location, except where the program deliberately differs: a lone
 ``\r`` ends a line, a non-decimal digit such as '²' starts no number, and
 the EOF token after a trailing ``//`` comment is placed after the comment.
+``rows`` turns the scanner's parallel token lists into the same rows.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from ucov.errors import ParseError
-from ucov.lexer import KEYWORDS, Token
+from ucov.lexer import KEYWORDS, Tokens
+
+
+class Token(NamedTuple):
+    type: str
+    value: str
+    line: int
+    column: int
+
+
+def rows(tokens: Tokens) -> list[Token]:
+    """The (type, value, line, column) of each token of ``ucov.lexer.tokenize``."""
+    return [
+        Token(tokens.types[i], tokens.values[i], *tokens.position(i))
+        for i in range(len(tokens))
+    ]
 
 # Longest-match first.
 TWO_CHAR_OPS = ("->", "==", "!=", "<=", ">=", "&&", "||", "++", "--")
@@ -66,15 +84,17 @@ def naive_tokenize(text: str, path: str) -> list[Token]:
             continue
         if c.isdigit():
             start = i
-            # '_' joins two digits; in a decimal number a sign right after
-            # 'e' or 'E' belongs to the literal.
+            # '_' joins two digits; a sign right after the exponent letter
+            # ('e' or 'E' in a decimal number, 'p' or 'P' in a hex one)
+            # belongs to the literal.
             hexadecimal = text.startswith(("0x", "0X"), i)
             is_digit = HEX_DIGITS.__contains__ if hexadecimal else str.isdecimal
+            exponent = "pP" if hexadecimal else "eE"
             i += 1
             while i < n:
                 if text[i].isalnum() or text[i] == ".":
                     i += 1
-                elif text[i] in "+-" and text[i - 1] in "eE" and not hexadecimal:
+                elif text[i] in "+-" and text[i - 1] in exponent:
                     i += 1
                 elif text[i] == "_" and is_digit(text[i - 1]):
                     j = i

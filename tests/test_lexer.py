@@ -9,9 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from naive_lexer import naive_tokenize
+from naive_lexer import naive_tokenize, rows
 from ucov import ParseError, parse_unit
 from ucov.lexer import tokenize
+
+
+def scan(text: str, path: str):
+    """The scanner's tokens as the reference's (type, value, line, column) rows."""
+    return rows(tokenize(text, path))
 
 
 def outcome(lex, text: str):
@@ -28,15 +33,26 @@ def test_scanner_matches_the_reference_on_every_fixture_file():
     assert len(paths) >= 30
     for path in paths:
         text = path.read_text(encoding="utf-8")
-        assert tokenize(text, str(path)) == naive_tokenize(text, str(path)), path
+        assert scan(text, str(path)) == naive_tokenize(text, str(path)), path
+
+
+def test_the_length_of_the_tokens_counts_every_token_and_one_eof():
+    """The benchmark's tracer counts tokens with ``len``."""
+    for path in sorted(FIXTURES.rglob("*.java")):
+        text = path.read_text(encoding="utf-8")
+        tokens = tokenize(text, str(path))
+        assert len(tokens) == len(naive_tokenize(text, str(path))), path
+        assert tokens.types.count("EOF") == 1 and tokens.types[-1] == "EOF", path
+        assert len(tokens.values) == len(tokens.starts) == len(tokens), path
 
 
 # Letters (one non-ASCII), '_', decimal digits (one Arabic-Indic), numerics
-# that are not decimal digits, signed exponents, quotes, backslashes,
+# that are not decimal digits, hex prefixes, signed exponents, quotes, backslashes,
 # comment delimiters, every operator character and every character the
 # scanner skips but '\r'.
 PIECES = [
     "a", "Z", "é", "_", "class", "new", "0", "7", "٣", "²", "½", "Ⅷ", "e-", "E+",
+    "0x", "p-", "P+",
     '"', "'", "\\", "//", "/*", "*/", *"+-*/%<>!&|^~=.,;:()[]{}?@",
     " ", "\t", "\f", "\n",
 ]
@@ -49,7 +65,7 @@ PIECES = [
 @example('"\\"')
 @example("/*/")
 def test_scanner_agrees_with_the_reference_lexer(text):
-    got = outcome(tokenize, text)
+    got = outcome(scan, text)
     if isinstance(got, tuple) and got[0].startswith("unexpected character"):
         reason, line, column = got
         offset = sum(len(l) + 1 for l in text.split("\n")[: line - 1]) + column - 1
@@ -59,20 +75,20 @@ def test_scanner_agrees_with_the_reference_lexer(text):
             # starts a number; on the text before it the two agree.
             assert naive_tokenize(text[: offset + 1], "T.java")[-2] == ("INT", c, line, column)
             text = text[:offset]
-            got = outcome(tokenize, text)
+            got = outcome(scan, text)
     assert got == outcome(naive_tokenize, text)
     if not isinstance(got, tuple):
         lines = text.split("\n")
-        assert tokenize(text, "T.java")[-1] == ("EOF", "", len(lines), len(lines[-1]) + 1)
+        assert scan(text, "T.java")[-1] == ("EOF", "", len(lines), len(lines[-1]) + 1)
 
 
 def test_cr_and_crlf_each_end_one_line_in_code_and_comments():
     text = "class A {\r  int x; // c\r  int y; /* a\r\nb\rc */ int z;\r\n}\r"
     lf = text.replace("\r\n", "\n").replace("\r", "\n")
-    assert tokenize(text, "A.java") == naive_tokenize(lf, "A.java")
+    assert scan(text, "A.java") == naive_tokenize(lf, "A.java")
     # The reference reads '\r' as a space: 'x' on line 1 and 'y' in a comment.
     assert ("IDENT", "x", 1, 17) in naive_tokenize(text, "A.java")
-    assert ("IDENT", "y", 3, 7) in tokenize(text, "A.java")
+    assert ("IDENT", "y", 3, 7) in scan(text, "A.java")
 
 
 def test_non_decimal_digits_start_no_number():
@@ -86,7 +102,7 @@ def test_non_decimal_digits_start_no_number():
     assert naive_tokenize("int x = ²;", "A.java")[3] == ("INT", "²", 1, 9)
     # A name or number may still contain one; a decimal digit of any
     # script starts a number.
-    assert [t[:2] for t in tokenize("x² 1² ٣", "A.java")] == [
+    assert [t[:2] for t in scan("x² 1² ٣", "A.java")] == [
         ("IDENT", "x²"),
         ("INT", "1²"),
         ("INT", "٣"),
@@ -96,7 +112,7 @@ def test_non_decimal_digits_start_no_number():
 
 def test_eof_after_a_trailing_line_comment_is_placed_after_it():
     text = "int x; // end"
-    assert tokenize(text, "A.java")[-1] == ("EOF", "", 1, 14)
+    assert scan(text, "A.java")[-1] == ("EOF", "", 1, 14)
     assert naive_tokenize(text, "A.java")[-1] == ("EOF", "", 1, 8)
 
 
@@ -109,10 +125,12 @@ def test_eof_after_a_trailing_line_comment_is_placed_after_it():
         ("0x1e-5", ["0x1e", "-", "5"]),  # no exponent in a hex number
         ("0xFF_FF 1__0 1_000L", ["0xFF_FF", "1__0", "1_000L"]),
         ("1_e 1e--5", ["1", "_e", "1e-", "-", "5"]),
+        ("0x1p-3 0x1.8P+3f 0x1p3d", ["0x1p-3", "0x1.8P+3f", "0x1p3d"]),
+        ("0x1p3-1 1p-3", ["0x1p3", "-", "1", "1p", "-", "3"]),  # no 'p' exponent in a decimal
     ],
 )
 def test_numbers_take_signed_exponents_and_digit_separators(text, values):
-    assert [t.value for t in tokenize(text, "A.java")[:-1]] == values
+    assert tokenize(text, "A.java").values[:-1] == values
     assert [t.value for t in naive_tokenize(text, "A.java")[:-1]] == values
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from conftest import FIXTURES, parse_tree
@@ -205,11 +203,11 @@ def test_empty_unit_is_valid():
 
 
 def _strip_locations(node):
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
+    if isinstance(node, n.Node):
         return {
-            f.name: _strip_locations(getattr(node, f.name))
-            for f in dataclasses.fields(node)
-            if f.name not in ("location", "path")
+            name: _strip_locations(getattr(node, name))
+            for name in node.__slots__
+            if name not in ("location", "path")
         }
     if isinstance(node, (list, tuple)):
         return [_strip_locations(x) for x in node]

@@ -252,12 +252,16 @@ ENTRIES = {
 }
 
 
-def child(*args: str, cwd: Path, entry: str = "module") -> subprocess.CompletedProcess:
-    """A ucov process with block-buffered standard output on a pipe."""
+def child(*args: str, cwd: Path, entry: str = "module", stdout=subprocess.PIPE,
+          unbuffered: bool = False) -> subprocess.CompletedProcess:
+    """A ucov process with standard output on a pipe (or ``stdout``),
+    block-buffered unless ``unbuffered``."""
     env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "UCOV_"))}
     env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, *ENTRIES[entry], *args], cwd=cwd, env=env,
-                          capture_output=True, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=60)
 
 
 def test_the_console_script_runs_the_module_entry():
@@ -317,3 +321,38 @@ def test_child_exit_codes_of_a_missing_model_and_a_strict_parse_error(sum_path, 
     assert proc.returncode == 2
     assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
     assert not (tmp_path / "f.json").exists()
+
+
+def one_line_write_error(proc: subprocess.CompletedProcess, reason: bytes) -> bool:
+    return (proc.returncode, proc.stderr) == (
+        1, b"error: cannot write to standard output: " + reason + b"\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("command", ["sum", "profile", "coverage"])
+def test_child_stdout_on_a_full_device_is_a_one_line_error(sum_path, sufs, tmp_path, command):
+    argv = {
+        "sum": ["sum", ARRAYLIST_LIB, "-o", str(tmp_path / "m.json")],
+        "profile": ["profile", "--sum", str(sum_path)],
+        "coverage": ["coverage", "--sum", str(sum_path), *sufs],
+    }[command]
+    with open("/dev/full", "wb") as full:
+        proc = child(*argv, cwd=tmp_path, stdout=full)
+    assert one_line_write_error(proc, b"No space left on device")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_child_stdout_on_a_closed_pipe_is_a_one_line_error(
+        sum_path, sufs, tmp_path, entry, unbuffered):
+    """Unbuffered, the write fails; buffered, the flush after it. Either
+    way the output left in the buffer fails the flush before the process
+    exits too, which must not report it again."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = child("coverage", "--sum", str(sum_path), *sufs, cwd=tmp_path, entry=entry,
+                     stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert one_line_write_error(proc, b"Broken pipe")

@@ -216,8 +216,9 @@ def test_constructor_resolution():
 def test_numeric_literals_are_typed_by_their_form():
     assert [type_of(t) for t in ("2", "0x1F", "0b101", "017")] == ["int"] * 4
     assert [type_of(t) for t in ("10L", "10l", "0xFFL")] == ["long"] * 3
-    assert [type_of(t) for t in ("2f", "1.5F", "1e3f")] == ["float"] * 3
-    assert [type_of(t) for t in ("1.5", "1.", "1e3", "1E3", "7d", "7D")] == ["double"] * 6
+    assert [type_of(t) for t in ("2f", "1.5F", "1e3f", "0x1p3f", "0x1.8P-3F")] == ["float"] * 5
+    doubles = ("1.5", "1.", "1e3", "1E3", "7d", "7D", "0x1p-3", "0x1.8p3", "0X1P+3", "0x1p3d")
+    assert [type_of(t) for t in doubles] == ["double"] * 10
 
 
 NUMERIC_LIB = "package p; public class A { public void f(int x) { } public void f(double d) { } }"
@@ -237,6 +238,7 @@ def call_with(arg: str) -> tuple[list[str], list[str]]:
 def test_a_numeric_argument_picks_the_overload_of_its_type():
     assert call_with("1.5") == (["p.A.f(double)"], [])
     assert call_with("2") == (["p.A.f(int)"], [])
+    assert call_with("0x1p-3") == (["p.A.f(double)"], [])  # one hex float, not 0x1p - 3
     # primitive widening is not modelled: a long fits neither overload
     assert call_with("10L") == (["p.A.f(double)"], ["Ambiguous"])
 
@@ -254,7 +256,8 @@ FLOAT_LIB = "package p; public class A { public void f(float x) { } public void 
 
 def test_a_float_with_a_signed_exponent_picks_the_float_overload():
     model = build_sum([parse_unit(FLOAT_LIB, "A.java")], "p")
-    for arg, want in (("1e-5f", "p.A.f(float)"), ("1e-5", "p.A.f(double)")):
+    for arg, want in (("1e-5f", "p.A.f(float)"), ("1e-5", "p.A.f(double)"),
+                      ("0x1p-3f", "p.A.f(float)"), ("0x1p-3", "p.A.f(double)")):
         client = parse_unit(
             f"package c; import p.A; class C {{ void g(A a) {{ a.f({arg}); }} }}", "C.java"
         )

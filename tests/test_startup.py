@@ -90,12 +90,16 @@ def test_importing_the_cli_or_the_package_runs_no_layer():
 
 
 def test_the_cli_and_the_reading_commands_import_no_dataclasses_or_logging(saved):
-    """Against a bare interpreter, not a fixed list: what ``site`` imports
-    differs from host to host."""
+    """Every command, ``sum`` and ``suf`` included. Against a bare
+    interpreter, not a fixed list: what ``site`` imports differs from host
+    to host."""
     out, model, sufs = saved
     every_module = "\nprint(json.dumps(sorted(sys.modules)))"
     bare = set(child_json("pass" + every_module))
     for script, args in (("import ucov.cli", ()),
+                         (COMMAND, ("sum", str(LIB), "-o", str(out / "sum2.json"))),
+                         (COMMAND, ("suf", "--sum", model, str(GROUPS["classic"]),
+                                    "-o", str(out / "suf2.json"))),
                          (COMMAND, ("coverage", "--sum", model, *sufs)),
                          (COMMAND, ("compare", "--sum", model, *sufs,
                                     "-o", str(out / "regions.json"))),

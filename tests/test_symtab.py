@@ -231,3 +231,18 @@ def test_overlay_tables_do_not_share_caches():
     assert lib.resolve_method("l.A", "e", []).member is None
     assert client.resolve_method("l.A", "e", []).member.declaring == "Ext"
     assert lib.resolve_method("l.A", "e", []).member is None
+
+
+def test_type_and_member_infos_compare_by_value():
+    """Types compare by their fields and cannot be hashed, since the table
+    fills some in after making them; members are hashable values."""
+    source = "package p; public class A { public int x; public void m(int a) { } }"
+    first, second = table_of(source), table_of(source)
+    a, b = first.lookup_type("p.A"), second.lookup_type("p.A")
+    assert a is not b and a == b
+    with pytest.raises(TypeError):
+        hash(a)
+    assert set(a.members) == set(b.members) and a.members[0] is not b.members[0]
+    assert [m.visibility() for m in a.members] == ["public", "public", "public"]
+    assert a.visibility() == "public"
+    assert a != table_of(source.replace("int x", "long x")).lookup_type("p.A")
