@@ -289,8 +289,23 @@ def cmd_profile(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose help on standard output is written like a
+    command's result, where argparse ignores a failed write: a closed pipe
+    or a full device ends the parse with a one-line error and exit 1. Each
+    command's parser is of the same class."""
+
+    def print_help(self, file=None) -> None:
+        if file is not None:
+            return super().print_help(file)
+        try:
+            _write_stdout(self.format_help())
+        except UsageError as exc:
+            self.exit(EXIT_USAGE, f"error: {exc}\n")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ucov", description="Syntactic API usage models, footprints, and coverage."
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,11 +10,11 @@ rather than a triple.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from . import nodes as n
 from .errors import ParseError
-from .model import Symbol, UsageModel, UseKind
+from .model import Symbol, SymbolKind, UsageModel, UseKind
 from .parser import collect_source_files, parse_unit
 from .symtab import (
     Declaration,
@@ -46,12 +46,18 @@ from .uses import (  # noqa: F401 - the values and their JSON form, re-exported
 
 
 def extract_uses(
-    client_units: list[n.SourceUnit], model: UsageModel, label: str = "client"
+    client_units: list[n.SourceUnit],
+    model: UsageModel,
+    label: str = "client",
+    *,
+    _parse_errors: Sequence[Diagnostic] = (),
 ) -> Footprint:
     """Extract the footprint of client units against a usage model, over a
-    client symbol table layered on the library's."""
+    client symbol table layered on the library's. ``footprint_of_corpus``
+    passes the diagnostics of the files it could not parse, which come
+    before the extractor's own."""
     table = build_symbol_table(client_units, base=model.table)
-    extractor = _Extractor(model, table)
+    extractor = _Extractor(model, table, list(_parse_errors))
     for d in declarations(client_units, table):
         extractor.visit_type(d)
     return Footprint(
@@ -91,19 +97,17 @@ def footprint_of_corpus(
                         exc.reason,
                     )
                 )
-        fp = extract_uses(units, model, label=label)
-        fp.diagnostics = diagnostics + fp.diagnostics
-        out[label] = fp
+        out[label] = extract_uses(units, model, label=label, _parse_errors=diagnostics)
     return out
 
 
 class _Extractor:
-    def __init__(self, model: UsageModel, table: SymbolTable):
+    def __init__(self, model: UsageModel, table: SymbolTable, diagnostics: list[Diagnostic]):
         self.model = model
         self.table = table
         self.lib_table = model.table
         self.triples: set[UseTriple] = set()
-        self.diagnostics: list[Diagnostic] = []
+        self.diagnostics = diagnostics
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -137,8 +141,7 @@ class _Extractor:
     # -- declarations --------------------------------------------------------
 
     def visit_type(self, d: Declaration) -> None:
-        env = Env(self.table, d.ctx, this_type=d.fqn, enclosing=d.scope,
-                  type_params=d.type_params)
+        env = Env(d.ctx, this_type=d.fqn, enclosing=d.scope, type_params=d.type_params)
         info = self.table.types[d.fqn]
         self._heritage_uses(d.decl, info, env)
         self._overriding_uses(info)
@@ -165,8 +168,8 @@ class _Extractor:
                 continue
             assert ref.location is not None
             target_info = self.table.lookup_type(resolved)
-            if target_info is not None and target_info.kind is n.TypeKind.INTERFACE:
-                if decl.kind is n.TypeKind.INTERFACE:
+            if target_info is not None and target_info.kind is SymbolKind.INTERFACE:
+                if decl.kind is SymbolKind.INTERFACE:
                     self.emit(target, UseKind.INTERFACE_EXTENSION, ref.location)
                 else:
                     self.emit(target, UseKind.IMPLEMENTATION, ref.location)
@@ -175,7 +178,7 @@ class _Extractor:
 
     def _overriding_uses(self, info: TypeInfo) -> None:
         for member in info.members:
-            if member.kind is not n.MemberKind.METHOD or "static" in member.modifiers:
+            if member.kind is not SymbolKind.METHOD or "static" in member.modifiers:
                 continue
             self._emit_library_methods(
                 self.table.super_methods(member),
@@ -197,7 +200,7 @@ class _Extractor:
         superclass = None
         for sup in info.supertypes:
             sup_info = self.table.lookup_type(sup)
-            if sup_info is not None and sup_info.kind is n.TypeKind.CLASS:
+            if sup_info is not None and sup_info.kind is SymbolKind.CLASS:
                 superclass = sup_info
                 break
         if superclass is None or not self.is_library_type(superclass.fqn):
@@ -206,7 +209,7 @@ class _Extractor:
         if zero_arg is None:
             return
         for member in info.members:
-            if member.kind is n.MemberKind.CONSTRUCTOR and not member.synthesized:
+            if member.kind is SymbolKind.CONSTRUCTOR and not member.synthesized:
                 loc = member.location or info.location
                 self.emit_member_use(zero_arg, UseKind.CONSTRUCTOR_INVOCATION, loc)
 
@@ -232,7 +235,7 @@ class _Extractor:
             self._type_reference(arg, env)
 
     def _visit_member_body(self, member: n.MemberDecl, type_env: Env) -> None:
-        if member.kind is n.MemberKind.FIELD:
+        if member.kind is SymbolKind.FIELD:
             if member.field_init is not None:
                 env = type_env.child()
                 expected = declared_type(member.field_type, env) if member.field_type else None
@@ -452,7 +455,7 @@ class _Extractor:
                 self.emit_member_use(
                     ctor.member, UseKind.CONSTRUCTOR_INVOCATION, expr.location
                 )
-            elif info is not None and info.kind is n.TypeKind.CLASS:
+            elif info is not None and info.kind is SymbolKind.CLASS:
                 self.diag(
                     expr.location,
                     DiagnosticKind.UNRESOLVED,
@@ -461,7 +464,7 @@ class _Extractor:
         self._visit_args(expr.args, env, ctor.member)
 
     def _anonymous_class(self, expr, resolved, info, sym, ctor, env: Env) -> None:
-        is_interface = info is not None and info.kind is n.TypeKind.INTERFACE
+        is_interface = info is not None and info.kind is SymbolKind.INTERFACE
         if sym is not None:
             if is_interface:
                 self.emit(sym, UseKind.IMPLEMENTATION, expr.location)
@@ -473,14 +476,10 @@ class _Extractor:
                     )
         self._visit_args(expr.args, env, ctor.member)
         inner = Env(
-            self.table,
-            env.ctx,
-            this_type=resolved,
-            enclosing=env.enclosing,
-            type_params=env.type_params,
+            env.ctx, this_type=resolved, enclosing=env.enclosing, type_params=env.type_params
         )
         for member in expr.anon_body or []:
-            if member.kind is n.MemberKind.METHOD:
+            if member.kind is SymbolKind.METHOD:
                 signature = erased_signature(
                     member.name, (inner.erase(p.type_ref) for p in member.params)
                 )
@@ -499,13 +498,13 @@ class _Extractor:
             sym = self.model.type_symbol(expected)
             if (
                 info is not None
-                and info.kind is n.TypeKind.INTERFACE
+                and info.kind is SymbolKind.INTERFACE
                 and sym is not None
             ):
                 abstract = [
                     m
                     for m in info.members
-                    if m.kind is n.MemberKind.METHOD and "abstract" in m.modifiers
+                    if m.kind is SymbolKind.METHOD and "abstract" in m.modifiers
                 ]
                 if len(abstract) == 1:
                     sam = abstract[0]

@@ -6,10 +6,11 @@ from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
-from . import nodes as n, symtab  # run when first used: reading a model needs neither
+from . import symtab  # run when first used: reading a model does not need it
 from .errors import ModelMismatch, warn
 
 if TYPE_CHECKING:
+    from .nodes import SourceUnit
     from .symtab import MemberInfo, SymbolTable, TypeInfo
 
 
@@ -34,6 +35,9 @@ class UseKind(Enum):
 
 
 class SymbolKind(Enum):
+    """The kind of a declaration: the parser tags each type and member
+    declaration with one, and the symbol table and the model keep it."""
+
     __hash__ = object.__hash__  # as for UseKind
 
     CLASS = "Class"
@@ -184,7 +188,7 @@ class UsageModel:
 
 
 def build_sum(
-    library_units: list[n.SourceUnit], library_name: str = "library"
+    library_units: list[SourceUnit], library_name: str = "library"
 ) -> UsageModel:
     """Build the usage model of a library: every exported symbol mapped to
     its legal uses.
@@ -205,10 +209,10 @@ def build_sum(
         if not exported:
             continue
         ext = extensible[info.fqn] = _is_extensible(info)
-        entries[Symbol(info.fqn, SymbolKind[info.kind.name])] = _type_uses(info, ext)
+        entries[Symbol(info.fqn, info.kind)] = _type_uses(info, ext)
         for member in info.members:
             if _accessible(member.visibility(), ext):
-                sym = Symbol(member.fqn, SymbolKind[member.kind.name], member.signature)
+                sym = Symbol(member.fqn, member.kind, member.signature)
                 entries[sym] = _member_uses(member, ext)
     ordered = dict(sorted(entries.items(), key=lambda kv: kv[0].sort_key()))
     return UsageModel(library_name, ordered, table)
@@ -225,9 +229,9 @@ def _is_extensible(info: TypeInfo) -> bool:
     constructor."""
     if "final" in info.modifiers or "sealed" in info.modifiers:
         return False
-    if info.kind is n.TypeKind.CLASS:
+    if info.kind is SymbolKind.CLASS:
         return any(
-            m.kind is n.MemberKind.CONSTRUCTOR and m.visibility() in ("public", "protected")
+            m.kind is SymbolKind.CONSTRUCTOR and m.visibility() in ("public", "protected")
             for m in info.members
         )
     return True
@@ -236,12 +240,12 @@ def _is_extensible(info: TypeInfo) -> bool:
 def _type_uses(info: TypeInfo, extensible: bool) -> frozenset[UseKind]:
     """The legal client uses of an exported type."""
     uses = {UseKind.TYPE_REFERENCE}
-    if info.kind is n.TypeKind.INTERFACE:
+    if info.kind is SymbolKind.INTERFACE:
         if extensible:
             uses.update((UseKind.IMPLEMENTATION, UseKind.INTERFACE_EXTENSION))
     else:
         if "abstract" not in info.modifiers and any(
-            m.kind is n.MemberKind.CONSTRUCTOR and m.visibility() == "public"
+            m.kind is SymbolKind.CONSTRUCTOR and m.visibility() == "public"
             for m in info.members
         ):
             uses.add(UseKind.INSTANTIATION)
@@ -253,9 +257,9 @@ def _type_uses(info: TypeInfo, extensible: bool) -> frozenset[UseKind]:
 def _member_uses(member: MemberInfo, extensible: bool) -> frozenset[UseKind]:
     """The legal client uses of an exported member of a type that is
     ``extensible`` or not."""
-    if member.kind is n.MemberKind.CONSTRUCTOR:
+    if member.kind is SymbolKind.CONSTRUCTOR:
         return frozenset({UseKind.CONSTRUCTOR_INVOCATION})
-    if member.kind is n.MemberKind.FIELD:
+    if member.kind is SymbolKind.FIELD:
         if "final" in member.modifiers:
             return frozenset({UseKind.FIELD_READ})
         return frozenset({UseKind.FIELD_READ, UseKind.FIELD_WRITE})
@@ -271,13 +275,12 @@ def model_to_dict(model: UsageModel) -> dict:
     section (type hierarchy, member types) so client analysis can run from
     the serialized model alone. Each symbol's modifiers are those of its
     declaration in the resolution section."""
-    kind_of = {k: SymbolKind[k.name] for k in (*n.TypeKind, *n.MemberKind)}
     # by (fqn, kind, signature): a plain tuple equals the Symbol of that content
     modifiers: dict[tuple, frozenset[str]] = {}
     types = []
     members = []
     for info in sorted(model.table.own_types(), key=lambda t: t.fqn):
-        modifiers[(info.fqn, kind_of[info.kind], None)] = info.modifiers
+        modifiers[(info.fqn, info.kind, None)] = info.modifiers
         types.append(
             {
                 "fqn": info.fqn,
@@ -290,7 +293,7 @@ def model_to_dict(model: UsageModel) -> dict:
             }
         )
         for m in sorted(info.members, key=lambda m: (m.name, m.signature or "")):
-            modifiers[(m.fqn, kind_of[m.kind], m.signature)] = m.modifiers
+            modifiers[(m.fqn, m.kind, m.signature)] = m.modifiers
             members.append(
                 {
                     "declaring": m.declaring,
@@ -348,7 +351,7 @@ def _table_from_dict(resolution: dict) -> SymbolTable:
         members_by_type.setdefault(m["declaring"], []).append(
             symtab.MemberInfo(
                 declaring=m["declaring"],
-                kind=n.MemberKind(m["kind"]),
+                kind=_declared_kind(m["kind"], of_type=False),
                 name=m["name"],
                 modifiers=frozenset(m["modifiers"]),
                 signature=m["signature"],
@@ -361,7 +364,7 @@ def _table_from_dict(resolution: dict) -> SymbolTable:
     for t in resolution["types"]:
         table.types[t["fqn"]] = symtab.TypeInfo(
             fqn=t["fqn"],
-            kind=n.TypeKind(t["kind"]),
+            kind=_declared_kind(t["kind"], of_type=True),
             modifiers=frozenset(t["modifiers"]),
             type_params=tuple(t["type_params"]),
             supertypes=tuple(t["supertypes"]),
@@ -370,3 +373,12 @@ def _table_from_dict(resolution: dict) -> SymbolTable:
             enclosing=t.get("enclosing"),
         )
     return table
+
+
+def _declared_kind(value: str, of_type: bool) -> SymbolKind:
+    """The kind named ``value`` of a type or of a member in a resolution
+    section; a member kind for a type, or the reverse, is malformed."""
+    kind = SymbolKind(value)
+    if (kind in _TYPE_KINDS) is not of_type:
+        raise ValueError(f"{value!r} is not the kind of a {'type' if of_type else 'member'}")
+    return kind

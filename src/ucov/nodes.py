@@ -4,25 +4,18 @@ All nodes carry the location of their head identifier token (1-based
 line/column) so that downstream analyses can report precise use sites.
 Nodes are plain classes with ``__slots__`` that compare and hash by
 identity, so analyses can key tables by node; ``Location`` is a value.
+A declaration's kind is a ``ucov.model.SymbolKind``, the one kind of the
+parser, the symbol table and the usage model.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .uses import Location
 
-
-class TypeKind(Enum):
-    CLASS = "Class"
-    INTERFACE = "Interface"
-
-
-class MemberKind(Enum):
-    METHOD = "Method"
-    CONSTRUCTOR = "Constructor"
-    FIELD = "Field"
+if TYPE_CHECKING:
+    from .model import SymbolKind
 
 
 class Node:
@@ -319,7 +312,7 @@ class MemberDecl(Node):
 
     def __init__(
         self,
-        kind: MemberKind,
+        kind: SymbolKind,  # METHOD, CONSTRUCTOR or FIELD
         name: str,
         modifiers: set[str],
         location: Location,
@@ -350,7 +343,7 @@ class TypeDecl(Node):
 
     def __init__(
         self,
-        kind: TypeKind,
+        kind: SymbolKind,  # CLASS or INTERFACE
         simple_name: str,
         modifiers: set[str],
         type_params: list[str],

@@ -18,6 +18,7 @@ from typing import Optional, Union
 from . import nodes as n
 from .errors import ParseError
 from .lexer import Tokens, tokenize
+from .model import SymbolKind
 from .uses import Location, new_value
 
 MODIFIER_KEYWORDS = frozenset(
@@ -170,10 +171,10 @@ class _Parser:
         if mods is None:
             mods = self.parse_modifiers()
         if self.at("class"):
-            kind = n.TypeKind.CLASS
+            kind = SymbolKind.CLASS
             self.advance()
         elif self.at("interface"):
-            kind = n.TypeKind.INTERFACE
+            kind = SymbolKind.INTERFACE
             self.advance()
         else:
             raise self.error("expected 'class' or 'interface'")
@@ -231,7 +232,7 @@ class _Parser:
             throws = self.parse_ref_list("throws")
             body = self.parse_block()
             return n.MemberDecl(
-                kind=n.MemberKind.CONSTRUCTOR,
+                kind=SymbolKind.CONSTRUCTOR,
                 name=self.values[name_tok],
                 modifiers=mods,
                 location=self.loc(name_tok),
@@ -249,7 +250,7 @@ class _Parser:
             if not self.accept(";"):
                 body = self.parse_block()
             return n.MemberDecl(
-                kind=n.MemberKind.METHOD,
+                kind=SymbolKind.METHOD,
                 name=self.values[name_tok],
                 modifiers=mods,
                 location=self.loc(name_tok),
@@ -266,7 +267,7 @@ class _Parser:
             init = self.parse_expr()
         self.expect(";")
         return n.MemberDecl(
-            kind=n.MemberKind.FIELD,
+            kind=SymbolKind.FIELD,
             name=self.values[name_tok],
             modifiers=mods,
             location=self.loc(name_tok),

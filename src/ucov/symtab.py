@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import nodes as n
 from .errors import CyclicHierarchy, DuplicateSymbol
+from .model import SymbolKind
 
 ROOT_TYPE = "java.lang.Object"
 
@@ -34,7 +35,7 @@ def _visibility(declared: MemberInfo | TypeInfo) -> str:
 
 class MemberInfo(NamedTuple):
     declaring: str  # FQN of the declaring type
-    kind: n.MemberKind
+    kind: SymbolKind  # METHOD, CONSTRUCTOR or FIELD
     name: str
     modifiers: frozenset[str]
     signature: Optional[str]  # erased; None for fields
@@ -51,48 +52,22 @@ class MemberInfo(NamedTuple):
         return f"{self.declaring}.{self.name}"
 
 
-class TypeInfo:
-    """A declared type. ``build_symbol_table`` fills in ``supertypes``,
-    ``external_supertypes`` and ``members`` once every type of the table is
-    known; two infos are equal when all their fields are, and an info is
-    not hashable."""
+class TypeInfo(NamedTuple):
+    """A declared type. ``build_symbol_table`` registers each type with no
+    supertypes and no members, then replaces it with the complete info
+    once every type of the table is known."""
 
-    __slots__ = ("fqn", "kind", "modifiers", "type_params", "supertypes",
-                 "external_supertypes", "members", "enclosing", "location")
-
-    def __init__(
-        self,
-        fqn: str,
-        kind: n.TypeKind,
-        modifiers: frozenset[str],
-        type_params: tuple[str, ...],
-        supertypes: tuple[str, ...],  # direct, resolved FQNs (raw names when external)
-        external_supertypes: frozenset[str],
-        members: tuple[MemberInfo, ...],
-        enclosing: Optional[str] = None,  # FQN of the enclosing type, if nested
-        location: Optional[n.Location] = None,
-    ) -> None:
-        self.fqn = fqn
-        self.kind = kind
-        self.modifiers = modifiers
-        self.type_params = type_params
-        self.supertypes = supertypes
-        self.external_supertypes = external_supertypes
-        self.members = members
-        self.enclosing = enclosing
-        self.location = location
+    fqn: str
+    kind: SymbolKind  # CLASS or INTERFACE
+    modifiers: frozenset[str]
+    type_params: tuple[str, ...]
+    supertypes: tuple[str, ...]  # direct, resolved FQNs (raw names when external)
+    external_supertypes: frozenset[str]
+    members: tuple[MemberInfo, ...]
+    enclosing: Optional[str] = None  # FQN of the enclosing type, if nested
+    location: Optional[n.Location] = None
 
     visibility = _visibility
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not TypeInfo:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 class ResolutionStatus(Enum):
@@ -160,7 +135,7 @@ class SymbolTable:
                 m
                 for tfqn in self.supertype_closure(receiver)
                 for m in self.members_of(tfqn)
-                if m.kind is n.MemberKind.FIELD and m.name == name
+                if m.kind is SymbolKind.FIELD and m.name == name
             ),
             None,
         )
@@ -183,7 +158,7 @@ class SymbolTable:
                 m
                 for tfqn in self.supertype_closure(fqn, include_self)
                 for m in self.members_of(tfqn)
-                if m.kind is n.MemberKind.METHOD and m.signature == signature
+                if m.kind is SymbolKind.METHOD and m.signature == signature
             )
         return found
 
@@ -212,7 +187,7 @@ class SymbolTable:
             for tfqn in self.supertype_closure(receiver):
                 for m in self.members_of(tfqn):
                     if (
-                        m.kind is n.MemberKind.METHOD
+                        m.kind is SymbolKind.METHOD
                         and m.name == name
                         and len(m.param_types) == arity
                         and m.signature not in seen_sigs
@@ -228,7 +203,7 @@ class SymbolTable:
         candidates = [
             m
             for m in self.members_of(type_fqn)
-            if m.kind is n.MemberKind.CONSTRUCTOR and len(m.param_types) == len(arg_types)
+            if m.kind is SymbolKind.CONSTRUCTOR and len(m.param_types) == len(arg_types)
         ]
         return self._choose(candidates, arg_types)
 
@@ -417,10 +392,11 @@ def build_symbol_table(
             supertypes.append(resolved)
             if not known:
                 externals.add(resolved)
-        info = table.types[d.fqn]
-        info.supertypes = tuple(supertypes)
-        info.external_supertypes = frozenset(externals)
-        info.members = _build_members(d)
+        table.types[d.fqn] = table.types[d.fqn]._replace(
+            supertypes=tuple(supertypes),
+            external_supertypes=frozenset(externals),
+            members=_build_members(d),
+        )
 
     _check_acyclic(table)
     return table
@@ -436,24 +412,24 @@ def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
     decl, ctx, scope = d.decl, d.ctx, d.scope
     out: list[MemberInfo] = []
     seen: set[tuple[str, str]] = set()
-    in_interface = decl.kind is n.TypeKind.INTERFACE
+    in_interface = decl.kind is SymbolKind.INTERFACE
 
     def normalize(member: n.MemberDecl) -> frozenset[str]:
         mods = set(member.modifiers)
         if in_interface:
             if not mods & n.VISIBILITY_MODIFIERS:
                 mods.add("public")
-            if member.kind is n.MemberKind.FIELD:
+            if member.kind is SymbolKind.FIELD:
                 mods.update(("static", "final"))
             elif member.body is None and "static" not in mods and "default" not in mods:
                 mods.add("abstract")
-        elif member.kind is n.MemberKind.METHOD and member.body is None:
+        elif member.kind is SymbolKind.METHOD and member.body is None:
             mods.add("abstract")
         return frozenset(mods)
 
     for member in decl.members:
         mods = normalize(member)
-        if member.kind is n.MemberKind.FIELD:
+        if member.kind is SymbolKind.FIELD:
             info = MemberInfo(
                 declaring=d.fqn,
                 kind=member.kind,
@@ -471,7 +447,7 @@ def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
                 ctx.erase(prm.type_ref, scope, d.type_params) for prm in member.params
             )
             signature = erased_signature(member.name, param_types)
-            if member.kind is n.MemberKind.CONSTRUCTOR:
+            if member.kind is SymbolKind.CONSTRUCTOR:
                 return_type = None
             elif member.is_void:
                 return_type = "void"
@@ -497,13 +473,13 @@ def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
         seen.add(key)
         out.append(info)
 
-    if decl.kind is n.TypeKind.CLASS and not any(
-        m.kind is n.MemberKind.CONSTRUCTOR for m in out
+    if decl.kind is SymbolKind.CLASS and not any(
+        m.kind is SymbolKind.CONSTRUCTOR for m in out
     ):
         out.append(
             MemberInfo(
                 declaring=d.fqn,
-                kind=n.MemberKind.CONSTRUCTOR,
+                kind=SymbolKind.CONSTRUCTOR,
                 name=decl.simple_name,
                 modifiers=frozenset({"public"}),
                 signature=erased_signature(decl.simple_name, ()),

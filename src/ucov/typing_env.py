@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Union
 
 from . import nodes as n
-from .symtab import PRIMITIVES, MemberInfo, ResolutionStatus, SymbolTable, UnitContext
+from .model import SymbolKind
+from .symtab import PRIMITIVES, MemberInfo, ResolutionStatus, UnitContext
 
 Unknown = None
 
@@ -40,6 +41,9 @@ class Link(NamedTuple):
 class Env:
     """Lexical environment mapping in-scope names to declared type FQNs.
 
+    Type names resolve in the unit scope ``ctx``, and fields and methods
+    are looked up in its table, ``table``.
+
     ``returns`` is the expected type of a ``return`` in this scope: the
     declared return type of the enclosing method, or the return type of
     the enclosing lambda's single abstract method; Unknown when there is
@@ -53,14 +57,13 @@ class Env:
 
     def __init__(
         self,
-        table: SymbolTable,
         ctx: UnitContext,
         this_type: Optional[str] = None,
         enclosing: tuple[str, ...] = (),
         type_params: frozenset[str] = frozenset(),
         parent: Optional["Env"] = None,
     ):
-        self.table = table
+        self.table = ctx.table
         self.ctx = ctx
         self.this_type = this_type
         self.enclosing = enclosing
@@ -71,9 +74,7 @@ class Env:
         self.links: dict[ChainLink, Link] = parent.links if parent is not None else {}
 
     def child(self) -> "Env":
-        return Env(
-            self.table, self.ctx, self.this_type, self.enclosing, self.type_params, self
-        )
+        return Env(self.ctx, self.this_type, self.enclosing, self.type_params, self)
 
     def declare(self, name: str, type_fqn: Optional[str]) -> None:
         self.vars[name] = type_fqn
@@ -237,7 +238,7 @@ def _type_link(link: ChainLink, env: Env) -> Link:
         member, status = res.member, res.status
     if member is None:
         link_type = Unknown
-    elif member.kind is n.MemberKind.FIELD:
+    elif member.kind is SymbolKind.FIELD:
         link_type = member.field_type
     else:
         link_type = Unknown if member.return_type == "void" else member.return_type

@@ -56,8 +56,8 @@ class UseTriple(NamedTuple):
 class Footprint:
     """The located uses of a labeled client corpus, and its diagnostics.
 
-    ``unique_uses``, the set of (symbol, use) pairs of ``triples``, is
-    computed once at construction, so ``triples`` must not change afterwards.
+    A footprint does not change after it is made: ``unique_uses``, the set
+    of (symbol, use) pairs of ``triples``, is computed once at construction.
     """
 
     def __init__(self, label: str, library: str, triples: Optional[set[UseTriple]] = None,

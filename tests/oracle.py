@@ -9,7 +9,7 @@ typing) with the production code but none of the extraction logic.
 from __future__ import annotations
 
 from ucov import nodes as n
-from ucov.model import UsageModel, UseKind
+from ucov.model import SymbolKind, UsageModel, UseKind
 from ucov.symtab import SymbolTable, UnitContext, build_symbol_table
 from ucov.typing_env import Env, as_type_name, static_type_of
 
@@ -65,7 +65,7 @@ class _Collector:
         if info is not None:
             self.declared_overrides(info)
             self.implicit_super_ctor(info)
-        env = Env(self.table, ctx, this_type=fqn, enclosing=scope, type_params=tparams)
+        env = Env(ctx, this_type=fqn, enclosing=scope, type_params=tparams)
         for member in decl.members:
             self.member(member, env)
         for inner in decl.nested:
@@ -80,10 +80,10 @@ class _Collector:
         target = self.table.lookup_type(resolved)
         if target is None:
             return
-        if target.kind is n.TypeKind.INTERFACE:
+        if target.kind is SymbolKind.INTERFACE:
             use = (
                 UseKind.INTERFACE_EXTENSION
-                if decl.kind is n.TypeKind.INTERFACE
+                if decl.kind is SymbolKind.INTERFACE
                 else UseKind.IMPLEMENTATION
             )
         else:
@@ -92,12 +92,12 @@ class _Collector:
 
     def declared_overrides(self, info):
         for m in info.members:
-            if m.kind is not n.MemberKind.METHOD or "static" in m.modifiers:
+            if m.kind is not SymbolKind.METHOD or "static" in m.modifiers:
                 continue
             for tfqn in self.table.supertype_closure(info.fqn, include_self=False):
                 for sm in self.table.members_of(tfqn):
                     if (
-                        sm.kind is n.MemberKind.METHOD
+                        sm.kind is SymbolKind.METHOD
                         and sm.signature == m.signature
                         and "static" not in sm.modifiers
                     ):
@@ -106,12 +106,12 @@ class _Collector:
     def implicit_super_ctor(self, info):
         for sup in info.supertypes:
             sup_info = self.table.lookup_type(sup)
-            if sup_info is None or sup_info.kind is not n.TypeKind.CLASS:
+            if sup_info is None or sup_info.kind is not SymbolKind.CLASS:
                 continue
             for sc in sup_info.members:
-                if sc.kind is n.MemberKind.CONSTRUCTOR and not sc.param_types:
+                if sc.kind is SymbolKind.CONSTRUCTOR and not sc.param_types:
                     for m in info.members:
-                        if m.kind is n.MemberKind.CONSTRUCTOR and not m.synthesized:
+                        if m.kind is SymbolKind.CONSTRUCTOR and not m.synthesized:
                             self.add(
                                 sc.fqn,
                                 sc.signature,
@@ -123,7 +123,7 @@ class _Collector:
     def member(self, member: n.MemberDecl, env: Env) -> None:
         for ref in self.member_refs(member):
             self.type_ref(ref, env.enclosing, env.type_params, env.ctx)
-        if member.kind is n.MemberKind.FIELD:
+        if member.kind is SymbolKind.FIELD:
             if member.field_init is not None:
                 expected = env.erase(member.field_type) if member.field_type else None
                 self.expr(member.field_init, env.child(), expected)
@@ -134,7 +134,7 @@ class _Collector:
         for p in member.params:
             inner.declare(p.name, self.declared(p.type_ref, env))
         ret = None
-        if member.kind is n.MemberKind.METHOD and member.return_type is not None:
+        if member.kind is SymbolKind.METHOD and member.return_type is not None:
             ret = env.erase(member.return_type)
         self.block(member.body, inner, ret)
 
@@ -278,7 +278,7 @@ class _Collector:
                 ):
                     for sm in self.table.members_of(tfqn):
                         if (
-                            sm.kind is n.MemberKind.METHOD
+                            sm.kind is SymbolKind.METHOD
                             and sm.signature == member.signature
                             and "static" not in sm.modifiers
                         ):
@@ -308,7 +308,7 @@ class _Collector:
                         UseKind.CONSTRUCTOR_INVOCATION,
                         e.location,
                     )
-            elif info.kind is n.TypeKind.INTERFACE:
+            elif info.kind is SymbolKind.INTERFACE:
                 self.add(resolved, None, UseKind.IMPLEMENTATION, e.location)
             else:
                 self.add(resolved, None, UseKind.INHERITANCE, e.location)
@@ -327,11 +327,11 @@ class _Collector:
             self.expr(arg, env, expected)
         if e.anon_body is not None and known:
             inner = Env(
-                self.table, env.ctx, this_type=resolved,
+                env.ctx, this_type=resolved,
                 enclosing=env.enclosing, type_params=env.type_params,
             )
             for member in e.anon_body:
-                if member.kind is n.MemberKind.METHOD:
+                if member.kind is SymbolKind.METHOD:
                     sig = "{}({})".format(
                         member.name,
                         ",".join(inner.erase(p.type_ref) for p in member.params),
@@ -339,7 +339,7 @@ class _Collector:
                     for tfqn in self.table.supertype_closure(resolved):
                         for m in self.table.members_of(tfqn):
                             if (
-                                m.kind is n.MemberKind.METHOD
+                                m.kind is SymbolKind.METHOD
                                 and m.signature == sig
                                 and "static" not in m.modifiers
                             ):
@@ -352,11 +352,11 @@ class _Collector:
         sam = None
         if expected is not None:
             info = self.table.lookup_type(expected)
-            if info is not None and info.kind is n.TypeKind.INTERFACE:
+            if info is not None and info.kind is SymbolKind.INTERFACE:
                 abstract = [
                     m
                     for m in info.members
-                    if m.kind is n.MemberKind.METHOD and "abstract" in m.modifiers
+                    if m.kind is SymbolKind.METHOD and "abstract" in m.modifiers
                 ]
                 if len(abstract) == 1:
                     sam = abstract[0]

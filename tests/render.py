@@ -7,6 +7,7 @@ SourceUnit yields an identical SourceUnit modulo locations.
 from __future__ import annotations
 
 from ucov import nodes as n
+from ucov.model import SymbolKind
 
 _MODIFIER_ORDER = [
     "public", "protected", "private", "abstract", "static", "final", "sealed", "default"
@@ -127,14 +128,14 @@ def _as_block(stmt: n.Stmt) -> str:
 
 def _render_member(member: n.MemberDecl, enclosing_name: str) -> str:
     mods = _mods(member.modifiers)
-    if member.kind is n.MemberKind.FIELD:
+    if member.kind is SymbolKind.FIELD:
         init = f" = {render_expr(member.field_init)}" if member.field_init else ""
         return f"{mods}{render_type_ref(member.field_type)} {member.name}{init};"
     params = ", ".join(f"{render_type_ref(p.type_ref)} {p.name}" for p in member.params)
     throws = ""
     if member.throws_refs:
         throws = " throws " + ", ".join(render_type_ref(r) for r in member.throws_refs)
-    if member.kind is n.MemberKind.CONSTRUCTOR:
+    if member.kind is SymbolKind.CONSTRUCTOR:
         head = f"{mods}{member.name}({params}){throws}"
     else:
         rtype = "void" if member.is_void else render_type_ref(member.return_type)
@@ -145,7 +146,7 @@ def _render_member(member: n.MemberDecl, enclosing_name: str) -> str:
 
 
 def render_type_decl(decl: n.TypeDecl, indent: str = "") -> str:
-    keyword = "class" if decl.kind is n.TypeKind.CLASS else "interface"
+    keyword = "class" if decl.kind is SymbolKind.CLASS else "interface"
     params = f"<{', '.join(decl.type_params)}>" if decl.type_params else ""
     clauses = ""
     for kw, refs in (

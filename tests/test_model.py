@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 
-from conftest import model_for
+import pytest
+
+from conftest import FIXTURES, model_for, parse_tree
 from ucov import (
     Symbol,
     UseKind,
@@ -14,6 +16,8 @@ from ucov import (
     parse_unit,
 )
 from ucov.model import SymbolKind
+from ucov.symtab import declarations
+from ucov.typing_env import Env
 
 U = UseKind
 
@@ -203,6 +207,42 @@ def test_symbol_identity_is_fqn_kind_and_signature():
     method = Symbol("a.B.f", SymbolKind.METHOD, "f()")
     assert method == Symbol("a.B.f", SymbolKind.METHOD, "f()")
     assert method != Symbol("a.B.f", SymbolKind.METHOD, "f(int)")
+
+
+def test_one_kind_from_declaration_to_symbol():
+    """Each symbol's kind is the very kind of its type or member info and
+    of its declaration (a synthesized constructor has none). An environment
+    reads the table of its name-resolution context."""
+    units = parse_tree(FIXTURES / "edges" / "lib")
+    model = build_sum(units, "edges")
+    table = model.table
+    decls = {d.fqn: d for d in declarations(units, table)}
+    assert {sym.kind for sym in model.entries} == set(SymbolKind)
+    for sym in model.entries:
+        if sym.kind in (SymbolKind.CLASS, SymbolKind.INTERFACE):
+            info = table.lookup_type(sym.fqn)
+            decl = decls[sym.fqn].decl
+        else:
+            declaring = sym.fqn.rpartition(".")[0]
+            (info,) = [m for m in table.members_of(declaring)
+                       if (m.fqn, m.signature) == (sym.fqn, sym.signature)]
+            found = [m for m in decls[declaring].decl.members if m.location is info.location]
+            if info.synthesized:
+                assert found == []
+                continue
+            (decl,) = found
+        assert sym.kind is info.kind is decl.kind
+    for d in decls.values():
+        env = Env(d.ctx)
+        assert env.table is d.ctx.table is table and env.child().table is table
+
+
+@pytest.mark.parametrize("section, kind", [("types", "Field"), ("members", "Interface")])
+def test_a_type_kind_for_a_member_or_the_reverse_is_malformed(arraylist_model, section, kind):
+    data = json.loads(json.dumps(model_to_dict(arraylist_model)))
+    data["resolution"][section][0]["kind"] = kind
+    with pytest.raises(ValueError, match="is not the kind of a"):
+        model_from_dict(data).table
 
 
 def test_is_exported_agrees_with_the_model():

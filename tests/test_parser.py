@@ -8,6 +8,7 @@ from conftest import FIXTURES, parse_tree
 from render import render_expr, render_unit
 from ucov import ParseError, parse_unit
 from ucov import nodes as n
+from ucov.model import SymbolKind
 
 
 def test_all_fixture_sources_parse():
@@ -24,7 +25,7 @@ def test_package_imports_and_type():
     assert [(i.qname, i.on_demand) for i in unit.imports] == [("c.D", False), ("e", True)]
     (decl,) = unit.types
     assert decl.simple_name == "X"
-    assert decl.kind is n.TypeKind.CLASS
+    assert decl.kind is SymbolKind.CLASS
     assert decl.modifiers == {"public"}
 
 
@@ -50,7 +51,7 @@ def test_constructor_vs_method():
         "class X { X() { } X f() { return null; } }", "X.java"
     )
     kinds = [m.kind for m in unit.types[0].members]
-    assert kinds == [n.MemberKind.CONSTRUCTOR, n.MemberKind.METHOD]
+    assert kinds == [SymbolKind.CONSTRUCTOR, SymbolKind.METHOD]
 
 
 def test_annotations_are_discarded():

@@ -342,6 +342,27 @@ def test_child_stdout_on_a_full_device_is_a_one_line_error(sum_path, sufs, tmp_p
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [["--help"], ["suf", "--help"]], ids=["ucov", "suf"])
+def test_child_help_on_a_full_device_or_a_closed_pipe_is_a_one_line_error(
+        tmp_path, argv, unbuffered):
+    """argparse ignores a failed write of its help, ucov does not.
+    Unbuffered, that write fails; buffered, the flush before the exit."""
+    ok = child(*argv, cwd=tmp_path, unbuffered=unbuffered)
+    assert ok.returncode == 0 and ok.stdout.startswith(b"usage: ucov") and ok.stderr == b""
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "wb") as full:
+            proc = child(*argv, cwd=tmp_path, stdout=full, unbuffered=unbuffered)
+        assert one_line_write_error(proc, b"No space left on device")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = child(*argv, cwd=tmp_path, stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert one_line_write_error(proc, b"Broken pipe")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_child_stdout_on_a_closed_pipe_is_a_one_line_error(
         sum_path, sufs, tmp_path, entry, unbuffered):

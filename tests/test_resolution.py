@@ -39,7 +39,7 @@ def setup_env(body_vars=None):
         [parse_unit(LIB, "Conn.java"), parse_unit(DOC, "Doc.java")]
     )
     unit = parse_unit("package app; import lib.Conn; import lib.Doc; class X { }", "X.java")
-    env = Env(table, UnitContext.for_unit(table, unit), this_type="app.X")
+    env = Env(UnitContext.for_unit(table, unit), this_type="app.X")
     for name, t in (body_vars or {}).items():
         env.declare(name, t)
     return table, env
@@ -92,7 +92,7 @@ def test_declared_type_keeps_primitives_arrays_and_known_types():
     assert declared_type(ref_of("Doc[]"), env) == "lib.Doc[]"
     assert declared_type(ref_of("Nowhere"), env) is Unknown
     # a type parameter erases to java.lang.Object, which this table lacks
-    generic = Env(env.table, env.ctx, type_params=frozenset({"T"}))
+    generic = Env(env.ctx, type_params=frozenset({"T"}))
     assert declared_type(ref_of("T"), generic) is Unknown
     # an untyped lambda parameter
     assert declared_type(TypeRef(""), env) is Unknown

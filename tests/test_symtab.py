@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from ucov import CyclicHierarchy, DuplicateSymbol, build_symbol_table, parse_unit
-from ucov import nodes as n
+from ucov.model import SymbolKind
 from ucov.symtab import ROOT_TYPE, UnitContext, declarations
 
 
@@ -63,7 +63,7 @@ def test_units_with_the_same_path_keep_their_own_imports():
 def test_synthesized_constructor():
     table = table_of("package p; public class A { }")
     ctors = [
-        m for m in table.members_of("p.A") if m.kind is n.MemberKind.CONSTRUCTOR
+        m for m in table.members_of("p.A") if m.kind is SymbolKind.CONSTRUCTOR
     ]
     assert len(ctors) == 1
     assert ctors[0].synthesized
@@ -74,7 +74,7 @@ def test_synthesized_constructor():
 def test_declared_constructor_suppresses_synthesis():
     table = table_of("package p; public class A { private A(int x) { } }")
     ctors = [
-        m for m in table.members_of("p.A") if m.kind is n.MemberKind.CONSTRUCTOR
+        m for m in table.members_of("p.A") if m.kind is SymbolKind.CONSTRUCTOR
     ]
     assert len(ctors) == 1
     assert not ctors[0].synthesized
@@ -84,7 +84,7 @@ def test_declared_constructor_suppresses_synthesis():
 def test_interfaces_get_no_constructor_and_normalized_members():
     table = table_of("package p; public interface I { int K = 1; void f(); }")
     members = {m.name: m for m in table.members_of("p.I")}
-    assert all(m.kind is not n.MemberKind.CONSTRUCTOR for m in members.values())
+    assert all(m.kind is not SymbolKind.CONSTRUCTOR for m in members.values())
     assert {"static", "final", "public"} <= members["K"].modifiers
     assert {"abstract", "public"} <= members["f"].modifiers
 
@@ -102,7 +102,7 @@ def test_erasure_invariant_under_type_parameter_renaming():
     sig = lambda src: [
         m.signature
         for m in table_of(src).members_of("p.A")
-        if m.kind is n.MemberKind.METHOD
+        if m.kind is SymbolKind.METHOD
     ]
     assert sig("package p; public class A<E> { public boolean add(E e) { } }") == sig(
         "package p; public class A<T> { public boolean add(T t) { } }"
@@ -234,14 +234,12 @@ def test_overlay_tables_do_not_share_caches():
 
 
 def test_type_and_member_infos_compare_by_value():
-    """Types compare by their fields and cannot be hashed, since the table
-    fills some in after making them; members are hashable values."""
+    """Types and members are hashable values that compare by their fields."""
     source = "package p; public class A { public int x; public void m(int a) { } }"
     first, second = table_of(source), table_of(source)
     a, b = first.lookup_type("p.A"), second.lookup_type("p.A")
     assert a is not b and a == b
-    with pytest.raises(TypeError):
-        hash(a)
+    assert hash(a) == hash(b) and {a: 1}[b] == 1
     assert set(a.members) == set(b.members) and a.members[0] is not b.members[0]
     assert [m.visibility() for m in a.members] == ["public", "public", "public"]
     assert a.visibility() == "public"
