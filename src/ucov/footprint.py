@@ -181,9 +181,7 @@ class _Extractor:
             if member.kind is not SymbolKind.METHOD or "static" in member.modifiers:
                 continue
             self._emit_library_methods(
-                self.table.super_methods(member),
-                UseKind.OVERRIDING,
-                member.location or info.location,
+                self.table.super_methods(member), UseKind.OVERRIDING, member.location
             )
 
     def _emit_library_methods(
@@ -210,8 +208,7 @@ class _Extractor:
             return
         for member in info.members:
             if member.kind is SymbolKind.CONSTRUCTOR and not member.synthesized:
-                loc = member.location or info.location
-                self.emit_member_use(zero_arg, UseKind.CONSTRUCTOR_INVOCATION, loc)
+                self.emit_member_use(zero_arg, UseKind.CONSTRUCTOR_INVOCATION, member.location)
 
     def _member_type_references(self, member: n.MemberDecl, env: Env) -> None:
         refs: list[n.TypeRef] = []

@@ -65,7 +65,6 @@ class TypeInfo(NamedTuple):
     external_supertypes: frozenset[str]
     members: tuple[MemberInfo, ...]
     enclosing: Optional[str] = None  # FQN of the enclosing type, if nested
-    location: Optional[n.Location] = None
 
     visibility = _visibility
 
@@ -84,19 +83,17 @@ class MethodResolution(NamedTuple):
 class SymbolTable:
     """Immutable-after-build table of types, optionally layered over a base.
 
-    Supertype closures, method candidates and overridden methods are cached
-    per table instance on first query, so a table must not be changed once
-    it is queried. An overlay keeps its own caches: a client type can
-    complete a library type's external supertype, so the answers may
-    differ from the base's.
+    Supertype closures and member indexes are cached per table instance on
+    first query, so a table must not be changed once it is queried. An
+    overlay keeps its own caches: a client type can complete a library
+    type's external supertype, so the answers may differ from the base's.
     """
 
     def __init__(self, base: Optional["SymbolTable"] = None):
         self.types: dict[str, TypeInfo] = {}
         self.base = base
         self._closures: dict[str, tuple[str, ...]] = {}
-        self._candidates: dict[tuple[str, str, int], tuple[MemberInfo, ...]] = {}
-        self._overridden: dict[tuple[str, Optional[str], bool], tuple[MemberInfo, ...]] = {}
+        self._members: dict[str, dict[str, tuple[MemberInfo, ...]]] = {}
 
     # -- lookup -----------------------------------------------------------
 
@@ -129,38 +126,44 @@ class SymbolTable:
         info = self.lookup_type(fqn)
         return info.members if info is not None else ()
 
+    def _members_named(self, fqn: str, name: str) -> tuple[MemberInfo, ...]:
+        """Members named ``name`` declared in ``fqn``'s supertype closure,
+        nearest declaring type first, each type's in declaration order. One
+        walk of the closure indexes every name of ``fqn``."""
+        index = self._members.get(fqn)
+        if index is None:
+            grouped: dict[str, list[MemberInfo]] = {}
+            for tfqn in self.supertype_closure(fqn):
+                for m in self.members_of(tfqn):
+                    grouped.setdefault(m.name, []).append(m)
+            index = self._members[fqn] = {k: tuple(v) for k, v in grouped.items()}
+        return index.get(name, ())
+
     def find_field(self, receiver: str, name: str) -> Optional[MemberInfo]:
         return next(
-            (
-                m
-                for tfqn in self.supertype_closure(receiver)
-                for m in self.members_of(tfqn)
-                if m.kind is SymbolKind.FIELD and m.name == name
-            ),
+            (m for m in self._members_named(receiver, name) if m.kind is SymbolKind.FIELD),
             None,
         )
 
     def super_methods(self, member: MemberInfo) -> tuple[MemberInfo, ...]:
         """Methods in strict supertypes of the declaring type sharing the
-        erased signature (the virtual-invocation closure)."""
-        return self.overridden_methods(member.declaring, member.signature, include_self=False)
+        erased signature (the virtual-invocation closure). Every member of
+        a type declares that type, so the type's own are the ones dropped."""
+        return tuple(
+            m
+            for m in self.overridden_methods(member.declaring, member.signature)
+            if m.declaring != member.declaring
+        )
 
-    def overridden_methods(
-        self, fqn: str, signature: Optional[str], include_self: bool = True
-    ) -> tuple[MemberInfo, ...]:
+    def overridden_methods(self, fqn: str, signature: str) -> tuple[MemberInfo, ...]:
         """Methods with erased ``signature`` declared in ``fqn``'s supertype
         closure, nearest first: the methods a method of that signature in a
         subtype of ``fqn`` overrides."""
-        key = (fqn, signature, include_self)
-        found = self._overridden.get(key)
-        if found is None:
-            found = self._overridden[key] = tuple(
-                m
-                for tfqn in self.supertype_closure(fqn, include_self)
-                for m in self.members_of(tfqn)
-                if m.kind is SymbolKind.METHOD and m.signature == signature
-            )
-        return found
+        return tuple(
+            m
+            for m in self._members_named(fqn, signature.partition("(")[0])
+            if m.kind is SymbolKind.METHOD and m.signature == signature
+        )
 
     # -- overload resolution ------------------------------------------------
 
@@ -173,29 +176,11 @@ class SymbolTable:
         or its supertypes, nearest declaring type winning per erased
         signature; ``_choose`` picks among them.
         """
-        candidates = self._method_candidates(receiver, name, len(arg_types))
-        return self._choose(candidates, arg_types)
-
-    def _method_candidates(
-        self, receiver: str, name: str, arity: int
-    ) -> tuple[MemberInfo, ...]:
-        key = (receiver, name, arity)
-        candidates = self._candidates.get(key)
-        if candidates is None:
-            found: list[MemberInfo] = []
-            seen_sigs: set[Optional[str]] = set()
-            for tfqn in self.supertype_closure(receiver):
-                for m in self.members_of(tfqn):
-                    if (
-                        m.kind is SymbolKind.METHOD
-                        and m.name == name
-                        and len(m.param_types) == arity
-                        and m.signature not in seen_sigs
-                    ):
-                        seen_sigs.add(m.signature)
-                        found.append(m)
-            candidates = self._candidates[key] = tuple(found)
-        return candidates
+        candidates: dict[Optional[str], MemberInfo] = {}
+        for m in self._members_named(receiver, name):
+            if m.kind is SymbolKind.METHOD and len(m.param_types) == len(arg_types):
+                candidates.setdefault(m.signature, m)
+        return self._choose(list(candidates.values()), arg_types)
 
     def resolve_constructor(
         self, type_fqn: str, arg_types: list[Optional[str]]
@@ -381,7 +366,6 @@ def build_symbol_table(
             external_supertypes=frozenset(),
             members=(),
             enclosing=d.scope[-2] if len(d.scope) > 1 else None,
-            location=d.decl.location,
         )
 
     for d in declared:
@@ -494,28 +478,28 @@ def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
 
 
 def _check_acyclic(table: SymbolTable) -> None:
-    color: dict[str, int] = {}
-    for fqn in table.types:
-        _visit(table, color, fqn, [])
-
-
-_WHITE, _GRAY, _BLACK = 0, 1, 2
-
-
-def _visit(table: SymbolTable, color: dict[str, int], fqn: str, path: list[str]) -> None:
-    """Depth-first colouring for ``_check_acyclic``. A module function, not a
-    closure: a nested function that calls itself is a reference cycle, which
-    would keep the table alive until a full collection."""
-    state = color.get(fqn, _WHITE)
-    if state == _BLACK:
-        return
-    if state == _GRAY:
-        cycle = " -> ".join(path + [fqn])
-        raise CyclicHierarchy(f"supertype cycle: {cycle}")
-    color[fqn] = _GRAY
-    info = table.types.get(fqn)
-    if info is not None:
-        for sup in info.supertypes:
-            if table.lookup_type(sup) is not None:
-                _visit(table, color, sup, path + [fqn])
-    color[fqn] = _BLACK
+    """Raise CyclicHierarchy if the table's own types form a supertype cycle;
+    the message names the depth-first path that closed it. An explicit
+    stack walks a hierarchy of any depth without recursion."""
+    types = table.types
+    done: set[str] = set()
+    for root in types:
+        if root in done:
+            continue
+        path = [root]
+        on_path = {root}
+        pending = [iter(types[root].supertypes)]
+        while pending:
+            sup = next(pending[-1], None)
+            if sup is None:
+                pending.pop()
+                finished = path.pop()
+                on_path.remove(finished)
+                done.add(finished)
+            elif sup in on_path:
+                cycle = " -> ".join(path + [sup])
+                raise CyclicHierarchy(f"supertype cycle: {cycle}")
+            elif sup in types and sup not in done:
+                path.append(sup)
+                on_path.add(sup)
+                pending.append(iter(types[sup].supertypes))

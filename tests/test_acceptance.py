@@ -185,6 +185,7 @@ CORPORA = [
     ("framework", "client"),
     ("hierarchy", "client"),
     ("edges", "client"),
+    ("statements", "client"),
 ]
 
 

@@ -329,6 +329,38 @@ def test_too_deep_nesting_is_skipped_in_lenient_mode(sum_path, tmp_path, capsys)
     assert "nesting deeper than" in err
 
 
+def test_inheritance_chain_of_any_depth_exits_0(tmp_path, capsys):
+    """A legal 2,000-level chain, declared most-derived first, in the library
+    and among the client's own types."""
+    depth = 2000
+
+    def chain(prefix, root):
+        return "".join(
+            f"public class {prefix}{i} extends {prefix}{i + 1} {{ }}\n" for i in range(depth)
+        ) + f"public class {prefix}{depth} {root}\n"
+
+    lib, client = tmp_path / "lib", tmp_path / "client"
+    lib.mkdir()
+    client.mkdir()
+    (lib / "Chain.java").write_text("package p;\n" + chain("A", "{ public void m() { } }"))
+    (client / "Use.java").write_text(
+        "package c;\nimport p.*;\n"
+        + chain("C", "extends A0 { public void m() { } void f(A0 a) { a.m(); } }")
+    )
+    sum_json = tmp_path / "sum.json"
+    assert main(["sum", str(lib), "-o", str(sum_json)]) == 0
+    out = tmp_path / "f.json"
+    argv = ["suf", "--sum", str(sum_json), str(client), "-o", str(out)]
+    for extra in ([], ["--lenient"]):
+        assert main(argv + extra) == 0
+        uses = json.loads(out.read_text())["uses"]
+        assert {(u["fqn"], u["use"]) for u in uses} >= {
+            ("p.A2000.m", "Overriding"),
+            ("p.A2000.m", "MethodInvocation"),
+        }
+    assert "error" not in capsys.readouterr().err
+
+
 def test_duplicate_group_labels_exit_1(sum_path, tmp_path, capsys):
     config = tmp_path / "corpus.json"
     config.write_text(

@@ -49,6 +49,7 @@ CORPORA = [
     ("hierarchy", "client"),
     ("edges", "client"),
     ("tablerows", "client"),
+    ("statements", "client"),
 ]
 
 

@@ -198,6 +198,51 @@ def lib_and_client(lib_src: str, client_src: str):
     return model, fp
 
 
+def test_statements_corpus():
+    """Every statement form, field initializers, bare-name field access,
+    typed lambda parameters and an anonymous interface implementation."""
+    _, fp = extract("statements")
+    counter, add_int = "stmt.Counter", ("stmt.Counter.add", "add(int)")
+    assert located(fp) == {
+        (counter, None, U.INHERITANCE, 7),
+        (counter, None, U.TYPE_REFERENCE, 8),
+        (counter, None, U.INSTANTIATION, 8),
+        ("stmt.Counter.Counter", "Counter(int)", U.CONSTRUCTOR_INVOCATION, 8),
+        ("stmt.Counter.Counter", "Counter()", U.CONSTRUCTOR_INVOCATION, 10),
+        (counter, None, U.TYPE_REFERENCE, 12),
+        ("stmt.Counter.count", None, U.FIELD_WRITE, 13),
+        ("stmt.Counter.count", None, U.FIELD_READ, 14),
+        ("stmt.Counter.done", "done()", U.METHOD_INVOCATION, 15),
+        (*add_int, U.METHOD_INVOCATION, 16),
+        (*add_int, U.METHOD_INVOCATION, 19),
+        ("stmt.Counter.flag", "flag(boolean)", U.METHOD_INVOCATION, 22),
+        ("stmt.Counter.done", "done()", U.METHOD_INVOCATION, 22),
+        ("stmt.Counter.add", "add(stmt.Counter)", U.METHOD_INVOCATION, 24),
+        (*add_int, U.METHOD_INVOCATION, 27),
+        ("stmt.Counter.self", "self()", U.METHOD_INVOCATION, 29),
+        (*add_int, U.METHOD_INVOCATION, 29),
+        ("stmt.Task", None, U.TYPE_REFERENCE, 31),
+        ("stmt.Task", None, U.IMPLEMENTATION, 31),
+        ("stmt.Task.run", "run(stmt.Counter)", U.OVERRIDING, 32),
+        (counter, None, U.TYPE_REFERENCE, 32),
+        (*add_int, U.METHOD_INVOCATION, 32),
+        ("stmt.Task", None, U.TYPE_REFERENCE, 34),
+        ("stmt.Task", None, U.IMPLEMENTATION, 34),
+        ("stmt.Task.run", "run(stmt.Counter)", U.OVERRIDING, 34),
+        (counter, None, U.TYPE_REFERENCE, 34),
+        (*add_int, U.METHOD_INVOCATION, 34),
+        (counter, None, U.TYPE_REFERENCE, 37),
+        (counter, None, U.INSTANTIATION, 37),
+        ("stmt.Failure", None, U.INSTANTIATION, 38),
+        ("stmt.Failure.Failure", "Failure(int)", U.CONSTRUCTOR_INVOCATION, 38),
+    }
+    assert [(d.kind, d.location.line, d.message) for d in fp.diagnostics] == [
+        (DiagnosticKind.UNRESOLVED, 35, "cannot resolve type Gadget in new expression"),
+        (DiagnosticKind.UNRESOLVED, 36, "cannot resolve receiver of spin(...)"),
+        (DiagnosticKind.UNRESOLVED, 37, "no matching constructor for stmt.Counter"),
+    ]
+
+
 def test_unresolved_method_diagnostic():
     _, fp = lib_and_client(
         "package lib; public class A { public A() { } }",
@@ -530,6 +575,18 @@ def test_footprint_round_trip():
     clone = footprint_from_dict(json.loads(json.dumps(data)), model)
     assert clone.label == fp.label
     assert clone.triples == fp.triples
+    assert footprint_to_dict(clone) == data
+
+
+def test_footprint_round_trip_keeps_diagnostics():
+    model, fp = extract("statements")
+    data = footprint_to_dict(fp)
+    assert len(data["diagnostics"]) == 3
+    clone = footprint_from_dict(json.loads(json.dumps(data)), model)
+    assert clone.triples == fp.triples
+    assert clone.diagnostics == sorted(
+        fp.diagnostics, key=lambda d: (d.location, d.kind.value, d.message)
+    )
     assert footprint_to_dict(clone) == data
 
 

@@ -128,6 +128,39 @@ def test_cyclic_hierarchy_rejected():
         table_of("package p; interface I extends I { }")
 
 
+@pytest.mark.parametrize(
+    "sources,message",
+    [
+        (
+            ("package p; class A extends B { }", "package p; class B extends C { }",
+             "package p; class C extends A { }"),
+            "supertype cycle: p.A -> p.B -> p.C -> p.A",
+        ),
+        (
+            ("package p; class X extends A { }", "package p; class A extends B { }",
+             "package p; class B extends A { }"),
+            "supertype cycle: p.X -> p.A -> p.B -> p.A",
+        ),
+        (("package p; interface I extends I { }",), "supertype cycle: p.I -> p.I"),
+    ],
+)
+def test_cycle_message_names_the_walked_path(sources, message):
+    with pytest.raises(CyclicHierarchy) as raised:
+        table_of(*sources)
+    assert str(raised.value) == message
+
+
+def test_deep_hierarchy_is_checked_without_recursion():
+    chain = "".join(f"class A{i} extends A{i + 1} {{ }}\n" for i in range(5000))
+    table = table_of(f"package p;\n{chain}class A5000 {{ int x; }}")
+    assert len(table.supertype_closure("p.A0")) == 5001
+    assert table.find_field("p.A0", "x").declaring == "p.A5000"
+    with pytest.raises(CyclicHierarchy) as raised:
+        table_of(f"package p;\n{chain}class A5000 extends A0 {{ }}")
+    assert str(raised.value).startswith("supertype cycle: p.A0 -> p.A1 -> ")
+    assert str(raised.value).endswith(" -> p.A5000 -> p.A0")
+
+
 def test_unknown_supertype_is_external_not_error():
     table = table_of("package p; public class A extends Unseen { }")
     info = table.lookup_type("p.A")
