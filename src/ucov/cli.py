@@ -86,18 +86,25 @@ def _stdout_failure(exc: OSError) -> UsageError:
 
 
 def _atomic_write(path: Path, content: str) -> None:
+    """Replace ``path`` by a file holding ``content``, written beside it
+    first. A path that cannot be written ends in a one-line UsageError
+    naming it, and no temporary file is left."""
     import tempfile
 
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(content)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+        if not isinstance(exc, OSError):
+            raise
+        culprit = f"cannot create {exc.filename}: " if tmp is None else ""
+        raise UsageError(f"cannot write {path}: {culprit}{exc.strerror or exc}") from exc
 
 
 def _parse_library(root: Path) -> list:
@@ -106,7 +113,7 @@ def _parse_library(root: Path) -> list:
     files = frontend.collect_source_files([root])
     if not files:
         raise UsageError(f"no source files found under {root}")
-    return [frontend.parse_unit(p.read_text(encoding="utf-8"), str(p)) for p in files]
+    return [frontend.read_unit(p) for p in files]
 
 
 T = TypeVar("T")
@@ -123,7 +130,7 @@ def _read_json(path: str, load: Callable[[dict], T], unique_keys: bool = False) 
         data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=hook)
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # invalid JSON or invalid UTF-8
+    except (ValueError, RecursionError) as exc:  # invalid JSON, invalid UTF-8, too deep
         raise UsageError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object, found {type(data).__name__}")

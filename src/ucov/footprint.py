@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 from . import nodes as n
 from .errors import ParseError
 from .model import Symbol, SymbolKind, UsageModel, UseKind
-from .parser import collect_source_files, parse_unit
+from .parser import collect_source_files, read_unit
 from .symtab import (
     Declaration,
     MemberInfo,
@@ -86,7 +86,7 @@ def footprint_of_corpus(
         diagnostics: list[Diagnostic] = []
         for path in collect_source_files(roots):
             try:
-                units.append(parse_unit(path.read_text(encoding="utf-8"), str(path)))
+                units.append(read_unit(path))
             except ParseError as exc:
                 if not lenient:
                     raise
@@ -141,7 +141,7 @@ class _Extractor:
     # -- declarations --------------------------------------------------------
 
     def visit_type(self, d: Declaration) -> None:
-        env = Env(d.ctx, this_type=d.fqn, enclosing=d.scope, type_params=d.type_params)
+        env = Env(d.scope)
         info = self.table.types[d.fqn]
         self._heritage_uses(d.decl, info, env)
         self._overriding_uses(info)
@@ -166,7 +166,6 @@ class _Extractor:
                         f"extension of non-exported type {resolved}",
                     )
                 continue
-            assert ref.location is not None
             target_info = self.table.lookup_type(resolved)
             if target_info is not None and target_info.kind is SymbolKind.INTERFACE:
                 if decl.kind is SymbolKind.INTERFACE:
@@ -222,12 +221,11 @@ class _Extractor:
             self._type_reference(ref, env)
 
     def _type_reference(self, ref: n.TypeRef, env: Env) -> None:
-        if ref.name and ref.name not in env.type_params:
-            resolved, known = env.resolve_type(ref.name)
-            if known:
-                sym = self.model.type_symbol(resolved)
-                if sym is not None and ref.location is not None:
-                    self.emit(sym, UseKind.TYPE_REFERENCE, ref.location)
+        if ref.name and ref.name not in env.scope.type_params:
+            resolved, known = env.scope.resolve_type(ref.name)
+            sym = self.model.type_symbol(resolved) if known else None
+            if sym is not None:
+                self.emit(sym, UseKind.TYPE_REFERENCE, ref.location)
         for arg in ref.type_args:
             self._type_reference(arg, env)
 
@@ -430,7 +428,7 @@ class _Extractor:
     def _new_expr(self, expr: n.New, env: Env) -> None:
         for arg_ref in expr.type_ref.type_args:
             self._type_reference(arg_ref, env)
-        resolved, known = env.resolve_type(expr.type_ref.name)
+        resolved, known = env.scope.resolve_type(expr.type_ref.name)
         if not known:
             self.diag(
                 expr.location,
@@ -472,13 +470,11 @@ class _Extractor:
                         ctor.member, UseKind.CONSTRUCTOR_INVOCATION, expr.location
                     )
         self._visit_args(expr.args, env, ctor.member)
-        inner = Env(
-            env.ctx, this_type=resolved, enclosing=env.enclosing, type_params=env.type_params
-        )
+        inner = Env(env.scope._replace(this_type=resolved))
         for member in expr.anon_body or []:
             if member.kind is SymbolKind.METHOD:
                 signature = erased_signature(
-                    member.name, (inner.erase(p.type_ref) for p in member.params)
+                    member.name, (inner.scope.erase(p.type_ref) for p in member.params)
                 )
                 self._emit_library_methods(
                     self.table.overridden_methods(resolved, signature),

@@ -37,12 +37,12 @@ class TypeRef(Node):
     def __init__(
         self,
         name: str,  # dotted qualified name as written
-        type_args: Optional[list[TypeRef]] = None,
-        array_dims: int = 0,
-        location: Optional[Location] = None,
+        type_args: list[TypeRef],
+        array_dims: int,
+        location: Location,
     ) -> None:
         self.name = name
-        self.type_args = [] if type_args is None else type_args
+        self.type_args = type_args
         self.array_dims = array_dims
         self.location = location
 

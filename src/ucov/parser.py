@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 from . import nodes as n
-from .errors import ParseError
-from .lexer import Tokens, tokenize
+from .errors import ParseError, UcovError
+from .lexer import Tokens, _line_starts, _position, tokenize
 from .model import SymbolKind
 from .uses import Location, new_value
 
@@ -538,7 +538,6 @@ class _Parser:
                 mods = self.parse_modifiers()
                 anon_body.append(self.parse_member(mods, type_ref.name.split(".")[-1]))
             self.expect("}")
-        assert type_ref.location is not None
         return n.New(type_ref, args, anon_body, type_ref.location)
 
     def _scan_matching_paren(self) -> int:
@@ -580,7 +579,7 @@ class _Parser:
         # Typed form: `Type name`; untyped form: bare identifier.
         if self.at("IDENT") and self.types[self.pos + 1] in (",", ")"):
             tok = self.advance()
-            return n.Param(self.values[tok], n.TypeRef("", location=self.loc(tok)))
+            return n.Param(self.values[tok], n.TypeRef("", [], 0, self.loc(tok)))
         return self.parse_param()
 
     def try_parse_cast(self) -> Optional[n.Expr]:
@@ -629,6 +628,23 @@ def parse_unit(text: str, path: str) -> n.SourceUnit:
     return parser.parse_unit()
 
 
+def read_unit(path: Path) -> n.SourceUnit:
+    """Parse the source file at ``path``. A file that cannot be read is a
+    UcovError naming it, one that is not UTF-8 a ParseError at its first
+    invalid byte, placed as the lexer places a character there."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise UcovError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        message = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        raise ParseError(message, str(path), *_position(_line_starts(before), len(before)))
+    return parse_unit(text, str(path))
+
+
 def collect_source_files(roots: list[Union[str, Path]]) -> list[Path]:
     """The files named in ``roots`` and the ``.java`` files under the
     directories among them, each directory's in sorted order."""
@@ -638,5 +654,5 @@ def collect_source_files(roots: list[Union[str, Path]]) -> list[Path]:
         if root.is_file():
             files.append(root)
         else:
-            files.extend(sorted(root.rglob("*.java")))
+            files.extend(sorted(p for p in root.rglob("*.java") if not p.is_dir()))
     return files

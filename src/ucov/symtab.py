@@ -221,20 +221,27 @@ class SymbolTable:
 
 
 # ---------------------------------------------------------------------------
-# Name resolution context
+# Name resolution scope
 # ---------------------------------------------------------------------------
 
 
-class UnitContext(NamedTuple):
-    """Import/package scope of one source unit, used to resolve type names."""
+class Scope(NamedTuple):
+    """What a type name in one type body resolves against: the table, the
+    unit's package and imports, the type (``this_type``), the FQNs of its
+    enclosing types and itself (``enclosing``, innermost last) and the type
+    parameters in scope (its own and its enclosing types')."""
 
     table: SymbolTable
     package: str
     single_imports: dict[str, str]
     on_demand_imports: list[str]
+    this_type: Optional[str] = None
+    enclosing: tuple[str, ...] = ()
+    type_params: frozenset[str] = frozenset()
 
     @classmethod
-    def for_unit(cls, table: SymbolTable, unit: n.SourceUnit) -> "UnitContext":
+    def for_unit(cls, table: SymbolTable, unit: n.SourceUnit) -> "Scope":
+        """The scope of ``unit`` outside any type declaration."""
         singles: dict[str, str] = {}
         on_demand: list[str] = []
         for imp in unit.imports:
@@ -244,17 +251,10 @@ class UnitContext(NamedTuple):
                 singles[imp.qname.split(".")[-1]] = imp.qname
         return cls(table, unit.package_name, singles, on_demand)
 
-    def resolve_type_name(
-        self,
-        name: str,
-        enclosing: tuple[str, ...] = (),
-        type_params: frozenset[str] = frozenset(),
-    ) -> tuple[str, bool]:
-        """Resolve a (possibly dotted) type name to (fqn_or_raw, known).
-
-        ``enclosing`` is the chain of enclosing type FQNs, innermost last.
-        Type parameters in scope resolve to the root reference type.
-        """
+    def resolve_type(self, name: str) -> tuple[str, bool]:
+        """Resolve a (possibly dotted) type name to (fqn_or_raw, known). A
+        single-type import shadows a type of the same package (JLS 6.4.1);
+        README "Semantics in brief" states the whole lookup order."""
         table = self.table
         if "." in name:
             if table.lookup_type(name) is not None:
@@ -264,44 +264,39 @@ class UnitContext(NamedTuple):
                 if table.lookup_type(qualified) is not None:
                     return qualified, True
             head, rest = name.split(".", 1)
-            head_fqn, known = self.resolve_type_name(head, enclosing, type_params)
+            head_fqn, known = self.resolve_type(head)
             if known:
                 nested = f"{head_fqn}.{rest}"
                 if table.lookup_type(nested) is not None:
                     return nested, True
             return name, False
-        if name in type_params:
+        if name in self.type_params:
             return ROOT_TYPE, table.lookup_type(ROOT_TYPE) is not None
-        for outer in reversed(enclosing):
+        for outer in reversed(self.enclosing):
             if outer.split(".")[-1] == name:
                 return outer, True
             nested = f"{outer}.{name}"
             if table.lookup_type(nested) is not None:
                 return nested, True
-        same_pkg = f"{self.package}.{name}" if self.package else name
-        if table.lookup_type(same_pkg) is not None:
-            return same_pkg, True
         if name in self.single_imports:
             imported = self.single_imports[name]
             return imported, table.lookup_type(imported) is not None
+        same_pkg = f"{self.package}.{name}" if self.package else name
+        if table.lookup_type(same_pkg) is not None:
+            return same_pkg, True
         for pkg in self.on_demand_imports:
             candidate = f"{pkg}.{name}"
             if table.lookup_type(candidate) is not None:
                 return candidate, True
         return name, False
 
-    def erase(
-        self,
-        ref: n.TypeRef,
-        enclosing: tuple[str, ...] = (),
-        type_params: frozenset[str] = frozenset(),
-    ) -> str:
+    def erase(self, ref: n.TypeRef) -> str:
         """Erased type name of a reference: type args dropped, type
         parameters replaced by the root reference type."""
         if ref.name in PRIMITIVES:
             base = ref.name
         else:
-            base, _ = self.resolve_type_name(ref.name, enclosing, type_params)
+            base, _ = self.resolve_type(ref.name)
         return base + "[]" * ref.array_dims
 
 
@@ -311,16 +306,14 @@ class UnitContext(NamedTuple):
 
 
 class Declaration(NamedTuple):
-    """One declared type: its syntax, its FQN, the scope of its source unit,
-    the FQNs of its enclosing types and itself (innermost last), and the
-    type parameters in scope in its body (its own and its enclosing
-    types')."""
+    """One declared type: its syntax and the scope of its body."""
 
     decl: n.TypeDecl
-    fqn: str
-    ctx: UnitContext
-    scope: tuple[str, ...]
-    type_params: frozenset[str]
+    scope: Scope
+
+    @property
+    def fqn(self) -> str:
+        return self.scope.this_type
 
 
 def declarations(units: list[n.SourceUnit], table: SymbolTable) -> list[Declaration]:
@@ -329,16 +322,19 @@ def declarations(units: list[n.SourceUnit], table: SymbolTable) -> list[Declarat
     reference; the table references no record."""
     out: list[Declaration] = []
     for unit in units:
-        ctx = UnitContext.for_unit(table, unit)
-        prefix = f"{unit.package_name}." if unit.package_name else ""
-        stack = [(decl, prefix, (), frozenset()) for decl in reversed(unit.types)]
+        unit_scope = Scope.for_unit(table, unit)
+        stack = [(decl, unit_scope) for decl in reversed(unit.types)]
         while stack:
-            decl, prefix, enclosing, outer_params = stack.pop()
-            fqn = prefix + decl.simple_name
-            scope = enclosing + (fqn,)
-            params = outer_params | frozenset(decl.type_params)
-            out.append(Declaration(decl, fqn, ctx, scope, params))
-            stack.extend((inner, f"{fqn}.", scope, params) for inner in reversed(decl.nested))
+            decl, outer = stack.pop()
+            prefix = outer.this_type or outer.package
+            fqn = f"{prefix}.{decl.simple_name}" if prefix else decl.simple_name
+            scope = outer._replace(
+                this_type=fqn,
+                enclosing=outer.enclosing + (fqn,),
+                type_params=outer.type_params | frozenset(decl.type_params),
+            )
+            out.append(Declaration(decl, scope))
+            stack.extend((inner, scope) for inner in reversed(decl.nested))
     return out
 
 
@@ -365,14 +361,14 @@ def build_symbol_table(
             supertypes=(),
             external_supertypes=frozenset(),
             members=(),
-            enclosing=d.scope[-2] if len(d.scope) > 1 else None,
+            enclosing=d.scope.enclosing[-2] if len(d.scope.enclosing) > 1 else None,
         )
 
     for d in declared:
         supertypes: list[str] = []
         externals: set[str] = set()
         for ref in d.decl.extends_refs + d.decl.implements_refs:
-            resolved, known = d.ctx.resolve_type_name(ref.name, d.scope, d.type_params)
+            resolved, known = d.scope.resolve_type(ref.name)
             supertypes.append(resolved)
             if not known:
                 externals.add(resolved)
@@ -393,7 +389,7 @@ def erased_signature(name: str, param_types: Iterable[str]) -> str:
 
 
 def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
-    decl, ctx, scope = d.decl, d.ctx, d.scope
+    decl, scope = d.decl, d.scope
     out: list[MemberInfo] = []
     seen: set[tuple[str, str]] = set()
     in_interface = decl.kind is SymbolKind.INTERFACE
@@ -422,21 +418,19 @@ def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
                 signature=None,
                 param_types=(),
                 return_type=None,
-                field_type=ctx.erase(member.field_type, scope, d.type_params),
+                field_type=scope.erase(member.field_type),
                 location=member.location,
             )
             key = (member.name, "")
         else:
-            param_types = tuple(
-                ctx.erase(prm.type_ref, scope, d.type_params) for prm in member.params
-            )
+            param_types = tuple(scope.erase(prm.type_ref) for prm in member.params)
             signature = erased_signature(member.name, param_types)
             if member.kind is SymbolKind.CONSTRUCTOR:
                 return_type = None
             elif member.is_void:
                 return_type = "void"
             else:
-                return_type = ctx.erase(member.return_type, scope, d.type_params)
+                return_type = scope.erase(member.return_type)
             info = MemberInfo(
                 declaring=d.fqn,
                 kind=member.kind,

@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional, Union
 
 from . import nodes as n
 from .model import SymbolKind
-from .symtab import PRIMITIVES, MemberInfo, ResolutionStatus, UnitContext
+from .symtab import PRIMITIVES, MemberInfo, ResolutionStatus, Scope
 
 Unknown = None
 
@@ -41,8 +41,9 @@ class Link(NamedTuple):
 class Env:
     """Lexical environment mapping in-scope names to declared type FQNs.
 
-    Type names resolve in the unit scope ``ctx``, and fields and methods
-    are looked up in its table, ``table``.
+    Type names resolve in ``scope``, that of the enclosing type body, and
+    members are looked up in its ``table``. In an anonymous class body,
+    ``this_type`` is the class it extends or the interface it implements.
 
     ``returns`` is the expected type of a ``return`` in this scope: the
     declared return type of the enclosing method, or the return type of
@@ -55,26 +56,17 @@ class Env:
     bounded by one type body.
     """
 
-    def __init__(
-        self,
-        ctx: UnitContext,
-        this_type: Optional[str] = None,
-        enclosing: tuple[str, ...] = (),
-        type_params: frozenset[str] = frozenset(),
-        parent: Optional["Env"] = None,
-    ):
-        self.table = ctx.table
-        self.ctx = ctx
-        self.this_type = this_type
-        self.enclosing = enclosing
-        self.type_params = type_params
+    def __init__(self, scope: Scope, parent: Optional["Env"] = None):
+        self.scope = scope
+        self.table = scope.table
+        self.this_type = scope.this_type
         self.parent = parent
         self.vars: dict[str, Optional[str]] = {}
         self.returns: Optional[str] = parent.returns if parent is not None else Unknown
         self.links: dict[ChainLink, Link] = parent.links if parent is not None else {}
 
     def child(self) -> "Env":
-        return Env(self.ctx, self.this_type, self.enclosing, self.type_params, self)
+        return Env(self.scope, self)
 
     def declare(self, name: str, type_fqn: Optional[str]) -> None:
         self.vars[name] = type_fqn
@@ -87,12 +79,6 @@ class Env:
             env = env.parent
         return False, Unknown
 
-    def resolve_type(self, name: str) -> tuple[str, bool]:
-        return self.ctx.resolve_type_name(name, self.enclosing, self.type_params)
-
-    def erase(self, ref: n.TypeRef) -> str:
-        return self.ctx.erase(ref, self.enclosing, self.type_params)
-
 
 def declared_type(ref: n.TypeRef, env: Env) -> Optional[str]:
     """Static type a declared type reference denotes: its erasure, array
@@ -100,7 +86,7 @@ def declared_type(ref: n.TypeRef, env: Env) -> Optional[str]:
     Unknown. An untyped lambda parameter's empty name is Unknown too."""
     if not ref.name:
         return Unknown
-    erased = env.erase(ref)
+    erased = env.scope.erase(ref)
     base = erased.rstrip("[]")
     if base in PRIMITIVES or env.table.lookup_type(base) is not None:
         return erased
@@ -126,7 +112,7 @@ def as_type_name(expr: n.Expr, env: Env) -> Optional[str]:
     declared, _ = env.lookup(name.partition(".")[0])
     if declared:
         return None
-    fqn, known = env.resolve_type(name)
+    fqn, known = env.scope.resolve_type(name)
     return fqn if known else None
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ucov import nodes as n
 from ucov.model import SymbolKind, UsageModel, UseKind
-from ucov.symtab import SymbolTable, UnitContext, build_symbol_table
+from ucov.symtab import Scope, SymbolTable, build_symbol_table
 from ucov.typing_env import Env, as_type_name, static_type_of
 
 Fact = tuple[str, object, UseKind, n.Location]
@@ -49,32 +49,35 @@ class _Collector:
     # -- declarations ----------------------------------------------------
 
     def unit(self, unit: n.SourceUnit) -> None:
-        ctx = UnitContext.for_unit(self.table, unit)
+        unit_scope = Scope.for_unit(self.table, unit)
         for decl in unit.types:
             prefix = unit.package_name + "." if unit.package_name else ""
-            self.type_decl(decl, prefix + decl.simple_name, ctx, (), frozenset())
+            self.type_decl(decl, prefix + decl.simple_name, unit_scope)
 
-    def type_decl(self, decl, fqn, ctx, outer, tparams):
-        scope = outer + (fqn,)
-        tparams = tparams | frozenset(decl.type_params)
+    def type_decl(self, decl, fqn, outer):
+        scope = outer._replace(
+            this_type=fqn,
+            enclosing=outer.enclosing + (fqn,),
+            type_params=outer.type_params | frozenset(decl.type_params),
+        )
         for ref in decl.extends_refs:
-            self.heritage(decl, ref, ctx, scope, tparams)
+            self.heritage(decl, ref, scope)
         for ref in decl.implements_refs:
-            self.heritage(decl, ref, ctx, scope, tparams)
+            self.heritage(decl, ref, scope)
         info = self.table.lookup_type(fqn)
         if info is not None:
             self.declared_overrides(info)
             self.implicit_super_ctor(info)
-        env = Env(ctx, this_type=fqn, enclosing=scope, type_params=tparams)
+        env = Env(scope)
         for member in decl.members:
             self.member(member, env)
         for inner in decl.nested:
-            self.type_decl(inner, f"{fqn}.{inner.simple_name}", ctx, scope, tparams)
+            self.type_decl(inner, f"{fqn}.{inner.simple_name}", scope)
 
-    def heritage(self, decl, ref, ctx, scope, tparams):
+    def heritage(self, decl, ref, scope):
         for arg in ref.type_args:
-            self.type_ref(arg, scope, tparams, ctx)
-        resolved, known = ctx.resolve_type_name(ref.name, scope, tparams)
+            self.type_ref(arg, scope)
+        resolved, known = scope.resolve_type(ref.name)
         if not known:
             return
         target = self.table.lookup_type(resolved)
@@ -122,10 +125,10 @@ class _Collector:
 
     def member(self, member: n.MemberDecl, env: Env) -> None:
         for ref in self.member_refs(member):
-            self.type_ref(ref, env.enclosing, env.type_params, env.ctx)
+            self.type_ref(ref, env.scope)
         if member.kind is SymbolKind.FIELD:
             if member.field_init is not None:
-                expected = env.erase(member.field_type) if member.field_type else None
+                expected = env.scope.erase(member.field_type) if member.field_type else None
                 self.expr(member.field_init, env.child(), expected)
             return
         if member.body is None:
@@ -135,7 +138,7 @@ class _Collector:
             inner.declare(p.name, self.declared(p.type_ref, env))
         ret = None
         if member.kind is SymbolKind.METHOD and member.return_type is not None:
-            ret = env.erase(member.return_type)
+            ret = env.scope.erase(member.return_type)
         self.block(member.body, inner, ret)
 
     @staticmethod
@@ -148,18 +151,18 @@ class _Collector:
             yield p.type_ref
         yield from member.throws_refs
 
-    def type_ref(self, ref, scope, tparams, ctx):
-        if ref.name and ref.name not in tparams:
-            resolved, known = ctx.resolve_type_name(ref.name, scope, tparams)
+    def type_ref(self, ref, scope):
+        if ref.name and ref.name not in scope.type_params:
+            resolved, known = scope.resolve_type(ref.name)
             if known:
                 self.add(resolved, None, UseKind.TYPE_REFERENCE, ref.location)
         for arg in ref.type_args:
-            self.type_ref(arg, scope, tparams, ctx)
+            self.type_ref(arg, scope)
 
     def declared(self, ref, env):
         if not ref.name:
             return None
-        erased = env.erase(ref)
+        erased = env.scope.erase(ref)
         base = erased.rstrip("[]")
         if base in ("int", "long", "short", "byte", "double", "float", "boolean", "char"):
             return erased
@@ -176,10 +179,10 @@ class _Collector:
         if isinstance(stmt, n.Block):
             self.block(stmt, env, ret)
         elif isinstance(stmt, n.LocalDecl):
-            self.type_ref(stmt.type_ref, env.enclosing, env.type_params, env.ctx)
+            self.type_ref(stmt.type_ref, env.scope)
             env.declare(stmt.name, self.declared(stmt.type_ref, env))
             if stmt.init is not None:
-                self.expr(stmt.init, env, env.erase(stmt.type_ref))
+                self.expr(stmt.init, env, env.scope.erase(stmt.type_ref))
         elif isinstance(stmt, n.ExprStmt):
             self.expr(stmt.expr, env, None)
         elif isinstance(stmt, n.If):
@@ -207,7 +210,7 @@ class _Collector:
         elif isinstance(stmt, n.Try):
             self.block(stmt.body, env, ret)
             for catch in stmt.catches:
-                self.type_ref(catch.param_type, env.enclosing, env.type_params, env.ctx)
+                self.type_ref(catch.param_type, env.scope)
                 inner = env.child()
                 inner.declare(catch.name, self.declared(catch.param_type, inner))
                 self.block(catch.body, inner, ret)
@@ -250,7 +253,7 @@ class _Collector:
         elif isinstance(e, n.Unary):
             self.expr(e.operand, env, None)
         elif isinstance(e, n.Cast):
-            self.type_ref(e.type_ref, env.enclosing, env.type_params, env.ctx)
+            self.type_ref(e.type_ref, env.scope)
             self.expr(e.expr, env, None)
         elif isinstance(e, n.Lambda):
             self.lam(e, env, expected)
@@ -293,8 +296,8 @@ class _Collector:
 
     def new(self, e: n.New, env: Env):
         for arg in e.type_ref.type_args:
-            self.type_ref(arg, env.enclosing, env.type_params, env.ctx)
-        resolved, known = env.resolve_type(e.type_ref.name)
+            self.type_ref(arg, env.scope)
+        resolved, known = env.scope.resolve_type(e.type_ref.name)
         info = self.table.lookup_type(resolved) if known else None
         arg_types = [static_type_of(a, env) for a in e.args]
         ctor = self.table.resolve_constructor(resolved, arg_types) if known else None
@@ -326,15 +329,12 @@ class _Collector:
                     expected = ctor.member.param_types[i]
             self.expr(arg, env, expected)
         if e.anon_body is not None and known:
-            inner = Env(
-                env.ctx, this_type=resolved,
-                enclosing=env.enclosing, type_params=env.type_params,
-            )
+            inner = Env(env.scope._replace(this_type=resolved))
             for member in e.anon_body:
                 if member.kind is SymbolKind.METHOD:
                     sig = "{}({})".format(
                         member.name,
-                        ",".join(inner.erase(p.type_ref) for p in member.params),
+                        ",".join(inner.scope.erase(p.type_ref) for p in member.params),
                     )
                     for tfqn in self.table.supertype_closure(resolved):
                         for m in self.table.members_of(tfqn):
@@ -365,7 +365,7 @@ class _Collector:
         inner = env.child()
         for i, p in enumerate(e.params):
             if p.type_ref.name:
-                self.type_ref(p.type_ref, env.enclosing, env.type_params, env.ctx)
+                self.type_ref(p.type_ref, env.scope)
                 inner.declare(p.name, self.declared(p.type_ref, inner))
             elif sam is not None and i < len(sam.param_types):
                 inner.declare(p.name, sam.param_types[i])

@@ -271,6 +271,108 @@ def test_lenient_parse_error_is_diagnostic(sum_path, tmp_path, capsys):
     assert [d["kind"] for d in data["diagnostics"]] == ["ParseError"]
 
 
+DEEP_JSON = '{"a":' * 200_000 + "1" + "}" * 200_000
+
+
+@pytest.mark.parametrize("kind", ["model", "footprint", "config"])
+def test_deeply_nested_json_exits_1_with_one_line(sum_path, tmp_path, capsys, kind):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    argv = {
+        "model": ["profile", "--sum", str(deep)],
+        "footprint": ["coverage", "--sum", str(sum_path), str(deep)],
+        "config": ["suf", "--sum", str(sum_path), "--config", str(deep), "-o", str(tmp_path)],
+    }[kind]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {deep}: invalid JSON: ") and err.count("\n") == 1
+
+
+def _write_argvs(sum_path, tmp_path, out):
+    a = suf(sum_path, tmp_path, "classic", CLASSIC)
+    b = suf(sum_path, tmp_path, "framework", FRAMEWORK)
+    return {
+        "sum": ["sum", ARRAYLIST_LIB, "-o", str(out)],
+        "suf": ["suf", "--sum", str(sum_path), CLASSIC, "-o", str(out)],
+        "compare": ["compare", "--sum", str(sum_path), str(a), str(b), "-o", str(out)],
+    }
+
+
+@pytest.mark.parametrize("command", ["sum", "suf", "compare"])
+@pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
+def test_an_output_path_that_cannot_be_written_exits_1_naming_it(
+    sum_path, tmp_path, capsys, command, where
+):
+    blocker = tmp_path / "blocker"
+    if where == "under-a-file":
+        blocker.write_text("")
+        out = blocker / "out.json"
+    else:
+        blocker.mkdir()
+        out = blocker
+    argv = _write_argvs(sum_path, tmp_path, out)[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+    assert blocker.is_file() if where == "under-a-file" else list(blocker.iterdir()) == []
+
+
+# Not UTF-8: 0xff after a CRLF line end and a two-byte character.
+NOT_UTF8 = b"class A {\r\n  // caf\xc3\xa9 \xff\n}\n"
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(sum_path, tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "A.java").write_bytes(NOT_UTF8)
+    (src / "G.java").write_text("class G { }")
+    out = tmp_path / "f.json"
+    argv = ["suf", "--sum", str(sum_path), str(src), "-o", str(out)]
+    assert main(argv + ["--lenient"]) == 0
+    data = json.loads(out.read_text())
+    assert [(d["kind"], d["file"], d["line"], d["col"], d["message"])
+            for d in data["diagnostics"]] == [
+        ("ParseError", str(src / "A.java"), 2, 11, "invalid UTF-8 byte 0xff")
+    ]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {src / 'A.java'}:2:11: invalid UTF-8 byte 0xff\n"
+    )
+    assert main(["sum", str(src), "-o", str(tmp_path / "s.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {src / 'A.java'}:2:11: invalid UTF-8 byte 0xff\n"
+    )
+
+
+def test_a_directory_named_like_a_source_file_is_skipped(sum_path, tmp_path):
+    src = tmp_path / "src"
+    (src / "Dir.java").mkdir(parents=True)
+    (src / "G.java").write_text("class G { }")
+    assert main(["sum", str(src), "-o", str(tmp_path / "s.json")]) == 0
+    assert main(["suf", "--sum", str(sum_path), str(src), "-o", str(tmp_path / "f.json")]) == 0
+
+
+@pytest.mark.parametrize("lenient", [[], ["--lenient"]], ids=["strict", "lenient"])
+def test_an_unreadable_source_file_exits_1_naming_it(sum_path, tmp_path, capsys, lenient):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "G.java").write_text("class G { }")
+    (src / "Gone.java").symlink_to(tmp_path / "nowhere.java")
+    out = tmp_path / "f.json"
+    capsys.readouterr()
+    assert main(["suf", "--sum", str(sum_path), str(src), "-o", str(out)] + lenient) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read {src / 'Gone.java'}: No such file or directory\n"
+    )
+    assert not out.exists()
+    assert main(["sum", str(src), "-o", str(tmp_path / "s.json")]) == 1
+    assert f"cannot read {src / 'Gone.java'}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Determinism and round-trips
 # ---------------------------------------------------------------------------

@@ -390,6 +390,27 @@ def test_an_array_cast_is_not_typed_as_its_element_type():
     assert diagnostics == []
 
 
+def test_a_single_type_import_shadows_a_type_of_the_same_package():
+    # JLS 6.4.1: in App, ``import q.Conn`` shadows the client's own p.Conn.
+    model = build_sum(
+        [parse_unit("package q; public class Conn { public void close() { } }", "Conn.java")],
+        "q",
+    )
+    units = [
+        parse_unit("package p; class Conn { }", "p/Conn.java"),
+        parse_unit(
+            "package p; import q.Conn;\nclass App { void run(Conn c) { c.close(); } }",
+            "p/App.java",
+        ),
+    ]
+    fp = extract_uses(units, model)
+    assert located(fp) == {
+        ("q.Conn", None, U.TYPE_REFERENCE, 2),
+        ("q.Conn.close", "close()", U.METHOD_INVOCATION, 2),
+    }
+    assert fp.diagnostics == []
+
+
 FUNCTIONS = {
     "Fn": "package p; public interface Fn { Object apply(Object x); }",
     "Gn": "package p; public interface Gn { Object go(Object x); }",

@@ -233,8 +233,8 @@ def test_one_kind_from_declaration_to_symbol():
             (decl,) = found
         assert sym.kind is info.kind is decl.kind
     for d in decls.values():
-        env = Env(d.ctx)
-        assert env.table is d.ctx.table is table and env.child().table is table
+        env = Env(d.scope)
+        assert env.table is d.scope.table is table and env.child().table is table
 
 
 @pytest.mark.parametrize("section, kind", [("types", "Field"), ("members", "Interface")])

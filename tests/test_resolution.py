@@ -6,8 +6,8 @@ import re
 from pathlib import Path
 
 from ucov import UseKind, build_sum, build_symbol_table, extract_uses, parse_unit, typing_env
-from ucov.nodes import TypeRef
-from ucov.symtab import ResolutionStatus, UnitContext
+from ucov.nodes import Location, TypeRef
+from ucov.symtab import ResolutionStatus, Scope
 from ucov.typing_env import Env, Unknown, as_type_name, declared_type, static_type_of
 
 LIB = """
@@ -39,7 +39,7 @@ def setup_env(body_vars=None):
         [parse_unit(LIB, "Conn.java"), parse_unit(DOC, "Doc.java")]
     )
     unit = parse_unit("package app; import lib.Conn; import lib.Doc; class X { }", "X.java")
-    env = Env(UnitContext.for_unit(table, unit), this_type="app.X")
+    env = Env(Scope.for_unit(table, unit)._replace(this_type="app.X"))
     for name, t in (body_vars or {}).items():
         env.declare(name, t)
     return table, env
@@ -92,10 +92,10 @@ def test_declared_type_keeps_primitives_arrays_and_known_types():
     assert declared_type(ref_of("Doc[]"), env) == "lib.Doc[]"
     assert declared_type(ref_of("Nowhere"), env) is Unknown
     # a type parameter erases to java.lang.Object, which this table lacks
-    generic = Env(env.ctx, type_params=frozenset({"T"}))
+    generic = Env(env.scope._replace(this_type=None, type_params=frozenset({"T"})))
     assert declared_type(ref_of("T"), generic) is Unknown
     # an untyped lambda parameter
-    assert declared_type(TypeRef(""), env) is Unknown
+    assert declared_type(TypeRef("", [], 0, Location("W.java", 1, 1)), env) is Unknown
 
 
 def test_casts_and_new_are_typed_like_declarations():

@@ -6,7 +6,7 @@ import pytest
 
 from ucov import CyclicHierarchy, DuplicateSymbol, build_symbol_table, parse_unit
 from ucov.model import SymbolKind
-from ucov.symtab import ROOT_TYPE, UnitContext, declarations
+from ucov.symtab import ROOT_TYPE, Scope, declarations
 
 
 def table_of(*sources: str):
@@ -38,17 +38,17 @@ def test_declarations_name_scope_and_type_parameters():
     assert [d.fqn for d in declared] == list(table.types)
     assert [d.fqn for d in declared] == ["p.q.A", "p.q.A.B", "p.q.A.B.C", "D", "E"]
     by_fqn = {d.fqn: d for d in declared}
-    assert by_fqn["p.q.A"].scope == ("p.q.A",)
-    assert by_fqn["p.q.A.B.C"].scope == ("p.q.A", "p.q.A.B", "p.q.A.B.C")
-    assert by_fqn["D"].scope == ("D",)
-    assert by_fqn["p.q.A"].type_params == {"T"}
-    assert by_fqn["p.q.A.B"].type_params == {"T", "U"}
-    assert by_fqn["p.q.A.B.C"].type_params == {"T", "U"}
-    assert by_fqn["E"].type_params == frozenset()
+    assert by_fqn["p.q.A"].scope.enclosing == ("p.q.A",)
+    assert by_fqn["p.q.A.B.C"].scope.enclosing == ("p.q.A", "p.q.A.B", "p.q.A.B.C")
+    assert by_fqn["D"].scope.enclosing == ("D",)
+    assert by_fqn["p.q.A"].scope.type_params == {"T"}
+    assert by_fqn["p.q.A.B"].scope.type_params == {"T", "U"}
+    assert by_fqn["p.q.A.B.C"].scope.type_params == {"T", "U"}
+    assert by_fqn["E"].scope.type_params == frozenset()
     assert by_fqn["p.q.A.B.C"].decl.simple_name == "C"
-    assert by_fqn["p.q.A.B"].ctx is by_fqn["p.q.A"].ctx
-    assert by_fqn["D"].ctx.package == "" and by_fqn["p.q.A"].ctx.package == "p.q"
-    assert all(d.ctx.table is table for d in declared)
+    assert by_fqn["p.q.A.B"].scope.single_imports is by_fqn["p.q.A"].scope.single_imports
+    assert by_fqn["D"].scope.package == "" and by_fqn["p.q.A"].scope.package == "p.q"
+    assert all(d.scope.table is table for d in declared)
 
 
 def test_units_with_the_same_path_keep_their_own_imports():
@@ -204,19 +204,19 @@ def test_resolve_type_name_precedence():
     unit = parse_unit(
         "package p; import q.Imported; import r.*; class X { }", "X.java"
     )
-    ctx = UnitContext.for_unit(table, unit)
-    assert ctx.resolve_type_name("Local") == ("p.Local", True)
-    assert ctx.resolve_type_name("Imported") == ("q.Imported", True)
-    assert ctx.resolve_type_name("OnDemand") == ("r.OnDemand", True)
-    assert ctx.resolve_type_name("Nowhere") == ("Nowhere", False)
-    assert ctx.resolve_type_name("q.Imported") == ("q.Imported", True)
+    scope = Scope.for_unit(table, unit)
+    assert scope.resolve_type("Local") == ("p.Local", True)
+    assert scope.resolve_type("Imported") == ("q.Imported", True)
+    assert scope.resolve_type("OnDemand") == ("r.OnDemand", True)
+    assert scope.resolve_type("Nowhere") == ("Nowhere", False)
+    assert scope.resolve_type("q.Imported") == ("q.Imported", True)
 
 
 def test_type_params_resolve_to_root_type():
     table = table_of("package p; class A { }")
     unit = parse_unit("package p; class X { }", "X.java")
-    ctx = UnitContext.for_unit(table, unit)
-    fqn, known = ctx.resolve_type_name("T", type_params=frozenset({"T"}))
+    scope = Scope.for_unit(table, unit)._replace(type_params=frozenset({"T"}))
+    fqn, known = scope.resolve_type("T")
     assert fqn == ROOT_TYPE
     assert known is (table.lookup_type(ROOT_TYPE) is not None)
 
