@@ -16,11 +16,12 @@ hides them.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NoReturn, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Optional, TypeVar, Union
 
 from . import footprint as suf
 from . import metrics, uses
@@ -64,10 +65,12 @@ def _corpus_config(data: dict) -> tuple[dict[str, list[str]], bool]:
     return groups, lenient
 
 
-def _dump_json(data: dict) -> str:
+def _dump_json(data: Union[dict, str]) -> str:
     """One compact line of JSON, non-ASCII text unescaped. Without ``indent``
     CPython encodes with its C encoder, several times faster on large
-    models and reports."""
+    models and reports. A str is JSON text already: only the line end is added."""
+    if isinstance(data, str):
+        return data + "\n"
     return json.dumps(data, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
@@ -85,22 +88,31 @@ def _stdout_failure(exc: OSError) -> UsageError:
     return UsageError(f"cannot write to standard output: {exc.strerror or exc}")
 
 
-def _atomic_write(path: Path, content: str) -> None:
-    """Replace ``path`` by a file holding ``content``, written beside it
-    first. A path that cannot be written ends in a one-line UsageError
-    naming it, and no temporary file is left."""
+def _atomic_write(files: Iterable[tuple[Path, str]]) -> None:
+    """Replace each path by a file holding its content. Every file is
+    written beside its path first, and the files are renamed into place
+    only when all are written, so a path that cannot be written (a
+    directory among them) replaces none of them: it ends in a one-line
+    UsageError naming it, and no temporary file is left."""
     import tempfile
 
-    tmp = None
+    written: list[tuple[str, Path]] = []
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(content)
-        os.replace(tmp, path)
+        for path, content in files:
+            tmp = None
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            written.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                f.write(content)
+            if path.is_dir():  # os.replace would fail only after the others moved
+                raise UsageError(f"cannot write {path}: Is a directory")
+        for tmp, path in written:
+            os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for written_tmp, _ in written:
+            if os.path.exists(written_tmp):
+                os.unlink(written_tmp)
         if not isinstance(exc, OSError):
             raise
         culprit = f"cannot create {exc.filename}: " if tmp is None else ""
@@ -179,7 +191,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
     units = _parse_library(root)
     name = args.name or root.name
     model = models.build_sum(units, name)
-    _atomic_write(Path(args.output), _dump_json(models.model_to_dict(model)))
+    _atomic_write([(Path(args.output), _dump_json(models.model_to_dict(model)))])
     _write_stdout(f"symbols: {len(model.entries)}, legal uses: {model.legal_use_count}\n")
     return EXIT_OK
 
@@ -204,10 +216,14 @@ def cmd_suf(args: argparse.Namespace) -> int:
         for root in roots:
             if not Path(root).exists():
                 raise UsageError(f"{label}: client root {root} does not exist")
-    footprints = suf.footprint_of_corpus(groups, model, lenient=lenient)
-    for label, fp in sorted(footprints.items()):
-        output = Path(args.output) / f"{label}.json" if args.config else Path(args.output)
-        _atomic_write(output, _dump_json(uses.footprint_to_dict(fp)))
+    footprints = sorted(suf.footprint_of_corpus(groups, model, lenient=lenient).items())
+    outputs = (
+        (Path(args.output) / f"{label}.json" if args.config else Path(args.output),
+         _dump_json(uses.footprint_to_dict(fp)))
+        for label, fp in footprints
+    )
+    _atomic_write(outputs)
+    for _, fp in footprints:
         _report_footprint(fp)
     return EXIT_OK
 
@@ -232,14 +248,9 @@ def cmd_coverage(args: argparse.Namespace) -> int:
             merged = uses.merge(merged, fp)
         reports.append(("All", metrics.compute_coverage(model, merged)))
     if args.format == "json":
-        payload = {
-            "library": model.library_name,
-            "reports": [
-                {"label": label, **metrics.coverage_to_dict(report, model)}
-                for label, report in reports
-            ],
-        }
-        _write_stdout(_dump_json(payload))
+        library = json.dumps(model.library_name, ensure_ascii=False)
+        texts = ",".join(metrics.coverage_to_dict(r, model, label) for label, r in reports)
+        _write_stdout(_dump_json(f'{{"library":{library},"reports":[{texts}]}}'))
     else:
         _write_stdout(_coverage_text(model, reports))
     return EXIT_OK
@@ -272,7 +283,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     regions = metrics.exclusive_regions(footprints)
     content = _dump_json(metrics.regions_to_dict(regions))
     if args.output:
-        _atomic_write(Path(args.output), content)
+        _atomic_write([(Path(args.output), content)])
     else:
         _write_stdout(content)
     return EXIT_OK
@@ -388,7 +399,13 @@ def run() -> NoReturn:
     already failed; one of standard error leaves the exit to the
     interpreter, which reports it as it always has. A stream is None when
     the process was started without it.
+
+    Cyclic garbage collection is off for the process: no command makes
+    reference cycles that grow with its input, so the collector would only
+    walk the parsed inputs and the model again and again. ``main`` leaves
+    the collector as its caller set it.
     """
+    gc.disable()
     code = main()
     if sys.stdout is not None:
         try:

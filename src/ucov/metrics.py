@@ -3,14 +3,15 @@ regions derived from a usage model and one or more footprints."""
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import ModelMismatch, UnknownSymbol, warn
 from .uses import Footprint
-from .model import Symbol, UsageModel, UsePair, UseKind, level_key
+from .model import Symbol, UsageModel, UsePair, UseKind
 
 
 class CoverageLevel(Enum):
@@ -179,25 +180,20 @@ def _fmt_ratio(x: Fraction) -> float:
     return float(f"{float(x):.4f}")
 
 
-def coverage_to_dict(report: CoverageReport, model: UsageModel) -> dict:
-    """Serializable form of a report of ``model``. Levels and uncovered uses
-    are read off the model's precomputed orders: a level key shows None
-    unless its symbol is covered, and so graded higher, and a legal use is
-    uncovered unless the report covers it."""
-    level_keys = model.level_keys
-    levels = dict.fromkeys(level_keys, CoverageLevel.NONE.value)
-    for sym in report.covered_symbols:
-        key = level_key(sym)
-        if level_keys.get(key) == sym:
-            levels[key] = report.levels[sym].value
+_LEVEL_TEXT = {level: f'"{level.value}"' for level in CoverageLevel}
+
+
+def coverage_to_dict(
+    report: CoverageReport, model: UsageModel, label: Optional[str] = None
+) -> str:
+    """A report of ``model`` as JSON text, led by ``"label"`` if one is given:
+    the bytes ``json.dumps(..., ensure_ascii=False, separators=(",", ":"))``
+    writes for its dict form. ``levels`` and ``uncovered_uses`` are joined
+    from the model's encoded fragments: a key shows None unless its symbol
+    is covered, and a legal use is uncovered unless the report covers it.
+    (The name is the dict form's, which ``perfbench`` traces.)"""
     legal = model.legal_pairs
-    covered = {legal.get(pair) for pair in report.covered_uses}
-    uncovered = [
-        {"fqn": fqn, "signature": signature, "use": use}
-        for i, (fqn, signature, use) in enumerate(model.use_rows)
-        if i not in covered
-    ]
-    return {
+    head = {
         "symbol_coverage": _fmt_ratio(report.symbol_coverage),
         "use_coverage": _fmt_ratio(report.use_coverage),
         "totals": {
@@ -207,9 +203,18 @@ def coverage_to_dict(report: CoverageReport, model: UsageModel) -> dict:
             "unique_uses": len(report.covered_uses),
             "total_uses": report.total_uses,
         },
-        "levels": levels,
-        "uncovered_uses": uncovered,
     }
+    if label is not None:
+        head = {"label": label, **head}
+    prefixes, levels = model.encoded_levels, model.encoded_unused_levels.copy()
+    for sym in report.covered_symbols:
+        if sym in levels:  # not hidden by a shared key
+            levels[sym] = prefixes[sym] + _LEVEL_TEXT[report.levels[sym]]
+    covered = {legal.get(pair) for pair in report.covered_uses}
+    uncovered = ",".join([row for i, row in enumerate(model.encoded_rows) if i not in covered])
+    text = json.dumps(head, ensure_ascii=False, separators=(",", ":"))[:-1]
+    levels_text = ",".join(levels.values())
+    return f'{text},"levels":{{{levels_text}}},"uncovered_uses":[{uncovered}]}}'
 
 
 def profile_to_dict(dist: ProfileDistribution) -> dict:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 from . import symtab  # run when first used: reading a model does not need it
@@ -84,11 +85,6 @@ class Symbol(NamedTuple):
 UsePair = tuple[Symbol, UseKind]
 
 
-def level_key(sym: Symbol) -> str:
-    """The key of a symbol's level in a coverage report: ``fqn#signature``
-    for methods and constructors, ``fqn`` otherwise."""
-    return f"{sym.fqn}#{sym.signature}" if sym.signature else sym.fqn
-
 
 class UsageModel:
     """Map from exported symbols to their sets of legal use kinds.
@@ -147,7 +143,7 @@ class UsageModel:
     @cached_property
     def legal_pairs(self) -> dict[UsePair, int]:
         """Every legal (symbol, use) pair, mapped to its position in
-        ``use_rows``."""
+        ``encoded_rows``."""
         pairs = (
             (sym, use)
             for sym, uses in self.sorted_entries
@@ -156,21 +152,32 @@ class UsageModel:
         return {pair: i for i, pair in enumerate(pairs)}
 
     @cached_property
-    def use_rows(self) -> tuple[tuple[str, Optional[str], str], ...]:
-        """(fqn, signature, use name) of every legal pair, ordered by symbol,
-        then by use name."""
-        return tuple((sym.fqn, sym.signature, use.value) for sym, use in self.legal_pairs)
+    def encoded_rows(self) -> tuple[str, ...]:
+        """The uncovered-use row of each legal pair in ``legal_pairs``
+        order, as the compact JSON object ``{"fqn":…,"signature":…,"use":…}``.
+        Strings are encoded as ``json.dumps(..., ensure_ascii=False)``
+        encodes them."""
+        rows: list[str] = []
+        tails: dict[frozenset[UseKind], list[str]] = {}  # a handful of use sets
+        for sym, uses in self.sorted_entries:
+            if uses not in tails:
+                tails[uses] = [f'{name}"}}' for name in sorted(u.value for u in uses)]
+            signature = "null" if sym.signature is None else encode_basestring(sym.signature)
+            head = f'{{"fqn":{encode_basestring(sym.fqn)},"signature":{signature},"use":"'
+            rows += [head + tail for tail in tails[uses]]
+        return tuple(rows)
 
     @cached_property
-    def level_keys(self) -> dict[str, Symbol]:
-        """Each coverage-level key, in symbol order, mapped to the symbol
-        whose level it shows. A field and a nested type of the same name
-        share a key, which shows the later symbol in sort order; a warning
-        names every such collision."""
+    def encoded_levels(self) -> dict[Symbol, str]:
+        """The encoded ``"key":`` prefix of each coverage-level key, in
+        symbol order, under the symbol whose level the key shows. The key is
+        ``fqn#signature`` for methods and constructors, ``fqn`` otherwise, so
+        a field and a nested type of the same name share a key, which shows
+        the later symbol in sort order; a warning names every such collision."""
         keys: dict[str, Symbol] = {}
         shared = []
         for sym, _ in self.sorted_entries:
-            key = level_key(sym)
+            key = f"{sym.fqn}#{sym.signature}" if sym.signature else sym.fqn
             if key in keys:
                 shared.append(f"{keys[key].kind.value} and {sym.kind.value} {key}")
             keys[key] = sym
@@ -179,7 +186,12 @@ class UsageModel:
                 "coverage levels share a key and show only the second symbol's "
                 f"level: {'; '.join(shared)}"
             )
-        return keys
+        return {sym: f"{encode_basestring(key)}:" for key, sym in keys.items()}
+
+    @cached_property
+    def encoded_unused_levels(self) -> dict[Symbol, str]:
+        """Each ``encoded_levels`` prefix with the level of an uncovered symbol."""
+        return {sym: f'{prefix}"None"' for sym, prefix in self.encoded_levels.items()}
 
 
 # ---------------------------------------------------------------------------

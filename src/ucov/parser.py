@@ -12,6 +12,7 @@ by bounded backtracking over the token stream.
 
 from __future__ import annotations
 
+import stat
 from pathlib import Path
 from typing import Optional, Union
 
@@ -631,8 +632,12 @@ def parse_unit(text: str, path: str) -> n.SourceUnit:
 def read_unit(path: Path) -> n.SourceUnit:
     """Parse the source file at ``path``. A file that cannot be read is a
     UcovError naming it, one that is not UTF-8 a ParseError at its first
-    invalid byte, placed as the lexer places a character there."""
+    invalid byte, placed as the lexer places a character there. An entry
+    that is not a regular file, such as a FIFO, is never opened: reading
+    it could block forever."""
     try:
+        if not stat.S_ISREG(path.stat().st_mode):
+            raise UcovError(f"cannot read {path}: not a regular file")
         data = path.read_bytes()
     except OSError as exc:
         raise UcovError(f"cannot read {path}: {exc.strerror or exc}") from exc
@@ -651,8 +656,8 @@ def collect_source_files(roots: list[Union[str, Path]]) -> list[Path]:
     files: list[Path] = []
     for root in roots:
         root = Path(root)
-        if root.is_file():
-            files.append(root)
-        else:
+        if root.is_dir():
             files.extend(sorted(p for p in root.rglob("*.java") if not p.is_dir()))
+        else:
+            files.append(root)
     return files

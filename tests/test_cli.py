@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from functools import reduce
 from pathlib import Path
 
@@ -373,6 +376,52 @@ def test_an_unreadable_source_file_exits_1_naming_it(sum_path, tmp_path, capsys,
     assert f"cannot read {src / 'Gone.java'}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("root", ["directory", "file"])
+@pytest.mark.parametrize("argv", [["sum"], ["suf"], ["suf", "--lenient"]],
+                         ids=["sum", "suf-strict", "suf-lenient"])
+def test_a_fifo_named_like_a_source_file_exits_1_naming_it(sum_path, tmp_path, argv, root):
+    """Reading a FIFO would block until a writer comes, so it is never opened,
+    whether it is found under a root or named as one."""
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "G.java").write_text("class G { }")
+    os.mkfifo(src / "F.java")
+    out = tmp_path / "out.json"
+    if argv[0] == "suf":
+        argv = [*argv, "--sum", str(sum_path)]
+    argv = [*argv, str(src if root == "directory" else src / "F.java"), "-o", str(out)]
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "UCOV_"))}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-m", "ucov.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: cannot read {src / 'F.java'}: not a regular file\n"
+    assert not out.exists()
+
+
+def test_a_corpus_config_writes_every_footprint_or_none(sum_path, tmp_path, capsys):
+    config = tmp_path / "corpus.json"
+    config.write_text(json.dumps({"groups": {"a": [CLASSIC], "b": [FRAMEWORK]}}))
+    outdir = tmp_path / "out"
+    (outdir / "b.json").mkdir(parents=True)
+    argv = ["suf", "--sum", str(sum_path), "--config", str(config), "-o", str(outdir)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {outdir / 'b.json'}: Is a directory\n"
+    assert sorted(p.name for p in outdir.iterdir()) == ["b.json"]
+    assert list((outdir / "b.json").iterdir()) == []
+    (outdir / "b.json").rmdir()
+    (outdir / "a.json").write_text("old")
+    (outdir / "b.json").write_text("old")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a: unique uses: 4, total uses: 5", "b: unique uses: 2, total uses: 2"
+    ]
+    assert [json.loads((outdir / f"{g}.json").read_text())["label"] for g in "ab"] == ["a", "b"]
+
+
 # ---------------------------------------------------------------------------
 # Determinism and round-trips
 # ---------------------------------------------------------------------------
@@ -581,7 +630,7 @@ def test_every_command_writes_its_content_as_one_line(sum_path, tmp_path, capsys
     reports.append(("All", m.compute_coverage(model, reduce(merge, fps))))
     assert one_line(capsys.readouterr().out) == {
         "library": "arraylist",
-        "reports": [{"label": l, **m.coverage_to_dict(r, model)} for l, r in reports],
+        "reports": [json.loads(m.coverage_to_dict(r, model, l)) for l, r in reports],
     }
     out = tmp_path / "regions.json"
     assert main(["compare", "--sum", str(sum_path), str(a), str(b), "-o", str(out)]) == 0

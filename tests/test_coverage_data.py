@@ -27,12 +27,14 @@ from ucov import (
     UsageModel,
     UseKind,
     UseTriple,
+    build_sum,
     compute_coverage,
     extract_uses,
     footprint_from_dict,
     merge,
     model_from_dict,
     model_to_dict,
+    parse_unit,
     profile,
 )
 from ucov import model as model_module
@@ -75,12 +77,30 @@ def random_footprint(rng: random.Random, model: UsageModel, label: str) -> Footp
     return Footprint(label, model.library_name, triples)
 
 
-def assert_matches_reference(model: UsageModel, fp: Footprint) -> None:
+def compact(data) -> str:
+    """The text ``json.dumps`` writes for ``data`` under the writer's rules."""
+    return json.dumps(data, ensure_ascii=False, separators=(",", ":"))
+
+
+def assert_matches_reference(model: UsageModel, fp: Footprint, label=None) -> None:
+    """The report equals the reference report, and its text is byte for byte
+    what ``json.dumps`` writes for the reference dict, led by the label if
+    one is given."""
     got, want = compute_coverage(model, fp), naive_coverage(model, fp)
     assert got == want
-    got_dict, want_dict = coverage_to_dict(got, model), naive_coverage_to_dict(want, model)
-    assert got_dict == want_dict
-    assert list(got_dict["levels"]) == list(want_dict["levels"])
+    want_dict = naive_coverage_to_dict(want, model)
+    if label is not None:
+        want_dict = {"label": label, **want_dict}
+    assert coverage_to_dict(got, model, label) == compact(want_dict)
+
+
+def all_legal_uses(model: UsageModel, label: str) -> Footprint:
+    triples = {
+        UseTriple(sym, use, Location("F.java", 1, 1))
+        for sym, uses in model.entries.items()
+        for use in uses
+    }
+    return Footprint(label, model.library_name, triples)
 
 
 @pytest.mark.parametrize("corpus,group", CORPORA, ids=[f"{c}/{g}" for c, g in CORPORA])
@@ -88,6 +108,11 @@ def test_fixture_reports_match_the_reference(corpus, group):
     model, fp = fixture(corpus, group)
     assert_matches_reference(model, fp)
     assert_matches_reference(shuffled_copy(model, random.Random(0)), fp)
+    assert_matches_reference(model, fp, group)
+    full = all_legal_uses(model, "full")
+    assert_matches_reference(model, full, "full")
+    assert '"uncovered_uses":[]' in coverage_to_dict(compute_coverage(model, full), model)
+    assert_matches_reference(model, Footprint("empty", model.library_name), "empty")
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,8 +121,9 @@ def test_fixture_reports_match_the_reference(corpus, group):
     seed=st.integers(min_value=0, max_value=2**32),
     merged=st.booleans(),
     shuffled=st.booleans(),
+    label=st.none() | st.text(),
 )
-def test_random_footprints_match_the_reference(corpus, seed, merged, shuffled):
+def test_random_footprints_match_the_reference(corpus, seed, merged, shuffled, label):
     rng = random.Random(seed)
     model, extracted = fixture(*corpus)
     if shuffled:
@@ -107,14 +133,18 @@ def test_random_footprints_match_the_reference(corpus, seed, merged, shuffled):
     fp = Footprint("a", model.library_name, subset)
     if merged:
         fp = merge(fp, random_footprint(rng, model, "b"))
-    assert_matches_reference(model, fp)
+    assert_matches_reference(model, fp, label)
 
 
 def test_empty_model_matches_the_reference():
     model = UsageModel("empty", {}, SymbolTable())
     fp = Footprint("a", "empty")
     assert_matches_reference(model, fp)
+    assert_matches_reference(model, fp, "a")
     assert compute_coverage(model, fp).use_coverage == 1
+    assert coverage_to_dict(compute_coverage(model, fp), model).endswith(
+        '"levels":{},"uncovered_uses":[]}'
+    )
 
 
 def test_out_of_order_symbols_are_reported_in_symbol_order():
@@ -126,6 +156,21 @@ def test_out_of_order_symbols_are_reported_in_symbol_order():
     assert coverage_to_dict(compute_coverage(loaded, fp), loaded) == coverage_to_dict(
         compute_coverage(model, fp), model
     )
+
+
+def test_the_writer_leaves_non_ascii_text_unescaped():
+    lib = parse_unit("package straße; public class Café { public void grüße() { } }",
+                     "straße/Café.java")
+    client = parse_unit(
+        "package k; import straße.Café; public class Ü { void f(Café c) { c.grüße(); } }",
+        "Ü.java",
+    )
+    model = build_sum([lib], "bücher")
+    fp = extract_uses([client], model, label="ü")
+    assert_matches_reference(model, fp, "ü")
+    assert_matches_reference(model, Footprint("ü", "bücher"), 'a "quoted"\tlabel\n')
+    text = coverage_to_dict(compute_coverage(model, fp), model, "ü")
+    assert "straße.Café.grüße#grüße()" in text and "\\u" not in text
 
 
 def test_illegal_pairs_of_a_footprint_built_in_memory_are_not_coverage():
@@ -254,10 +299,10 @@ def test_colliding_level_keys_warn_and_keep_the_json(tmp_path):
     fps.append(merge(*fps))
     reports = [naive_coverage_to_dict(naive_coverage(model, fp), model) for fp in fps]
     labels = ["field", "class", "All"]
-    assert json.loads(run.stdout) == {
+    assert run.stdout == compact({
         "library": "lib",
         "reports": [{"label": label, **r} for label, r in zip(labels, reports)],
-    }
+    }) + "\n"
     assert len(model.entries) == 5 and all(len(r["levels"]) == 4 for r in reports)
     # the key shows the field, read but never written, even where only the class is used
     assert [r["levels"]["a.B.C"] for r in reports] == ["Partial", "None", "Partial"]

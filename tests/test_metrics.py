@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -205,7 +206,7 @@ def test_three_way_regions_enumerate_all_subsets(arraylist):
 
 def test_coverage_dict(arraylist):
     model, classic, _ = arraylist
-    d = coverage_to_dict(compute_coverage(model, classic), model)
+    d = json.loads(coverage_to_dict(compute_coverage(model, classic), model))
     assert d["use_coverage"] == 0.6667
     assert d["symbol_coverage"] == 1.0
     assert d["totals"] == {

@@ -185,48 +185,104 @@ def test_a_built_table_keeps_no_syntax_tree_alive():
             gc.enable()
 
 
+def write_corpus(root: Path, types: int) -> list[list[str]]:
+    """A library of ``types`` classes, each extending the one before, and a
+    config of two client groups that use them; the command lines of the
+    five commands over them."""
+    (root / "lib" / "p").mkdir(parents=True)
+    for i in range(types):
+        parent = f" extends T{i - 1}" if i else ""
+        (root / "lib" / "p" / f"T{i}.java").write_text(
+            f"package p; public class T{i}{parent} {{ public int f{i}; public T{i}() {{ }} "
+            f"public T{i} m{i}(int x) {{ return this; }} public static void s{i}() {{ }} }}"
+        )
+    for group, step in (("a", 1), ("b", 2)):
+        body = " ".join(f"new T{i}().m{i}(1).f{i} = 2; T{i}.s{i}();"
+                        for i in range(0, types, step))
+        (root / group).mkdir()
+        (root / group / "C.java").write_text(
+            f"package c; import p.*; public class C {{ void run() {{ {body} }} }}"
+        )
+    config = root / "corpus.json"
+    config.write_text(json.dumps({"groups": {"a": [str(root / "a")], "b": [str(root / "b")]}}))
+    model, sufs = str(root / "sum.json"), [str(root / "out" / f"{g}.json") for g in "ab"]
+    return [
+        ["sum", str(root / "lib"), "-o", model],
+        ["suf", "--sum", model, "--config", str(config), "-o", str(root / "out")],
+        ["coverage", "--sum", model, *sufs],
+        ["compare", "--sum", model, *sufs],
+        ["profile", "--sum", model, "--suf", sufs[0]],
+    ]
+
+
+def test_no_command_leaves_cycles_that_grow_with_its_input(tmp_path, capsys):
+    """``ucov.cli.run`` turns the cyclic collector off. That is safe because
+    every command leaves as much cyclic garbage on a larger input as on a
+    small one, after a first run that imports the modules it uses."""
+    small, large = write_corpus(tmp_path / "small", 2), write_corpus(tmp_path / "large", 60)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        found = []
+        for argvs in (small, small, large):
+            gc.collect()
+            counts = []
+            for argv in argvs:
+                assert main(argv) == 0, capsys.readouterr().err
+                counts.append(gc.collect())
+            found.append(counts)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert all(big <= little for little, big in zip(found[1], found[2])), found
+    symbols = json.loads((tmp_path / "large" / "sum.json").read_text())["symbols"]
+    assert len(symbols) == 60 * 5  # a class, a field, a constructor and two methods each
+
+
 PERFBENCH = REPO / "perfbench"
 
 
 def traced(tmp_path, *args: str):
     """Run one command under ``perfbench/tracer.py`` as the benchmark does, in
-    a fresh interpreter; the summary of the spans it wrote."""
+    a fresh interpreter; the summary of the spans it wrote, then the bytes
+    of its standard output."""
     spans = tmp_path / "spans.bin"
     proc = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), str(spans), *args],
-                          capture_output=True, text=True, env=child_env(), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "not found" not in proc.stderr, proc.stderr
+                          capture_output=True, env=child_env(), timeout=60)
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 0, stderr
+    assert "not found" not in stderr, stderr
     sys.path.insert(0, str(PERFBENCH))
     try:
         import tracer
     finally:
         sys.path.remove(str(PERFBENCH))
-    return tracer.summarize(str(spans))
+    return (*tracer.summarize(str(spans)), proc.stdout)
 
 
 def test_the_tracer_sees_every_layer_of_the_reading_commands(saved, tmp_path):
     _, model, sufs = saved
-    calls, _, counters = traced(tmp_path, "coverage", "--sum", model, *sufs)
+    calls, _, counters, out = traced(tmp_path, "coverage", "--sum", model, *sufs)
     assert calls["cli.main"] == 1 and calls["cli.dump_json"] == 1
-    assert counters["cli.bytes_written"] > 0
+    assert counters["cli.bytes_written"] == len(out) > 0
     assert calls["model.from_dict"] == 1
     assert calls["footprint.from_dict"] == 2
     assert calls["footprint.merge"] == 1
     assert calls["metrics.compute_coverage"] == 3
     assert calls["metrics.to_dict"] == 3
-    calls, _, _ = traced(tmp_path, "compare", "--sum", model, *sufs)
+    calls, _, _, _ = traced(tmp_path, "compare", "--sum", model, *sufs)
     assert calls["metrics.exclusive_regions"] == 1
-    calls, _, _ = traced(tmp_path, "profile", "--sum", model)
+    calls, _, _, _ = traced(tmp_path, "profile", "--sum", model)
     assert calls["metrics.profile"] == 1
 
 
 def test_the_tracer_sees_every_layer_of_sum_and_suf(saved, tmp_path):
     _, model, _ = saved
-    calls, _, counters = traced(tmp_path, "sum", str(LIB), "-o", str(tmp_path / "sum.json"))
+    calls, _, counters, _ = traced(tmp_path, "sum", str(LIB), "-o", str(tmp_path / "sum.json"))
     assert calls["lexer.tokenize"] == calls["parser.parse_unit"] > 0
     assert calls["symtab.build"] == calls["model.build_sum"] == calls["model.to_dict"] == 1
     assert counters["model.symbols"] > 0 and counters["model.legal_uses"] > 0
-    calls, _, counters = traced(tmp_path, "suf", "--sum", model, "--label", "classic",
+    calls, _, counters, _ = traced(tmp_path, "suf", "--sum", model, "--label", "classic",
                                 str(GROUPS["classic"]), "-o", str(tmp_path / "suf.json"))
     assert calls["model.from_dict"] == 1 and calls["footprint.to_dict"] == 1
     for span in ("lexer.tokenize", "parser.parse_unit", "symtab.build",
