@@ -261,7 +261,7 @@ def _coverage_text(model: UsageModel, reports) -> str:
     width = max(16, *(len(l) + 2 for l in labels))
     rows = [
         ("API symbols", lambda r: str(len(model.entries))),
-        ("Legal uses", lambda r: str(model.legal_use_count)),
+        ("Legal uses", lambda r: str(len(model.legal_pairs))),
         ("Symbols used", lambda r: str(len(r.covered_symbols))),
         ("Unique uses", lambda r: str(len(r.covered_uses))),
         ("Total uses", lambda r: str(r.total_uses)),

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import KeysView
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 from .errors import ModelMismatch, UnknownSymbol, warn
 from .uses import Footprint
@@ -21,14 +22,18 @@ class CoverageLevel(Enum):
 
 
 class CoverageReport(NamedTuple):
-    covered_symbols: set[Symbol]
+    """The coverage of one footprint. ``levels`` maps only the symbols it uses,
+    to Full or Partial; every other exported symbol has level None."""
+
     covered_uses: set[UsePair]
+    levels: dict[Symbol, CoverageLevel]
     symbol_coverage: Fraction
     use_coverage: Fraction
-    levels: dict[Symbol, CoverageLevel]
-    uncovered_symbols: set[Symbol]
-    uncovered_uses: set[UsePair]
     total_uses: int
+
+    @property
+    def covered_symbols(self) -> KeysView[Symbol]:
+        return self.levels.keys()
 
 
 class ProfileDistribution(NamedTuple):
@@ -48,69 +53,47 @@ def _check_governed(model: UsageModel, fp: Footprint) -> None:
         )
 
 
-def _covered_pairs(model: UsageModel, fp: Footprint) -> set[UsePair]:
-    """The footprint's (symbol, use) pairs that are legal uses in the model."""
-    legal = model.legal_pairs
-    return {pair for pair in fp.unique_uses if pair in legal}
-
-
 def compute_coverage(model: UsageModel, fp: Footprint) -> CoverageReport:
     """Coverage of a footprint with respect to its governing model.
 
     Both scores are exact rationals: covered symbols over API symbols, and
     covered unique uses over legal uses. Coverage of an empty model is 1
-    by vacuous truth (with a warning). Only the covered pairs are looked
-    at one by one; the model-wide sets are copied from the model.
+    by vacuous truth (with a warning). Only the footprint's pairs are
+    looked at: the report holds nothing that the footprint does not cover.
     """
     _check_governed(model, fp)
-    covered_uses = _covered_pairs(model, fp)
+    legal = model.legal_pairs
+    covered_uses = {pair for pair in fp.unique_uses if pair in legal}
     hits = Counter(sym for sym, _ in covered_uses)
-    covered_symbols = set(hits)
-    legal_uses = len(model.legal_pairs)
+    levels = {
+        sym: CoverageLevel.FULL if hit == len(model.entries[sym]) else CoverageLevel.PARTIAL
+        for sym, hit in hits.items()
+    }
     if not model.entries:
         warn("coverage over an empty API is vacuously 1.0")
         symbol_coverage = Fraction(1)
     else:
-        symbol_coverage = Fraction(len(covered_symbols), len(model.entries))
-    if not legal_uses:
+        symbol_coverage = Fraction(len(levels), len(model.entries))
+    if not legal:
         if model.entries:
             warn("model has no legal uses; use coverage is vacuously 1.0")
         use_coverage = Fraction(1)
     else:
-        use_coverage = Fraction(len(covered_uses), legal_uses)
-    levels = dict.fromkeys(model.entries, CoverageLevel.NONE)
-    for sym, hit in hits.items():
-        levels[sym] = _grade(hit, len(model.entries[sym]))
-    uncovered_symbols = set(model.entries)
-    uncovered_symbols -= covered_symbols
-    uncovered_uses = set(model.legal_pairs)
-    uncovered_uses -= covered_uses
+        use_coverage = Fraction(len(covered_uses), len(legal))
     return CoverageReport(
-        covered_symbols=covered_symbols,
         covered_uses=covered_uses,
+        levels=levels,
         symbol_coverage=symbol_coverage,
         use_coverage=use_coverage,
-        levels=levels,
-        uncovered_symbols=uncovered_symbols,
-        uncovered_uses=uncovered_uses,
         total_uses=len(fp.triples),
     )
-
-
-def _grade(hit: int, legal: int) -> CoverageLevel:
-    """The level of a symbol with ``hit`` of its ``legal`` uses covered."""
-    if not hit:
-        return CoverageLevel.NONE
-    return CoverageLevel.FULL if hit == legal else CoverageLevel.PARTIAL
 
 
 def coverage_level(sym: Symbol, model: UsageModel, fp: Footprint) -> CoverageLevel:
     _check_governed(model, fp)
     if sym not in model.entries:
         raise UnknownSymbol(f"{sym.fqn} is not an exported symbol of the model")
-    covered = _covered_pairs(model, fp)
-    legal = model.entries[sym]
-    return _grade(sum((sym, u) in covered for u in legal), len(legal))
+    return compute_coverage(model, fp).levels.get(sym, CoverageLevel.NONE)
 
 
 def popularity(fp: Footprint, by: str = "SymbolUse") -> list[tuple[object, int]]:
@@ -183,35 +166,33 @@ def _fmt_ratio(x: Fraction) -> float:
 _LEVEL_TEXT = {level: f'"{level.value}"' for level in CoverageLevel}
 
 
-def coverage_to_dict(
-    report: CoverageReport, model: UsageModel, label: Optional[str] = None
-) -> str:
-    """A report of ``model`` as JSON text, led by ``"label"`` if one is given:
-    the bytes ``json.dumps(..., ensure_ascii=False, separators=(",", ":"))``
-    writes for its dict form. ``levels`` and ``uncovered_uses`` are joined
-    from the model's encoded fragments: a key shows None unless its symbol
-    is covered, and a legal use is uncovered unless the report covers it.
-    (The name is the dict form's, which ``perfbench`` traces.)"""
+def coverage_to_dict(report: CoverageReport, model: UsageModel, label: str) -> str:
+    """The report of ``model`` labeled ``label``, as JSON text: the bytes
+    ``json.dumps(..., ensure_ascii=False, separators=(",", ":"))`` writes
+    for its dict form. ``levels`` and ``uncovered_uses`` are joined from the
+    model's encoded fragments: a key shows None unless the report has a
+    level for its symbol, and a legal use is uncovered unless the report
+    covers it. (The name is the dict form's, which ``perfbench`` traces.)"""
     legal = model.legal_pairs
     head = {
+        "label": label,
         "symbol_coverage": _fmt_ratio(report.symbol_coverage),
         "use_coverage": _fmt_ratio(report.use_coverage),
         "totals": {
             "api_symbols": len(model.entries),
             "legal_uses": len(legal),
-            "symbols_used": len(report.covered_symbols),
+            "symbols_used": len(report.levels),
             "unique_uses": len(report.covered_uses),
             "total_uses": report.total_uses,
         },
     }
-    if label is not None:
-        head = {"label": label, **head}
     prefixes, levels = model.encoded_levels, model.encoded_unused_levels.copy()
-    for sym in report.covered_symbols:
+    for sym, level in report.levels.items():
         if sym in levels:  # not hidden by a shared key
-            levels[sym] = prefixes[sym] + _LEVEL_TEXT[report.levels[sym]]
-    covered = {legal.get(pair) for pair in report.covered_uses}
-    uncovered = ",".join([row for i, row in enumerate(model.encoded_rows) if i not in covered])
+            levels[sym] = prefixes[sym] + _LEVEL_TEXT[level]
+    covered = {legal[pair] for pair in report.covered_uses}
+    rows = model.encoded_rows.values()
+    uncovered = ",".join([row for i, row in enumerate(rows) if i not in covered])
     text = json.dumps(head, ensure_ascii=False, separators=(",", ":"))[:-1]
     levels_text = ",".join(levels.values())
     return f'{text},"levels":{{{levels_text}}},"uncovered_uses":[{uncovered}]}}'

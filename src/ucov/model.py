@@ -142,30 +142,26 @@ class UsageModel:
 
     @cached_property
     def legal_pairs(self) -> dict[UsePair, int]:
-        """Every legal (symbol, use) pair, mapped to its position in
-        ``encoded_rows``."""
-        pairs = (
-            (sym, use)
-            for sym, uses in self.sorted_entries
-            for use in sorted(uses, key=lambda u: u.value)
-        )
-        return {pair: i for i, pair in enumerate(pairs)}
+        """Every legal (symbol, use) pair, mapped to the position of its row
+        in ``encoded_rows``."""
+        return {pair: i for i, pair in enumerate(self.encoded_rows)}
 
     @cached_property
-    def encoded_rows(self) -> tuple[str, ...]:
-        """The uncovered-use row of each legal pair in ``legal_pairs``
-        order, as the compact JSON object ``{"fqn":…,"signature":…,"use":…}``.
+    def encoded_rows(self) -> dict[UsePair, str]:
+        """The uncovered-use row of each legal pair, in symbol order and then
+        by use, as the compact JSON object ``{"fqn":…,"signature":…,"use":…}``.
         Strings are encoded as ``json.dumps(..., ensure_ascii=False)``
         encodes them."""
-        rows: list[str] = []
-        tails: dict[frozenset[UseKind], list[str]] = {}  # a handful of use sets
+        rows: dict[UsePair, str] = {}
+        orders: dict[frozenset[UseKind], list[UseKind]] = {}  # a handful of use sets
         for sym, uses in self.sorted_entries:
-            if uses not in tails:
-                tails[uses] = [f'{name}"}}' for name in sorted(u.value for u in uses)]
+            if uses not in orders:
+                orders[uses] = sorted(uses, key=lambda u: u.value)
             signature = "null" if sym.signature is None else encode_basestring(sym.signature)
             head = f'{{"fqn":{encode_basestring(sym.fqn)},"signature":{signature},"use":"'
-            rows += [head + tail for tail in tails[uses]]
-        return tuple(rows)
+            for use in orders[uses]:
+                rows[sym, use] = f'{head}{use.value}"}}'
+        return rows
 
     @cached_property
     def encoded_levels(self) -> dict[Symbol, str]:
@@ -337,16 +333,18 @@ def model_to_dict(model: UsageModel) -> dict:
 
 
 def model_from_dict(data: dict) -> UsageModel:
-    """Load a serialized model. Its resolution table is built from the
-    resolution section only when ``table`` is first used; the symbols'
-    modifiers are not read."""
+    """Load a serialized model. Its names must be strings and its symbols
+    distinct; the symbols' modifiers are not read, and the resolution table
+    is built from the resolution section only when ``table`` is first used."""
     resolution = data.get("resolution")
     if resolution is None:
         raise ModelMismatch("model file lacks the resolution section")
     entries: dict[Symbol, frozenset[UseKind]] = {}
     use_sets: dict[tuple[str, ...], frozenset[UseKind]] = {}  # a handful, shared
     for s in data["symbols"]:
-        sym = Symbol(s["fqn"], SymbolKind(s["kind"]), s["signature"])
+        sym = Symbol(_name(s["fqn"]), SymbolKind(s["kind"]), _name_or_null(s["signature"]))
+        if sym in entries:
+            raise ValueError(f"{sym.kind.value} {sym} is listed twice")
         names = tuple(s["uses"])
         uses = use_sets.get(names)
         if uses is None:
@@ -358,33 +356,53 @@ def model_from_dict(data: dict) -> UsageModel:
 def _table_from_dict(resolution: dict) -> SymbolTable:
     """The resolution table of a serialized model's resolution section."""
     table = symtab.SymbolTable()
-    members_by_type: dict[str, list[MemberInfo]] = {}
+    members_by_type: dict[str, dict[tuple, MemberInfo]] = {}  # by name and signature
     for m in resolution["members"]:
-        members_by_type.setdefault(m["declaring"], []).append(
-            symtab.MemberInfo(
-                declaring=m["declaring"],
-                kind=_declared_kind(m["kind"], of_type=False),
-                name=m["name"],
-                modifiers=frozenset(m["modifiers"]),
-                signature=m["signature"],
-                param_types=tuple(m["params"]),
-                return_type=m["returns"],
-                field_type=m["field_type"],
-                synthesized=m.get("synthesized", False),
-            )
+        kind = _declared_kind(m["kind"], of_type=False)
+        member = symtab.MemberInfo(
+            declaring=_name(m["declaring"]),
+            kind=kind,
+            name=_name(m["name"]),
+            modifiers=frozenset(m["modifiers"]),
+            signature=(_name_or_null if kind is SymbolKind.FIELD else _name)(m["signature"]),
+            param_types=tuple(map(_name, m["params"])),
+            return_type=_name_or_null(m["returns"]),
+            field_type=_name_or_null(m["field_type"]),
+            synthesized=m.get("synthesized", False),
         )
+        members = members_by_type.setdefault(member.declaring, {})
+        if members.setdefault((member.name, member.signature), member) is not member:
+            sym = Symbol(member.fqn, kind, member.signature)
+            raise ValueError(f"{kind.value} {sym} is listed twice")
     for t in resolution["types"]:
-        table.types[t["fqn"]] = symtab.TypeInfo(
-            fqn=t["fqn"],
+        fqn = _name(t["fqn"])
+        if fqn in table.types:
+            raise ValueError(f"type {fqn} is listed twice")
+        table.types[fqn] = symtab.TypeInfo(
+            fqn=fqn,
             kind=_declared_kind(t["kind"], of_type=True),
             modifiers=frozenset(t["modifiers"]),
-            type_params=tuple(t["type_params"]),
-            supertypes=tuple(t["supertypes"]),
-            external_supertypes=frozenset(t["external"]),
-            members=tuple(members_by_type.get(t["fqn"], [])),
-            enclosing=t.get("enclosing"),
+            type_params=tuple(map(_name, t["type_params"])),
+            supertypes=tuple(map(_name, t["supertypes"])),
+            external_supertypes=frozenset(map(_name, t["external"])),
+            members=tuple(members_by_type.get(fqn, {}).values()),
+            enclosing=_name_or_null(t.get("enclosing")),
         )
     return table
+
+
+def _name(value: object) -> str:
+    """``value`` if it is a name as ``model_to_dict`` writes one: a string."""
+    if isinstance(value, str):
+        return value
+    raise TypeError(f"a name must be a string, found {value!r}")
+
+
+def _name_or_null(value: object) -> Optional[str]:
+    """``value`` if it is a string or null: a name that may be absent."""
+    if value is None or isinstance(value, str):
+        return value
+    raise TypeError(f"a name must be a string or null, found {value!r}")
 
 
 def _declared_kind(value: str, of_type: bool) -> SymbolKind:

@@ -106,8 +106,8 @@ class SymbolTable:
     def own_types(self) -> Iterator[TypeInfo]:
         return iter(self.types.values())
 
-    def supertype_closure(self, fqn: str, include_self: bool = True) -> tuple[str, ...]:
-        """BFS over known supertypes, duplicate-free, nearest first."""
+    def supertype_closure(self, fqn: str) -> tuple[str, ...]:
+        """``fqn`` and its known supertypes by BFS, duplicate-free, nearest first."""
         closure = self._closures.get(fqn)
         if closure is None:
             queue = [fqn]
@@ -120,7 +120,7 @@ class SymbolTable:
                             seen.add(sup)
                             queue.append(sup)
             closure = self._closures[fqn] = tuple(queue)
-        return closure if include_self else closure[1:]
+        return closure
 
     def members_of(self, fqn: str) -> tuple[MemberInfo, ...]:
         info = self.lookup_type(fqn)

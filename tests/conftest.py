@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,17 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # written: a stale .hypothesis/ directory cannot replay an old failure.
 settings.register_profile("deterministic", database=None, derandomize=True)
 settings.load_profile("deterministic")
+
+# Hypothesis imports its patch writer when a property test fails, and with
+# it libcst, which can warn of a deprecation on import. The warning filter
+# of the run would turn that warning into an internal error that hides the
+# counterexample and ends the run, so the module is imported here first.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed: nothing to import early
+        pass
 
 
 def parse_tree(root: Path) -> list[SourceUnit]:

@@ -36,13 +36,10 @@ def naive_coverage(model: UsageModel, fp: Footprint) -> CoverageReport:
     use_coverage = Fraction(len(covered_uses), len(all_uses)) if all_uses else Fraction(1)
     levels = {s: _level_of(s, model.entries[s], covered_uses) for s in api_symbols}
     return CoverageReport(
-        covered_symbols=covered_symbols,
         covered_uses=covered_uses,
+        levels={s: level for s, level in levels.items() if level is not CoverageLevel.NONE},
         symbol_coverage=symbol_coverage,
         use_coverage=use_coverage,
-        levels=levels,
-        uncovered_symbols=api_symbols - covered_symbols,
-        uncovered_uses=all_uses - covered_uses,
         total_uses=len(fp.triples),
     )
 
@@ -59,14 +56,18 @@ def _level_of(
 
 
 def naive_coverage_to_dict(report: CoverageReport, model: UsageModel) -> dict:
+    """The dict form of a report: every exported symbol has a level, None
+    unless the report has one, and every legal use it does not cover is
+    an uncovered row."""
     level_names = {}
-    for sym, level in sorted(report.levels.items(), key=lambda kv: kv[0].sort_key()):
+    for sym in sorted(model.entries, key=Symbol.sort_key):
         key = f"{sym.fqn}{'#' + sym.signature if sym.signature else ''}"
-        level_names[key] = level.value
+        level_names[key] = report.levels.get(sym, CoverageLevel.NONE).value
+    all_uses = {(s, u) for s, uses in model.entries.items() for u in uses}
     uncovered = [
         {"fqn": s.fqn, "signature": s.signature, "use": u.value}
         for s, u in sorted(
-            report.uncovered_uses, key=lambda su: (su[0].sort_key(), su[1].value)
+            all_uses - report.covered_uses, key=lambda su: (su[0].sort_key(), su[1].value)
         )
     ]
     return {
@@ -75,7 +76,7 @@ def naive_coverage_to_dict(report: CoverageReport, model: UsageModel) -> dict:
         "totals": {
             "api_symbols": len(model.entries),
             "legal_uses": sum(len(uses) for uses in model.entries.values()),
-            "symbols_used": len(report.covered_symbols),
+            "symbols_used": len({s for s, _ in report.covered_uses}),
             "unique_uses": len(report.covered_uses),
             "total_uses": report.total_uses,
         },

@@ -97,7 +97,7 @@ class _Collector:
         for m in info.members:
             if m.kind is not SymbolKind.METHOD or "static" in m.modifiers:
                 continue
-            for tfqn in self.table.supertype_closure(info.fqn, include_self=False):
+            for tfqn in self.table.supertype_closure(info.fqn)[1:]:
                 for sm in self.table.members_of(tfqn):
                     if (
                         sm.kind is SymbolKind.METHOD
@@ -276,9 +276,7 @@ class _Collector:
                 self.add(member.fqn, member.signature, UseKind.STATIC_INVOCATION, e.location)
             else:
                 self.add(member.fqn, member.signature, UseKind.METHOD_INVOCATION, e.location)
-                for tfqn in self.table.supertype_closure(
-                    member.declaring, include_self=False
-                ):
+                for tfqn in self.table.supertype_closure(member.declaring)[1:]:
                     for sm in self.table.members_of(tfqn):
                         if (
                             sm.kind is SymbolKind.METHOD

@@ -276,10 +276,10 @@ def test_property_levels_partition_api(data):
     model, (fp,) = data
     r = compute_coverage(model, fp)
     counts = {lvl: 0 for lvl in CoverageLevel}
-    for lvl in r.levels.values():
-        counts[lvl] += 1
+    for sym in model.entries:
+        counts[r.levels.get(sym, CoverageLevel.NONE)] += 1
     assert sum(counts.values()) == len(model.entries)
-    assert counts[CoverageLevel.NONE] == len(r.levels) - len(r.covered_symbols)
+    assert counts[CoverageLevel.NONE] == len(model.entries) - len(r.covered_symbols)
 
 
 @pytest.mark.criterion(6, "randomized property suites")

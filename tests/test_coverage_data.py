@@ -39,7 +39,7 @@ from ucov import (
 )
 from ucov import model as model_module
 from ucov.cli import main
-from ucov.metrics import CoverageLevel, coverage_to_dict
+from ucov.metrics import CoverageLevel, CoverageReport, coverage_to_dict
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -82,15 +82,12 @@ def compact(data) -> str:
     return json.dumps(data, ensure_ascii=False, separators=(",", ":"))
 
 
-def assert_matches_reference(model: UsageModel, fp: Footprint, label=None) -> None:
+def assert_matches_reference(model: UsageModel, fp: Footprint, label: str) -> None:
     """The report equals the reference report, and its text is byte for byte
-    what ``json.dumps`` writes for the reference dict, led by the label if
-    one is given."""
+    what ``json.dumps`` writes for the reference dict, led by the label."""
     got, want = compute_coverage(model, fp), naive_coverage(model, fp)
     assert got == want
-    want_dict = naive_coverage_to_dict(want, model)
-    if label is not None:
-        want_dict = {"label": label, **want_dict}
+    want_dict = {"label": label, **naive_coverage_to_dict(want, model)}
     assert coverage_to_dict(got, model, label) == compact(want_dict)
 
 
@@ -106,12 +103,11 @@ def all_legal_uses(model: UsageModel, label: str) -> Footprint:
 @pytest.mark.parametrize("corpus,group", CORPORA, ids=[f"{c}/{g}" for c, g in CORPORA])
 def test_fixture_reports_match_the_reference(corpus, group):
     model, fp = fixture(corpus, group)
-    assert_matches_reference(model, fp)
-    assert_matches_reference(shuffled_copy(model, random.Random(0)), fp)
     assert_matches_reference(model, fp, group)
+    assert_matches_reference(shuffled_copy(model, random.Random(0)), fp, group)
     full = all_legal_uses(model, "full")
     assert_matches_reference(model, full, "full")
-    assert '"uncovered_uses":[]' in coverage_to_dict(compute_coverage(model, full), model)
+    assert '"uncovered_uses":[]' in coverage_to_dict(compute_coverage(model, full), model, "full")
     assert_matches_reference(model, Footprint("empty", model.library_name), "empty")
 
 
@@ -121,7 +117,7 @@ def test_fixture_reports_match_the_reference(corpus, group):
     seed=st.integers(min_value=0, max_value=2**32),
     merged=st.booleans(),
     shuffled=st.booleans(),
-    label=st.none() | st.text(),
+    label=st.text(),
 )
 def test_random_footprints_match_the_reference(corpus, seed, merged, shuffled, label):
     rng = random.Random(seed)
@@ -139,10 +135,9 @@ def test_random_footprints_match_the_reference(corpus, seed, merged, shuffled, l
 def test_empty_model_matches_the_reference():
     model = UsageModel("empty", {}, SymbolTable())
     fp = Footprint("a", "empty")
-    assert_matches_reference(model, fp)
     assert_matches_reference(model, fp, "a")
     assert compute_coverage(model, fp).use_coverage == 1
-    assert coverage_to_dict(compute_coverage(model, fp), model).endswith(
+    assert coverage_to_dict(compute_coverage(model, fp), model, "a").endswith(
         '"levels":{},"uncovered_uses":[]}'
     )
 
@@ -153,8 +148,8 @@ def test_out_of_order_symbols_are_reported_in_symbol_order():
     data["symbols"].reverse()
     loaded = model_from_dict(data)
     assert list(loaded.entries) != [s for s, _ in loaded.sorted_entries]
-    assert coverage_to_dict(compute_coverage(loaded, fp), loaded) == coverage_to_dict(
-        compute_coverage(model, fp), model
+    assert coverage_to_dict(compute_coverage(loaded, fp), loaded, "t") == coverage_to_dict(
+        compute_coverage(model, fp), model, "t"
     )
 
 
@@ -180,7 +175,22 @@ def test_illegal_pairs_of_a_footprint_built_in_memory_are_not_coverage():
     fp = Footprint("a", model.library_name, {illegal})
     report = compute_coverage(model, fp)
     assert report.covered_uses == set() and report.use_coverage == 0
-    assert report.levels[sym] is CoverageLevel.NONE
+    assert sym in model.entries and sym not in report.levels
+
+
+@pytest.mark.parametrize("corpus,group", CORPORA, ids=[f"{c}/{g}" for c, g in CORPORA])
+def test_a_report_holds_only_what_its_footprint_covers(corpus, group):
+    model, _ = fixture(corpus, group)
+    assert not {"uncovered_symbols", "uncovered_uses"} & set(CoverageReport._fields)
+    empty = compute_coverage(model, Footprint("empty", model.library_name))
+    assert empty.levels == {} and empty.covered_uses == set()
+    for sym, uses in model.entries.items():
+        for use in uses:
+            triple = UseTriple(sym, use, Location("F.java", 1, 1))
+            report = compute_coverage(model, Footprint("one", model.library_name, {triple}))
+            assert report.covered_uses == {(sym, use)}
+            level = CoverageLevel.FULL if len(uses) == 1 else CoverageLevel.PARTIAL
+            assert report.levels == {sym: level}
 
 
 # ---------------------------------------------------------------------------

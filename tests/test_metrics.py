@@ -54,8 +54,8 @@ def test_union_coverage_is_total(arraylist):
     r = compute_coverage(model, merge(classic, framework))
     assert r.use_coverage == 1
     assert r.symbol_coverage == 1
-    assert r.uncovered_uses == set()
-    assert r.uncovered_symbols == set()
+    assert set(model.legal_pairs) - r.covered_uses == set()
+    assert set(model.entries) - r.covered_symbols == set()
 
 
 def test_coverage_levels_partition(arraylist):
@@ -206,7 +206,7 @@ def test_three_way_regions_enumerate_all_subsets(arraylist):
 
 def test_coverage_dict(arraylist):
     model, classic, _ = arraylist
-    d = json.loads(coverage_to_dict(compute_coverage(model, classic), model))
+    d = json.loads(coverage_to_dict(compute_coverage(model, classic), model, "classic"))
     assert d["use_coverage"] == 0.6667
     assert d["symbol_coverage"] == 1.0
     assert d["totals"] == {

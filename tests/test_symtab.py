@@ -243,7 +243,7 @@ def test_cached_queries_repeat_and_cannot_be_changed_by_callers():
     with pytest.raises(TypeError):
         closure[0] = "p.X"
     assert table.supertype_closure("p.B") == ("p.B", "p.A")
-    assert table.supertype_closure("p.B", include_self=False) == ("p.A",)
+    assert table.supertype_closure("p.B")[1:] == ("p.A",)
     res = table.resolve_method("p.B", "m", [])
     assert table.resolve_method("p.B", "m", []) == res
     assert res.member.declaring == "p.B"
