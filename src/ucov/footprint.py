@@ -53,9 +53,9 @@ def extract_uses(
     _parse_errors: Sequence[Diagnostic] = (),
 ) -> Footprint:
     """Extract the footprint of client units against a usage model, over a
-    client symbol table layered on the library's. ``footprint_of_corpus``
-    passes the diagnostics of the files it could not parse, which come
-    before the extractor's own."""
+    client symbol table that holds the library's types and the client's.
+    ``footprint_of_corpus`` passes the diagnostics of the files it could
+    not parse, which come before the extractor's own."""
     table = build_symbol_table(client_units, base=model.table)
     extractor = _Extractor(model, table, list(_parse_errors))
     for d in declarations(client_units, table):
@@ -147,8 +147,7 @@ class _Extractor:
         self._overriding_uses(info)
         self._implicit_super_constructors(info)
         for member in d.decl.members:
-            self._member_type_references(member, env)
-            self._visit_member_body(member, env)
+            self._visit_member(member, env)
 
     def _heritage_uses(self, decl: n.TypeDecl, info: TypeInfo, env: Env) -> None:
         refs = decl.extends_refs + decl.implements_refs
@@ -209,41 +208,36 @@ class _Extractor:
             if member.kind is SymbolKind.CONSTRUCTOR and not member.synthesized:
                 self.emit_member_use(zero_arg, UseKind.CONSTRUCTOR_INVOCATION, member.location)
 
-    def _member_type_references(self, member: n.MemberDecl, env: Env) -> None:
-        refs: list[n.TypeRef] = []
-        if member.field_type is not None:
-            refs.append(member.field_type)
-        if member.return_type is not None:
-            refs.append(member.return_type)
-        refs.extend(p.type_ref for p in member.params)
-        refs.extend(member.throws_refs)
-        for ref in refs:
-            self._type_reference(ref, env)
-
-    def _type_reference(self, ref: n.TypeRef, env: Env) -> None:
-        if ref.name and ref.name not in env.scope.type_params:
-            resolved, known = env.scope.resolve_type(ref.name)
-            sym = self.model.type_symbol(resolved) if known else None
+    def _type_reference(self, ref: n.TypeRef, env: Env) -> Optional[str]:
+        """The type ``ref`` declares, by typing's ``declared_type``. It and
+        the type arguments are TypeReferences where they are model types,
+        arrays included, and ``ref`` does not name a type parameter."""
+        declared = declared_type(ref, env)
+        if declared is not None and ref.name not in env.scope.type_params:
+            sym = self.model.type_symbol(declared.rstrip("[]"))
             if sym is not None:
                 self.emit(sym, UseKind.TYPE_REFERENCE, ref.location)
         for arg in ref.type_args:
             self._type_reference(arg, env)
+        return declared
 
-    def _visit_member_body(self, member: n.MemberDecl, type_env: Env) -> None:
-        if member.kind is SymbolKind.FIELD:
-            if member.field_init is not None:
-                env = type_env.child()
-                expected = declared_type(member.field_type, env) if member.field_type else None
-                self.visit_expr(member.field_init, env, expected=expected)
-            return
-        if member.body is None:
-            return
+    def _visit_member(self, member: n.MemberDecl, type_env: Env) -> None:
+        """Emit the type references of a member's declaration, then visit
+        its field initializer or body with the types they declare."""
         env = type_env.child()
-        for p in member.params:
-            env.declare(p.name, declared_type(p.type_ref, env))
+        if member.kind is SymbolKind.FIELD:
+            field_type = self._type_reference(member.field_type, env)
+            if member.field_init is not None:
+                self.visit_expr(member.field_init, env, expected=field_type)
+            return
         if member.return_type is not None:
-            env.returns = declared_type(member.return_type, env)
-        self.visit_block(member.body, env)
+            env.returns = self._type_reference(member.return_type, env)
+        for p in member.params:
+            env.declare(p.name, self._type_reference(p.type_ref, env))
+        for ref in member.throws_refs:
+            self._type_reference(ref, env)
+        if member.body is not None:
+            self.visit_block(member.body, env)
 
     # -- statements ------------------------------------------------------------
 
@@ -256,8 +250,7 @@ class _Extractor:
         if isinstance(stmt, n.Block):
             self.visit_block(stmt, env)
         elif isinstance(stmt, n.LocalDecl):
-            self._type_reference(stmt.type_ref, env)
-            declared = declared_type(stmt.type_ref, env)
+            declared = self._type_reference(stmt.type_ref, env)
             env.declare(stmt.name, declared)
             if stmt.init is not None:
                 self.visit_expr(stmt.init, env, expected=declared)
@@ -288,9 +281,8 @@ class _Extractor:
         elif isinstance(stmt, n.Try):
             self.visit_block(stmt.body, env)
             for catch in stmt.catches:
-                self._type_reference(catch.param_type, env)
                 inner = env.child()
-                inner.declare(catch.name, declared_type(catch.param_type, inner))
+                inner.declare(catch.name, self._type_reference(catch.param_type, env))
                 self.visit_block(catch.body, inner)
             if stmt.finally_block is not None:
                 self.visit_block(stmt.finally_block, env)
@@ -481,8 +473,7 @@ class _Extractor:
                     UseKind.OVERRIDING,
                     member.location,
                 )
-            self._member_type_references(member, inner)
-            self._visit_member_body(member, inner)
+            self._visit_member(member, inner)
 
     def _lambda(self, expr: n.Lambda, env: Env, expected: Optional[str]) -> None:
         sam: Optional[MemberInfo] = None
@@ -507,8 +498,7 @@ class _Extractor:
         inner.returns = sam.return_type if sam is not None else Unknown
         for i, p in enumerate(expr.params):
             if p.type_ref.name:
-                self._type_reference(p.type_ref, env)
-                inner.declare(p.name, declared_type(p.type_ref, inner))
+                inner.declare(p.name, self._type_reference(p.type_ref, env))
             elif sam is not None and i < len(sam.param_types):
                 inner.declare(p.name, sam.param_types[i])
             else:

@@ -208,7 +208,7 @@ def build_sum(
     table = symtab.build_symbol_table(library_units)
     entries: dict[Symbol, frozenset[UseKind]] = {}
     extensible: dict[str, bool] = {}  # by FQN, of each exported type
-    for info in table.own_types():  # in declaration preorder: outer types first
+    for info in table.types.values():  # in declaration preorder: outer types first
         if info.enclosing is None:
             exported = info.visibility() == "public"
         else:
@@ -287,7 +287,7 @@ def model_to_dict(model: UsageModel) -> dict:
     modifiers: dict[tuple, frozenset[str]] = {}
     types = []
     members = []
-    for info in sorted(model.table.own_types(), key=lambda t: t.fqn):
+    for info in sorted(model.table.types.values(), key=lambda t: t.fqn):
         modifiers[(info.fqn, info.kind, None)] = info.modifiers
         types.append(
             {
@@ -345,7 +345,7 @@ def model_from_dict(data: dict) -> UsageModel:
         sym = Symbol(_name(s["fqn"]), SymbolKind(s["kind"]), _name_or_null(s["signature"]))
         if sym in entries:
             raise ValueError(f"{sym.kind.value} {sym} is listed twice")
-        names = tuple(s["uses"])
+        names = _names(s["uses"])
         uses = use_sets.get(names)
         if uses is None:
             uses = use_sets[names] = frozenset(UseKind(u) for u in names)
@@ -363,9 +363,9 @@ def _table_from_dict(resolution: dict) -> SymbolTable:
             declaring=_name(m["declaring"]),
             kind=kind,
             name=_name(m["name"]),
-            modifiers=frozenset(m["modifiers"]),
+            modifiers=frozenset(_names(m["modifiers"])),
             signature=(_name_or_null if kind is SymbolKind.FIELD else _name)(m["signature"]),
-            param_types=tuple(map(_name, m["params"])),
+            param_types=_names(m["params"]),
             return_type=_name_or_null(m["returns"]),
             field_type=_name_or_null(m["field_type"]),
             synthesized=m.get("synthesized", False),
@@ -381,10 +381,10 @@ def _table_from_dict(resolution: dict) -> SymbolTable:
         table.types[fqn] = symtab.TypeInfo(
             fqn=fqn,
             kind=_declared_kind(t["kind"], of_type=True),
-            modifiers=frozenset(t["modifiers"]),
-            type_params=tuple(map(_name, t["type_params"])),
-            supertypes=tuple(map(_name, t["supertypes"])),
-            external_supertypes=frozenset(map(_name, t["external"])),
+            modifiers=frozenset(_names(t["modifiers"])),
+            type_params=_names(t["type_params"]),
+            supertypes=_names(t["supertypes"]),
+            external_supertypes=frozenset(_names(t["external"])),
             members=tuple(members_by_type.get(fqn, {}).values()),
             enclosing=_name_or_null(t.get("enclosing")),
         )
@@ -396,6 +396,14 @@ def _name(value: object) -> str:
     if isinstance(value, str):
         return value
     raise TypeError(f"a name must be a string, found {value!r}")
+
+
+def _names(value: object) -> tuple[str, ...]:
+    """``value`` as a tuple if it is a list of names as ``model_to_dict``
+    writes one: a list of strings."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of names, found {value!r}")
+    return tuple(map(_name, value))
 
 
 def _name_or_null(value: object) -> Optional[str]:

@@ -1,8 +1,9 @@
 """Symbol tables, type-name resolution, signature erasure, and method lookup.
 
 A SymbolTable maps fully qualified names to resolved type information.
-Client tables are built as overlays over a library table (the ``base``),
-so client code can reference library types without them being re-declared.
+A client table starts as a copy of the library table's types and adds the
+client's own, so client code references library types without declaring
+them again, and a client type may shadow a library type of the same FQN.
 
 Erased signatures identify members: type arguments are dropped and type
 parameters are replaced by the root reference type, so ``add(E)`` and
@@ -12,7 +13,7 @@ parameters are replaced by the root reference type, so ``add(E)`` and
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import nodes as n
 from .errors import CyclicHierarchy, DuplicateSymbol
@@ -81,30 +82,24 @@ class MethodResolution(NamedTuple):
 
 
 class SymbolTable:
-    """Immutable-after-build table of types, optionally layered over a base.
+    """Immutable-after-build table of types: those of ``base``, if given,
+    copied first, then the table's own.
 
     Supertype closures and member indexes are cached per table instance on
-    first query, so a table must not be changed once it is queried. An
-    overlay keeps its own caches: a client type can complete a library
+    first query, so a table must not be changed once it is queried. A
+    client table keeps its own caches: a client type can complete a library
     type's external supertype, so the answers may differ from the base's.
     """
 
     def __init__(self, base: Optional["SymbolTable"] = None):
-        self.types: dict[str, TypeInfo] = {}
-        self.base = base
+        self.types: dict[str, TypeInfo] = {} if base is None else dict(base.types)
         self._closures: dict[str, tuple[str, ...]] = {}
         self._members: dict[str, dict[str, tuple[MemberInfo, ...]]] = {}
 
     # -- lookup -----------------------------------------------------------
 
     def lookup_type(self, fqn: str) -> Optional[TypeInfo]:
-        info = self.types.get(fqn)
-        if info is None and self.base is not None:
-            return self.base.lookup_type(fqn)
-        return info
-
-    def own_types(self) -> Iterator[TypeInfo]:
-        return iter(self.types.values())
+        return self.types.get(fqn)
 
     def supertype_closure(self, fqn: str) -> tuple[str, ...]:
         """``fqn`` and its known supertypes by BFS, duplicate-free, nearest first."""
@@ -341,19 +336,22 @@ def declarations(units: list[n.SourceUnit], table: SymbolTable) -> list[Declarat
 def build_symbol_table(
     units: list[n.SourceUnit], base: Optional[SymbolTable] = None
 ) -> SymbolTable:
-    """Build a resolved SymbolTable from parsed units.
+    """Build a resolved SymbolTable from parsed units, holding every type
+    of ``base`` too; a type of ``units`` replaces a ``base`` type of the
+    same FQN.
 
     Classes declaring no constructor receive a synthesized public zero-arg
     constructor. Unknown supertypes are kept by raw name and flagged
-    external. Raises DuplicateSymbol on FQN/signature collisions and
-    CyclicHierarchy on supertype cycles.
+    external. Raises DuplicateSymbol on FQN/signature collisions among the
+    types of ``units`` and CyclicHierarchy on supertype cycles among them.
     """
     table = SymbolTable(base)
     declared = declarations(units, table)
+    own: dict[str, TypeInfo] = {}  # the types of ``units``, in declaration order
     for d in declared:
-        if d.fqn in table.types:
+        if d.fqn in own:
             raise DuplicateSymbol(f"type {d.fqn} declared more than once")
-        table.types[d.fqn] = TypeInfo(
+        own[d.fqn] = table.types[d.fqn] = TypeInfo(
             fqn=d.fqn,
             kind=d.decl.kind,
             modifiers=frozenset(d.decl.modifiers),
@@ -372,13 +370,13 @@ def build_symbol_table(
             supertypes.append(resolved)
             if not known:
                 externals.add(resolved)
-        table.types[d.fqn] = table.types[d.fqn]._replace(
+        own[d.fqn] = table.types[d.fqn] = own[d.fqn]._replace(
             supertypes=tuple(supertypes),
             external_supertypes=frozenset(externals),
             members=_build_members(d),
         )
 
-    _check_acyclic(table)
+    _check_acyclic(own)
     return table
 
 
@@ -471,11 +469,10 @@ def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
     return tuple(out)
 
 
-def _check_acyclic(table: SymbolTable) -> None:
-    """Raise CyclicHierarchy if the table's own types form a supertype cycle;
-    the message names the depth-first path that closed it. An explicit
-    stack walks a hierarchy of any depth without recursion."""
-    types = table.types
+def _check_acyclic(types: dict[str, TypeInfo]) -> None:
+    """Raise CyclicHierarchy if ``types`` form a supertype cycle; the
+    message names the depth-first path that closed it. An explicit stack
+    walks a hierarchy of any depth without recursion."""
     done: set[str] = set()
     for root in types:
         if root in done:

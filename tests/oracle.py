@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ucov import nodes as n
 from ucov.model import SymbolKind, UsageModel, UseKind
-from ucov.symtab import Scope, SymbolTable, build_symbol_table
+from ucov.symtab import PRIMITIVES, Scope, SymbolTable, build_symbol_table
 from ucov.typing_env import Env, as_type_name, static_type_of
 
 Fact = tuple[str, object, UseKind, n.Location]
@@ -152,7 +152,9 @@ class _Collector:
         yield from member.throws_refs
 
     def type_ref(self, ref, scope):
-        if ref.name and ref.name not in scope.type_params:
+        # A primitive name is the primitive, even where a type of that name
+        # is visible, as typing and erasure take it.
+        if ref.name and ref.name not in scope.type_params and ref.name not in PRIMITIVES:
             resolved, known = scope.resolve_type(ref.name)
             if known:
                 self.add(resolved, None, UseKind.TYPE_REFERENCE, ref.location)

@@ -27,6 +27,7 @@ from ucov import (
     parse_unit,
     typing_env,
 )
+from ucov.symtab import Scope, build_symbol_table, declarations
 
 U = UseKind
 
@@ -409,6 +410,48 @@ def test_a_single_type_import_shadows_a_type_of_the_same_package():
         ("q.Conn.close", "close()", U.METHOD_INVOCATION, 2),
     }
     assert fp.diagnostics == []
+
+
+def test_each_written_type_is_resolved_once(monkeypatch):
+    # Extraction resolves a parameter, a local, a catch and a typed lambda
+    # parameter once each, by the rule typing declares them with. The
+    # parameter is resolved once more, for the method's signature in the
+    # client table.
+    model = build_sum([parse_unit("package lib; public class E { }", "E.java")], "lib")
+    unit = parse_unit(
+        "package app; import lib.E;\n"
+        "class C { void m(E p) {\n"
+        "  E local = p;\n"
+        "  try { } catch (E e) { }\n"
+        "  run((E q) -> q); } }",
+        "C.java",
+    )
+    names = []
+    resolve_type = Scope.resolve_type
+
+    def counted(scope, name):
+        names.append(name)
+        return resolve_type(scope, name)
+
+    monkeypatch.setattr(Scope, "resolve_type", counted)
+    fp = extract_uses([unit], model)
+    assert names == ["E"] * 5
+    assert sorted(t.location.line for t in fp.triples) == [2, 3, 4, 5]
+    assert {t.use for t in fp.triples} == {U.TYPE_REFERENCE}
+
+
+def test_a_library_type_named_like_a_primitive_is_not_referenced_by_the_primitive():
+    # Typing, erasure and extraction all take ``int`` as the primitive.
+    model = build_sum([parse_unit("package p; public class int { }", "int.java")], "p")
+    units = [parse_unit("package p; class C { void m(int y) { int x = 0; } }", "C.java")]
+    fp = extract_uses(units, model)
+    assert (fp.triples, fp.diagnostics) == (set(), [])
+    assert oracle_extract(units, model) == set()
+    table = build_symbol_table(units, base=model.table)
+    assert table.types["p.C"].members[0].signature == "m(int)"
+    (d,) = declarations(units, table)
+    param = d.decl.members[0].params[0].type_ref
+    assert typing_env.declared_type(param, typing_env.Env(d.scope)) == "int"
 
 
 FUNCTIONS = {

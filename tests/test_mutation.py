@@ -179,3 +179,27 @@ def test_a_repeated_member_is_malformed_content(files, capsys):
     code, err = run_on_model(files, capsys, edit, "suf")
     assert (code, err) == (1, "error: F: malformed content: Method "
                               "java.util.ArrayList.add(java.lang.Object) is listed twice\n")
+
+
+LISTS = {  # a row of the model, the key of a list of names in it, the command
+    "symbol uses": (lambda d: d["symbols"][0], "uses", "profile"),
+    "type modifiers": (lambda d: d["resolution"]["types"][0], "modifiers", "suf"),
+    "type type_params": (lambda d: d["resolution"]["types"][0], "type_params", "suf"),
+    "type supertypes": (lambda d: d["resolution"]["types"][0], "supertypes", "suf"),
+    "type external": (lambda d: d["resolution"]["types"][0], "external", "suf"),
+    "member modifiers": (lambda d: d["resolution"]["members"][0], "modifiers", "suf"),
+    "method params": (method_row, "params", "suf"),
+}
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [("List", "expected a list of names, found 'List'"), ([1], "a name must be a string, found 1")],
+    ids=["string", "number"],
+)
+@pytest.mark.parametrize("case", sorted(LISTS))
+def test_a_list_of_names_of_another_form_is_malformed_content(files, capsys, case, value, message):
+    # A string is not read as its characters, nor a number as a modifier.
+    row, key, command = LISTS[case]
+    code, err = run_on_model(files, capsys, lambda d: row(d).update({key: value}), command)
+    assert (code, err) == (1, f"error: F: malformed content: {message}\n")

@@ -195,6 +195,15 @@ def test_overlay_table_sees_base_types():
     assert lib.lookup_type("app.C") is None  # base is not polluted
 
 
+def test_a_client_type_shadows_a_library_type_of_the_same_fqn():
+    lib = table_of("package lib; public class A { public void f() { } }")
+    client_unit = parse_unit("package lib; class A { void g() { } }", "A.java")
+    client = build_symbol_table([client_unit], base=lib)
+    assert [m.name for m in client.lookup_type("lib.A").members] == ["g", "A"]
+    assert [m.name for m in lib.lookup_type("lib.A").members] == ["f", "A"]
+    assert list(lib.types) == ["lib.A"]
+
+
 def test_resolve_type_name_precedence():
     table = table_of(
         "package p; class Local { }",
