@@ -108,6 +108,8 @@ class _Extractor:
         self.lib_table = model.table
         self.triples: set[UseTriple] = set()
         self.diagnostics = diagnostics
+        # The checked invocation closure of each non-static method called.
+        self._invocations: dict[MemberInfo, tuple[Union[Symbol, str], ...]] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -118,25 +120,34 @@ class _Extractor:
         return self.lib_table.lookup_type(fqn) is not None
 
     def emit(self, symbol: Symbol, use: UseKind, loc: n.Location) -> None:
-        if use in self.model.entries[symbol]:
-            self.triples.add(new_value(UseTriple, (symbol, use, loc)))
-        else:
-            self.diag(
-                loc,
-                DiagnosticKind.ILLEGAL_USE,
-                f"{use.value} is not a legal use of {symbol}",
-            )
+        self._record(self._checked(symbol, use), use, loc)
 
     def emit_member_use(self, member: MemberInfo, use: UseKind, loc: n.Location) -> None:
+        self._record(self._checked_member(member, use), use, loc)
+
+    def _checked(self, symbol: Symbol, use: UseKind) -> Union[Symbol, str]:
+        """``symbol`` if ``use`` of it is legal, else the IllegalUse message."""
+        if use in self.model.entries[symbol]:
+            return symbol
+        return f"{use.value} is not a legal use of {symbol}"
+
+    def _checked_member(self, member: MemberInfo, use: UseKind) -> Union[Symbol, str, None]:
+        """``_checked`` of the member's model symbol. A member the model does
+        not export gives the IllegalUse message where the library declares
+        it, and None (no use) where it does not."""
         sym = self.model.symbol_for(member.fqn, member.signature)
         if sym is not None:
-            self.emit(sym, use, loc)
-        elif self.is_library_type(member.declaring):
-            self.diag(
-                loc,
-                DiagnosticKind.ILLEGAL_USE,
-                f"{use.value} of non-exported symbol {member.fqn}",
-            )
+            return self._checked(sym, use)
+        if self.is_library_type(member.declaring):
+            return f"{use.value} of non-exported symbol {member.fqn}"
+        return None
+
+    def _record(self, checked: Union[Symbol, str, None], use: UseKind, loc: n.Location) -> None:
+        """Add what ``_checked`` or ``_checked_member`` gave at ``loc``."""
+        if type(checked) is str:
+            self.diag(loc, DiagnosticKind.ILLEGAL_USE, checked)
+        elif checked is not None:
+            self.triples.add(new_value(UseTriple, (checked, use, loc)))
 
     # -- declarations --------------------------------------------------------
 
@@ -395,13 +406,22 @@ class _Extractor:
         if "static" in member.modifiers:
             self.emit_member_use(member, UseKind.STATIC_INVOCATION, call.location)
         else:
-            self.emit_member_use(member, UseKind.METHOD_INVOCATION, call.location)
-            # Virtual-invocation closure: every super-method sharing the
-            # erased signature is covered by the same call site.
-            self._emit_library_methods(
-                self.table.super_methods(member), UseKind.METHOD_INVOCATION, call.location
-            )
+            closure = self._invocations.get(member)
+            if closure is None:
+                closure = self._invocations[member] = self._invocation_closure(member)
+            for checked in closure:
+                self._record(checked, UseKind.METHOD_INVOCATION, call.location)
         self._visit_args(call.args, env, member)
+
+    def _invocation_closure(self, member: MemberInfo) -> tuple[Union[Symbol, str], ...]:
+        """The checked MethodInvocation (legal symbols and IllegalUse
+        messages) of a call to the non-static ``member``: of the member and,
+        by the virtual-invocation closure, of every instance super-method
+        sharing its erased signature, which the same call site covers."""
+        methods = (member, *self.table.super_methods(member))
+        checked = (self._checked_member(m, UseKind.METHOD_INVOCATION)
+                   for m in methods if "static" not in m.modifiers)
+        return tuple(c for c in checked if c is not None)
 
     def _worth_diagnosing(self, receiver_type: str) -> bool:
         # Calls on primitives or unknown externals are not diagnosable resolution

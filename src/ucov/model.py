@@ -49,6 +49,7 @@ class SymbolKind(Enum):
 
 
 _TYPE_KINDS = frozenset({SymbolKind.CLASS, SymbolKind.INTERFACE})
+_SIGNED_KINDS = frozenset({SymbolKind.METHOD, SymbolKind.CONSTRUCTOR})
 
 # Uses of a type; every other use kind is a use of a member.
 TYPE_USES = frozenset(
@@ -334,8 +335,10 @@ def model_to_dict(model: UsageModel) -> dict:
 
 def model_from_dict(data: dict) -> UsageModel:
     """Load a serialized model. Its names must be strings and its symbols
-    distinct; the symbols' modifiers are not read, and the resolution table
-    is built from the resolution section only when ``table`` is first used."""
+    distinct, and a symbol has a signature exactly when it is a method or a
+    constructor, so no two symbols share a ``Symbol.sort_key``. The symbols'
+    modifiers are not read, and the resolution table is built from the
+    resolution section only when ``table`` is first used."""
     resolution = data.get("resolution")
     if resolution is None:
         raise ModelMismatch("model file lacks the resolution section")
@@ -343,6 +346,13 @@ def model_from_dict(data: dict) -> UsageModel:
     use_sets: dict[tuple[str, ...], frozenset[UseKind]] = {}  # a handful, shared
     for s in data["symbols"]:
         sym = Symbol(_name(s["fqn"]), SymbolKind(s["kind"]), _name_or_null(s["signature"]))
+        if sym.kind in _SIGNED_KINDS:
+            if sym.signature is None:
+                raise ValueError(f"{sym.kind.value} {sym.fqn} has no signature")
+        elif sym.signature is not None:
+            raise ValueError(
+                f"{sym.kind.value} {sym.fqn} has a signature, found {sym.signature!r}"
+            )
         if sym in entries:
             raise ValueError(f"{sym.kind.value} {sym} is listed twice")
         names = _names(s["uses"])
@@ -368,7 +378,7 @@ def _table_from_dict(resolution: dict) -> SymbolTable:
             param_types=_names(m["params"]),
             return_type=_name_or_null(m["returns"]),
             field_type=_name_or_null(m["field_type"]),
-            synthesized=m.get("synthesized", False),
+            synthesized=_flag(m.get("synthesized", False)),
         )
         members = members_by_type.setdefault(member.declaring, {})
         if members.setdefault((member.name, member.signature), member) is not member:
@@ -411,6 +421,14 @@ def _name_or_null(value: object) -> Optional[str]:
     if value is None or isinstance(value, str):
         return value
     raise TypeError(f"a name must be a string or null, found {value!r}")
+
+
+def _flag(value: object) -> bool:
+    """``value`` if it is a member's ``synthesized`` flag as
+    ``model_to_dict`` writes it: true or false."""
+    if isinstance(value, bool):
+        return value
+    raise TypeError(f"synthesized must be true or false, found {value!r}")
 
 
 def _declared_kind(value: str, of_type: bool) -> SymbolKind:

@@ -4,7 +4,9 @@ form, without the frontend or the extractor (``ucov.nodes`` and
 
 from __future__ import annotations
 
+import json
 from enum import Enum
+from json.encoder import encode_basestring
 from typing import NamedTuple, Optional
 
 from .errors import ModelMismatch
@@ -66,7 +68,8 @@ class Footprint:
         self.library = library
         self.triples = set() if triples is None else triples
         self.diagnostics = [] if diagnostics is None else diagnostics
-        self.unique_uses: set[UsePair] = {t.pair for t in self.triples}
+        # ``t[:2]`` is ``t.pair``, sliced in C rather than by a property call.
+        self.unique_uses: set[UsePair] = {t[:2] for t in self.triples}
 
     @property
     def total_uses(self) -> int:
@@ -107,36 +110,47 @@ def diff(f1: Footprint, f2: Footprint, label: Optional[str] = None) -> Footprint
 # ---------------------------------------------------------------------------
 
 
-def footprint_to_dict(fp: Footprint) -> dict:
-    uses = sorted(fp.triples, key=lambda t: t.sort_key())
-    diagnostics = sorted(
-        fp.diagnostics, key=lambda d: (d.location, d.kind.value, d.message)
-    )
-    return {
-        "label": fp.label,
-        "library": fp.library,
-        "uses": [
-            {
-                "fqn": t.symbol.fqn,
-                "signature": t.symbol.signature,
-                "use": t.use.value,
-                "file": t.location.file,
-                "line": t.location.line,
-                "col": t.location.column,
-            }
-            for t in uses
-        ],
-        "diagnostics": [
-            {
-                "kind": d.kind.value,
-                "file": d.location.file,
-                "line": d.location.line,
-                "col": d.location.column,
-                "message": d.message,
-            }
-            for d in diagnostics
-        ],
-    }
+def footprint_to_dict(fp: Footprint) -> str:
+    """The footprint as JSON text: the bytes ``json.dumps(...,
+    ensure_ascii=False, separators=(",", ":"))`` writes for its dict form.
+    The use rows are grouped by (symbol, use) pair, pairs in
+    ``(symbol.sort_key(), use)`` order and each pair's rows by location;
+    each pair's head and each file name are encoded once, and only line and
+    column, integers as the reader and the extractor make them, are
+    formatted per row. (The name is the dict form's, which ``perfbench``
+    traces.)"""
+    groups: dict[UsePair, list[Location]] = {}
+    for sym, use, loc in fp.triples:
+        locations = groups.get((sym, use))
+        if locations is None:
+            groups[sym, use] = [loc]
+        else:
+            locations.append(loc)
+    files: dict[str, str] = {}
+    rows = []
+    for sym, use in sorted(groups, key=lambda pair: (pair[0].sort_key(), pair[1].value)):
+        signature = "null" if sym.signature is None else encode_basestring(sym.signature)
+        head = (f'{{"fqn":{encode_basestring(sym.fqn)},"signature":{signature},'
+                f'"use":"{use.value}","file":')
+        for file, line, column in sorted(groups[sym, use]):
+            name = files.get(file)
+            if name is None:
+                name = files[file] = encode_basestring(file)
+            rows.append(f'{head}{name},"line":{line},"col":{column}}}')
+    diagnostics = [
+        {
+            "kind": d.kind.value,
+            "file": d.location.file,
+            "line": d.location.line,
+            "col": d.location.column,
+            "message": d.message,
+        }
+        for d in sorted(fp.diagnostics, key=lambda d: (d.location, d.kind.value, d.message))
+    ]
+    label = json.dumps({"label": fp.label, "library": fp.library},
+                       ensure_ascii=False, separators=(",", ":"))[:-1]
+    diagnostics_text = json.dumps(diagnostics, ensure_ascii=False, separators=(",", ":"))
+    return f'{label},"uses":[{",".join(rows)}],"diagnostics":{diagnostics_text}}}'
 
 
 # The signature part of the key of a row that has none: a type use reads no
@@ -150,7 +164,8 @@ def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
 
     Rows that share a (use, fqn, signature) key decode to one pair: the
     use kind, the symbol lookup and the legality check run on the key's
-    first row only. Every row adds its own located triple.
+    first row only. Every row adds its own located triple, whose ``file``
+    must be a string and ``line`` and ``col`` integers (``_location``).
     """
     if data["library"] != model.library_name:
         raise ModelMismatch(
@@ -177,15 +192,33 @@ def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
                 )
             pair = pairs[key] = (sym, use)
         sym, use = pair
-        location = new_value(Location, (u["file"], u["line"], u["col"]))
+        file, line, column = u["file"], u["line"], u["col"]
+        if type(file) is not str or type(line) is not int or type(column) is not int:
+            _location(u)  # raises, naming the field; inlined, the check costs no call
+        location = new_value(Location, (file, line, column))
         triples.add(new_value(UseTriple, (sym, use, location)))
     diagnostics = [
-        Diagnostic(
-            Location(d["file"], d["line"], d["col"]),
-            DiagnosticKind(d["kind"]),
-            d["message"],
-        )
+        Diagnostic(_location(d), DiagnosticKind(d["kind"]), _message(d["message"]))
         for d in data.get("diagnostics", [])
     ]
     return Footprint(label, data["library"], triples, diagnostics)
+
+
+def _location(row: dict) -> Location:
+    """The location of a use or diagnostic row: its ``file`` must be a
+    string, and its ``line`` and ``col`` integers, not booleans."""
+    file, line, column = row["file"], row["line"], row["col"]
+    if type(file) is not str:
+        raise TypeError(f"file must be a string, found {file!r}")
+    if type(line) is not int:
+        raise TypeError(f"line must be an integer, found {line!r}")
+    if type(column) is not int:
+        raise TypeError(f"col must be an integer, found {column!r}")
+    return new_value(Location, (file, line, column))
+
+
+def _message(value: object) -> str:
+    if type(value) is not str:
+        raise TypeError(f"message must be a string, found {value!r}")
+    return value
 

@@ -8,6 +8,10 @@ Reference footprint reader: the per-row loop that decodes, looks up and
 checks every row. The program decodes each distinct (use, fqn, signature)
 key once; the tests check that both read equal footprints and fail on the
 same rows.
+
+Reference footprint writer: the dict form, one dict per sorted row. The
+program encodes each distinct (symbol, use) pair's head once; the tests
+check that its text is what ``json.dumps`` writes for this dict.
 """
 
 from __future__ import annotations
@@ -105,13 +109,54 @@ def naive_footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
                 f"{use.value} of {u['fqn']} is not a legal use in model "
                 f"{model.library_name!r}"
             )
-        triples.add(UseTriple(sym, use, Location(u["file"], u["line"], u["col"])))
-    diagnostics = [
-        Diagnostic(
-            Location(d["file"], d["line"], d["col"]),
-            DiagnosticKind(d["kind"]),
-            d["message"],
-        )
-        for d in data.get("diagnostics", [])
-    ]
+        triples.add(UseTriple(sym, use, _checked_location(u)))
+    diagnostics = []
+    for d in data.get("diagnostics", []):
+        location, kind, message = _checked_location(d), DiagnosticKind(d["kind"]), d["message"]
+        if not isinstance(message, str):
+            raise TypeError(f"message must be a string, found {message!r}")
+        diagnostics.append(Diagnostic(location, kind, message))
     return Footprint(label, data["library"], triples, diagnostics)
+
+
+def _checked_location(row: dict) -> Location:
+    """A string ``file``, and ``line`` and ``col`` that are integers and
+    not booleans."""
+    location = Location(row["file"], row["line"], row["col"])
+    rules = (("file", str, "a string"), ("line", int, "an integer"), ("col", int, "an integer"))
+    for (key, want, what), value in zip(rules, location):
+        if type(value) is not want:
+            raise TypeError(f"{key} must be {what}, found {value!r}")
+    return location
+
+
+def naive_footprint_to_dict(fp: Footprint) -> dict:
+    uses = sorted(fp.triples, key=lambda t: t.sort_key())
+    diagnostics = sorted(
+        fp.diagnostics, key=lambda d: (d.location, d.kind.value, d.message)
+    )
+    return {
+        "label": fp.label,
+        "library": fp.library,
+        "uses": [
+            {
+                "fqn": t.symbol.fqn,
+                "signature": t.symbol.signature,
+                "use": t.use.value,
+                "file": t.location.file,
+                "line": t.location.line,
+                "col": t.location.column,
+            }
+            for t in uses
+        ],
+        "diagnostics": [
+            {
+                "kind": d.kind.value,
+                "file": d.location.file,
+                "line": d.location.line,
+                "col": d.location.column,
+                "message": d.message,
+            }
+            for d in diagnostics
+        ],
+    }

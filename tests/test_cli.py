@@ -450,7 +450,7 @@ def test_cli_round_trip_matches_in_process(sum_path, tmp_path):
     fp = extract_uses(client_units("arraylist", "classic"), model, label="classic")
     cli_out = suf(sum_path, tmp_path, "classic", CLASSIC)
     cli_data = json.loads(cli_out.read_text())
-    ours = footprint_to_dict(fp)
+    ours = json.loads(footprint_to_dict(fp))
     assert {tuple(sorted(u.items())) for u in ours["uses"]} == {
         tuple(sorted(u.items())) for u in cli_data["uses"]
     }
@@ -621,7 +621,7 @@ def test_every_command_writes_its_content_as_one_line(sum_path, tmp_path, capsys
     a = suf(sum_path, tmp_path, "classic", CLASSIC)
     b = suf(sum_path, tmp_path, "framework", FRAMEWORK)
     fp_a = extract_uses(client_units("arraylist", "classic"), model, label="classic")
-    assert one_line(a.read_text(encoding="utf-8")) == footprint_to_dict(fp_a)
+    assert one_line(a.read_text(encoding="utf-8")) == json.loads(footprint_to_dict(fp_a))
     fps = [footprint_from_dict(json.loads(p.read_text()), model) for p in (a, b)]
     capsys.readouterr()
 

@@ -6,14 +6,21 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, client_units, model_for
+from naive_coverage import naive_footprint_to_dict
 from oracle import oracle_extract
+from test_coverage_data import CORPORA, compact, fixture
 from ucov import (
     DiagnosticKind,
+    Footprint,
     ModelMismatch,
+    Symbol,
     SymbolKind,
     UseKind,
+    UseTriple,
     build_sum,
     diff,
     extract_uses,
@@ -27,7 +34,8 @@ from ucov import (
     parse_unit,
     typing_env,
 )
-from ucov.symtab import Scope, build_symbol_table, declarations
+from ucov.symtab import Scope, SymbolTable, build_symbol_table, declarations
+from ucov.uses import Diagnostic, Location
 
 U = UseKind
 
@@ -294,6 +302,56 @@ def test_use_of_non_exported_member_is_illegal():
     assert [d.kind for d in fp.diagnostics] == [DiagnosticKind.ILLEGAL_USE]
 
 
+# A call to B.run covers A.run too, through the library's non-exported
+# Hidden.run, which is an IllegalUse at every call site.
+CLOSURE_LIB = (
+    "package lib; public class A { public A() { } public void run() { } }\n"
+    "class Hidden extends A { public Hidden() { } public void run() { } }\n"
+    "public class B extends Hidden { public B() { } public void run() { } }"
+)
+
+
+def test_each_call_site_replays_the_invocation_closure_at_its_own_location():
+    client = "package app; import lib.B;\nclass C { void f(B b) {\n  b.run();\n    b.run(); } }"
+    model, fp = lib_and_client(CLOSURE_LIB, client)
+    message = "MethodInvocation of non-exported symbol lib.Hidden.run"
+    assert fp.diagnostics == [
+        Diagnostic(Location("C.java", 3, 5), DiagnosticKind.ILLEGAL_USE, message),
+        Diagnostic(Location("C.java", 4, 7), DiagnosticKind.ILLEGAL_USE, message),
+    ]
+    assert {(t.symbol.fqn, t.use, t.location) for t in fp.triples if t.symbol.signature} == {
+        (fqn, U.METHOD_INVOCATION, Location("C.java", line, col))
+        for fqn in ("lib.A.run", "lib.B.run") for line, col in ((3, 5), (4, 7))
+    }
+    units = [parse_unit(client, "C.java")]
+    assert {(t.symbol.fqn, t.symbol.signature, t.use, t.location) for t in fp.triples} == (
+        oracle_extract(units, model))
+
+
+def test_each_called_method_closure_is_resolved_once(monkeypatch):
+    # Three calls to B.run and two to A.run resolve two closures; the client
+    # method f is looked up once for what it overrides.
+    model = build_sum([parse_unit(CLOSURE_LIB, "Lib.java")], "lib")
+    unit = parse_unit(
+        "package app; import lib.A; import lib.B;\n"
+        "class C { void f(A a, B b) { b.run(); a.run(); b.run(); a.run(); b.run(); } }",
+        "C.java",
+    )
+    members = Counter()
+    super_methods = SymbolTable.super_methods
+
+    def counted(table, member):
+        members[member.fqn] += 1
+        return super_methods(table, member)
+
+    monkeypatch.setattr(SymbolTable, "super_methods", counted)
+    fp = extract_uses([unit], model)
+    assert members == {"app.C.f": 1, "lib.A.run": 1, "lib.B.run": 1}
+    invocations = Counter(t.symbol.fqn for t in fp.triples if t.use is U.METHOD_INVOCATION)
+    assert invocations == {"lib.A.run": 5, "lib.B.run": 3}
+    assert len(fp.diagnostics) == 3
+
+
 def test_ambiguous_call_is_flagged_but_extracted():
     _, fp = lib_and_client(
         "package lib; public class A { public A() { } "
@@ -338,7 +396,7 @@ def test_field_and_nested_type_of_same_name_are_distinct():
         SymbolKind.CLASS,
     }
     assert clone_model.entries == model.entries
-    clone = footprint_from_dict(json.loads(json.dumps(footprint_to_dict(fp))), clone_model)
+    clone = footprint_from_dict(json.loads(footprint_to_dict(fp)), clone_model)
     assert clone.triples == fp.triples
 
 
@@ -635,35 +693,74 @@ def test_lenient_and_strict_parse_handling(tmp_path):
 
 def test_footprint_round_trip():
     model, fp = extract("edges")
-    data = footprint_to_dict(fp)
-    clone = footprint_from_dict(json.loads(json.dumps(data)), model)
+    text = footprint_to_dict(fp)
+    clone = footprint_from_dict(json.loads(text), model)
     assert clone.label == fp.label
     assert clone.triples == fp.triples
-    assert footprint_to_dict(clone) == data
+    assert footprint_to_dict(clone) == text
 
 
 def test_footprint_round_trip_keeps_diagnostics():
     model, fp = extract("statements")
-    data = footprint_to_dict(fp)
-    assert len(data["diagnostics"]) == 3
-    clone = footprint_from_dict(json.loads(json.dumps(data)), model)
+    text = footprint_to_dict(fp)
+    assert len(json.loads(text)["diagnostics"]) == 3
+    clone = footprint_from_dict(json.loads(text), model)
     assert clone.triples == fp.triples
     assert clone.diagnostics == sorted(
         fp.diagnostics, key=lambda d: (d.location, d.kind.value, d.message)
     )
-    assert footprint_to_dict(clone) == data
+    assert footprint_to_dict(clone) == text
+
+
+@pytest.mark.parametrize("corpus,group", CORPORA, ids=[f"{c}/{g}" for c, g in CORPORA])
+def test_the_writer_writes_what_json_dumps_writes_for_the_reference_dict(corpus, group):
+    _, fp = fixture(corpus, group)
+    assert footprint_to_dict(fp) == compact(naive_footprint_to_dict(fp))
+
+
+# Text the writer must escape as ``json.dumps`` does, or leave as it leaves it.
+AWKWARD = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "\u2029",
+                     "é", "\U0001f600", "\U00010348", "a", ".", "("]) | st.characters(),
+    max_size=6,
+)
+
+
+@st.composite
+def awkward_footprints(draw) -> Footprint:
+    """A footprint built in memory whose names, files, labels and messages
+    hold quotes, backslashes, control characters, U+2028 and non-BMP text.
+    Every member signature is non-empty, as ``erased_signature`` makes it."""
+    symbols = draw(st.lists(st.builds(
+        Symbol, AWKWARD, st.sampled_from(list(SymbolKind)),
+        st.none() | AWKWARD.filter(bool)), min_size=1, max_size=6, unique=True))
+    locations = st.builds(Location, AWKWARD, st.integers(-2, 10**12), st.integers(0, 3))
+    triples = draw(st.sets(st.builds(UseTriple, st.sampled_from(symbols),
+                                     st.sampled_from(list(UseKind)), locations), max_size=30))
+    diagnostics = draw(st.lists(st.builds(Diagnostic, locations,
+                                          st.sampled_from(list(DiagnosticKind)), AWKWARD),
+                                max_size=4))
+    return Footprint(draw(AWKWARD), draw(AWKWARD), triples, diagnostics)
+
+
+@settings(max_examples=300, deadline=None)
+@given(awkward_footprints())
+def test_the_writer_encodes_awkward_text_as_json_dumps_does(fp):
+    text = footprint_to_dict(fp)
+    assert text == compact(naive_footprint_to_dict(fp))
+    assert json.loads(text)["label"] == fp.label
 
 
 def test_footprint_dict_is_sorted():
     _, fp = extract("edges")
-    uses = footprint_to_dict(fp)["uses"]
+    uses = json.loads(footprint_to_dict(fp))["uses"]
     keys = [(u["fqn"], u["signature"] or "", u["use"], u["file"], u["line"], u["col"]) for u in uses]
     assert keys == sorted(keys)
 
 
 def test_footprint_from_dict_rejects_wrong_model():
     model, fp = extract("edges")
-    data = footprint_to_dict(fp)
+    data = json.loads(footprint_to_dict(fp))
     with pytest.raises(ModelMismatch):
         footprint_from_dict(data, model_for("fluent"))
     data["library"] = "fluent"

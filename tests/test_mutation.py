@@ -1,7 +1,8 @@
 """Mutated model and footprint files through in-process ``main``: a value
 replaced by another JSON type or deleted ends in exit 0, 1 or 2 with at most
-one ``error:`` line, never in an internal failure; a name of the wrong type
-and a repeated symbol, type or member in a model are malformed content."""
+one ``error:`` line, never in an internal failure; a name or a
+``synthesized`` flag of the wrong type and a repeated symbol, type or member
+in a model are malformed content."""
 
 from __future__ import annotations
 
@@ -181,6 +182,29 @@ def test_a_repeated_member_is_malformed_content(files, capsys):
                               "java.util.ArrayList.add(java.lang.Object) is listed twice\n")
 
 
+def symbol_row(data, kind: str) -> dict:
+    return next(s for s in data["symbols"] if s["kind"] == kind)
+
+
+SIGNATURES = {  # an edit of a symbol's signature and the message it gives
+    "method null": (lambda d: symbol_row(d, "Method").update(signature=None),
+                    "Method java.util.ArrayList.add has no signature"),
+    "constructor null": (lambda d: symbol_row(d, "Constructor").update(signature=None),
+                         "Constructor java.util.ArrayList.ArrayList has no signature"),
+    "class string": (lambda d: symbol_row(d, "Class").update(signature=""),
+                     "Class java.util.ArrayList has a signature, found ''"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGNATURES))
+def test_a_signature_that_does_not_fit_the_kind_is_malformed_content(files, capsys, case):
+    # A method without a signature would be looked up as a field of its name,
+    # and a type with an empty one would share its sort key with the type.
+    edit, message = SIGNATURES[case]
+    code, err = run_on_model(files, capsys, edit, "profile")
+    assert (code, err) == (1, f"error: F: malformed content: {message}\n")
+
+
 LISTS = {  # a row of the model, the key of a list of names in it, the command
     "symbol uses": (lambda d: d["symbols"][0], "uses", "profile"),
     "type modifiers": (lambda d: d["resolution"]["types"][0], "modifiers", "suf"),
@@ -203,3 +227,12 @@ def test_a_list_of_names_of_another_form_is_malformed_content(files, capsys, cas
     row, key, command = LISTS[case]
     code, err = run_on_model(files, capsys, lambda d: row(d).update({key: value}), command)
     assert (code, err) == (1, f"error: F: malformed content: {message}\n")
+
+
+@pytest.mark.parametrize("value", [None, 1, "x", []], ids=["null", "number", "string", "list"])
+def test_a_synthesized_flag_of_another_type_is_malformed_content(files, capsys, value):
+    # The flag is part of a member's identity, which extraction hashes.
+    code, err = run_on_model(files, capsys, lambda d: method_row(d).update(synthesized=value),
+                             "suf")
+    assert (code, err) == (
+        1, f"error: F: malformed content: synthesized must be true or false, found {value!r}\n")

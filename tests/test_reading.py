@@ -1,7 +1,8 @@
 """The reading path: the footprint reader against the per-row reference
 (``naive_coverage.naive_footprint_from_dict``), malformed rows after a
-decoded key, unique uses fixed at construction, the use and symbol kinds'
-identity hash, and the ``python -m ucov.cli`` process exit."""
+decoded key, location fields and messages of another type, unique uses
+fixed at construction, the use and symbol kinds' identity hash, and the
+``python -m ucov.cli`` process exit."""
 
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ FRAMEWORK = str(FIXTURES / "arraylist" / "framework")
 def fixture_data(corpus: str, group: str) -> tuple[UsageModel, dict]:
     """The fixture's model and its extracted footprint in JSON form."""
     model, fp = fixture(corpus, group)
-    return model, footprint_to_dict(fp)
+    return model, json.loads(footprint_to_dict(fp))
 
 
 def legal_rows(model: UsageModel) -> list[dict]:
@@ -78,6 +79,11 @@ ILLEGAL = {
     "no-file": without("file"),
     "no-line": without("line"),
     "no-col": without("col"),
+    "string-line": set_to("line", "x"),
+    "bool-line": set_to("line", True),
+    "float-line": set_to("line", 1.0),
+    "number-file": set_to("file", 5),
+    "null-col": set_to("col", None),
 }
 
 # Rewrites of a row's key: legal for a type use, which reads no signature,
@@ -224,6 +230,39 @@ def test_a_list_valued_signature_is_malformed_content(sum_path, tmp_path, capsys
 
     err, _ = coverage_error(sum_path, tmp_path, capsys, edit)
     assert err.startswith("error: F: malformed content: ")
+
+
+# A location field or a diagnostic message of another type, and the
+# message each command prints for it after "malformed content: ".
+FIELD_FAULTS = {
+    "string-line": ("line", "x", "line must be an integer, found 'x'"),
+    "bool-line": ("line", True, "line must be an integer, found True"),
+    "number-file": ("file", 5, "file must be a string, found 5"),
+    "null-col": ("col", None, "col must be an integer, found None"),
+    "float-col": ("col", 2.0, "col must be an integer, found 2.0"),
+    "number-message": ("message", 7, "message must be a string, found 7"),
+}
+
+
+@pytest.mark.parametrize("row,fault", [
+    (row, fault) for row in ("use", "diagnostic") for fault in sorted(FIELD_FAULTS)
+    if row == "diagnostic" or FIELD_FAULTS[fault][0] != "message"
+])
+def test_a_field_of_another_type_is_malformed_content(sum_path, sufs, tmp_path, capsys,
+                                                       row, fault):
+    key, value, message = FIELD_FAULTS[fault]
+    data = json.loads(Path(sufs[0]).read_text())
+    data["diagnostics"] = [{"kind": "Unresolved", "file": "C.java", "line": 1, "col": 2,
+                            "message": "m"}]
+    target = data["uses"][1] if row == "use" else data["diagnostics"][0]
+    target[key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    for argv in (["coverage", str(path)], ["compare", sufs[1], str(path)],
+                 ["profile", "--suf", str(path)]):
+        capsys.readouterr()
+        assert main([argv[0], "--sum", str(sum_path), *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"error: {path}: malformed content: {message}\n"
 
 
 # ---------------------------------------------------------------------------
