@@ -293,7 +293,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     model = _load_model(args.sum)
     if args.suf:
         fp = _load_footprint(args.suf, model)
-        if not fp.triples:
+        if not fp.sites:
             warn(f"footprint {fp.label!r} is empty; profile weights are all zero")
         dist = metrics.profile(fp)
     else:

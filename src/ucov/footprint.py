@@ -1,10 +1,10 @@
 """Footprint extraction: locating every actual use of an API in client code.
 
-The extractor walks resolved client ASTs and emits ⟨symbol, use, location⟩
-triples for every interaction with a symbol of the governing usage model.
-Anything that cannot be resolved, or that is syntactically present but not
-legal under the model (e.g. extending a final class), becomes a diagnostic
-rather than a triple.
+The extractor walks resolved client ASTs and records the location of every
+interaction with a symbol of the governing usage model under its (symbol,
+use) pair. Anything that cannot be resolved, or that is syntactically
+present but not legal under the model (e.g. extending a final class),
+becomes a diagnostic rather than a use.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 from . import nodes as n
 from .errors import ParseError
-from .model import Symbol, SymbolKind, UsageModel, UseKind
+from .model import Symbol, SymbolKind, UsageModel, UseKind, UsePair
 from .parser import collect_source_files, read_unit
 from .symtab import (
     Declaration,
@@ -36,7 +36,6 @@ from .uses import (  # noqa: F401 - the values and their JSON form, re-exported
     footprint_from_dict,
     footprint_to_dict,
     merge,
-    new_value,
 )
 
 
@@ -63,8 +62,8 @@ def extract_uses(
     return Footprint(
         label=label,
         library=model.library_name,
-        triples=extractor.triples,
         diagnostics=extractor.diagnostics,
+        sites=extractor.sites,
     )
 
 
@@ -106,7 +105,7 @@ class _Extractor:
         self.model = model
         self.table = table
         self.lib_table = model.table
-        self.triples: set[UseTriple] = set()
+        self.sites: dict[UsePair, set[n.Location]] = {}
         self.diagnostics = diagnostics
         # The checked invocation closure of each non-static method called.
         self._invocations: dict[MemberInfo, tuple[Union[Symbol, str], ...]] = {}
@@ -147,7 +146,11 @@ class _Extractor:
         if type(checked) is str:
             self.diag(loc, DiagnosticKind.ILLEGAL_USE, checked)
         elif checked is not None:
-            self.triples.add(new_value(UseTriple, (checked, use, loc)))
+            locations = self.sites.get((checked, use))
+            if locations is None:
+                self.sites[checked, use] = {loc}
+            else:
+                locations.add(loc)
 
     # -- declarations --------------------------------------------------------
 

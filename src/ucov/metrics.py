@@ -63,7 +63,7 @@ def compute_coverage(model: UsageModel, fp: Footprint) -> CoverageReport:
     """
     _check_governed(model, fp)
     legal = model.legal_pairs
-    covered_uses = {pair for pair in fp.unique_uses if pair in legal}
+    covered_uses = {pair for pair in fp.sites if pair in legal}
     hits = Counter(sym for sym, _ in covered_uses)
     levels = {
         sym: CoverageLevel.FULL if hit == len(model.entries[sym]) else CoverageLevel.PARTIAL
@@ -85,7 +85,7 @@ def compute_coverage(model: UsageModel, fp: Footprint) -> CoverageReport:
         levels=levels,
         symbol_coverage=symbol_coverage,
         use_coverage=use_coverage,
-        total_uses=len(fp.triples),
+        total_uses=fp.total_uses,
     )
 
 
@@ -97,17 +97,19 @@ def coverage_level(sym: Symbol, model: UsageModel, fp: Footprint) -> CoverageLev
 
 
 def popularity(fp: Footprint, by: str = "SymbolUse") -> list[tuple[object, int]]:
-    """Occurrence counts of triples, ranked descending.
+    """Occurrence counts of use sites, ranked descending.
 
     ``by`` is "Symbol" (counts per symbol) or "SymbolUse" (counts per
     (symbol, use) pair). Ties are broken by symbol order, then by use, so
     the ranking is deterministic.
     """
     if by == "Symbol":
-        counts = Counter(t.symbol for t in fp.triples)
+        counts: Counter[Symbol] = Counter()
+        for (sym, _), locations in fp.sites.items():
+            counts[sym] += len(locations)
         return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0].sort_key()))
-    counts = Counter(t.pair for t in fp.triples)
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0][0].sort_key(), kv[0][1].value))
+    pairs = [(pair, len(locations)) for pair, locations in fp.sites.items()]
+    return sorted(pairs, key=lambda kv: (-kv[1], kv[0][0].sort_key(), kv[0][1].value))
 
 
 def profile(basis: Union[UsageModel, Footprint]) -> ProfileDistribution:
@@ -121,7 +123,7 @@ def profile(basis: Union[UsageModel, Footprint]) -> ProfileDistribution:
         kinds = [u for uses in basis.entries.values() for u in uses]
         basis_name = "LegalUses"
     else:
-        kinds = [use for _, use in basis.unique_uses]
+        kinds = [use for _, use in basis.sites]
         basis_name = "ActualUniqueUses"
     counts = Counter(kinds)
     total = len(kinds)
@@ -143,7 +145,7 @@ def exclusive_regions(footprints: list[Footprint]) -> IntersectionRegions:
         raise ValueError(f"footprint labels are not unique: {labels}")
     membership: dict[UsePair, frozenset[str]] = {}
     for fp in footprints:
-        for pair in fp.unique_uses:
+        for pair in fp.sites:
             membership[pair] = membership.get(pair, frozenset()) | {fp.label}
     regions: dict[frozenset[str], int] = {}
     for r in range(1, 2 ** len(labels)):

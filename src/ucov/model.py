@@ -74,8 +74,10 @@ class Symbol(NamedTuple):
     kind: SymbolKind
     signature: Optional[str] = None  # erased; methods and constructors only
 
-    def sort_key(self) -> tuple[str, str, str]:
-        return (self.fqn, self.signature or "", self.kind.value)
+    def sort_key(self) -> tuple[str, str, str, bool]:
+        # The last field tells a null signature from an empty one, so that
+        # any two distinct symbols have distinct keys.
+        return (self.fqn, self.signature or "", self.kind.value, self.signature is None)
 
     def __str__(self) -> str:
         if self.kind in (SymbolKind.METHOD, SymbolKind.CONSTRUCTOR):

@@ -5,6 +5,7 @@ form, without the frontend or the extractor (``ucov.nodes`` and
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, KeysView
 from enum import Enum
 from json.encoder import encode_basestring
 from typing import NamedTuple, Optional
@@ -58,50 +59,82 @@ class UseTriple(NamedTuple):
 class Footprint:
     """The located uses of a labeled client corpus, and its diagnostics.
 
-    A footprint does not change after it is made: ``unique_uses``, the set
-    of (symbol, use) pairs of ``triples``, is computed once at construction.
+    ``sites`` maps each (symbol, use) pair, in first-seen order, to the set
+    of locations where the corpus makes that use; it is the footprint's
+    only record of its uses. Given ``triples`` instead, the constructor
+    groups them once. A footprint does not change after it is made.
     """
 
-    def __init__(self, label: str, library: str, triples: Optional[set[UseTriple]] = None,
-                 diagnostics: Optional[list[Diagnostic]] = None) -> None:
+    def __init__(self, label: str, library: str, triples: Optional[Iterable[UseTriple]] = None,
+                 diagnostics: Optional[list[Diagnostic]] = None, *,
+                 sites: Optional[dict[UsePair, set[Location]]] = None) -> None:
+        if sites is None:
+            sites = {}
+            for sym, use, loc in triples or ():
+                locations = sites.get((sym, use))
+                if locations is None:
+                    sites[sym, use] = {loc}
+                else:
+                    locations.add(loc)
+        elif triples is not None:
+            raise ValueError("a footprint is made from triples or from sites, not both")
         self.label = label
         self.library = library
-        self.triples = set() if triples is None else triples
+        self.sites = sites
         self.diagnostics = [] if diagnostics is None else diagnostics
-        # ``t[:2]`` is ``t.pair``, sliced in C rather than by a property call.
-        self.unique_uses: set[UsePair] = {t[:2] for t in self.triples}
+
+    @property
+    def unique_uses(self) -> KeysView[UsePair]:
+        """The (symbol, use) pairs of the footprint."""
+        return self.sites.keys()
 
     @property
     def total_uses(self) -> int:
-        return len(self.triples)
+        return sum(map(len, self.sites.values()))
+
+    @property
+    def triples(self) -> frozenset[UseTriple]:
+        """The located use triples, built from ``sites`` on each read."""
+        return frozenset([new_value(UseTriple, (sym, use, loc))
+                          for (sym, use), locations in self.sites.items() for loc in locations])
 
 
 def merge(f1: Footprint, f2: Footprint, label: Optional[str] = None) -> Footprint:
-    """Set union of two footprints governed by the same model."""
+    """Set union of two footprints governed by the same model: each pair's
+    locations are the union of its locations in either, in a set of the
+    result's own."""
     if f1.library != f2.library:
         raise ModelMismatch(f"cannot merge footprints of {f1.library} and {f2.library}")
+    sites = {pair: set(locations) for pair, locations in f1.sites.items()}
+    for pair, locations in f2.sites.items():
+        mine = sites.get(pair)
+        if mine is None:
+            sites[pair] = set(locations)
+        else:
+            mine |= locations
     return Footprint(
         label=label if label is not None else f"{f1.label}+{f2.label}",
         library=f1.library,
-        triples=f1.triples | f2.triples,
         diagnostics=f1.diagnostics + f2.diagnostics,
+        sites=sites,
     )
 
 
 def diff(f1: Footprint, f2: Footprint, label: Optional[str] = None) -> Footprint:
-    """Triples of f1 whose (symbol, use) pair does not occur in f2.
+    """The sites of f1 whose (symbol, use) pair does not occur in f2.
 
     The comparison is location-insensitive: it is a difference of unique
     uses, not of individual use sites.
     """
     if f1.library != f2.library:
         raise ModelMismatch(f"cannot diff footprints of {f1.library} and {f2.library}")
-    excluded = f2.unique_uses
+    excluded = f2.sites
     return Footprint(
         label=label if label is not None else f"{f1.label}-{f2.label}",
         library=f1.library,
-        triples={t for t in f1.triples if t.pair not in excluded},
         diagnostics=list(f1.diagnostics),
+        sites={pair: set(locations) for pair, locations in f1.sites.items()
+               if pair not in excluded},
     )
 
 
@@ -117,22 +150,18 @@ def footprint_to_dict(fp: Footprint) -> str:
     ``(symbol.sort_key(), use)`` order and each pair's rows by location;
     each pair's head and each file name are encoded once, and only line and
     column, integers as the reader and the extractor make them, are
-    formatted per row. (The name is the dict form's, which ``perfbench``
-    traces.)"""
-    groups: dict[UsePair, list[Location]] = {}
-    for sym, use, loc in fp.triples:
-        locations = groups.get((sym, use))
-        if locations is None:
-            groups[sym, use] = [loc]
-        else:
-            locations.append(loc)
+    formatted per row. The sites are already grouped by pair, and
+    ``Symbol.sort_key`` orders any two distinct symbols, so the text does
+    not depend on the order the pairs were found in. (The name is the dict
+    form's, which ``perfbench`` traces.)"""
     files: dict[str, str] = {}
     rows = []
-    for sym, use in sorted(groups, key=lambda pair: (pair[0].sort_key(), pair[1].value)):
+    for (sym, use), locations in sorted(
+            fp.sites.items(), key=lambda item: (item[0][0].sort_key(), item[0][1].value)):
         signature = "null" if sym.signature is None else encode_basestring(sym.signature)
         head = (f'{{"fqn":{encode_basestring(sym.fqn)},"signature":{signature},'
                 f'"use":"{use.value}","file":')
-        for file, line, column in sorted(groups[sym, use]):
+        for file, line, column in sorted(locations):
             name = files.get(file)
             if name is None:
                 name = files[file] = encode_basestring(file)
@@ -164,8 +193,9 @@ def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
 
     Rows that share a (use, fqn, signature) key decode to one pair: the
     use kind, the symbol lookup and the legality check run on the key's
-    first row only. Every row adds its own located triple, whose ``file``
-    must be a string and ``line`` and ``col`` integers (``_location``).
+    first row only. Every row adds its location, whose ``file`` must be a
+    string and ``line`` and ``col`` integers (``_location``), to its pair's
+    sites.
     """
     if data["library"] != model.library_name:
         raise ModelMismatch(
@@ -174,12 +204,14 @@ def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
     label = data["label"]
     if not isinstance(label, str):
         raise TypeError(f"footprint label must be a string, found {type(label).__name__}")
-    pairs: dict[tuple, UsePair] = {}
-    triples: set[UseTriple] = set()
+    sites: dict[UsePair, set[Location]] = {}
+    # The sites of each key's pair: keys that differ only in a signature
+    # that a type use does not read share their pair's set.
+    groups: dict[tuple, set[Location]] = {}
     for u in data["uses"]:
         key = (u["use"], u["fqn"], u.get("signature", _NO_SIGNATURE))
-        pair = pairs.get(key)
-        if pair is None:
+        locations = groups.get(key)
+        if locations is None:
             use = UseKind(u["use"])
             if use in TYPE_USES:
                 sym = model.type_symbol(u["fqn"])
@@ -190,18 +222,19 @@ def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
                     f"{use.value} of {u['fqn']} is not a legal use in model "
                     f"{model.library_name!r}"
                 )
-            pair = pairs[key] = (sym, use)
-        sym, use = pair
+            locations = sites.get((sym, use))
+            if locations is None:
+                locations = sites[sym, use] = set()
+            groups[key] = locations
         file, line, column = u["file"], u["line"], u["col"]
         if type(file) is not str or type(line) is not int or type(column) is not int:
             _location(u)  # raises, naming the field; inlined, the check costs no call
-        location = new_value(Location, (file, line, column))
-        triples.add(new_value(UseTriple, (sym, use, location)))
+        locations.add(new_value(Location, (file, line, column)))
     diagnostics = [
         Diagnostic(_location(d), DiagnosticKind(d["kind"]), _message(d["message"]))
         for d in data.get("diagnostics", [])
     ]
-    return Footprint(label, data["library"], triples, diagnostics)
+    return Footprint(label, data["library"], diagnostics=diagnostics, sites=sites)
 
 
 def _location(row: dict) -> Location:

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +36,7 @@ from ucov import (
     model_from_dict,
     model_to_dict,
     parse_unit,
+    popularity,
     typing_env,
 )
 from ucov.symtab import Scope, SymbolTable, build_symbol_table, declarations
@@ -637,6 +642,15 @@ def test_merge_requires_same_library():
         diff(fa, fb)
 
 
+def test_a_footprint_is_made_from_triples_or_from_sites():
+    sym = Symbol("p.A", SymbolKind.CLASS)
+    site = Location("C.java", 1, 1)
+    fp = Footprint("c", "p", sites={(sym, U.TYPE_REFERENCE): {site}})
+    assert fp.triples == {UseTriple(sym, U.TYPE_REFERENCE, site)}
+    with pytest.raises(ValueError):
+        Footprint("c", "p", fp.triples, sites=fp.sites)
+
+
 def test_diff_is_location_insensitive():
     model = model_for("arraylist")
     f2 = extract_uses(client_units("arraylist", "classic"), model, label="classic")
@@ -726,21 +740,30 @@ AWKWARD = st.text(
 )
 
 
+AWKWARD_LOCATIONS = st.builds(Location, AWKWARD, st.integers(-2, 10**12), st.integers(0, 3))
+
+
+@st.composite
+def awkward_triples(draw) -> set[UseTriple]:
+    """Triples whose names and files hold quotes, backslashes, control
+    characters, U+2028 and non-BMP text. A signature may be null or empty,
+    so two symbols can differ in nothing but that."""
+    symbols = draw(st.lists(st.builds(
+        Symbol, AWKWARD, st.sampled_from(list(SymbolKind)), st.none() | AWKWARD),
+        min_size=1, max_size=6, unique=True))
+    return draw(st.sets(st.builds(UseTriple, st.sampled_from(symbols),
+                                  st.sampled_from(list(UseKind)), AWKWARD_LOCATIONS),
+                        max_size=30))
+
+
 @st.composite
 def awkward_footprints(draw) -> Footprint:
-    """A footprint built in memory whose names, files, labels and messages
-    hold quotes, backslashes, control characters, U+2028 and non-BMP text.
-    Every member signature is non-empty, as ``erased_signature`` makes it."""
-    symbols = draw(st.lists(st.builds(
-        Symbol, AWKWARD, st.sampled_from(list(SymbolKind)),
-        st.none() | AWKWARD.filter(bool)), min_size=1, max_size=6, unique=True))
-    locations = st.builds(Location, AWKWARD, st.integers(-2, 10**12), st.integers(0, 3))
-    triples = draw(st.sets(st.builds(UseTriple, st.sampled_from(symbols),
-                                     st.sampled_from(list(UseKind)), locations), max_size=30))
-    diagnostics = draw(st.lists(st.builds(Diagnostic, locations,
+    """A footprint built in memory from ``awkward_triples`` whose labels and
+    messages are awkward text too."""
+    diagnostics = draw(st.lists(st.builds(Diagnostic, AWKWARD_LOCATIONS,
                                           st.sampled_from(list(DiagnosticKind)), AWKWARD),
                                 max_size=4))
-    return Footprint(draw(AWKWARD), draw(AWKWARD), triples, diagnostics)
+    return Footprint(draw(AWKWARD), draw(AWKWARD), draw(awkward_triples()), diagnostics)
 
 
 @settings(max_examples=300, deadline=None)
@@ -749,6 +772,72 @@ def test_the_writer_encodes_awkward_text_as_json_dumps_does(fp):
     text = footprint_to_dict(fp)
     assert text == compact(naive_footprint_to_dict(fp))
     assert json.loads(text)["label"] == fp.label
+
+
+def ranked(counts: Counter, key) -> list:
+    return sorted(counts.items(), key=lambda kv: (-kv[1], *key(kv[0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(awkward_triples(), awkward_triples(), AWKWARD_LOCATIONS)
+def test_the_grouped_algebra_is_the_algebra_of_triple_sets(t1, t2, extra):
+    f1, f2 = Footprint("a", "lib", t1), Footprint("b", "lib", t2)
+    for fp, triples in ((f1, t1), (f2, t2)):
+        assert fp.triples == triples
+        assert fp.unique_uses == {t.pair for t in triples}
+        assert fp.total_uses == len(triples)
+        assert popularity(fp, by="Symbol") == ranked(
+            Counter(t.symbol for t in triples), lambda sym: (sym.sort_key(),))
+        assert popularity(fp) == ranked(
+            Counter(t.pair for t in triples), lambda pair: (pair[0].sort_key(), pair[1].value))
+    merged, rest = merge(f1, f2), diff(f1, f2)
+    excluded = {t.pair for t in t2}
+    assert merged.triples == t1 | t2
+    assert rest.triples == {t for t in t1 if t.pair not in excluded}
+    # Groups used again, as inputs or as the groups of a later result, do
+    # not reach a result.
+    for fp in (f1, f2, merge(rest, merged), diff(merged, rest)):
+        for locations in fp.sites.values():
+            locations.add(extra)
+    assert merged.triples == t1 | t2
+    assert rest.triples == {t for t in t1 if t.pair not in excluded}
+
+
+# Writes the footprint of the two uses of ``p.A.m`` that differ only in a
+# null or an empty signature, the empty one at the earlier location, built
+# with the pairs in either order and as a set; prints the three texts and
+# the reference writer's.
+NULL_AND_EMPTY_SIGNATURE = """
+import json
+from naive_coverage import naive_footprint_to_dict
+from ucov import Footprint, Symbol, SymbolKind, UseKind, UseTriple, footprint_to_dict
+from ucov.uses import Location
+
+empty, null = (
+    UseTriple(Symbol("p.A.m", SymbolKind.METHOD, signature), UseKind.METHOD_INVOCATION,
+              Location("C.java", line, 5))
+    for signature, line in (("", 3), (None, 7))
+)
+texts = [footprint_to_dict(Footprint("client", "p", triples))
+         for triples in ([empty, null], [null, empty], {empty, null})]
+reference = naive_footprint_to_dict(Footprint("client", "p", {empty, null}))
+print(json.dumps(texts + [json.dumps(reference, ensure_ascii=False, separators=(",", ":"))]))
+"""
+
+
+def test_a_null_and_an_empty_signature_are_written_in_one_order_in_every_run():
+    tests = Path(__file__).parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = os.pathsep.join((str(tests.parent / "src"), str(tests)))
+    texts = []
+    for seed in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", NULL_AND_EMPTY_SIGNATURE],
+                              env={**env, "PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        texts += json.loads(proc.stdout)
+    assert [json.loads(text)["uses"][0]["signature"] for text in texts] == [""] * 8
+    assert texts == [texts[-1]] * 8
 
 
 def test_footprint_dict_is_sorted():
