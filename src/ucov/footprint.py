@@ -441,12 +441,13 @@ class _Extractor:
             self.visit_expr(arg, env, expected=expected)
 
     def _new_expr(self, expr: n.New, env: Env) -> None:
+        loc = expr.type_ref.location  # a new expression's uses are at its type
         for arg_ref in expr.type_ref.type_args:
             self._type_reference(arg_ref, env)
         resolved, known = env.scope.resolve_type(expr.type_ref.name)
         if not known:
             self.diag(
-                expr.location,
+                loc,
                 DiagnosticKind.UNRESOLVED,
                 f"cannot resolve type {expr.type_ref.name} in new expression",
             )
@@ -460,14 +461,12 @@ class _Extractor:
             self._anonymous_class(expr, resolved, info, sym, ctor, env)
             return
         if sym is not None:
-            self.emit(sym, UseKind.INSTANTIATION, expr.location)
+            self.emit(sym, UseKind.INSTANTIATION, loc)
             if ctor.member is not None:
-                self.emit_member_use(
-                    ctor.member, UseKind.CONSTRUCTOR_INVOCATION, expr.location
-                )
+                self.emit_member_use(ctor.member, UseKind.CONSTRUCTOR_INVOCATION, loc)
             elif info is not None and info.kind is SymbolKind.CLASS:
                 self.diag(
-                    expr.location,
+                    loc,
                     DiagnosticKind.UNRESOLVED,
                     f"no matching constructor for {resolved}",
                 )
@@ -475,15 +474,14 @@ class _Extractor:
 
     def _anonymous_class(self, expr, resolved, info, sym, ctor, env: Env) -> None:
         is_interface = info is not None and info.kind is SymbolKind.INTERFACE
+        loc = expr.type_ref.location
         if sym is not None:
             if is_interface:
-                self.emit(sym, UseKind.IMPLEMENTATION, expr.location)
+                self.emit(sym, UseKind.IMPLEMENTATION, loc)
             else:
-                self.emit(sym, UseKind.INHERITANCE, expr.location)
+                self.emit(sym, UseKind.INHERITANCE, loc)
                 if ctor.member is not None:
-                    self.emit_member_use(
-                        ctor.member, UseKind.CONSTRUCTOR_INVOCATION, expr.location
-                    )
+                    self.emit_member_use(ctor.member, UseKind.CONSTRUCTOR_INVOCATION, loc)
         self._visit_args(expr.args, env, ctor.member)
         inner = Env(env.scope._replace(this_type=resolved))
         for member in expr.anon_body or []:

@@ -25,23 +25,26 @@ KEYWORDS = frozenset(
 # ``\r\n``, ``\r`` and ``\n`` each end a line, as in Java; a line end inside
 # a literal leaves it unterminated. ``[^\W\d]`` also admits numerics such as
 # '²' and 'Ⅷ', which ``tokenize`` rejects: an identifier starts with a
-# letter or '_'. A number runs over letters, digits and points; '_' joins
-# two of its digits (hex digits in a hex number), and a sign right after
-# the exponent letter belongs to the literal: 'e' or 'E' in a decimal
-# number, 'p' or 'P' in a hex one, so ``1e-5f`` and ``0x1p-3`` are one
-# literal each and ``0x1e-5`` a subtraction, as in Java. ``bad`` is the
-# opening of an unterminated comment or literal, so it precedes the
-# operator '/', and two-character operators precede the one-character
-# ones. A character that no rule takes matches the last, unnamed
-# alternative and leaves ``lastgroup`` None.
+# letter or '_'. A number starts with a digit, or with a point and a digit
+# (``.5``), and runs over letters, digits and points; '_' joins two of its
+# digits (hex digits in a hex number), and a sign right after the exponent
+# letter belongs to the literal: 'e' or 'E' in a decimal number, 'p' or 'P'
+# in a hex one, so ``1e-5f`` and ``0x1p-3`` are one literal each and
+# ``0x1e-5`` a subtraction, as in Java. A char literal holds one character
+# or one escape: a backslash and a character, an octal escape (``\101``, at
+# most ``\377``) or a Unicode escape (``\u0041``, with one or more 'u's).
+# ``bad`` is the opening of an unterminated comment or literal, so it
+# precedes the operator '/', and two-character operators precede the
+# one-character ones. A character that no rule takes matches the last,
+# unnamed alternative and leaves ``lastgroup`` None.
 _TOKEN = re.compile(
     r"""
       (?P<skip>   [ \t\r\n]+ | //[^\r\n]* | /\*(?s:.*?)\*/ )
     | (?P<IDENT>  [^\W\d]\w* )
     | (?P<INT>    0[xX](?:[^\W_]|\.|(?<=[0-9A-Fa-f])_+(?=[0-9A-Fa-f])|(?<=[pP])[+-])*
-                | \d(?:[^\W_]|\.|(?<=\d)_+(?=\d)|(?<=[eE])[+-])* )
+                | \.?\d(?:[^\W_]|\.|(?<=\d)_+(?=\d)|(?<=[eE])[+-])* )
     | (?P<STRING> "(?:[^"\\\r\n]|\\[^\r\n])*" )
-    | (?P<CHAR>   '(?:\\[^\r\n]|[^\\\r\n])' )
+    | (?P<CHAR>   '(?:\\(?:u+[0-9A-Fa-f]{4}|[0-3]?[0-7]{1,2}|[^\r\n])|[^\\\r\n])' )
     | (?P<bad>    /\* | " | ' )
     | (?P<op>     -> | == | != | <= | >= | && | \|\| | \+\+ | --
                 | [-+*/%<>!&|^~=.,;:()\[\]{}?@] )

@@ -336,11 +336,12 @@ def model_to_dict(model: UsageModel) -> dict:
 
 
 def model_from_dict(data: dict) -> UsageModel:
-    """Load a serialized model. Its names must be strings and its symbols
-    distinct, and a symbol has a signature exactly when it is a method or a
-    constructor, so no two symbols share a ``Symbol.sort_key``. The symbols'
-    modifiers are not read, and the resolution table is built from the
-    resolution section only when ``table`` is first used."""
+    """Load a serialized model. Its names, the library's included, must be
+    strings and its symbols distinct, and a symbol has a signature exactly
+    when it is a method or a constructor, so no two symbols share a
+    ``Symbol.sort_key``. The symbols' modifiers are not read, and the
+    resolution table is built from the resolution section only when
+    ``table`` is first used."""
     resolution = data.get("resolution")
     if resolution is None:
         raise ModelMismatch("model file lacks the resolution section")
@@ -362,7 +363,7 @@ def model_from_dict(data: dict) -> UsageModel:
         if uses is None:
             uses = use_sets[names] = frozenset(UseKind(u) for u in names)
         entries[sym] = uses
-    return UsageModel(data["library"], entries, lambda: _table_from_dict(resolution))
+    return UsageModel(_name(data["library"]), entries, lambda: _table_from_dict(resolution))
 
 
 def _table_from_dict(resolution: dict) -> SymbolTable:

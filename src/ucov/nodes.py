@@ -1,7 +1,14 @@
 """AST node definitions for the J-lite subject language.
 
-All nodes carry the location of their head identifier token (1-based
-line/column) so that downstream analyses can report precise use sites.
+A node carries a ``location`` (the file and the 1-based line and column
+of its head token) only where extraction can report a use site or a
+diagnostic there: ``TypeRef``, ``Name``, ``FieldAccess``, ``MethodCall``
+(its name token), ``Lambda`` (its opening parenthesis), ``MemberDecl``
+and ``TypeDecl`` (their names). A ``New`` is located at its
+``type_ref``, and a ``Location`` holds its file, so a ``SourceUnit`` holds
+no path. A node holds no field that repeats another: a method is void
+exactly when its ``return_type`` is None.
+
 Nodes are plain classes with ``__slots__`` that compare and hash by
 identity, so analyses can key tables by node; ``Location`` is a value.
 A declaration's kind is a ``ucov.model.SymbolKind``, the one kind of the
@@ -48,12 +55,11 @@ class TypeRef(Node):
 
 
 class ImportDecl(Node):
-    __slots__ = ("qname", "on_demand", "location")
+    __slots__ = ("qname", "on_demand")
 
-    def __init__(self, qname: str, on_demand: bool, location: Location) -> None:
+    def __init__(self, qname: str, on_demand: bool) -> None:
         self.qname = qname
         self.on_demand = on_demand
-        self.location = location
 
 
 class Param(Node):
@@ -70,17 +76,15 @@ class Param(Node):
 
 
 class Literal(Node):
-    __slots__ = ("value", "kind", "location")
+    __slots__ = ("value", "kind")
 
     def __init__(
         self,
-        value: object,
+        value: str,  # the token's text, a string's or char's without its quotes
         kind: str,  # int, long, float, double, string, char, boolean, null
-        location: Location,
     ) -> None:
         self.value = value
         self.kind = kind
-        self.location = location
 
 
 class Name(Node):
@@ -92,10 +96,7 @@ class Name(Node):
 
 
 class This(Node):
-    __slots__ = ("location",)
-
-    def __init__(self, location: Location) -> None:
-        self.location = location
+    __slots__ = ()
 
 
 class FieldAccess(Node):
@@ -129,56 +130,47 @@ class MethodCall(Node):
 
 
 class New(Node):
-    __slots__ = ("type_ref", "args", "anon_body", "location")
+    __slots__ = ("type_ref", "args", "anon_body")
 
     def __init__(
-        self,
-        type_ref: TypeRef,
-        args: list[Expr],
-        anon_body: Optional[list[MemberDecl]],
-        location: Location,  # of the constructed type's head identifier
+        self, type_ref: TypeRef, args: list[Expr], anon_body: Optional[list[MemberDecl]]
     ) -> None:
         self.type_ref = type_ref
         self.args = args
         self.anon_body = anon_body
-        self.location = location
 
 
 class Assign(Node):
-    __slots__ = ("target", "value", "location")
+    __slots__ = ("target", "value")
 
-    def __init__(self, target: Expr, value: Expr, location: Location) -> None:
+    def __init__(self, target: Expr, value: Expr) -> None:
         self.target = target
         self.value = value
-        self.location = location
 
 
 class Binary(Node):
-    __slots__ = ("op", "left", "right", "location")
+    __slots__ = ("op", "left", "right")
 
-    def __init__(self, op: str, left: Expr, right: Expr, location: Location) -> None:
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
         self.op = op
         self.left = left
         self.right = right
-        self.location = location
 
 
 class Unary(Node):
-    __slots__ = ("op", "operand", "location")
+    __slots__ = ("op", "operand")
 
-    def __init__(self, op: str, operand: Expr, location: Location) -> None:
+    def __init__(self, op: str, operand: Expr) -> None:
         self.op = op
         self.operand = operand
-        self.location = location
 
 
 class Cast(Node):
-    __slots__ = ("type_ref", "expr", "location")
+    __slots__ = ("type_ref", "expr")
 
-    def __init__(self, type_ref: TypeRef, expr: Expr, location: Location) -> None:
+    def __init__(self, type_ref: TypeRef, expr: Expr) -> None:
         self.type_ref = type_ref
         self.expr = expr
-        self.location = location
 
 
 class Lambda(Node):
@@ -213,15 +205,12 @@ class Block(Node):
 
 
 class LocalDecl(Node):
-    __slots__ = ("type_ref", "name", "init", "location")
+    __slots__ = ("type_ref", "name", "init")
 
-    def __init__(
-        self, type_ref: TypeRef, name: str, init: Optional[Expr], location: Location
-    ) -> None:
+    def __init__(self, type_ref: TypeRef, name: str, init: Optional[Expr]) -> None:
         self.type_ref = type_ref
         self.name = name
         self.init = init
-        self.location = location
 
 
 class ExprStmt(Node):
@@ -307,7 +296,7 @@ VISIBILITY_MODIFIERS = frozenset({"public", "protected", "private"})
 
 
 class MemberDecl(Node):
-    __slots__ = ("kind", "name", "modifiers", "location", "return_type", "is_void", "params",
+    __slots__ = ("kind", "name", "modifiers", "location", "return_type", "params",
                  "throws_refs", "field_type", "field_init", "body")
 
     def __init__(
@@ -317,7 +306,6 @@ class MemberDecl(Node):
         modifiers: set[str],
         location: Location,
         return_type: Optional[TypeRef] = None,  # None for void and for non-methods
-        is_void: bool = False,
         params: Optional[list[Param]] = None,
         throws_refs: Optional[list[TypeRef]] = None,
         field_type: Optional[TypeRef] = None,
@@ -329,7 +317,6 @@ class MemberDecl(Node):
         self.modifiers = modifiers
         self.location = location
         self.return_type = return_type
-        self.is_void = is_void
         self.params = [] if params is None else params
         self.throws_refs = [] if throws_refs is None else throws_refs
         self.field_type = field_type
@@ -367,12 +354,11 @@ class TypeDecl(Node):
 
 
 class SourceUnit(Node):
-    __slots__ = ("path", "package_name", "imports", "types")
+    __slots__ = ("package_name", "imports", "types")
 
     def __init__(
-        self, path: str, package_name: str, imports: list[ImportDecl], types: list[TypeDecl]
+        self, package_name: str, imports: list[ImportDecl], types: list[TypeDecl]
     ) -> None:
-        self.path = path
         self.package_name = package_name
         self.imports = imports
         self.types = types

@@ -30,6 +30,12 @@ _EXPR_START = frozenset(
     {"IDENT", "INT", "STRING", "CHAR", "true", "false", "null", "this", "new", "(", "!", "~"}
 )
 
+# The kind of a literal by its token type; numbers are typed by
+# ``_number_kind``.
+_LITERAL_KINDS = {
+    "STRING": "string", "CHAR": "char", "true": "boolean", "false": "boolean", "null": "null",
+}
+
 # Binary operators, all left-associative, by precedence: a larger number
 # binds tighter.
 _PRECEDENCE = {
@@ -128,8 +134,7 @@ class _Parser:
             package_name = self.parse_qname()
             self.expect(";")
         imports = []
-        while self.at("import"):
-            tok = self.advance()
+        while self.accept("import"):
             parts = [self.values[self.expect("IDENT")]]
             on_demand = False
             while self.accept("."):
@@ -138,11 +143,11 @@ class _Parser:
                     break
                 parts.append(self.values[self.expect("IDENT")])
             self.expect(";")
-            imports.append(n.ImportDecl(".".join(parts), on_demand, self.loc(tok)))
+            imports.append(n.ImportDecl(".".join(parts), on_demand))
         types = []
         while not self.at("EOF"):
             types.append(self.parse_type_decl())
-        return n.SourceUnit(self.path, package_name, imports, types)
+        return n.SourceUnit(package_name, imports, types)
 
     def parse_qname(self) -> str:
         parts = [self.values[self.expect("IDENT")]]
@@ -256,7 +261,6 @@ class _Parser:
                 modifiers=mods,
                 location=self.loc(name_tok),
                 return_type=return_type,
-                is_void=is_void,
                 params=params,
                 throws_refs=throws,
                 body=body,
@@ -411,7 +415,7 @@ class _Parser:
                 if self.accept("="):
                     init = self.parse_expr()
                 self.expect(";")
-                return n.LocalDecl(type_ref, self.values[name_tok], init, type_ref.location)
+                return n.LocalDecl(type_ref, self.values[name_tok], init)
             except _TooDeep:
                 raise
             except ParseError:
@@ -430,10 +434,9 @@ class _Parser:
 
     def parse_assignment(self) -> n.Expr:
         left = self.parse_binary()
-        if self.at("="):
-            tok = self.advance()
+        if self.accept("="):
             right = self.parse_expr()  # right-associative, one level deeper
-            return n.Assign(left, right, self.loc(tok))
+            return n.Assign(left, right)
         return left
 
     def parse_binary(self, min_precedence: int = 1) -> n.Expr:
@@ -442,17 +445,16 @@ class _Parser:
         precedence level however long the chain."""
         left = self.parse_unary()
         while (precedence := _PRECEDENCE.get(self.types[self.pos], 0)) >= min_precedence:
-            tok = self.advance()
-            right = self.parse_binary(precedence + 1)
-            left = n.Binary(self.types[tok], left, right, self.loc(tok))
+            op = self.types[self.advance()]
+            left = n.Binary(op, left, self.parse_binary(precedence + 1))
         return left
 
     def parse_unary(self) -> n.Expr:
         self.enter()
         t = self.types[self.pos]
         if t in ("!", "~", "-", "+", "++", "--"):
-            tok = self.advance()
-            expr: n.Expr = n.Unary(t, self.parse_unary(), self.loc(tok))
+            self.advance()
+            expr: n.Expr = n.Unary(t, self.parse_unary())
         else:
             expr = self.parse_postfix()
         self.depth -= 1
@@ -471,8 +473,7 @@ class _Parser:
                 else:
                     expr = n.FieldAccess(expr, name, self.loc(name_tok))
             elif self.at("++") or self.at("--"):
-                tok = self.advance()
-                expr = n.Unary("post" + self.types[tok], expr, self.loc(tok))
+                expr = n.Unary("post" + self.types[self.advance()], expr)
             else:
                 return expr
 
@@ -491,22 +492,14 @@ class _Parser:
         t, value = self.types[tok], self.values[tok]
         if t == "INT":
             self.advance()
-            return n.Literal(value, _number_kind(value), self.loc(tok))
-        if t == "STRING":
+            return n.Literal(value, _number_kind(value))
+        kind = _LITERAL_KINDS.get(t)
+        if kind is not None:
             self.advance()
-            return n.Literal(value, "string", self.loc(tok))
-        if t == "CHAR":
-            self.advance()
-            return n.Literal(value, "char", self.loc(tok))
-        if t in ("true", "false"):
-            self.advance()
-            return n.Literal(value, "boolean", self.loc(tok))
-        if t == "null":
-            self.advance()
-            return n.Literal(None, "null", self.loc(tok))
+            return n.Literal(value, kind)
         if t == "this":
             self.advance()
-            return n.This(self.loc(tok))
+            return n.This()
         if t == "new":
             return self.parse_new()
         if t == "(":
@@ -539,7 +532,7 @@ class _Parser:
                 mods = self.parse_modifiers()
                 anon_body.append(self.parse_member(mods, type_ref.name.split(".")[-1]))
             self.expect("}")
-        return n.New(type_ref, args, anon_body, type_ref.location)
+        return n.New(type_ref, args, anon_body)
 
     def _scan_matching_paren(self) -> int:
         """Index of the token after the ')' matching the '(' at self.pos, or -1."""
@@ -585,7 +578,7 @@ class _Parser:
 
     def try_parse_cast(self) -> Optional[n.Expr]:
         save = self.mark()
-        head = self.advance()  # '('
+        self.advance()  # '('
         try:
             type_ref = self.parse_type_ref()
             self.expect(")")
@@ -598,7 +591,7 @@ class _Parser:
             self.reset(save)
             return None
         operand = self.parse_unary()
-        return n.Cast(type_ref, operand, self.loc(head))
+        return n.Cast(type_ref, operand)
 
 
 def _number_kind(text: str) -> str:

@@ -425,7 +425,7 @@ def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
             signature = erased_signature(member.name, param_types)
             if member.kind is SymbolKind.CONSTRUCTOR:
                 return_type = None
-            elif member.is_void:
+            elif member.return_type is None:  # void
                 return_type = "void"
             else:
                 return_type = scope.erase(member.return_type)

@@ -34,6 +34,27 @@ def rows(tokens: Tokens) -> list[Token]:
 TWO_CHAR_OPS = ("->", "==", "!=", "<=", ">=", "&&", "||", "++", "--")
 ONE_CHAR_OPS = "+-*/%<>!&|^~=.,;:()[]{}?@"
 HEX_DIGITS = "0123456789abcdefABCDEF"
+OCTAL_DIGITS = "01234567"
+
+
+def char_escape_end(text: str, i: int) -> int:
+    """The end of the escape whose backslash is at ``i - 1``: a Unicode
+    escape (``u``s and four hex digits), an octal escape (at most three
+    digits, the first of three at most '3') or one character."""
+    n = len(text)
+    if text.startswith("u", i):
+        j = i
+        while j < n and text[j] == "u":
+            j += 1
+        if j + 4 <= n and all(d in HEX_DIGITS for d in text[j : j + 4]):
+            return j + 4
+    elif i < n and text[i] in OCTAL_DIGITS:
+        j = i + 1
+        limit = i + (3 if text[i] in "0123" else 2)
+        while j < limit and j < n and text[j] in OCTAL_DIGITS:
+            j += 1
+        return j
+    return i + 1
 
 
 def naive_tokenize(text: str, path: str) -> list[Token]:
@@ -82,7 +103,7 @@ def naive_tokenize(text: str, path: str) -> list[Token]:
             tokens.append(Token(ttype, word, line, col))
             col += i - start
             continue
-        if c.isdigit():
+        if c.isdigit() or (c == "." and text[i + 1 : i + 2].isdecimal()):
             start = i
             # '_' joins two digits; a sign right after the exponent letter
             # ('e' or 'E' in a decimal number, 'p' or 'P' in a hex one)
@@ -128,12 +149,13 @@ def naive_tokenize(text: str, path: str) -> list[Token]:
         if c == "'":
             start = i
             i += 1
+            end = i + 1
             if i < n and text[i] == "\\":
-                i += 1
-            if i >= n or text[i] == "\n":
+                end = char_escape_end(text, i + 1)
+            if end > n or "\n" in text[i:end]:
                 raise error("unterminated char literal")
-            value = text[start + 1 : i + 1]
-            i += 1
+            value = text[start + 1 : end]
+            i = end
             if i >= n or text[i] != "'":
                 raise error("unterminated char literal")
             i += 1

@@ -303,24 +303,24 @@ class _Collector:
         ctor = self.table.resolve_constructor(resolved, arg_types) if known else None
         if info is not None:
             if e.anon_body is None:
-                self.add(resolved, None, UseKind.INSTANTIATION, e.location)
+                self.add(resolved, None, UseKind.INSTANTIATION, e.type_ref.location)
                 if ctor is not None and ctor.member is not None:
                     self.add(
                         ctor.member.fqn,
                         ctor.member.signature,
                         UseKind.CONSTRUCTOR_INVOCATION,
-                        e.location,
+                        e.type_ref.location,
                     )
             elif info.kind is SymbolKind.INTERFACE:
-                self.add(resolved, None, UseKind.IMPLEMENTATION, e.location)
+                self.add(resolved, None, UseKind.IMPLEMENTATION, e.type_ref.location)
             else:
-                self.add(resolved, None, UseKind.INHERITANCE, e.location)
+                self.add(resolved, None, UseKind.INHERITANCE, e.type_ref.location)
                 if ctor is not None and ctor.member is not None:
                     self.add(
                         ctor.member.fqn,
                         ctor.member.signature,
                         UseKind.CONSTRUCTOR_INVOCATION,
-                        e.location,
+                        e.type_ref.location,
                     )
         for i, arg in enumerate(e.args):
             expected = None

@@ -138,7 +138,7 @@ def _render_member(member: n.MemberDecl, enclosing_name: str) -> str:
     if member.kind is SymbolKind.CONSTRUCTOR:
         head = f"{mods}{member.name}({params}){throws}"
     else:
-        rtype = "void" if member.is_void else render_type_ref(member.return_type)
+        rtype = "void" if member.return_type is None else render_type_ref(member.return_type)
         head = f"{mods}{rtype} {member.name}({params}){throws}"
     if member.body is None:
         return head + ";"

@@ -47,12 +47,13 @@ def test_the_length_of_the_tokens_counts_every_token_and_one_eof():
 
 
 # Letters (one non-ASCII), '_', decimal digits (one Arabic-Indic), numerics
-# that are not decimal digits, hex prefixes, signed exponents, quotes, backslashes,
+# that are not decimal digits, hex prefixes, signed exponents, leading-point
+# numbers, octal and Unicode escapes and their parts, quotes, backslashes,
 # comment delimiters, every operator character and every character the
 # scanner skips but '\r'.
 PIECES = [
     "a", "Z", "é", "_", "class", "new", "0", "7", "٣", "²", "½", "Ⅷ", "e-", "E+",
-    "0x", "p-", "P+",
+    "0x", "p-", "P+", ".5", ".5e-3", "u", "0041", "377", "'\\101'", "'\\u00e9'",
     '"', "'", "\\", "//", "/*", "*/", *"+-*/%<>!&|^~=.,;:()[]{}?@",
     " ", "\t", "\f", "\n",
 ]
@@ -64,6 +65,8 @@ PIECES = [
 @example("'''")
 @example('"\\"')
 @example("/*/")
+@example("'\\u0041' '\\uu00e9' '\\101' '\\377' '\\77' '\\7' '\\u'")
+@example(".5 .5f .5e-3 ._5 .٣ a.5 1..5 .²")
 def test_scanner_agrees_with_the_reference_lexer(text):
     got = outcome(scan, text)
     if isinstance(got, tuple) and got[0].startswith("unexpected character"):
@@ -127,11 +130,37 @@ def test_eof_after_a_trailing_line_comment_is_placed_after_it():
         ("1_e 1e--5", ["1", "_e", "1e-", "-", "5"]),
         ("0x1p-3 0x1.8P+3f 0x1p3d", ["0x1p-3", "0x1.8P+3f", "0x1p3d"]),
         ("0x1p3-1 1p-3", ["0x1p3", "-", "1", "1p", "-", "3"]),  # no 'p' exponent in a decimal
+        (".5 .5f .5e-3 .5_0 x=.5;", [".5", ".5f", ".5e-3", ".5_0", "x", "=", ".5", ";"]),
+        ("a.b ._5", ["a", ".", "b", ".", "_5"]),  # a point before a non-digit is an operator
     ],
 )
 def test_numbers_take_signed_exponents_and_digit_separators(text, values):
     assert tokenize(text, "A.java").values[:-1] == values
     assert [t.value for t in naive_tokenize(text, "A.java")[:-1]] == values
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["'\\u0041'", "'\\uuu00e9'", "'\\u00E9'", "'\\101'", "'\\0'", "'\\7'", "'\\77'",
+     "'\\377'", "'\\n'", "'\\''"],
+)
+def test_a_char_literal_holds_a_unicode_or_an_octal_escape(text):
+    want = [("CHAR", text[1:-1], 1, 1)]
+    assert scan(text, "A.java")[:-1] == naive_tokenize(text, "A.java")[:-1] == want
+    [member] = parse_unit(f"class A {{ char c = {text}; }}", "A.java").types[0].members
+    assert (member.field_init.value, member.field_init.kind) == (text[1:-1], "char")
+
+
+@pytest.mark.parametrize("text", ["'\\u004'", "'\\u00G1'", "'\\400'", "'\\1234'", "'\\08'"])
+def test_a_char_literal_with_a_malformed_escape_is_unterminated(text):
+    # '\400' is past the largest octal escape, '\377', as in Java.
+    for lex in (scan, naive_tokenize):
+        assert outcome(lex, text) == ("unterminated char literal", 1, 1)
+
+
+def test_a_number_after_a_member_access_point_is_still_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_unit("class A { Object o = obj.5; }", "A.java")
 
 
 def test_a_separator_that_ends_a_number_is_still_a_parse_error_at_its_location():

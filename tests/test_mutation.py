@@ -236,3 +236,34 @@ def test_a_synthesized_flag_of_another_type_is_malformed_content(files, capsys, 
                              "suf")
     assert (code, err) == (
         1, f"error: F: malformed content: synthesized must be true or false, found {value!r}\n")
+
+
+NOT_STRINGS = (None, 1, True, [], [1, 2], {}, {"a": 1})
+
+
+@pytest.mark.parametrize("value", NOT_STRINGS, ids=json.dumps)
+@pytest.mark.parametrize("command", ["profile", "coverage", "suf"])
+def test_a_library_name_of_another_type_in_a_model_is_malformed_content(
+    files, capsys, command, value
+):
+    # Read as it was, the name was copied into every footprint and report.
+    code, err = run_on_model(files, capsys, lambda d: d.update(library=value), command)
+    assert (code, err) == (1, f"error: F: malformed content: a name must be a string, "
+                              f"found {value!r}\n")
+
+
+@pytest.mark.parametrize("value", NOT_STRINGS, ids=json.dumps)
+@pytest.mark.parametrize("key", ["library", "label"])
+def test_a_library_or_label_of_another_type_in_a_footprint_is_an_error(
+    files, capsys, key, value
+):
+    tmp, _, classic, sum_path, framework = files
+    path = tmp / "edited.json"
+    path.write_text(json.dumps(dict(classic, **{key: value})))
+    for argv in (["coverage", "--sum", sum_path, str(path)],
+                 ["compare", "--sum", sum_path, framework, str(path)],
+                 ["profile", "--sum", sum_path, "--suf", str(path)]):
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert (code, err.count("\n"), err.startswith("error: ")) == (1, 1, True), (argv, err)

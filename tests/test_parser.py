@@ -208,7 +208,7 @@ def _strip_locations(node):
         return {
             name: _strip_locations(getattr(node, name))
             for name in node.__slots__
-            if name not in ("location", "path")
+            if name != "location"
         }
     if isinstance(node, (list, tuple)):
         return [_strip_locations(x) for x in node]

@@ -216,9 +216,11 @@ def test_constructor_resolution():
 def test_numeric_literals_are_typed_by_their_form():
     assert [type_of(t) for t in ("2", "0x1F", "0b101", "017")] == ["int"] * 4
     assert [type_of(t) for t in ("10L", "10l", "0xFFL")] == ["long"] * 3
-    assert [type_of(t) for t in ("2f", "1.5F", "1e3f", "0x1p3f", "0x1.8P-3F")] == ["float"] * 5
-    doubles = ("1.5", "1.", "1e3", "1E3", "7d", "7D", "0x1p-3", "0x1.8p3", "0X1P+3", "0x1p3d")
-    assert [type_of(t) for t in doubles] == ["double"] * 10
+    floats = ("2f", "1.5F", "1e3f", "0x1p3f", "0x1.8P-3F", ".5f")
+    assert [type_of(t) for t in floats] == ["float"] * 6
+    doubles = ("1.5", "1.", "1e3", "1E3", "7d", "7D", "0x1p-3", "0x1.8p3", "0X1P+3", "0x1p3d",
+               ".5", ".5e-3")
+    assert [type_of(t) for t in doubles] == ["double"] * 12
 
 
 NUMERIC_LIB = "package p; public class A { public void f(int x) { } public void f(double d) { } }"
