@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Optional, TypeVa
 from . import footprint as suf
 from . import metrics, uses
 from . import model as models, parser as frontend
-from .errors import ParseError, UcovError, warn
+from .errors import ModelMismatch, ParseError, UcovError, warn
 
 if TYPE_CHECKING:
     from .model import UsageModel
@@ -133,8 +133,9 @@ T = TypeVar("T")
 
 def _read_json(path: str, load: Callable[[dict], T], unique_keys: bool = False) -> T:
     """Read the JSON object in ``path`` and convert it with ``load``. A file
-    that cannot be read, is not a JSON object or lacks a key the conversion
-    needs ends in a one-line UsageError naming the file. With
+    that cannot be read, is not a JSON object, lacks a key the conversion
+    needs or does not match the model (a footprint of another library or
+    with an illegal use) ends in a one-line UsageError naming the file. With
     ``unique_keys``, so does an object with a repeated key, which
     ``json.loads`` would otherwise resolve by keeping the last value."""
     hook = _reject_duplicate_keys if unique_keys else None
@@ -150,6 +151,8 @@ def _read_json(path: str, load: Callable[[dict], T], unique_keys: bool = False) 
         return load(data)
     except KeyError as exc:
         raise UsageError(f"{path}: missing key {exc}") from exc
+    except ModelMismatch as exc:
+        raise UsageError(f"{path}: {exc}") from exc
     except (TypeError, AttributeError, ValueError) as exc:
         raise UsageError(f"{path}: malformed content: {exc}") from exc
 

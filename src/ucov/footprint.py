@@ -36,6 +36,7 @@ from .uses import (  # noqa: F401 - the values and their JSON form, re-exported
     footprint_from_dict,
     footprint_to_dict,
     merge,
+    new_value,
 )
 
 
@@ -134,7 +135,7 @@ class _Extractor:
         """``_checked`` of the member's model symbol. A member the model does
         not export gives the IllegalUse message where the library declares
         it, and None (no use) where it does not."""
-        sym = self.model.symbol_for(member.fqn, member.signature)
+        sym = self.model.symbols.get(new_value(Symbol, (member.fqn, member.kind, member.signature)))
         if sym is not None:
             return self._checked(sym, use)
         if self.is_library_type(member.declaring):
@@ -237,19 +238,17 @@ class _Extractor:
 
     def _visit_member(self, member: n.MemberDecl, type_env: Env) -> None:
         """Emit the type references of a member's declaration, then visit
-        its field initializer or body with the types they declare."""
+        its field initializer or body with the types they declare: the
+        initializer and each ``return`` of the body expect the member's type."""
         env = type_env.child()
-        if member.kind is SymbolKind.FIELD:
-            field_type = self._type_reference(member.field_type, env)
-            if member.field_init is not None:
-                self.visit_expr(member.field_init, env, expected=field_type)
-            return
-        if member.return_type is not None:
-            env.returns = self._type_reference(member.return_type, env)
+        if member.type_ref is not None:
+            env.returns = self._type_reference(member.type_ref, env)
         for p in member.params:
             env.declare(p.name, self._type_reference(p.type_ref, env))
         for ref in member.throws_refs:
             self._type_reference(ref, env)
+        if member.field_init is not None:
+            self.visit_expr(member.field_init, env, expected=env.returns)
         if member.body is not None:
             self.visit_block(member.body, env)
 
@@ -516,7 +515,7 @@ class _Extractor:
                     self.emit(sym, UseKind.IMPLEMENTATION, expr.location)
                     self.emit_member_use(sam, UseKind.OVERRIDING, expr.location)
         inner = env.child()
-        inner.returns = sam.return_type if sam is not None else Unknown
+        inner.returns = sam.type if sam is not None else Unknown
         for i, p in enumerate(expr.params):
             if p.type_ref.name:
                 inner.declare(p.name, self._type_reference(p.type_ref, env))

@@ -51,23 +51,26 @@ class SymbolKind(Enum):
 _TYPE_KINDS = frozenset({SymbolKind.CLASS, SymbolKind.INTERFACE})
 _SIGNED_KINDS = frozenset({SymbolKind.METHOD, SymbolKind.CONSTRUCTOR})
 
-# Uses of a type; every other use kind is a use of a member.
-TYPE_USES = frozenset(
-    {
-        UseKind.TYPE_REFERENCE,
-        UseKind.INSTANTIATION,
-        UseKind.INHERITANCE,
-        UseKind.IMPLEMENTATION,
-        UseKind.INTERFACE_EXTENSION,
-    }
-)
+# The kind of member that each use of a member is a use of.
+MEMBER_USES = {
+    UseKind.CONSTRUCTOR_INVOCATION: SymbolKind.CONSTRUCTOR,
+    UseKind.METHOD_INVOCATION: SymbolKind.METHOD,
+    UseKind.STATIC_INVOCATION: SymbolKind.METHOD,
+    UseKind.OVERRIDING: SymbolKind.METHOD,
+    UseKind.FIELD_READ: SymbolKind.FIELD,
+    UseKind.FIELD_WRITE: SymbolKind.FIELD,
+}
+
+# Uses of a type: every use kind that is not a use of a member.
+TYPE_USES = frozenset(UseKind).difference(MEMBER_USES)
 
 
 class Symbol(NamedTuple):
     """A uniquely identified library declaration, and nothing more.
 
-    Types are identified by FQN, members by FQN and erased signature, and
-    the kind tells a field from a nested type of the same name.
+    A symbol is identified by FQN, kind and erased signature: the kind
+    tells a field from a nested type of the same name, and a constructor
+    from a method named like its class.
     """
 
     fqn: str
@@ -92,13 +95,12 @@ UsePair = tuple[Symbol, UseKind]
 class UsageModel:
     """Map from exported symbols to their sets of legal use kinds.
 
-    The model owns symbol lookup: types are found by FQN, members by FQN
-    and erased signature, in separate namespaces built at construction.
-    ``entries`` must not change afterwards: the data that every coverage
-    report of the model shares is computed once, on first use, and is
-    read-only for its callers. ``table``
-    is the resolution table, or a function that builds it when ``table``
-    is first read; only footprint extraction reads it.
+    A type is found by its FQN (``type_symbol``); a member's symbol is its
+    FQN, kind and erased signature (``symbols``). ``entries`` must not
+    change after construction: the data that every coverage report of the
+    model shares is computed once, on first use, and is read-only for its
+    callers. ``table`` is the resolution table, or a function that builds
+    it when ``table`` is first read; only footprint extraction reads it.
     """
 
     def __init__(
@@ -110,13 +112,7 @@ class UsageModel:
         self.library_name = library_name
         self.entries = entries
         self._table = table
-        self._types: dict[str, Symbol] = {}
-        self._members: dict[tuple[str, Optional[str]], Symbol] = {}
-        for sym in entries:
-            if sym.kind in _TYPE_KINDS:
-                self._types[sym.fqn] = sym
-            else:
-                self._members[(sym.fqn, sym.signature)] = sym
+        self._types = {sym.fqn: sym for sym in entries if sym.kind in _TYPE_KINDS}
 
     @property
     def table(self) -> SymbolTable:
@@ -131,11 +127,15 @@ class UsageModel:
     def type_symbol(self, fqn: str) -> Optional[Symbol]:
         return self._types.get(fqn)
 
-    def symbol_for(self, fqn: str, signature: Optional[str]) -> Optional[Symbol]:
-        """The member with this FQN and erased signature (None for a field)."""
-        return self._members.get((fqn, signature))
-
     # -- model-wide data, computed once per model --------------------------
+
+    @cached_property
+    def symbols(self) -> dict[Symbol, Symbol]:
+        """Each exported symbol mapped to itself. The footprint reader and
+        the extractor look a member's symbol up here, so their pairs hold
+        the model's own symbol objects and compare with the model's pairs by
+        identity, not by their strings."""
+        return {sym: sym for sym in self.entries}
 
     @cached_property
     def sorted_entries(self) -> tuple[tuple[Symbol, frozenset[UseKind]], ...]:
@@ -313,8 +313,8 @@ def model_to_dict(model: UsageModel) -> dict:
                     "modifiers": sorted(m.modifiers),
                     "signature": m.signature,
                     "params": list(m.param_types),
-                    "returns": m.return_type,
-                    "field_type": m.field_type,
+                    "returns": None if m.kind is SymbolKind.FIELD else m.type,
+                    "field_type": m.type if m.kind is SymbolKind.FIELD else None,
                     "synthesized": m.synthesized,
                 }
             )
@@ -369,9 +369,10 @@ def model_from_dict(data: dict) -> UsageModel:
 def _table_from_dict(resolution: dict) -> SymbolTable:
     """The resolution table of a serialized model's resolution section."""
     table = symtab.SymbolTable()
-    members_by_type: dict[str, dict[tuple, MemberInfo]] = {}  # by name and signature
+    members_by_type: dict[str, dict[tuple, MemberInfo]] = {}  # by kind, name, signature
     for m in resolution["members"]:
         kind = _declared_kind(m["kind"], of_type=False)
+        returns, of_field = _name_or_null(m["returns"]), _name_or_null(m["field_type"])
         member = symtab.MemberInfo(
             declaring=_name(m["declaring"]),
             kind=kind,
@@ -379,12 +380,11 @@ def _table_from_dict(resolution: dict) -> SymbolTable:
             modifiers=frozenset(_names(m["modifiers"])),
             signature=(_name_or_null if kind is SymbolKind.FIELD else _name)(m["signature"]),
             param_types=_names(m["params"]),
-            return_type=_name_or_null(m["returns"]),
-            field_type=_name_or_null(m["field_type"]),
+            type=of_field if kind is SymbolKind.FIELD else returns,
             synthesized=_flag(m.get("synthesized", False)),
         )
         members = members_by_type.setdefault(member.declaring, {})
-        if members.setdefault((member.name, member.signature), member) is not member:
+        if members.setdefault((kind, member.name, member.signature), member) is not member:
             sym = Symbol(member.fqn, kind, member.signature)
             raise ValueError(f"{kind.value} {sym} is listed twice")
     for t in resolution["types"]:

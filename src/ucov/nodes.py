@@ -6,8 +6,10 @@ diagnostic there: ``TypeRef``, ``Name``, ``FieldAccess``, ``MethodCall``
 (its name token), ``Lambda`` (its opening parenthesis), ``MemberDecl``
 and ``TypeDecl`` (their names). A ``New`` is located at its
 ``type_ref``, and a ``Location`` holds its file, so a ``SourceUnit`` holds
-no path. A node holds no field that repeats another: a method is void
-exactly when its ``return_type`` is None.
+no path. A node holds no field that repeats another, and no field that no
+later phase reads: a member's one ``type_ref`` is a field's type or a
+method's result type, so a method is void exactly when it is None, and a
+type's ``permits`` clause is parsed but not kept.
 
 Nodes are plain classes with ``__slots__`` that compare and hash by
 identity, so analyses can key tables by node; ``Location`` is a value.
@@ -296,8 +298,8 @@ VISIBILITY_MODIFIERS = frozenset({"public", "protected", "private"})
 
 
 class MemberDecl(Node):
-    __slots__ = ("kind", "name", "modifiers", "location", "return_type", "params",
-                 "throws_refs", "field_type", "field_init", "body")
+    __slots__ = ("kind", "name", "modifiers", "location", "type_ref", "params",
+                 "throws_refs", "field_init", "body")
 
     def __init__(
         self,
@@ -305,28 +307,26 @@ class MemberDecl(Node):
         name: str,
         modifiers: set[str],
         location: Location,
-        return_type: Optional[TypeRef] = None,  # None for void and for non-methods
-        params: Optional[list[Param]] = None,
-        throws_refs: Optional[list[TypeRef]] = None,
-        field_type: Optional[TypeRef] = None,
-        field_init: Optional[Expr] = None,
-        body: Optional[Block] = None,
+        type_ref: Optional[TypeRef],  # a field's type, a method's result type, or None
+        params: list[Param],  # empty for a field
+        throws_refs: list[TypeRef],
+        field_init: Optional[Expr],
+        body: Optional[Block],  # None for a field and an abstract method
     ) -> None:
         self.kind = kind
         self.name = name
         self.modifiers = modifiers
         self.location = location
-        self.return_type = return_type
-        self.params = [] if params is None else params
-        self.throws_refs = [] if throws_refs is None else throws_refs
-        self.field_type = field_type
+        self.type_ref = type_ref
+        self.params = params
+        self.throws_refs = throws_refs
         self.field_init = field_init
         self.body = body
 
 
 class TypeDecl(Node):
     __slots__ = ("kind", "simple_name", "modifiers", "type_params", "extends_refs",
-                 "implements_refs", "permits_refs", "members", "nested", "location")
+                 "implements_refs", "members", "nested", "location")
 
     def __init__(
         self,
@@ -336,7 +336,6 @@ class TypeDecl(Node):
         type_params: list[str],
         extends_refs: list[TypeRef],
         implements_refs: list[TypeRef],
-        permits_refs: list[TypeRef],
         members: list[MemberDecl],
         nested: list[TypeDecl],
         location: Location,
@@ -347,7 +346,6 @@ class TypeDecl(Node):
         self.type_params = type_params
         self.extends_refs = extends_refs
         self.implements_refs = implements_refs
-        self.permits_refs = permits_refs
         self.members = members
         self.nested = nested
         self.location = location

@@ -193,7 +193,7 @@ class _Parser:
             self.expect(">")
         extends_refs = self.parse_ref_list("extends")
         implements_refs = self.parse_ref_list("implements")
-        permits_refs = self.parse_ref_list("permits")
+        self.parse_ref_list("permits")  # parsed for its syntax; no phase reads it
         self.expect("{")
         members: list[n.MemberDecl] = []
         nested: list[n.TypeDecl] = []
@@ -212,7 +212,6 @@ class _Parser:
             type_params=type_params,
             extends_refs=extends_refs,
             implements_refs=implements_refs,
-            permits_refs=permits_refs,
             members=members,
             nested=nested,
             location=self.loc(name_tok),
@@ -228,56 +227,40 @@ class _Parser:
 
     def parse_member(self, mods: set[str], enclosing_name: str) -> n.MemberDecl:
         # Constructor: the enclosing type's simple name immediately followed by '('.
-        if (
+        is_ctor = (
             self.at("IDENT")
             and self.values[self.pos] == enclosing_name
             and self.types[self.pos + 1] == "("
-        ):
-            name_tok = self.advance()
-            params = self.parse_params()
-            throws = self.parse_ref_list("throws")
-            body = self.parse_block()
-            return n.MemberDecl(
-                kind=SymbolKind.CONSTRUCTOR,
-                name=self.values[name_tok],
-                modifiers=mods,
-                location=self.loc(name_tok),
-                params=params,
-                throws_refs=throws,
-                body=body,
-            )
-        is_void = self.accept("void")
-        return_type = None if is_void else self.parse_type_ref()
+        )
+        is_void = not is_ctor and self.accept("void")
+        type_ref = None if is_ctor or is_void else self.parse_type_ref()
         name_tok = self.expect("IDENT")
-        if self.at("("):
+        params: list[n.Param] = []
+        throws: list[n.TypeRef] = []
+        init = body = None
+        if is_ctor or self.at("("):
+            kind = SymbolKind.CONSTRUCTOR if is_ctor else SymbolKind.METHOD
             params = self.parse_params()
             throws = self.parse_ref_list("throws")
-            body = None
-            if not self.accept(";"):
+            if is_ctor or not self.accept(";"):
                 body = self.parse_block()
-            return n.MemberDecl(
-                kind=SymbolKind.METHOD,
-                name=self.values[name_tok],
-                modifiers=mods,
-                location=self.loc(name_tok),
-                return_type=return_type,
-                params=params,
-                throws_refs=throws,
-                body=body,
-            )
-        if is_void:
+        elif is_void:
             raise self.error("field cannot have type void", name_tok)
-        init = None
-        if self.accept("="):
-            init = self.parse_expr()
-        self.expect(";")
+        else:
+            kind = SymbolKind.FIELD
+            if self.accept("="):
+                init = self.parse_expr()
+            self.expect(";")
         return n.MemberDecl(
-            kind=SymbolKind.FIELD,
+            kind=kind,
             name=self.values[name_tok],
             modifiers=mods,
             location=self.loc(name_tok),
-            field_type=return_type,
+            type_ref=type_ref,
+            params=params,
+            throws_refs=throws,
             field_init=init,
+            body=body,
         )
 
     def parse_params(self) -> list[n.Param]:

@@ -41,8 +41,9 @@ class MemberInfo(NamedTuple):
     modifiers: frozenset[str]
     signature: Optional[str]  # erased; None for fields
     param_types: tuple[str, ...]  # erased type names
-    return_type: Optional[str]  # erased; "void" for void methods; None otherwise
-    field_type: Optional[str]
+    # The erased type an access to the member has: a field's type or a
+    # method's result type, "void" for a void method, None for a constructor.
+    type: Optional[str]
     location: Optional[n.Location] = None
     synthesized: bool = False
 
@@ -342,8 +343,9 @@ def build_symbol_table(
 
     Classes declaring no constructor receive a synthesized public zero-arg
     constructor. Unknown supertypes are kept by raw name and flagged
-    external. Raises DuplicateSymbol on FQN/signature collisions among the
-    types of ``units`` and CyclicHierarchy on supertype cycles among them.
+    external. Raises DuplicateSymbol on FQN/kind/signature collisions among
+    the types of ``units`` and CyclicHierarchy on a supertype cycle through
+    one of them.
     """
     table = SymbolTable(base)
     declared = declarations(units, table)
@@ -376,7 +378,7 @@ def build_symbol_table(
             members=_build_members(d),
         )
 
-    _check_acyclic(own)
+    _check_acyclic(own, table.types)
     return table
 
 
@@ -389,7 +391,7 @@ def erased_signature(name: str, param_types: Iterable[str]) -> str:
 def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
     decl, scope = d.decl, d.scope
     out: list[MemberInfo] = []
-    seen: set[tuple[str, str]] = set()
+    seen: set[tuple[SymbolKind, str, Optional[str]]] = set()
     in_interface = decl.kind is SymbolKind.INTERFACE
 
     def normalize(member: n.MemberDecl) -> frozenset[str]:
@@ -406,48 +408,33 @@ def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
         return frozenset(mods)
 
     for member in decl.members:
-        mods = normalize(member)
-        if member.kind is SymbolKind.FIELD:
-            info = MemberInfo(
-                declaring=d.fqn,
-                kind=member.kind,
-                name=member.name,
-                modifiers=mods,
-                signature=None,
-                param_types=(),
-                return_type=None,
-                field_type=scope.erase(member.field_type),
-                location=member.location,
-            )
-            key = (member.name, "")
-        else:
-            param_types = tuple(scope.erase(prm.type_ref) for prm in member.params)
+        param_types = tuple(scope.erase(prm.type_ref) for prm in member.params)
+        signature = None
+        if member.kind is not SymbolKind.FIELD:
             signature = erased_signature(member.name, param_types)
-            if member.kind is SymbolKind.CONSTRUCTOR:
-                return_type = None
-            elif member.return_type is None:  # void
-                return_type = "void"
-            else:
-                return_type = scope.erase(member.return_type)
-            info = MemberInfo(
-                declaring=d.fqn,
-                kind=member.kind,
-                name=member.name,
-                modifiers=mods,
-                signature=signature,
-                param_types=param_types,
-                return_type=return_type,
-                field_type=None,
-                location=member.location,
-            )
-            key = (member.name, signature)
+        if member.type_ref is not None:
+            erased_type = scope.erase(member.type_ref)
+        else:
+            erased_type = "void" if member.kind is SymbolKind.METHOD else None
+        key = (member.kind, member.name, signature)
         if key in seen:
             raise DuplicateSymbol(
-                f"member {d.fqn}.{member.name} with signature {key[1] or '(field)'} "
+                f"member {d.fqn}.{member.name} with signature {signature or '(field)'} "
                 "declared more than once"
             )
         seen.add(key)
-        out.append(info)
+        out.append(
+            MemberInfo(
+                declaring=d.fqn,
+                kind=member.kind,
+                name=member.name,
+                modifiers=normalize(member),
+                signature=signature,
+                param_types=param_types,
+                type=erased_type,
+                location=member.location,
+            )
+        )
 
     if decl.kind is SymbolKind.CLASS and not any(
         m.kind is SymbolKind.CONSTRUCTOR for m in out
@@ -460,8 +447,7 @@ def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
                 modifiers=frozenset({"public"}),
                 signature=erased_signature(decl.simple_name, ()),
                 param_types=(),
-                return_type=None,
-                field_type=None,
+                type=None,
                 location=decl.location,
                 synthesized=True,
             )
@@ -469,12 +455,14 @@ def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
     return tuple(out)
 
 
-def _check_acyclic(types: dict[str, TypeInfo]) -> None:
-    """Raise CyclicHierarchy if ``types`` form a supertype cycle; the
-    message names the depth-first path that closed it. An explicit stack
-    walks a hierarchy of any depth without recursion."""
+def _check_acyclic(roots: Iterable[str], types: dict[str, TypeInfo]) -> None:
+    """Raise CyclicHierarchy if a supertype path from one of ``roots``
+    through ``types`` closes a cycle; the message names the depth-first path
+    that closed it. A client's cycle may pass through library types, so
+    the path follows every type of the table. An explicit stack walks a
+    hierarchy of any depth without recursion."""
     done: set[str] = set()
-    for root in types:
+    for root in roots:
         if root in done:
             continue
         path = [root]

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Union
 
 from . import nodes as n
-from .model import SymbolKind
 from .symtab import PRIMITIVES, MemberInfo, ResolutionStatus, Scope
 
 Unknown = None
@@ -123,7 +122,7 @@ def bare_name(expr: n.Name, env: Env) -> tuple[Optional[str], Optional[MemberInf
     if declared or env.this_type is None:
         return t, None
     f = env.table.find_field(env.this_type, expr.identifier)
-    return (f.field_type, f) if f is not None else (Unknown, None)
+    return (f.type, f) if f is not None else (Unknown, None)
 
 
 _LITERAL_TYPES = {
@@ -222,10 +221,5 @@ def _type_link(link: ChainLink, env: Env) -> Link:
         arg_types = [static_type_of(a, env) for a in link.args]
         res = env.table.resolve_method(receiver_type, link.name, arg_types)
         member, status = res.member, res.status
-    if member is None:
-        link_type = Unknown
-    elif member.kind is SymbolKind.FIELD:
-        link_type = member.field_type
-    else:
-        link_type = Unknown if member.return_type == "void" else member.return_type
+    link_type = Unknown if member is None or member.type == "void" else member.type
     return Link(receiver_type, is_expr, member, status, link_type, name)

@@ -11,7 +11,7 @@ from json.encoder import encode_basestring
 from typing import NamedTuple, Optional
 
 from .errors import ModelMismatch
-from .model import TYPE_USES, Symbol, UsageModel, UseKind, UsePair
+from .model import MEMBER_USES, Symbol, UsageModel, UseKind, UsePair, _name
 
 
 # Builds a value below from a tuple of its fields, ``new_value(Location,
@@ -189,18 +189,19 @@ _NO_SIGNATURE = object()
 
 
 def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
-    """The footprint in ``data``, checked against ``model``.
+    """The footprint in ``data``, checked against ``model``: its library
+    must be a string naming the model's.
 
     Rows that share a (use, fqn, signature) key decode to one pair: the
     use kind, the symbol lookup and the legality check run on the key's
-    first row only. Every row adds its location, whose ``file`` must be a
+    first row only. A member use names a member of the kind ``MEMBER_USES``
+    gives it. Every row adds its location, whose ``file`` must be a
     string and ``line`` and ``col`` integers (``_location``), to its pair's
     sites.
     """
-    if data["library"] != model.library_name:
-        raise ModelMismatch(
-            f"footprint is for {data['library']!r}, model is {model.library_name!r}"
-        )
+    library = _name(data["library"])
+    if library != model.library_name:
+        raise ModelMismatch(f"footprint is for {library!r}, model is {model.library_name!r}")
     label = data["label"]
     if not isinstance(label, str):
         raise TypeError(f"footprint label must be a string, found {type(label).__name__}")
@@ -213,10 +214,11 @@ def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
         locations = groups.get(key)
         if locations is None:
             use = UseKind(u["use"])
-            if use in TYPE_USES:
+            kind = MEMBER_USES.get(use)
+            if kind is None:
                 sym = model.type_symbol(u["fqn"])
             else:
-                sym = model.symbol_for(u["fqn"], u["signature"])
+                sym = model.symbols.get(new_value(Symbol, (u["fqn"], kind, u["signature"])))
             if sym is None or use not in model.entries[sym]:
                 raise ModelMismatch(
                     f"{use.value} of {u['fqn']} is not a legal use in model "
@@ -234,7 +236,7 @@ def footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
         Diagnostic(_location(d), DiagnosticKind(d["kind"]), _message(d["message"]))
         for d in data.get("diagnostics", [])
     ]
-    return Footprint(label, data["library"], diagnostics=diagnostics, sites=sites)
+    return Footprint(label, library, diagnostics=diagnostics, sites=sites)
 
 
 def _location(row: dict) -> Location:

@@ -103,7 +103,12 @@ def naive_footprint_from_dict(data: dict, model: UsageModel) -> Footprint:
         if use in TYPE_USES:
             sym = model.type_symbol(u["fqn"])
         else:
-            sym = model.symbol_for(u["fqn"], u["signature"])
+            # The member of that name and signature at which ``use`` is
+            # legal: a constructor and a method named like its class share
+            # both, but no legal use.
+            fqn, signature = u["fqn"], u["signature"]
+            sym = next((s for s, legal in model.entries.items()
+                        if s.fqn == fqn and s.signature == signature and use in legal), None)
         if sym is None or use not in model.entries[sym]:
             raise ModelMismatch(
                 f"{use.value} of {u['fqn']} is not a legal use in model "

@@ -128,7 +128,7 @@ class _Collector:
             self.type_ref(ref, env.scope)
         if member.kind is SymbolKind.FIELD:
             if member.field_init is not None:
-                expected = env.scope.erase(member.field_type) if member.field_type else None
+                expected = env.scope.erase(member.type_ref) if member.type_ref else None
                 self.expr(member.field_init, env.child(), expected)
             return
         if member.body is None:
@@ -137,16 +137,14 @@ class _Collector:
         for p in member.params:
             inner.declare(p.name, self.declared(p.type_ref, env))
         ret = None
-        if member.kind is SymbolKind.METHOD and member.return_type is not None:
-            ret = env.scope.erase(member.return_type)
+        if member.kind is SymbolKind.METHOD and member.type_ref is not None:
+            ret = env.scope.erase(member.type_ref)
         self.block(member.body, inner, ret)
 
     @staticmethod
     def member_refs(member: n.MemberDecl):
-        if member.field_type is not None:
-            yield member.field_type
-        if member.return_type is not None:
-            yield member.return_type
+        if member.type_ref is not None:
+            yield member.type_ref
         for p in member.params:
             yield p.type_ref
         yield from member.throws_refs
@@ -372,6 +370,6 @@ class _Collector:
             else:
                 inner.declare(p.name, None)
         if isinstance(e.body, n.Block):
-            self.block(e.body, inner, sam.return_type if sam else None)
+            self.block(e.body, inner, sam.type if sam else None)
         else:
-            self.expr(e.body, inner, sam.return_type if sam else None)
+            self.expr(e.body, inner, sam.type if sam else None)

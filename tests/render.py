@@ -130,7 +130,7 @@ def _render_member(member: n.MemberDecl, enclosing_name: str) -> str:
     mods = _mods(member.modifiers)
     if member.kind is SymbolKind.FIELD:
         init = f" = {render_expr(member.field_init)}" if member.field_init else ""
-        return f"{mods}{render_type_ref(member.field_type)} {member.name}{init};"
+        return f"{mods}{render_type_ref(member.type_ref)} {member.name}{init};"
     params = ", ".join(f"{render_type_ref(p.type_ref)} {p.name}" for p in member.params)
     throws = ""
     if member.throws_refs:
@@ -138,7 +138,7 @@ def _render_member(member: n.MemberDecl, enclosing_name: str) -> str:
     if member.kind is SymbolKind.CONSTRUCTOR:
         head = f"{mods}{member.name}({params}){throws}"
     else:
-        rtype = "void" if member.return_type is None else render_type_ref(member.return_type)
+        rtype = "void" if member.type_ref is None else render_type_ref(member.type_ref)
         head = f"{mods}{rtype} {member.name}({params}){throws}"
     if member.body is None:
         return head + ";"
@@ -152,7 +152,6 @@ def render_type_decl(decl: n.TypeDecl, indent: str = "") -> str:
     for kw, refs in (
         ("extends", decl.extends_refs),
         ("implements", decl.implements_refs),
-        ("permits", decl.permits_refs),
     ):
         if refs:
             clauses += f" {kw} " + ", ".join(render_type_ref(r) for r in refs)

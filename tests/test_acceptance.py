@@ -301,7 +301,7 @@ def _method_uses(method_name: str, final: bool) -> tuple:
         f"{mods} void {method_name}() {{ }} }}"
     )
     model = build_sum([parse_unit(src, "A.java")], "lib")
-    sym = model.symbol_for(f"p.A.{method_name}", f"{method_name}()")
+    sym = Symbol(f"p.A.{method_name}", SymbolKind.METHOD, f"{method_name}()")
     return tuple(sorted(model.entries[sym], key=lambda u: u.value))
 
 

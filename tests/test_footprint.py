@@ -714,6 +714,26 @@ def test_footprint_round_trip():
     assert footprint_to_dict(clone) == text
 
 
+def test_a_method_named_like_its_class_is_another_symbol_than_its_constructor():
+    # Java allows the method; keyed without its kind, it was a duplicate of
+    # the constructor, and a constructor call was looked up as the method.
+    model = build_sum([parse_unit(
+        "package p; public class B { public B() { } public void B() { } }", "B.java")], "lib")
+    ctor = Symbol("p.B.B", SymbolKind.CONSTRUCTOR, "B()")
+    method = Symbol("p.B.B", SymbolKind.METHOD, "B()")
+    assert model.entries[ctor] == {U.CONSTRUCTOR_INVOCATION}
+    assert model.entries[method] == {U.METHOD_INVOCATION, U.OVERRIDING}
+    client = parse_unit("class C { void f() { p.B b = new p.B(); b.B(); } }", "C.java")
+    loaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    for m in (model, loaded):
+        fp = extract_uses([client], m)
+        assert fp.diagnostics == []
+        assert {(ctor, U.CONSTRUCTOR_INVOCATION), (method, U.METHOD_INVOCATION)} <= set(
+            fp.unique_uses)
+        clone = footprint_from_dict(json.loads(footprint_to_dict(fp)), m)
+        assert clone.triples == fp.triples
+
+
 def test_footprint_round_trip_keeps_diagnostics():
     model, fp = extract("statements")
     text = footprint_to_dict(fp)

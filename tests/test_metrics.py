@@ -70,9 +70,9 @@ def test_coverage_levels_partition(arraylist):
 
 def test_coverage_level_lookup(arraylist):
     model, classic, _ = arraylist
-    sym = model.symbol_for("java.util.ArrayList.ArrayList", "ArrayList()")
+    sym = Symbol("java.util.ArrayList.ArrayList", SymbolKind.CONSTRUCTOR, "ArrayList()")
     assert coverage_level(sym, model, classic) is CoverageLevel.FULL
-    unused = model.symbol_for("java.util.ArrayList.add", "add(java.lang.Object)")
+    unused = Symbol("java.util.ArrayList.add", SymbolKind.METHOD, "add(java.lang.Object)")
     empty = Footprint("empty", model.library_name)
     assert coverage_level(unused, model, empty) is CoverageLevel.NONE
     stranger = Symbol("x.Y", SymbolKind.CLASS)

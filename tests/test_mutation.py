@@ -267,3 +267,21 @@ def test_a_library_or_label_of_another_type_in_a_footprint_is_an_error(
         code = main(argv)
         err = capsys.readouterr().err
         assert (code, err.count("\n"), err.startswith("error: ")) == (1, 1, True), (argv, err)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("other", "footprint is for 'other', model is 'lib'"),
+    ([1, 2], "malformed content: a name must be a string, found [1, 2]"),
+], ids=["other-name", "list"])
+def test_a_footprint_of_another_library_is_an_error_naming_the_file(
+    files, capsys, value, message
+):
+    # Each error of a malformed footprint names its file; this one did not.
+    tmp, _, classic, sum_path, framework = files
+    path = tmp / "other.json"
+    path.write_text(json.dumps(dict(classic, library=value)))
+    for argv in (["coverage", "--sum", sum_path, str(path)],
+                 ["compare", "--sum", sum_path, framework, str(path)],
+                 ["profile", "--sum", sum_path, "--suf", str(path)]):
+        capsys.readouterr()
+        assert (main(argv), capsys.readouterr().err) == (1, f"error: {path}: {message}\n"), argv

@@ -34,15 +34,15 @@ def test_generic_and_array_type_refs():
         "class X { java.util.Map<String, List<Integer>>[] f; }", "X.java"
     )
     f = unit.types[0].members[0]
-    assert f.field_type.name == "java.util.Map"
-    assert f.field_type.array_dims == 1
-    assert [a.name for a in f.field_type.type_args] == ["String", "List"]
-    assert f.field_type.type_args[1].type_args[0].name == "Integer"
+    assert f.type_ref.name == "java.util.Map"
+    assert f.type_ref.array_dims == 1
+    assert [a.name for a in f.type_ref.type_args] == ["String", "List"]
+    assert f.type_ref.type_args[1].type_args[0].name == "Integer"
 
 
 def test_nested_generics_close_without_shift_operator():
     unit = parse_unit("class X { List<List<List<A>>> f; }", "X.java")
-    ref = unit.types[0].members[0].field_type
+    ref = unit.types[0].members[0].type_ref
     assert ref.type_args[0].type_args[0].type_args[0].name == "A"
 
 

@@ -157,6 +157,15 @@ def test_reader_matches_the_per_row_reference(case):
         assert unique_uses == {t.pair for t in triples}
 
 
+@pytest.mark.parametrize("corpus,group", CORPORA, ids=[f"{c}/{g}" for c, g in CORPORA])
+def test_footprints_hold_the_models_own_symbols(corpus, group):
+    # So their pairs compare with the model's by identity, not by strings.
+    model, fp = fixture(corpus, group)
+    read = footprint_from_dict(json.loads(footprint_to_dict(fp)), model)
+    for footprint in (fp, read):
+        assert all(sym is model.symbols[sym] for sym, _ in footprint.unique_uses)
+
+
 def test_unique_uses_are_the_pairs_of_the_triples_after_merge_and_diff():
     model, data = fixture_data("arraylist", "classic")
     _, other = fixture_data("arraylist", "framework")
@@ -216,7 +225,7 @@ def test_an_illegal_use_after_a_legal_row_of_its_symbol_is_a_mismatch(
         second["use"] = "FieldWrite"
 
     err, first = coverage_error(sum_path, tmp_path, capsys, edit)
-    assert err == (f"error: FieldWrite of {first['fqn']} is not a legal use in model "
+    assert err == (f"error: F: FieldWrite of {first['fqn']} is not a legal use in model "
                    "'arraylist'\n")
 
 

@@ -150,6 +150,15 @@ def test_cycle_message_names_the_walked_path(sources, message):
     assert str(raised.value) == message
 
 
+def test_a_client_cycle_through_a_library_type_is_rejected():
+    # The library's Ext is external; the client's Ext completes the cycle.
+    lib = table_of("package p; public class L extends Ext { public void m() { } }")
+    client = parse_unit("public class Ext extends p.L { public void m() { } }", "Ext.java")
+    with pytest.raises(CyclicHierarchy) as raised:
+        build_symbol_table([client], base=lib)
+    assert str(raised.value) == "supertype cycle: Ext -> p.L -> Ext"
+
+
 def test_deep_hierarchy_is_checked_without_recursion():
     chain = "".join(f"class A{i} extends A{i + 1} {{ }}\n" for i in range(5000))
     table = table_of(f"package p;\n{chain}class A5000 {{ int x; }}")
