@@ -8,7 +8,7 @@ from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 from . import symtab  # run when first used: reading a model does not need it
-from .errors import ModelMismatch, warn
+from .errors import CyclicHierarchy, ModelMismatch, warn
 
 if TYPE_CHECKING:
     from .nodes import SourceUnit
@@ -49,6 +49,7 @@ class SymbolKind(Enum):
 
 
 _TYPE_KINDS = frozenset({SymbolKind.CLASS, SymbolKind.INTERFACE})
+_KINDS = {kind.value: kind for kind in SymbolKind}
 _SIGNED_KINDS = frozenset({SymbolKind.METHOD, SymbolKind.CONSTRUCTOR})
 
 # The kind of member that each use of a member is a use of.
@@ -79,8 +80,9 @@ class Symbol(NamedTuple):
 
     def sort_key(self) -> tuple[str, str, str, bool]:
         # The last field tells a null signature from an empty one, so that
-        # any two distinct symbols have distinct keys.
-        return (self.fqn, self.signature or "", self.kind.value, self.signature is None)
+        # any two distinct symbols have distinct keys. ``_value_`` is the
+        # stored string that the ``value`` property reads in Python.
+        return (self.fqn, self.signature or "", self.kind._value_, self.signature is None)
 
     def __str__(self) -> str:
         if self.kind in (SymbolKind.METHOD, SymbolKind.CONSTRUCTOR):
@@ -140,7 +142,7 @@ class UsageModel:
     @cached_property
     def sorted_entries(self) -> tuple[tuple[Symbol, frozenset[UseKind]], ...]:
         """``entries`` in ``Symbol.sort_key`` order, whatever order they
-        were given in."""
+        were given in. ``build_sum`` sets it when it sorts the entries."""
         return tuple(sorted(self.entries.items(), key=lambda kv: kv[0].sort_key()))
 
     @cached_property
@@ -225,8 +227,10 @@ def build_sum(
             if _accessible(member.visibility(), ext):
                 sym = Symbol(member.fqn, member.kind, member.signature)
                 entries[sym] = _member_uses(member, ext)
-    ordered = dict(sorted(entries.items(), key=lambda kv: kv[0].sort_key()))
-    return UsageModel(library_name, ordered, table)
+    ordered = tuple(sorted(entries.items(), key=lambda kv: kv[0].sort_key()))
+    model = UsageModel(library_name, dict(ordered), table)
+    model.sorted_entries = ordered  # the writer reads it: each key is made once
+    return model
 
 
 def _accessible(vis: str, outer_extensible: bool) -> bool:
@@ -265,74 +269,98 @@ def _type_uses(info: TypeInfo, extensible: bool) -> frozenset[UseKind]:
     return frozenset(uses)
 
 
+# The legal use sets of members, shared by every member that has one.
+_CONSTRUCTOR_USES = frozenset({UseKind.CONSTRUCTOR_INVOCATION})
+_FINAL_FIELD_USES = frozenset({UseKind.FIELD_READ})
+_FIELD_USES = frozenset({UseKind.FIELD_READ, UseKind.FIELD_WRITE})
+_STATIC_USES = frozenset({UseKind.STATIC_INVOCATION})
+_OVERRIDABLE_USES = frozenset({UseKind.METHOD_INVOCATION, UseKind.OVERRIDING})
+_METHOD_USES = frozenset({UseKind.METHOD_INVOCATION})
+
+
 def _member_uses(member: MemberInfo, extensible: bool) -> frozenset[UseKind]:
     """The legal client uses of an exported member of a type that is
     ``extensible`` or not."""
     if member.kind is SymbolKind.CONSTRUCTOR:
-        return frozenset({UseKind.CONSTRUCTOR_INVOCATION})
+        return _CONSTRUCTOR_USES
     if member.kind is SymbolKind.FIELD:
-        if "final" in member.modifiers:
-            return frozenset({UseKind.FIELD_READ})
-        return frozenset({UseKind.FIELD_READ, UseKind.FIELD_WRITE})
+        return _FINAL_FIELD_USES if "final" in member.modifiers else _FIELD_USES
     if "static" in member.modifiers:
-        return frozenset({UseKind.STATIC_INVOCATION})
+        return _STATIC_USES
     if extensible and "final" not in member.modifiers:
-        return frozenset({UseKind.METHOD_INVOCATION, UseKind.OVERRIDING})
-    return frozenset({UseKind.METHOD_INVOCATION})
+        return _OVERRIDABLE_USES
+    return _METHOD_USES
 
 
-def model_to_dict(model: UsageModel) -> dict:
-    """Serializable form: the normative symbol list plus a resolution
+_KIND_TEXT = {kind: encode_basestring(kind.value) for kind in SymbolKind}
+
+
+def model_to_dict(model: UsageModel) -> str:
+    """The model's JSON text: the normative symbol list plus a resolution
     section (type hierarchy, member types) so client analysis can run from
     the serialized model alone. Each symbol's modifiers are those of its
-    declaration in the resolution section."""
-    # by (fqn, kind, signature): a plain tuple equals the Symbol of that content
-    modifiers: dict[tuple, frozenset[str]] = {}
+    declaration in the resolution section.
+
+    The text is the bytes ``json.dumps(..., ensure_ascii=False,
+    separators=(",", ":"))`` writes for the dict form ``{"library",
+    "symbols", "resolution": {"types", "members"}}``: types by FQN, each
+    type's members by name and signature, symbols in ``sorted_entries``
+    order, and each set of names or uses sorted. Each distinct modifier
+    set, name tuple, use set and declaring type is encoded once. (The name
+    is the dict form's, which ``perfbench`` traces.)"""
+    lists: dict[Union[frozenset, tuple], str] = {}  # encoded name lists and use lists
+    declaring: dict[str, str] = {}
+
+    def encoded(names: Union[frozenset[str], tuple[str, ...]]) -> str:
+        text = lists.get(names)
+        if text is None:
+            items = sorted(names) if isinstance(names, frozenset) else names
+            text = lists[names] = f"[{','.join(map(encode_basestring, items))}]"
+        return text
+
+    # The head of each declaration's symbol row, up to its uses, by (fqn,
+    # kind, signature): a plain tuple equals the Symbol of that content.
+    heads: dict[tuple, str] = {}
     types = []
     members = []
     for info in sorted(model.table.types.values(), key=lambda t: t.fqn):
-        modifiers[(info.fqn, info.kind, None)] = info.modifiers
+        kind, name = _KIND_TEXT[info.kind], encode_basestring(info.fqn)
+        modifiers = encoded(info.modifiers)
+        heads[info.fqn, info.kind, None] = (
+            f'{{"fqn":{name},"kind":{kind},"signature":null,"modifiers":{modifiers},"uses":')
+        enclosing = "null" if info.enclosing is None else encode_basestring(info.enclosing)
         types.append(
-            {
-                "fqn": info.fqn,
-                "kind": info.kind.value,
-                "modifiers": sorted(info.modifiers),
-                "type_params": list(info.type_params),
-                "supertypes": list(info.supertypes),
-                "external": sorted(info.external_supertypes),
-                "enclosing": info.enclosing,
-            }
-        )
+            f'{{"fqn":{name},"kind":{kind},"modifiers":{modifiers},'
+            f'"type_params":{encoded(info.type_params)},'
+            f'"supertypes":{encoded(info.supertypes)},'
+            f'"external":{encoded(info.external_supertypes)},"enclosing":{enclosing}}}')
         for m in sorted(info.members, key=lambda m: (m.name, m.signature or "")):
-            modifiers[(m.fqn, m.kind, m.signature)] = m.modifiers
+            owner = declaring.get(m.declaring)
+            if owner is None:
+                owner = declaring[m.declaring] = encode_basestring(m.declaring)
+            kind, modifiers = _KIND_TEXT[m.kind], encoded(m.modifiers)
+            signature = "null" if m.signature is None else encode_basestring(m.signature)
+            of_type = "null" if m.type is None else encode_basestring(m.type)
+            returns, field_type = (
+                ("null", of_type) if m.kind is SymbolKind.FIELD else (of_type, "null"))
+            heads[m.fqn, m.kind, m.signature] = (
+                f'{{"fqn":{encode_basestring(m.fqn)},"kind":{kind},"signature":{signature},'
+                f'"modifiers":{modifiers},"uses":')
             members.append(
-                {
-                    "declaring": m.declaring,
-                    "kind": m.kind.value,
-                    "name": m.name,
-                    "modifiers": sorted(m.modifiers),
-                    "signature": m.signature,
-                    "params": list(m.param_types),
-                    "returns": None if m.kind is SymbolKind.FIELD else m.type,
-                    "field_type": m.type if m.kind is SymbolKind.FIELD else None,
-                    "synthesized": m.synthesized,
-                }
-            )
-    symbols = [
-        {
-            "fqn": sym.fqn,
-            "kind": sym.kind.value,
-            "signature": sym.signature,
-            "modifiers": sorted(modifiers[sym]),
-            "uses": sorted(u.value for u in uses),
-        }
-        for sym, uses in model.sorted_entries
-    ]
-    return {
-        "library": model.library_name,
-        "symbols": symbols,
-        "resolution": {"types": types, "members": members},
-    }
+                f'{{"declaring":{owner},"kind":{kind},"name":{encode_basestring(m.name)},'
+                f'"modifiers":{modifiers},"signature":{signature},'
+                f'"params":{encoded(m.param_types)},"returns":{returns},'
+                f'"field_type":{field_type},"synthesized":{"true" if m.synthesized else "false"}}}')
+    use_lists: dict[frozenset[UseKind], str] = {}
+    symbols = []
+    for sym, uses in model.sorted_entries:
+        text = use_lists.get(uses)
+        if text is None:
+            text = use_lists[uses] = encoded(tuple(sorted(u.value for u in uses)))
+        symbols.append(f"{heads[sym]}{text}}}")
+    return (
+        f'{{"library":{encode_basestring(model.library_name)},"symbols":[{",".join(symbols)}],'
+        f'"resolution":{{"types":[{",".join(types)}],"members":[{",".join(members)}]}}}}')
 
 
 def model_from_dict(data: dict) -> UsageModel:
@@ -348,7 +376,7 @@ def model_from_dict(data: dict) -> UsageModel:
     entries: dict[Symbol, frozenset[UseKind]] = {}
     use_sets: dict[tuple[str, ...], frozenset[UseKind]] = {}  # a handful, shared
     for s in data["symbols"]:
-        sym = Symbol(_name(s["fqn"]), SymbolKind(s["kind"]), _name_or_null(s["signature"]))
+        sym = Symbol(_name(s["fqn"]), _kind(s["kind"]), _name_or_null(s["signature"]))
         if sym.kind in _SIGNED_KINDS:
             if sym.signature is None:
                 raise ValueError(f"{sym.kind.value} {sym.fqn} has no signature")
@@ -367,7 +395,9 @@ def model_from_dict(data: dict) -> UsageModel:
 
 
 def _table_from_dict(resolution: dict) -> SymbolTable:
-    """The resolution table of a serialized model's resolution section."""
+    """The resolution table of a serialized model's resolution section. A
+    supertype cycle among its types is malformed content, as a repeated
+    type is."""
     table = symtab.SymbolTable()
     members_by_type: dict[str, dict[tuple, MemberInfo]] = {}  # by kind, name, signature
     for m in resolution["members"]:
@@ -401,6 +431,10 @@ def _table_from_dict(resolution: dict) -> SymbolTable:
             members=tuple(members_by_type.get(fqn, {}).values()),
             enclosing=_name_or_null(t.get("enclosing")),
         )
+    try:
+        symtab.check_acyclic(table.types, table.types)
+    except CyclicHierarchy as exc:  # the model's fault, not a client's
+        raise ValueError(str(exc)) from exc
     return table
 
 
@@ -434,10 +468,20 @@ def _flag(value: object) -> bool:
     raise TypeError(f"synthesized must be true or false, found {value!r}")
 
 
-def _declared_kind(value: str, of_type: bool) -> SymbolKind:
+def _kind(value: object) -> SymbolKind:
+    """The kind named ``value``, found by a dict lookup, which costs a
+    fraction of a ``SymbolKind(value)`` call. A value that names no kind,
+    hashable or not, fails in that call, with its message."""
+    try:
+        return _KINDS[value]
+    except (KeyError, TypeError):
+        return SymbolKind(value)
+
+
+def _declared_kind(value: object, of_type: bool) -> SymbolKind:
     """The kind named ``value`` of a type or of a member in a resolution
     section; a member kind for a type, or the reverse, is malformed."""
-    kind = SymbolKind(value)
+    kind = _kind(value)
     if (kind in _TYPE_KINDS) is not of_type:
         raise ValueError(f"{value!r} is not the kind of a {'type' if of_type else 'member'}")
     return kind

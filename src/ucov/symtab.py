@@ -378,7 +378,7 @@ def build_symbol_table(
             members=_build_members(d),
         )
 
-    _check_acyclic(own, table.types)
+    check_acyclic(own, table.types)
     return table
 
 
@@ -455,7 +455,7 @@ def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
     return tuple(out)
 
 
-def _check_acyclic(roots: Iterable[str], types: dict[str, TypeInfo]) -> None:
+def check_acyclic(roots: Iterable[str], types: dict[str, TypeInfo]) -> None:
     """Raise CyclicHierarchy if a supertype path from one of ``roots``
     through ``types`` closes a cycle; the message names the depth-first path
     that closed it. A client's cycle may pass through library types, so

@@ -12,6 +12,11 @@ same rows.
 Reference footprint writer: the dict form, one dict per sorted row. The
 program encodes each distinct (symbol, use) pair's head once; the tests
 check that its text is what ``json.dumps`` writes for this dict.
+
+Reference model writer: the dict form, one dict per type, member and
+symbol, each list sorted as it is written. The program encodes each
+distinct name list and use set once; the tests check that its text is what
+``json.dumps`` writes for this dict.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from fractions import Fraction
 from ucov.errors import ModelMismatch
 from ucov.footprint import Footprint
 from ucov.metrics import CoverageLevel, CoverageReport, _fmt_ratio
-from ucov.model import TYPE_USES, Symbol, UsageModel, UseKind
+from ucov.model import TYPE_USES, Symbol, SymbolKind, UsageModel, UseKind
 from ucov.uses import Diagnostic, DiagnosticKind, Location, UseTriple
 
 UsePair = tuple[Symbol, UseKind]
@@ -164,4 +169,54 @@ def naive_footprint_to_dict(fp: Footprint) -> dict:
             }
             for d in diagnostics
         ],
+    }
+
+
+def naive_model_to_dict(model: UsageModel) -> dict:
+    # by (fqn, kind, signature): a plain tuple equals the Symbol of that content
+    modifiers: dict[tuple, frozenset[str]] = {}
+    types = []
+    members = []
+    for info in sorted(model.table.types.values(), key=lambda t: t.fqn):
+        modifiers[(info.fqn, info.kind, None)] = info.modifiers
+        types.append(
+            {
+                "fqn": info.fqn,
+                "kind": info.kind.value,
+                "modifiers": sorted(info.modifiers),
+                "type_params": list(info.type_params),
+                "supertypes": list(info.supertypes),
+                "external": sorted(info.external_supertypes),
+                "enclosing": info.enclosing,
+            }
+        )
+        for m in sorted(info.members, key=lambda m: (m.name, m.signature or "")):
+            modifiers[(m.fqn, m.kind, m.signature)] = m.modifiers
+            members.append(
+                {
+                    "declaring": m.declaring,
+                    "kind": m.kind.value,
+                    "name": m.name,
+                    "modifiers": sorted(m.modifiers),
+                    "signature": m.signature,
+                    "params": list(m.param_types),
+                    "returns": None if m.kind is SymbolKind.FIELD else m.type,
+                    "field_type": m.type if m.kind is SymbolKind.FIELD else None,
+                    "synthesized": m.synthesized,
+                }
+            )
+    symbols = [
+        {
+            "fqn": sym.fqn,
+            "kind": sym.kind.value,
+            "signature": sym.signature,
+            "modifiers": sorted(modifiers[sym]),
+            "uses": sorted(u.value for u in uses),
+        }
+        for sym, uses in sorted(model.entries.items(), key=lambda kv: kv[0].sort_key())
+    ]
+    return {
+        "library": model.library_name,
+        "symbols": symbols,
+        "resolution": {"types": types, "members": members},
     }

@@ -616,7 +616,8 @@ def test_every_command_writes_its_content_as_one_line(sum_path, tmp_path, capsys
         assert text.endswith("\n") and text.count("\n") == 1
         return json.loads(text)
 
-    assert one_line(sum_path.read_text(encoding="utf-8")) == model_to_dict(model_for("arraylist"))
+    written = one_line(sum_path.read_text(encoding="utf-8"))
+    assert written == json.loads(model_to_dict(model_for("arraylist")))
     model = model_from_dict(json.loads(sum_path.read_text()))
     a = suf(sum_path, tmp_path, "classic", CLASSIC)
     b = suf(sum_path, tmp_path, "framework", FRAMEWORK)

@@ -395,7 +395,7 @@ def test_field_and_nested_type_of_same_name_are_distinct():
     }
     got = {(t.symbol.fqn, t.symbol.signature, t.use, t.location) for t in fp.triples}
     assert got == oracle_extract(units, model)
-    clone_model = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    clone_model = model_from_dict(json.loads(model_to_dict(model)))
     assert {s.kind for s in clone_model.entries if s.fqn == "a.B.C"} == {
         SymbolKind.FIELD,
         SymbolKind.CLASS,
@@ -724,7 +724,7 @@ def test_a_method_named_like_its_class_is_another_symbol_than_its_constructor():
     assert model.entries[ctor] == {U.CONSTRUCTOR_INVOCATION}
     assert model.entries[method] == {U.METHOD_INVOCATION, U.OVERRIDING}
     client = parse_unit("class C { void f() { p.B b = new p.B(); b.B(); } }", "C.java")
-    loaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    loaded = model_from_dict(json.loads(model_to_dict(model)))
     for m in (model, loaded):
         fp = extract_uses([client], m)
         assert fp.diagnostics == []

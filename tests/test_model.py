@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, model_for, parse_tree
+from naive_coverage import naive_model_to_dict
+from test_coverage_data import compact
+from test_footprint import AWKWARD
 from ucov import (
     Symbol,
     UseKind,
@@ -15,8 +24,8 @@ from ucov import (
     model_to_dict,
     parse_unit,
 )
-from ucov.model import SymbolKind
-from ucov.symtab import declarations
+from ucov.model import SymbolKind, UsageModel
+from ucov.symtab import MemberInfo, SymbolTable, TypeInfo, declarations
 from ucov.typing_env import Env
 
 U = UseKind
@@ -239,7 +248,7 @@ def test_one_kind_from_declaration_to_symbol():
 
 @pytest.mark.parametrize("section, kind", [("types", "Field"), ("members", "Interface")])
 def test_a_type_kind_for_a_member_or_the_reverse_is_malformed(arraylist_model, section, kind):
-    data = json.loads(json.dumps(model_to_dict(arraylist_model)))
+    data = json.loads(model_to_dict(arraylist_model))
     data["resolution"][section][0]["kind"] = kind
     with pytest.raises(ValueError, match="is not the kind of a"):
         model_from_dict(data).table
@@ -278,21 +287,21 @@ def test_model_round_trip(arraylist_model):
     # edges has fields, void and typed methods, and declared and synthesized
     # constructors: the type of each kind of member round-trips.
     for model in (arraylist_model, model_for("edges")):
-        data = model_to_dict(model)
+        data = json.loads(model_to_dict(model))
         clone = model_from_dict(json.loads(json.dumps(data)))
         assert uses_map(clone) == uses_map(model)
         assert clone.library_name == model.library_name
-        assert model_to_dict(clone) == data
+        assert json.loads(model_to_dict(clone)) == data
 
 
 def test_model_serialization_is_deterministic():
-    a = json.dumps(model_to_dict(model_for("edges")), sort_keys=True)
-    b = json.dumps(model_to_dict(model_for("edges")), sort_keys=True)
+    a = json.dumps(json.loads(model_to_dict(model_for("edges"))), sort_keys=True)
+    b = json.dumps(json.loads(model_to_dict(model_for("edges"))), sort_keys=True)
     assert a == b
 
 
 def test_model_dict_shape(arraylist_model):
-    data = model_to_dict(arraylist_model)
+    data = json.loads(model_to_dict(arraylist_model))
     assert data["library"] == "arraylist"
     assert [s["fqn"] for s in data["symbols"]] == sorted(
         s["fqn"] for s in data["symbols"]
@@ -300,3 +309,119 @@ def test_model_dict_shape(arraylist_model):
     entry = data["symbols"][0]
     assert set(entry) == {"fqn", "kind", "signature", "modifiers", "uses"}
     assert entry["uses"] == sorted(entry["uses"])
+
+
+LIBRARIES = sorted(p.parent.name for p in FIXTURES.glob("*/lib"))
+
+
+@pytest.mark.parametrize("library", LIBRARIES)
+def test_the_model_writer_writes_what_json_dumps_writes_for_the_reference_dict(library):
+    model = model_for(library)
+    assert model_to_dict(model) == compact(naive_model_to_dict(model))
+
+
+AWKWARD_NAMES = st.lists(AWKWARD, max_size=3)
+
+
+@st.composite
+def awkward_members(draw, declaring: str) -> MemberInfo:
+    kind = draw(st.sampled_from([SymbolKind.METHOD, SymbolKind.CONSTRUCTOR, SymbolKind.FIELD]))
+    return MemberInfo(
+        declaring=declaring,
+        kind=kind,
+        name=draw(AWKWARD),
+        modifiers=frozenset(draw(AWKWARD_NAMES)),
+        signature=None if kind is SymbolKind.FIELD else draw(AWKWARD),
+        param_types=tuple(draw(AWKWARD_NAMES)),
+        type=draw(st.none() | AWKWARD),
+        synthesized=kind is SymbolKind.CONSTRUCTOR and draw(st.booleans()),
+    )
+
+
+@st.composite
+def awkward_models(draw) -> UsageModel:
+    """A model built in memory whose library name, names, signatures and
+    modifiers hold quotes, backslashes, control characters, U+2028 and
+    non-BMP text, or are empty. A type may be nested or not (a null
+    ``enclosing``), and a constructor may be synthesized. Some declarations
+    are exported, with any use set, in any order."""
+    table = SymbolTable()
+    declared = []
+    for fqn in draw(st.lists(AWKWARD, min_size=1, max_size=3, unique=True)):
+        info = TypeInfo(
+            fqn=fqn,
+            kind=draw(st.sampled_from([SymbolKind.CLASS, SymbolKind.INTERFACE])),
+            modifiers=frozenset(draw(AWKWARD_NAMES)),
+            type_params=tuple(draw(AWKWARD_NAMES)),
+            supertypes=tuple(draw(AWKWARD_NAMES)),
+            external_supertypes=frozenset(draw(AWKWARD_NAMES)),
+            members=tuple(draw(st.lists(awkward_members(fqn), max_size=3))),
+            enclosing=draw(st.none() | AWKWARD),
+        )
+        table.types[fqn] = info
+        declared.append(Symbol(fqn, info.kind))
+        declared += [Symbol(m.fqn, m.kind, m.signature) for m in info.members]
+    exported = draw(st.permutations(declared))[:draw(st.integers(0, len(declared)))]
+    entries = {sym: frozenset(draw(st.sets(st.sampled_from(list(UseKind)), max_size=4)))
+               for sym in exported}
+    return UsageModel(draw(AWKWARD), entries, table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(awkward_models())
+def test_the_model_writer_encodes_awkward_text_as_json_dumps_does(model):
+    text = model_to_dict(model)
+    assert text == compact(naive_model_to_dict(model))
+    assert json.loads(text)["library"] == model.library_name
+
+
+MODELS_OF_EVERY_LIBRARY = """
+import json, sys
+from pathlib import Path
+from ucov import build_sum, model_to_dict, parse_unit
+
+def model_text(lib):
+    units = [parse_unit(p.read_text(encoding="utf-8"), str(p)) for p in sorted(lib.rglob("*.java"))]
+    return model_to_dict(build_sum(units, lib.parent.name))
+
+print(json.dumps([model_text(Path(lib)) for lib in sys.argv[1:]]))
+"""
+
+
+def test_every_library_model_is_written_in_one_order_in_every_run():
+    # The writer's memos are keyed by sets, whose iteration order follows
+    # the hash seed; the text must not.
+    tests = Path(__file__).parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = os.pathsep.join((str(tests.parent / "src"), str(tests)))
+    texts = []
+    for seed in ("1", "2"):
+        libs = [str(FIXTURES / library / "lib") for library in LIBRARIES]
+        proc = subprocess.run([sys.executable, "-c", MODELS_OF_EVERY_LIBRARY, *libs],
+                              env={**env, "PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        texts.append(json.loads(proc.stdout))
+    assert texts[0] == texts[1]
+    assert texts[0] == [model_to_dict(model_for(library)) for library in LIBRARIES]
+
+
+def test_build_sum_and_the_writer_make_each_sort_key_once(monkeypatch):
+    calls = []
+    sort_key = Symbol.sort_key
+
+    def counted(sym):
+        calls.append(sym)
+        return sort_key(sym)
+
+    monkeypatch.setattr(Symbol, "sort_key", counted)
+    model = model_for("edges")
+    model_to_dict(model)
+    assert sorted(calls) == sorted(model.entries)
+
+
+def test_members_share_their_legal_use_sets():
+    model = model_for("edges")
+    member_uses = [uses for sym, uses in model.entries.items()
+                   if sym.kind not in (SymbolKind.CLASS, SymbolKind.INTERFACE)]
+    assert len({id(uses) for uses in member_uses}) == len(set(member_uses)) < len(member_uses)

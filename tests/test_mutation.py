@@ -1,18 +1,25 @@
-"""Mutated model and footprint files through in-process ``main``: a value
-replaced by another JSON type or deleted ends in exit 0, 1 or 2 with at most
-one ``error:`` line, never in an internal failure; a name or a
-``synthesized`` flag of the wrong type and a repeated symbol, type or member
-in a model are malformed content."""
+"""Mutated model, footprint and source files through in-process ``main``: a
+value replaced by another JSON type or deleted, and a source token deleted,
+duplicated or swapped with the next, end in exit 0, 1 or 2 with at most one
+``error:`` line, never in an internal failure; a name or a ``synthesized``
+flag of the wrong type, a repeated symbol, type or member and a supertype
+cycle in a model are malformed content."""
 
 from __future__ import annotations
 
 import copy
+import io
 import json
+import shutil
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from ucov.cli import main
+from ucov.lexer import tokenize
 
 CLASSIC = str(FIXTURES / "arraylist" / "classic")
 FRAMEWORK = str(FIXTURES / "arraylist" / "framework")
@@ -285,3 +292,111 @@ def test_a_footprint_of_another_library_is_an_error_naming_the_file(
                  ["profile", "--sum", sum_path, "--suf", str(path)]):
         capsys.readouterr()
         assert (main(argv), capsys.readouterr().err) == (1, f"error: {path}: {message}\n"), argv
+
+
+KIND_ROWS = {  # a row of the model that names a kind, the command that reads it
+    "symbol": (lambda d: d["symbols"][0], "profile"),
+    "type": (lambda d: d["resolution"]["types"][0], "suf"),
+    "member": (method_row, "suf"),
+}
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("Klass", "'Klass'"), ([1], "[1]"), (1, "1"), (None, "None"),
+], ids=["string", "list", "number", "null"])
+@pytest.mark.parametrize("row", sorted(KIND_ROWS))
+def test_a_kind_that_names_no_kind_is_malformed_content(files, capsys, row, value, shown):
+    # Kinds are found by a dict lookup; what it cannot find, an unhashable
+    # list included, fails with the message of ``SymbolKind(value)``.
+    find, command = KIND_ROWS[row]
+    code, err = run_on_model(files, capsys, lambda d: find(d).update(kind=value), command)
+    assert (code, err) == (1, f"error: F: malformed content: {shown} is not a valid SymbolKind\n")
+
+
+def test_a_supertype_cycle_in_the_model_is_malformed_content(tmp_path, capsys):
+    # The cycle was reported as the client's, without the model file, and
+    # only for a client whose types reach it.
+    lib, client = tmp_path / "lib" / "p", tmp_path / "client"
+    lib.mkdir(parents=True)
+    client.mkdir()
+    (lib / "A.java").write_text("package p; public class A { }")
+    (lib / "B.java").write_text("package p; public class B extends A { }")
+    (client / "D.java").write_text("class D extends p.B { }")
+    (client / "E.java").write_text("class E { }")
+    sum_path = tmp_path / "sum.json"
+    assert main(["sum", str(tmp_path / "lib"), "-o", str(sum_path)]) == 0
+    data = json.loads(sum_path.read_text())
+    next(t for t in data["resolution"]["types"] if t["fqn"] == "p.A")["supertypes"] = ["p.B"]
+    sum_path.write_text(json.dumps(data))
+    for root in (client, client / "E.java"):
+        capsys.readouterr()
+        code = main(["suf", "--sum", str(sum_path), str(root), "-o", str(tmp_path / "f.json")])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: {sum_path}: malformed content: supertype cycle: p.A -> p.B -> p.A\n")
+
+
+# Every fixture source file: (corpus, group, path), the group "lib" for a
+# library file.
+SOURCES = sorted(
+    (path.relative_to(FIXTURES).parts[0], path.relative_to(FIXTURES).parts[1], path)
+    for path in FIXTURES.glob("*/*/**/*.java")
+)
+
+
+def mutate(text: str, edit: str, index: int) -> str:
+    """``text`` with its token at ``index`` (modulo the token count) deleted,
+    duplicated after a space, or swapped with the next token."""
+    tokens = tokenize(text, "F.java")
+    spans = [(start, start + len(value) + (2 if kind in ("STRING", "CHAR") else 0))
+             for kind, value, start in zip(tokens.types, tokens.values, tokens.starts)][:-1]
+    start, end = spans[index % len(spans)]
+    if edit == "delete":
+        return text[:start] + text[end:]
+    if edit == "duplicate":
+        return text[:end] + " " + text[start:end] + text[end:]
+    after = spans[index % len(spans) + 1] if index % len(spans) + 1 < len(spans) else (end, end)
+    return (text[:start] + text[after[0]:after[1]] + text[end:after[0]] + text[start:end]
+            + text[after[1]:])
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A directory holding the model of each fixture library."""
+    tmp = tmp_path_factory.mktemp("sources")
+    for corpus in {corpus for corpus, _, _ in SOURCES}:
+        assert main(["sum", str(FIXTURES / corpus / "lib"), "-o", str(tmp / f"{corpus}.json")]) == 0
+    return tmp
+
+
+def run_quietly(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=st.sampled_from(SOURCES), edit=st.sampled_from(["delete", "duplicate", "swap"]),
+       index=st.integers(0, 10**6))
+def test_a_source_with_a_mutated_token_is_an_error_or_a_result(workdir, source, edit, index):
+    # ``sum`` reads the mutated library; ``suf`` reads the mutated client
+    # file beside the rest of its group, strict and lenient.
+    corpus, group, path = source
+    mutant = mutate(path.read_text(encoding="utf-8"), edit, index)
+    if group == "lib":
+        lib = workdir / "lib"
+        shutil.rmtree(lib, ignore_errors=True)
+        shutil.copytree(FIXTURES / corpus / "lib", lib)
+        (lib / path.relative_to(FIXTURES / corpus / "lib")).write_text(mutant, encoding="utf-8")
+        runs = [["sum", str(lib), "-o", str(workdir / "out.json")]]
+    else:
+        mutated = workdir / path.name
+        mutated.write_text(mutant, encoding="utf-8")
+        roots = [str(p) for p in sorted((FIXTURES / corpus / group).rglob("*.java")) if p != path]
+        suf = ["suf", "--sum", str(workdir / f"{corpus}.json"), *roots, str(mutated),
+               "-o", str(workdir / "out.json")]
+        runs = [suf, suf + ["--lenient"]]
+    for argv in runs:
+        code, err = run_quietly(argv)
+        errors = sum(line.startswith("error:") for line in err.splitlines())
+        assert code in (0, 1, 2) and errors <= 1, (argv, mutant, err)
