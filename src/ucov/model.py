@@ -365,9 +365,9 @@ def model_to_dict(model: UsageModel) -> str:
 
 def model_from_dict(data: dict) -> UsageModel:
     """Load a serialized model. Its names, the library's included, must be
-    strings and its symbols distinct, and a symbol has a signature exactly
-    when it is a method or a constructor, so no two symbols share a
-    ``Symbol.sort_key``. The symbols' modifiers are not read, and the
+    strings and its symbols distinct, no FQN may name two types, and a
+    symbol has a signature exactly when it is a method or a constructor, so
+    no two symbols share a ``Symbol.sort_key``. The symbols' modifiers are not read, and the
     resolution table is built from the resolution section only when
     ``table`` is first used."""
     resolution = data.get("resolution")
@@ -375,6 +375,7 @@ def model_from_dict(data: dict) -> UsageModel:
         raise ModelMismatch("model file lacks the resolution section")
     entries: dict[Symbol, frozenset[UseKind]] = {}
     use_sets: dict[tuple[str, ...], frozenset[UseKind]] = {}  # a handful, shared
+    type_fqns: set[str] = set()
     for s in data["symbols"]:
         sym = Symbol(_name(s["fqn"]), _kind(s["kind"]), _name_or_null(s["signature"]))
         if sym.kind in _SIGNED_KINDS:
@@ -386,6 +387,10 @@ def model_from_dict(data: dict) -> UsageModel:
             )
         if sym in entries:
             raise ValueError(f"{sym.kind.value} {sym} is listed twice")
+        if sym.kind in _TYPE_KINDS:
+            if sym.fqn in type_fqns:
+                raise ValueError(f"type {sym.fqn} is listed twice")
+            type_fqns.add(sym.fqn)
         names = _names(s["uses"])
         uses = use_sets.get(names)
         if uses is None:

@@ -3,13 +3,14 @@
 A node carries a ``location`` (the file and the 1-based line and column
 of its head token) only where extraction can report a use site or a
 diagnostic there: ``TypeRef``, ``Name``, ``FieldAccess``, ``MethodCall``
-(its name token), ``Lambda`` (its opening parenthesis), ``MemberDecl``
-and ``TypeDecl`` (their names). A ``New`` is located at its
-``type_ref``, and a ``Location`` holds its file, so a ``SourceUnit`` holds
-no path. A node holds no field that repeats another, and no field that no
-later phase reads: a member's one ``type_ref`` is a field's type or a
-method's result type, so a method is void exactly when it is None, and a
-type's ``permits`` clause is parsed but not kept.
+(its name token), ``Lambda`` (its opening parenthesis, or the parameter
+of a bare ``x -> ...``), ``MemberDecl`` and ``TypeDecl`` (their names). A
+``New`` is located at its ``type_ref``, and a ``Location`` holds its
+file, so a ``SourceUnit`` holds no path. A node holds no field that
+repeats another, and no field that no later phase reads: a member's one
+``type_ref`` is a field's type or a method's result type, so a method is
+void exactly when it is None, and a type's ``permits`` clause is parsed
+but not kept.
 
 Nodes are plain classes with ``__slots__`` that compare and hash by
 identity, so analyses can key tables by node; ``Location`` is a value.

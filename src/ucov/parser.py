@@ -5,16 +5,22 @@ declarations (with generics, nesting, extends/implements/permits), fields,
 methods, constructors, a small statement language, and an expression
 language including lambdas, anonymous class bodies, and casts.
 
-Ambiguous constructs (cast vs. parenthesized expression, local declaration
-vs. expression statement, lambda vs. parenthesized expression) are handled
-by bounded backtracking over the token stream.
+Each repeated grammar shape is one method: a comma-separated list
+(``comma_list``), a list before a closing token (``enclosed``), a
+parenthesized expression (``condition``) and an optional expression before
+a closing token (``optional_expr``). Three readings are tried and, when
+they fail, backtracked through ``attempt``, the one backtracking point:
+type arguments against a ``<`` operator, a local declaration against an
+expression statement, and a cast against a parenthesized expression. A
+lambda is told from a parenthesized expression by the ``->`` after the
+matching ``)``, and a bare ``x -> ...`` from a name by the ``->`` after it.
 """
 
 from __future__ import annotations
 
 import stat
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from . import nodes as n
 from .errors import ParseError, UcovError
@@ -25,6 +31,8 @@ from .uses import Location, new_value
 MODIFIER_KEYWORDS = frozenset(
     {"public", "protected", "private", "abstract", "final", "sealed", "static", "default"}
 )
+
+_TYPE_KEYWORDS = {"class": SymbolKind.CLASS, "interface": SymbolKind.INTERFACE}
 
 _EXPR_START = frozenset(
     {"IDENT", "INT", "STRING", "CHAR", "true", "false", "null", "this", "new", "(", "!", "~"}
@@ -47,16 +55,20 @@ _PRECEDENCE = {
 }
 
 # Deepest nesting the parser accepts, counted over statements, expressions,
-# unary operands, type declarations and type arguments. The parser spends
-# at most about four stack frames per level (a cast: 4.2) and extraction
-# about three (an argument: 2.6). An operand that ends a chain of rising
-# operator precedence (``a || b && ... * (...)``) costs the most: about
-# eight frames per level to parse and nine to extract. So the deepest
-# accepted file parses and extracts within Python's default recursion
-# limit; a deeper file is a ParseError, which lenient mode skips.
+# unary operands, type declarations and type arguments. Measured on the
+# deepest accepted file of each construct, the parser spends at most about
+# five stack frames per level (type arguments: 5.1; a cast: 3.1) and
+# extraction under three (an anonymous class: 2.4). An operand that ends a
+# chain of rising operator precedence (``a || b && ... * (...)``) costs the
+# most: about eight frames per level to parse and nine to extract. So the
+# deepest accepted file parses and extracts within Python's default
+# recursion limit; a deeper file is a ParseError, which lenient mode skips.
 # Receiver chains (``a.b().c()``) and operator chains (``a + b + c``) are
 # not nesting: they are built and walked iteratively at any length.
 MAX_NESTING = 80
+
+
+_T = TypeVar("_T")
 
 
 class _TooDeep(ParseError):
@@ -111,8 +123,8 @@ class _Parser:
 
     def enter(self) -> None:
         """Open one nesting level; the caller closes it with ``depth -= 1``.
-        A ParseError leaves levels open, so backtracking restores ``depth``
-        with ``pos`` (see ``mark``)."""
+        A ParseError leaves levels open, so ``attempt`` restores ``depth``
+        with ``pos``."""
         if self.depth >= MAX_NESTING:
             raise _TooDeep(
                 f"nesting deeper than {MAX_NESTING} levels", self.path,
@@ -120,11 +132,51 @@ class _Parser:
             )
         self.depth += 1
 
-    def mark(self) -> tuple[int, int]:
-        return self.pos, self.depth
+    def ident(self) -> str:
+        return self.values[self.expect("IDENT")]
 
-    def reset(self, mark: tuple[int, int]) -> None:
-        self.pos, self.depth = mark
+    # -- grammar shapes -----------------------------------------------------
+
+    def comma_list(self, item: Callable[[], _T]) -> list[_T]:
+        """One or more ``item``s separated by commas."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
+
+    def enclosed(self, item: Callable[[], _T], close: str) -> list[_T]:
+        """Zero or more comma-separated ``item``s, then ``close``."""
+        items = [] if self.at(close) else self.comma_list(item)
+        self.expect(close)
+        return items
+
+    def condition(self) -> n.Expr:
+        """``(``, an expression, which may not be left out, and ``)``."""
+        self.expect("(")
+        expr = self.parse_expr()
+        self.expect(")")
+        return expr
+
+    def optional_expr(self, close: str) -> Optional[n.Expr]:
+        """An expression unless the next token is ``close``, then ``close``."""
+        expr = None if self.at(close) else self.parse_expr()
+        self.expect(close)
+        return expr
+
+    def attempt(self, rule: Callable[[], Optional[_T]]) -> Optional[_T]:
+        """``rule()``, or None with ``pos`` and ``depth`` restored when the
+        rule raises a ParseError or answers None. This is the parser's one
+        backtracking point, and it never retries ``_TooDeep``."""
+        pos, depth = self.pos, self.depth
+        try:
+            result = rule()
+        except _TooDeep:
+            raise
+        except ParseError:
+            result = None
+        if result is None:
+            self.pos, self.depth = pos, depth
+        return result
 
     # -- unit -------------------------------------------------------------
 
@@ -135,13 +187,13 @@ class _Parser:
             self.expect(";")
         imports = []
         while self.accept("import"):
-            parts = [self.values[self.expect("IDENT")]]
+            parts = [self.ident()]
             on_demand = False
             while self.accept("."):
                 if self.accept("*"):
                     on_demand = True
                     break
-                parts.append(self.values[self.expect("IDENT")])
+                parts.append(self.ident())
             self.expect(";")
             imports.append(n.ImportDecl(".".join(parts), on_demand))
         types = []
@@ -150,7 +202,7 @@ class _Parser:
         return n.SourceUnit(package_name, imports, types)
 
     def parse_qname(self) -> str:
-        parts = [self.values[self.expect("IDENT")]]
+        parts = [self.ident()]
         while self.at(".") and self.types[self.pos + 1] == "IDENT":
             self.advance()
             parts.append(self.values[self.advance()])
@@ -176,20 +228,14 @@ class _Parser:
         self.enter()
         if mods is None:
             mods = self.parse_modifiers()
-        if self.at("class"):
-            kind = SymbolKind.CLASS
-            self.advance()
-        elif self.at("interface"):
-            kind = SymbolKind.INTERFACE
-            self.advance()
-        else:
+        kind = _TYPE_KEYWORDS.get(self.types[self.pos])
+        if kind is None:
             raise self.error("expected 'class' or 'interface'")
+        self.advance()
         name_tok = self.expect("IDENT")
         type_params: list[str] = []
         if self.accept("<"):
-            type_params.append(self.values[self.expect("IDENT")])
-            while self.accept(","):
-                type_params.append(self.values[self.expect("IDENT")])
+            type_params = self.comma_list(self.ident)
             self.expect(">")
         extends_refs = self.parse_ref_list("extends")
         implements_refs = self.parse_ref_list("implements")
@@ -199,7 +245,7 @@ class _Parser:
         nested: list[n.TypeDecl] = []
         while not self.at("}"):
             member_mods = self.parse_modifiers()
-            if self.at("class") or self.at("interface"):
+            if self.types[self.pos] in _TYPE_KEYWORDS:
                 nested.append(self.parse_type_decl(member_mods))
             else:
                 members.append(self.parse_member(member_mods, self.values[name_tok]))
@@ -218,12 +264,7 @@ class _Parser:
         )
 
     def parse_ref_list(self, keyword: str) -> list[n.TypeRef]:
-        refs: list[n.TypeRef] = []
-        if self.accept(keyword):
-            refs.append(self.parse_type_ref())
-            while self.accept(","):
-                refs.append(self.parse_type_ref())
-        return refs
+        return self.comma_list(self.parse_type_ref) if self.accept(keyword) else []
 
     def parse_member(self, mods: set[str], enclosing_name: str) -> n.MemberDecl:
         # Constructor: the enclosing type's simple name immediately followed by '('.
@@ -248,8 +289,7 @@ class _Parser:
             raise self.error("field cannot have type void", name_tok)
         else:
             kind = SymbolKind.FIELD
-            if self.accept("="):
-                init = self.parse_expr()
+            init = self.parse_expr() if self.accept("=") else None
             self.expect(";")
         return n.MemberDecl(
             kind=kind,
@@ -265,46 +305,32 @@ class _Parser:
 
     def parse_params(self) -> list[n.Param]:
         self.expect("(")
-        params: list[n.Param] = []
-        if not self.at(")"):
-            params.append(self.parse_param())
-            while self.accept(","):
-                params.append(self.parse_param())
-        self.expect(")")
-        return params
+        return self.enclosed(self.parse_param, ")")
 
     def parse_param(self) -> n.Param:
         type_ref = self.parse_type_ref()
-        return n.Param(self.values[self.expect("IDENT")], type_ref)
+        return n.Param(self.ident(), type_ref)
 
     def parse_type_ref(self) -> n.TypeRef:
         head = self.pos
         if self.types[head] != "IDENT":
             raise self.error("expected type name")
         name = self.parse_qname()
-        type_args: list[n.TypeRef] = []
-        if self.at("<"):
-            save = self.mark()
-            self.advance()
-            try:
-                self.enter()
-                if not self.at(">"):  # <> diamond
-                    type_args.append(self.parse_type_ref())
-                    while self.accept(","):
-                        type_args.append(self.parse_type_ref())
-                self.expect(">")
-                self.depth -= 1
-            except _TooDeep:
-                raise
-            except ParseError:
-                self.reset(save)
-                type_args = []
+        type_args = self.attempt(self.parse_type_args) if self.at("<") else None
         dims = 0
         while self.at("[") and self.types[self.pos + 1] == "]":
             self.advance()
             self.advance()
             dims += 1
-        return n.TypeRef(name, type_args, dims, self.loc(head))
+        return n.TypeRef(name, type_args or [], dims, self.loc(head))
+
+    def parse_type_args(self) -> list[n.TypeRef]:
+        """``<`` type references ``>``; none between them is the diamond."""
+        self.advance()  # '<'
+        self.enter()
+        type_args = self.enclosed(self.parse_type_ref, ">")
+        self.depth -= 1
+        return type_args
 
     # -- statements ---------------------------------------------------------
 
@@ -328,42 +354,23 @@ class _Parser:
             return self.parse_block()
         if t == "if":
             self.advance()
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
+            cond = self.condition()
             then = self.parse_stmt()
             orelse = self.parse_stmt() if self.accept("else") else None
             return n.If(cond, then, orelse)
         if t == "while":
             self.advance()
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
-            return n.While(cond, self.parse_stmt())
+            return n.While(self.condition(), self.parse_stmt())
         if t == "for":
             self.advance()
             self.expect("(")
-            init = None
-            if not self.at(";"):
-                init = self.parse_local_or_expr_stmt()
-            else:
-                self.advance()
-            cond = None
-            if not self.at(";"):
-                cond = self.parse_expr()
-            self.expect(";")
-            update = None
-            if not self.at(")"):
-                update = self.parse_expr()
-            self.expect(")")
+            init = None if self.accept(";") else self.parse_local_or_expr_stmt()
+            cond = self.optional_expr(";")
+            update = self.optional_expr(")")
             return n.For(init, cond, update, self.parse_stmt())
         if t == "return":
             self.advance()
-            expr = None
-            if not self.at(";"):
-                expr = self.parse_expr()
-            self.expect(";")
-            return n.Return(expr)
+            return n.Return(self.optional_expr(";"))
         if t == "throw":
             self.advance()
             expr = self.parse_expr()
@@ -377,7 +384,7 @@ class _Parser:
                 self.advance()
                 self.expect("(")
                 ctype = self.parse_type_ref()
-                cname = self.values[self.expect("IDENT")]
+                cname = self.ident()
                 self.expect(")")
                 catches.append(n.Catch(ctype, cname, self.parse_block()))
             finally_block = None
@@ -389,23 +396,19 @@ class _Parser:
         return self.parse_local_or_expr_stmt()
 
     def parse_local_or_expr_stmt(self) -> n.Stmt:
-        save = self.mark()
-        if self.at("IDENT"):
-            try:
-                type_ref = self.parse_type_ref()
-                name_tok = self.expect("IDENT")
-                init = None
-                if self.accept("="):
-                    init = self.parse_expr()
-                self.expect(";")
-                return n.LocalDecl(type_ref, self.values[name_tok], init)
-            except _TooDeep:
-                raise
-            except ParseError:
-                self.reset(save)
+        decl = self.attempt(self.parse_local_decl)
+        if decl is not None:
+            return decl
         expr = self.parse_expr()
         self.expect(";")
         return n.ExprStmt(expr)
+
+    def parse_local_decl(self) -> n.LocalDecl:
+        type_ref = self.parse_type_ref()
+        name = self.ident()
+        init = self.parse_expr() if self.accept("=") else None
+        self.expect(";")
+        return n.LocalDecl(type_ref, name, init)
 
     # -- expressions ----------------------------------------------------------
 
@@ -462,13 +465,7 @@ class _Parser:
 
     def parse_args(self) -> list[n.Expr]:
         self.expect("(")
-        args: list[n.Expr] = []
-        if not self.at(")"):
-            args.append(self.parse_expr())
-            while self.accept(","):
-                args.append(self.parse_expr())
-        self.expect(")")
-        return args
+        return self.enclosed(self.parse_expr, ")")
 
     def parse_primary(self) -> n.Expr:
         tok = self.pos
@@ -489,17 +486,16 @@ class _Parser:
             lam = self.try_parse_lambda()
             if lam is not None:
                 return lam
-            cast = self.try_parse_cast()
-            if cast is not None:
-                return cast
-            self.advance()
-            expr = self.parse_expr()
-            self.expect(")")
-            return expr
+            type_ref = self.attempt(self.parse_cast_type)
+            if type_ref is not None:
+                return n.Cast(type_ref, self.parse_unary())
+            return self.condition()
         if t == "IDENT":
             self.advance()
             if self.at("("):
                 return n.MethodCall(None, value, self.parse_args(), self.loc(tok))
+            if self.at("->"):  # a bare `x -> ...` lambda
+                return self.parse_lambda_body([self.untyped_param(tok)], tok)
             return n.Name(value, self.loc(tok))
         raise self.error(f"unexpected token {value!r} in expression", tok)
 
@@ -538,43 +534,28 @@ class _Parser:
         if after < 0 or self.types[after] != "->":
             return None
         head = self.advance()  # '('
-        params: list[n.Param] = []
-        if not self.at(")"):
-            params.append(self.parse_lambda_param())
-            while self.accept(","):
-                params.append(self.parse_lambda_param())
-        self.expect(")")
+        return self.parse_lambda_body(self.enclosed(self.parse_lambda_param, ")"), head)
+
+    def parse_lambda_body(self, params: list[n.Param], head: int) -> n.Lambda:
         self.expect("->")
-        body: object
-        if self.at("{"):
-            body = self.parse_block()
-        else:
-            body = self.parse_expr()
+        body = self.parse_block() if self.at("{") else self.parse_expr()
         return n.Lambda(params, body, self.loc(head))
 
     def parse_lambda_param(self) -> n.Param:
         # Typed form: `Type name`; untyped form: bare identifier.
         if self.at("IDENT") and self.types[self.pos + 1] in (",", ")"):
-            tok = self.advance()
-            return n.Param(self.values[tok], n.TypeRef("", [], 0, self.loc(tok)))
+            return self.untyped_param(self.advance())
         return self.parse_param()
 
-    def try_parse_cast(self) -> Optional[n.Expr]:
-        save = self.mark()
+    def untyped_param(self, tok: int) -> n.Param:
+        return n.Param(self.values[tok], n.TypeRef("", [], 0, self.loc(tok)))
+
+    def parse_cast_type(self) -> Optional[n.TypeRef]:
+        """The type of a cast: ``(`` a type ``)`` followed by an operand."""
         self.advance()  # '('
-        try:
-            type_ref = self.parse_type_ref()
-            self.expect(")")
-        except _TooDeep:
-            raise
-        except ParseError:
-            self.reset(save)
-            return None
-        if self.types[self.pos] not in _EXPR_START:
-            self.reset(save)
-            return None
-        operand = self.parse_unary()
-        return n.Cast(type_ref, operand)
+        type_ref = self.parse_type_ref()
+        self.expect(")")
+        return type_ref if self.types[self.pos] in _EXPR_START else None
 
 
 def _number_kind(text: str) -> str:

@@ -255,10 +255,6 @@ class Scope(NamedTuple):
         if "." in name:
             if table.lookup_type(name) is not None:
                 return name, True
-            if self.package:
-                qualified = f"{self.package}.{name}"
-                if table.lookup_type(qualified) is not None:
-                    return qualified, True
             head, rest = name.split(".", 1)
             head_fqn, known = self.resolve_type(head)
             if known:

@@ -37,4 +37,9 @@ public class Loops extends Counter {
         Counter bad = new Counter(1, 2);
         throw new Failure(7);
     }
+
+    public void each(Counter c) {
+        Task bare =   k -> k.add(8);
+        Task wrap = (k) -> k.add(8);
+    }
 }

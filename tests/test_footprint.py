@@ -249,12 +249,34 @@ def test_statements_corpus():
         (counter, None, U.INSTANTIATION, 37),
         ("stmt.Failure", None, U.INSTANTIATION, 38),
         ("stmt.Failure.Failure", "Failure(int)", U.CONSTRUCTOR_INVOCATION, 38),
+        (counter, None, U.TYPE_REFERENCE, 41),
+        *(("stmt.Task", None, use, line) for use in (U.TYPE_REFERENCE, U.IMPLEMENTATION)
+          for line in (42, 43)),
+        ("stmt.Task.run", "run(stmt.Counter)", U.OVERRIDING, 42),
+        ("stmt.Task.run", "run(stmt.Counter)", U.OVERRIDING, 43),
+        (*add_int, U.METHOD_INVOCATION, 42),
+        (*add_int, U.METHOD_INVOCATION, 43),
     }
     assert [(d.kind, d.location.line, d.message) for d in fp.diagnostics] == [
         (DiagnosticKind.UNRESOLVED, 35, "cannot resolve type Gadget in new expression"),
         (DiagnosticKind.UNRESOLVED, 36, "cannot resolve receiver of spin(...)"),
         (DiagnosticKind.UNRESOLVED, 37, "no matching constructor for stmt.Counter"),
     ]
+
+
+def test_a_bare_lambda_parameter_gives_the_uses_of_a_parenthesized_one():
+    # Lines 42 and 43 of Loops.java differ only in ``  k ->`` against
+    # ``(k) ->``: the lambda is located at ``k`` and at ``(``.
+    _, fp = extract("statements")
+    lambda_uses = {("stmt.Task", U.IMPLEMENTATION), ("stmt.Task.run", U.OVERRIDING)}
+
+    def uses(line):
+        return {(t.symbol.fqn, t.use, t.location.column) for t in fp.triples
+                if t.location.line == line}
+
+    bare, paren = uses(42), uses(43)
+    assert bare - paren == {(*u, 23) for u in lambda_uses}
+    assert paren - bare == {(*u, 21) for u in lambda_uses}
 
 
 def test_unresolved_method_diagnostic():
@@ -473,6 +495,32 @@ def test_a_single_type_import_shadows_a_type_of_the_same_package():
         ("q.Conn.close", "close()", U.METHOD_INVOCATION, 2),
     }
     assert fp.diagnostics == []
+
+
+def test_a_qualified_type_name_resolves_its_qualifier_through_the_imports():
+    # JLS 6.5.5.2: in ``Outer.Inner`` the qualifier ``Outer`` is the
+    # imported q.Outer, as it is when written alone, not p.Outer.
+    nested = "public class Outer { public static class Inner { public void m() { } } }"
+    triples, diagnostics = typed_extract(
+        {"p/Outer": "package p; " + nested, "q/Outer": "package q; " + nested},
+        "package p; import q.Outer;\n"
+        "class C { void f(Outer.Inner i) { i.m(); } void g(Outer o) { } }",
+    )
+    assert triples == {
+        ("q.Outer.Inner", None, U.TYPE_REFERENCE, 2),
+        ("q.Outer.Inner.m", "m()", U.METHOD_INVOCATION, 2),
+        ("q.Outer", None, U.TYPE_REFERENCE, 2),
+    }
+    assert diagnostics == []
+
+
+def test_a_constructor_whose_library_superclass_has_no_zero_arg_constructor_invokes_none():
+    triples, diagnostics = typed_extract(
+        {"B": "package p; public class B { public B(int x) { } }"},
+        "import p.B;\nclass C extends B { C() { } }",
+    )
+    assert triples == {("p.B", None, U.INHERITANCE, 2)}
+    assert diagnostics == []
 
 
 def test_each_written_type_is_resolved_once(monkeypatch):

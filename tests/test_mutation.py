@@ -118,9 +118,9 @@ def test_a_mutated_footprint_is_an_error_or_a_result(files, capsys):
 
 
 def run_on_model(files, capsys, edit, command) -> tuple[int, str]:
-    """The exit code and standard error of ``command`` (coverage, suf or
-    profile) on the model edited in place by ``edit``."""
-    tmp, model, _, _, _ = files
+    """The exit code and standard error of ``command`` (coverage, suf,
+    compare or profile) on the model edited in place by ``edit``."""
+    tmp, model, _, _, framework = files
     data = copy.deepcopy(model)
     edit(data)
     path = tmp / "edited.json"
@@ -128,6 +128,8 @@ def run_on_model(files, capsys, edit, command) -> tuple[int, str]:
     argv = {
         "coverage": ["coverage", "--sum", str(path), str(tmp / "classic.json")],
         "suf": ["suf", "--sum", str(path), CLASSIC, "-o", str(tmp / "out.json")],
+        "compare": ["compare", "--sum", str(path), str(tmp / "classic.json"), framework,
+                    "-o", str(tmp / "regions.json")],
         "profile": ["profile", "--sum", str(path)],
     }[command]
     capsys.readouterr()
@@ -166,6 +168,16 @@ def test_a_repeated_symbol_is_malformed_content(files, capsys):
 
     code, err = run_on_model(files, capsys, edit, "profile")
     assert (code, err) == (1, "error: F: malformed content: Class java.util.ArrayList "
+                              "is listed twice\n")
+
+
+@pytest.mark.parametrize("command", ["suf", "coverage", "compare", "profile"])
+def test_a_type_listed_under_two_kinds_is_malformed_content(files, capsys, command):
+    def edit(data):
+        data["symbols"].append(dict(symbol_row(data, "Class"), kind="Interface"))
+
+    code, err = run_on_model(files, capsys, edit, command)
+    assert (code, err) == (1, "error: F: malformed content: type java.util.ArrayList "
                               "is listed twice\n")
 
 

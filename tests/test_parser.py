@@ -77,16 +77,22 @@ def test_cast_vs_parenthesized_expression():
 def test_lambda_forms():
     unit = parse_unit(
         "class X { void f() { g(() -> 1); g((x) -> x); g((a, b) -> { return a; }); "
-        "g((String s) -> s); } }",
+        "g((String s) -> s); g(y -> y); } }",
         "X.java",
     )
     calls = [s.expr for s in unit.types[0].members[0].body.statements]
     lambdas = [c.args[0] for c in calls]
     assert all(isinstance(l, n.Lambda) for l in lambdas)
-    assert [len(l.params) for l in lambdas] == [0, 1, 2, 1]
+    assert [len(l.params) for l in lambdas] == [0, 1, 2, 1, 1]
     assert lambdas[1].params[0].type_ref.name == ""
     assert lambdas[3].params[0].type_ref.name == "String"
     assert isinstance(lambdas[2].body, n.Block)
+    # A bare parameter is the untyped ``(y) -> y``, located at ``y``.
+    bare = lambdas[4]
+    assert (bare.params[0].name, bare.params[0].type_ref.name, bare.body.identifier) == (
+        "y", "", "y")
+    assert bare.location == bare.params[0].type_ref.location == bare.body.location._replace(
+        column=bare.body.location.column - 5)
 
 
 def test_anonymous_class_body():
@@ -136,6 +142,86 @@ def test_binary_operators_bind_by_precedence_and_associate_left(source, tree):
     unit = parse_unit("class X { void f() { " + source + "; } }", "X.java")
     (stmt,) = unit.types[0].members[0].body.statements
     assert render_expr(stmt.expr) == tree
+
+
+def test_list_and_clause_forms():
+    unit = parse_unit(
+        "class A<K, V> extends B, C implements D, E { void f() throws F, G { "
+        "for (; c; ) i++; i--; } }",
+        "A.java",
+    )
+    (decl,) = unit.types
+    assert decl.type_params == ["K", "V"]
+    assert [r.name for r in decl.extends_refs + decl.implements_refs] == ["B", "C", "D", "E"]
+    (method,) = decl.members
+    assert [r.name for r in method.throws_refs] == ["F", "G"]
+    loop, decrement = method.body.statements
+    assert (loop.init, loop.cond.identifier, loop.update) == (None, "c", None)
+    assert render_expr(loop.body.expr) == "(i++)"
+    assert render_expr(decrement.expr) == "(i--)"
+
+
+def body(statements: str) -> str:
+    return "class A { void f() { " + statements + " } }"
+
+
+# The message of a ParseError at each list, condition, optional clause and
+# backtracking point: where a reading fails, the error is the one of the
+# reading tried last.
+PARSE_ERRORS = {
+    "type parameters empty": ("class A<> { }", "1:9: expected 'IDENT', found '>'"),
+    "type parameters trailing comma": ("class A<K, > { }", "1:12: expected 'IDENT', found '>'"),
+    "type parameters unclosed": ("class A<K V> { }", "1:11: expected '>', found 'V'"),
+    "extends empty": ("class A extends { }", "1:17: expected type name"),
+    "extends trailing comma": ("interface A extends B, { }", "1:24: expected type name"),
+    "implements missing comma": ("class A implements B C { }", "1:22: expected '{', found 'C'"),
+    "permits trailing comma": ("class A permits B, { }", "1:20: expected type name"),
+    "throws empty": ("class A { void f() throws { } }", "1:27: expected type name"),
+    "throws trailing comma": ("class A { void f() throws E, { } }", "1:30: expected type name"),
+    "kind keyword": ("public enum A { }", "1:8: expected 'class' or 'interface'"),
+    "parameter without name": ("class A { void f(int) { } }", "1:21: expected 'IDENT', found ')'"),
+    "parameters trailing comma": ("class A { void f(int a, ) { } }", "1:25: expected type name"),
+    "parameters missing comma": ("class A { void f(int a int b) { } }",
+        "1:24: expected ')', found 'int'"),
+    "arguments trailing comma": (body("g(1, );"), "1:27: unexpected token ')' in expression"),
+    "arguments missing comma": (body("g(1 2);"), "1:26: expected ')', found '2'"),
+    "arguments unclosed": (body("g(1;"), "1:25: expected ')', found ';'"),
+    "lambda parameters trailing comma": (body("g((a, ) -> a);"), "1:28: expected type name"),
+    "lambda parameter with two types": (body("g((A B c) -> c);"), "1:29: expected ')', found 'c'"),
+    "lambda without body": (body("g((a) -> );"), "1:31: unexpected token ')' in expression"),
+    "type arguments trailing comma": (body("List<A, > x = y;"), "1:28: expected ';', found ','"),
+    "type arguments unclosed": (body("List<A x = y;"), "1:29: expected ';', found 'x'"),
+    "if empty condition": (body("if () g();"), "1:26: unexpected token ')' in expression"),
+    "if unclosed condition": (body("if (a g();"), "1:28: expected ')', found 'g'"),
+    "if without parenthesis": (body("if a) g();"), "1:25: expected '(', found 'a'"),
+    "while empty condition": (body("while () g();"), "1:29: unexpected token ')' in expression"),
+    "while unclosed condition": (body("while (a g();"), "1:31: expected ')', found 'g'"),
+    "for without init separator": (body("for (int i = 0 i < 3; ) { }"),
+        "1:31: expected ';', found 'i'"),
+    "for without condition separator": (body("for (; i < 3 ) { }"),
+        "1:35: expected ';', found ')'"),
+    "for unclosed update": (body("for (; ; i++ { }"), "1:35: expected ')', found '{'"),
+    "for empty parentheses": (body("for () { }"), "1:27: unexpected token ')' in expression"),
+    "return two expressions": (body("return a b;"), "1:31: expected ';', found 'b'"),
+    "return unterminated": (body("return a"), "1:31: expected ';', found '}'"),
+    "local without initializer": (body("int x = ;"), "1:26: expected ';', found 'x'"),
+    "local with two names": (body("A x y;"), "1:24: expected ';', found 'x'"),
+    "expression statement unterminated": (body("a b c;"), "1:24: expected ';', found 'b'"),
+    "cast without operand": (body("x = (A) ! ;"), "1:32: unexpected token ';' in expression"),
+    "type arguments too deep in a cast": (body("x = (" + "A<" * 90 + "A" + ">" * 90 + ") y;"),
+        "1:179: nesting deeper than 80 levels"),
+    "cast unclosed type": (body("x = (A<B) y;"), "1:32: expected ';', found 'y'"),
+    "parenthesized unclosed": (body("x = (a + b;"), "1:32: expected ')', found ';'"),
+    "parenthesized empty": (body("x = ();"), "1:27: unexpected token ')' in expression"),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_ERRORS)
+def test_parse_error_message_at_each_grammar_shape(case):
+    source, message = PARSE_ERRORS[case]
+    with pytest.raises(ParseError) as exc:
+        parse_unit(source, "A.java")
+    assert str(exc.value) == "A.java:" + message
 
 
 def test_locations_are_one_based():

@@ -215,7 +215,7 @@ def test_a_client_type_shadows_a_library_type_of_the_same_fqn():
 
 def test_resolve_type_name_precedence():
     table = table_of(
-        "package p; class Local { }",
+        "package p; class Local { class Nested { } }",
         "package q; public class Imported { }",
         "package r; public class OnDemand { }",
     )
@@ -228,6 +228,10 @@ def test_resolve_type_name_precedence():
     assert scope.resolve_type("OnDemand") == ("r.OnDemand", True)
     assert scope.resolve_type("Nowhere") == ("Nowhere", False)
     assert scope.resolve_type("q.Imported") == ("q.Imported", True)
+    # Inside Local, its nested type is found by its simple name.
+    assert scope.resolve_type("Nested") == ("Nested", False)
+    inside = scope._replace(enclosing=("p.Local",))
+    assert inside.resolve_type("Nested") == ("p.Local.Nested", True)
 
 
 def test_type_params_resolve_to_root_type():
