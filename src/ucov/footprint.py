@@ -44,6 +44,14 @@ from .uses import (  # noqa: F401 - the values and their JSON form, re-exported
 # Extraction
 # ---------------------------------------------------------------------------
 
+# The uses of a field that an expression reads, assigns, or increments or
+# decrements: ``x++``, ``++x``, ``x--`` and ``--x`` read the variable and
+# write it back (JLS 15.14.2, 15.15.1).
+_READ = (UseKind.FIELD_READ,)
+_WRITE = (UseKind.FIELD_WRITE,)
+_READ_WRITE = (UseKind.FIELD_READ, UseKind.FIELD_WRITE)
+_INCREMENTS = frozenset({"++", "--", "post++", "post--"})
+
 
 def extract_uses(
     client_units: list[n.SourceUnit],
@@ -307,36 +315,38 @@ class _Extractor:
         expr: n.Expr,
         env: Env,
         expected: Optional[str] = None,
-        assign_target: bool = False,
+        field_uses: tuple[UseKind, ...] = _READ,
     ) -> None:
-        # A left-deep receiver chain is walked iteratively: descend to the
-        # innermost receiver that is visited, then handle each link on the
-        # way out, so a chain of any length uses constant stack.
-        links: list[tuple[n.Expr, Link, bool]] = []
+        """Visit ``expr``; a field it denotes has ``field_uses``.
+
+        A left-deep receiver chain is walked iteratively: descend to the
+        innermost receiver that is visited, then handle each link on the
+        way out, so a chain of any length uses constant stack."""
+        links: list[tuple[n.Expr, Link, tuple[UseKind, ...]]] = []
         while isinstance(expr, (n.MethodCall, n.FieldAccess)):
             record = link_of(expr, env)
-            links.append((expr, record, assign_target))
+            links.append((expr, record, field_uses))
             if not record.receiver_is_expr:
                 break
-            expr, assign_target = expr.receiver, False
+            expr, field_uses = expr.receiver, _READ
         else:
-            self._visit_operand(expr, env, expected, assign_target)
-        for link, record, target in reversed(links):
+            self._visit_operand(expr, env, expected, field_uses)
+        for link, record, uses in reversed(links):
             if isinstance(link, n.MethodCall):
                 self._method_call(link, record, env)
             else:
-                self._field_access_use(link, record, target)
+                self._field_access_use(link, record, uses)
 
     def _visit_operand(
-        self, expr: n.Expr, env: Env, expected: Optional[str], assign_target: bool
+        self, expr: n.Expr, env: Env, expected: Optional[str], field_uses: tuple[UseKind, ...]
     ) -> None:
         """Visit an expression that is not a receiver chain link."""
         if isinstance(expr, n.Name):
-            self._name_field_use(expr, env, assign_target)
+            self._name_field_use(expr, env, field_uses)
         elif isinstance(expr, n.New):
             self._new_expr(expr, env)
         elif isinstance(expr, n.Assign):
-            self.visit_expr(expr.target, env, assign_target=True)
+            self.visit_expr(expr.target, env, field_uses=_WRITE)
             target_type = static_type_of(expr.target, env)
             self.visit_expr(expr.value, env, expected=target_type)
         elif isinstance(expr, n.Binary):
@@ -349,22 +359,26 @@ class _Extractor:
             for right in reversed(rights):
                 self.visit_expr(right, env)
         elif isinstance(expr, n.Unary):
-            while isinstance(expr, n.Unary):
+            # The operator applied to the operand itself decides its uses.
+            while isinstance(expr.operand, n.Unary):
                 expr = expr.operand
-            self.visit_expr(expr, env)
+            uses = _READ_WRITE if expr.op in _INCREMENTS else _READ
+            self.visit_expr(expr.operand, env, field_uses=uses)
         elif isinstance(expr, n.Cast):
             self._type_reference(expr.type_ref, env)
             self.visit_expr(expr.expr, env)
         elif isinstance(expr, n.Lambda):
             self._lambda(expr, env, expected)
 
-    def _name_field_use(self, expr: n.Name, env: Env, assign_target: bool) -> None:
+    def _name_field_use(self, expr: n.Name, env: Env, uses: tuple[UseKind, ...]) -> None:
         _, member = bare_name(expr, env)
         if member is not None:
-            use = UseKind.FIELD_WRITE if assign_target else UseKind.FIELD_READ
-            self.emit_member_use(member, use, expr.location)
+            for use in uses:
+                self.emit_member_use(member, use, expr.location)
 
-    def _field_access_use(self, expr: n.FieldAccess, link: Link, assign_target: bool) -> None:
+    def _field_access_use(
+        self, expr: n.FieldAccess, link: Link, uses: tuple[UseKind, ...]
+    ) -> None:
         receiver_type = link.receiver_type
         if receiver_type is None:
             return
@@ -376,8 +390,8 @@ class _Extractor:
                     f"no field {expr.name} on {receiver_type}",
                 )
             return
-        use = UseKind.FIELD_WRITE if assign_target else UseKind.FIELD_READ
-        self.emit_member_use(link.member, use, expr.location)
+        for use in uses:
+            self.emit_member_use(link.member, use, expr.location)
 
     def _method_call(self, call: n.MethodCall, link: Link, env: Env) -> None:
         receiver_type, member = link.receiver_type, link.member
@@ -443,7 +457,7 @@ class _Extractor:
         loc = expr.type_ref.location  # a new expression's uses are at its type
         for arg_ref in expr.type_ref.type_args:
             self._type_reference(arg_ref, env)
-        resolved, known = env.scope.resolve_type(expr.type_ref.name)
+        resolved, known = env.resolve_type(expr.type_ref.name)
         if not known:
             self.diag(
                 loc,

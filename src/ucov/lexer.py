@@ -37,9 +37,17 @@ KEYWORDS = frozenset(
 # precedes the operator '/', and two-character operators precede the
 # one-character ones. A character that no rule takes matches the last,
 # unnamed alternative and leaves ``lastgroup`` None.
+#
+# White space is the optional prefix of every match, so a token costs one
+# match; a comment is a ``skip`` match of its own, and so is the white space
+# at the end of the text, which ``\Z`` takes. The prefix never gives a
+# character back: after it comes a character that some alternative takes,
+# or the end.
 _TOKEN = re.compile(
     r"""
-      (?P<skip>   [ \t\r\n]+ | //[^\r\n]* | /\*(?s:.*?)\*/ )
+    [ \t\r\n]*
+    (?:
+      (?P<skip>   //[^\r\n]* | /\*(?s:.*?)\*/ | \Z )
     | (?P<IDENT>  [^\W\d]\w* )
     | (?P<INT>    0[xX](?:[^\W_]|\.|(?<=[0-9A-Fa-f])_+(?=[0-9A-Fa-f])|(?<=[pP])[+-])*
                 | \.?\d(?:[^\W_]|\.|(?<=\d)_+(?=\d)|(?<=[eE])[+-])* )
@@ -49,6 +57,7 @@ _TOKEN = re.compile(
     | (?P<op>     -> | == | != | <= | >= | && | \|\| | \+\+ | --
                 | [-+*/%<>!&|^~=.,;:()\[\]{}?@] )
     | (?s:.)
+    )
     """,
     re.VERBOSE,
 )
@@ -107,17 +116,29 @@ def tokenize(text: str, path: str) -> Tokens:
         kind = m.lastgroup
         if kind == "skip":
             continue
-        value = m.group()
-        c = value[0]
-        if kind is None or kind == "bad" or (kind == "IDENT" and not (c.isalpha() or c == "_")):
-            message = _UNTERMINATED.get(c, f"unexpected character {c!r}")
-            raise ParseError(message, path, *_position(_line_starts(text), m.start()))
-        # Only an identifier can spell a keyword: the other values start
-        # with a digit or a quote.
-        types.append(value if kind == "op" or value in KEYWORDS else kind)
-        values.append(value[1:-1] if kind == "STRING" or kind == "CHAR" else value)
-        starts.append(m.start())
+        if kind is None or kind == "bad":
+            start = m.end() - 1 if kind is None else m.start(kind)
+            c = text[start]
+            raise _error(_UNTERMINATED.get(c, f"unexpected character {c!r}"), text, path, start)
+        start = m.start(kind)
+        value = m[kind]
+        if kind == "IDENT":
+            if value in KEYWORDS:
+                kind = value
+            elif not (value[0].isalpha() or value[0] == "_"):
+                raise _error(f"unexpected character {value[0]!r}", text, path, start)
+        elif kind == "op":
+            kind = value
+        elif kind != "INT":  # a string or char literal, kept without its quotes
+            value = value[1:-1]
+        types.append(kind)
+        values.append(value)
+        starts.append(start)
     types.append("EOF")
     values.append("")
     starts.append(len(text))
     return Tokens(types, values, starts, _line_starts(text))
+
+
+def _error(message: str, text: str, path: str, offset: int) -> ParseError:
+    return ParseError(message, path, *_position(_line_starts(text), offset))

@@ -14,11 +14,17 @@ type arguments against a ``<`` operator, a local declaration against an
 expression statement, and a cast against a parenthesized expression. A
 lambda is told from a parenthesized expression by the ``->`` after the
 matching ``)``, and a bare ``x -> ...`` from a name by the ``->`` after it.
+
+A reading that cannot continue raises a ``_Failure``: the index of the
+token where it stopped and why. A file that does not parse is blamed on
+the reading that got furthest, the last one tried among equals, and only
+that failure is placed at a line and column, as the ParseError.
 """
 
 from __future__ import annotations
 
 import stat
+from bisect import bisect_right
 from pathlib import Path
 from typing import Callable, Optional, TypeVar, Union
 
@@ -34,6 +40,10 @@ MODIFIER_KEYWORDS = frozenset(
 
 _TYPE_KEYWORDS = {"class": SymbolKind.CLASS, "interface": SymbolKind.INTERFACE}
 
+# The tokens that can follow a local declaration's type name: its own name,
+# type arguments or array dimensions.
+_TYPE_REF_GOES_ON = frozenset({"IDENT", "<", "["})
+
 _EXPR_START = frozenset(
     {"IDENT", "INT", "STRING", "CHAR", "true", "false", "null", "this", "new", "(", "!", "~"}
 )
@@ -43,6 +53,8 @@ _EXPR_START = frozenset(
 _LITERAL_KINDS = {
     "STRING": "string", "CHAR": "char", "true": "boolean", "false": "boolean", "null": "null",
 }
+
+_PREFIX_OPS = frozenset({"!", "~", "-", "+", "++", "--"})
 
 # Binary operators, all left-associative, by precedence: a larger number
 # binds tighter.
@@ -57,10 +69,10 @@ _PRECEDENCE = {
 # Deepest nesting the parser accepts, counted over statements, expressions,
 # unary operands, type declarations and type arguments. Measured on the
 # deepest accepted file of each construct, the parser spends at most about
-# five stack frames per level (type arguments: 5.1; a cast: 3.1) and
+# five stack frames per level (type arguments: 5.0; a cast: 2.0) and
 # extraction under three (an anonymous class: 2.4). An operand that ends a
 # chain of rising operator precedence (``a || b && ... * (...)``) costs the
-# most: about eight frames per level to parse and nine to extract. So the
+# most: about seven frames per level to parse and nine to extract. So the
 # deepest accepted file parses and extracts within Python's default
 # recursion limit; a deeper file is a ParseError, which lenient mode skips.
 # Receiver chains (``a.b().c()``) and operator chains (``a + b + c``) are
@@ -77,6 +89,14 @@ class _TooDeep(ParseError):
     could take exponential time."""
 
 
+class _Failure(Exception):
+    """A reading that cannot continue at token ``index``, for ``reason``."""
+
+    def __init__(self, index: int, reason: str) -> None:
+        self.index = index
+        self.reason = reason
+
+
 class _Parser:
     """A token is known by its index ``i``: its type is ``types[i]`` and its
     text ``values[i]``. ``pos`` is the index of the next token; ``advance``,
@@ -87,9 +107,13 @@ class _Parser:
         self.tokens = tokens
         self.types = [*tokens.types, "EOF"]  # a second EOF to look one past the end
         self.values = tokens.values
+        self.starts = tokens.starts
+        self.line_starts = tokens.line_starts
         self.pos = 0
         self.path = path
         self.depth = 0
+        # The failure of a backtracked reading that got furthest, if any.
+        self.furthest: Optional[_Failure] = None
 
     # -- token helpers ----------------------------------------------------
 
@@ -115,15 +139,25 @@ class _Parser:
             return i
         raise self.error(f"expected {ttype!r}, found {self.values[i]!r}", i)
 
-    def error(self, msg: str, i: Optional[int] = None) -> ParseError:
-        return ParseError(msg, self.path, *self.tokens.position(self.pos if i is None else i))
+    def error(self, msg: str, i: Optional[int] = None) -> _Failure:
+        return _Failure(self.pos if i is None else i, msg)
+
+    def blame(self, failure: _Failure) -> ParseError:
+        """The ParseError of a file whose parse ends in ``failure``: that of
+        the furthest failure, ``failure`` itself among equals."""
+        furthest = self.furthest
+        if furthest is not None and furthest.index > failure.index:
+            failure = furthest
+        return ParseError(failure.reason, self.path, *self.tokens.position(failure.index))
 
     def loc(self, i: int) -> Location:
-        return new_value(Location, (self.path, *self.tokens.position(i)))
+        offset = self.starts[i]
+        line = bisect_right(self.line_starts, offset)
+        return new_value(Location, (self.path, line, offset - self.line_starts[line - 1] + 1))
 
     def enter(self) -> None:
         """Open one nesting level; the caller closes it with ``depth -= 1``.
-        A ParseError leaves levels open, so ``attempt`` restores ``depth``
+        A failure leaves levels open, so ``attempt`` restores ``depth``
         with ``pos``."""
         if self.depth >= MAX_NESTING:
             raise _TooDeep(
@@ -165,14 +199,18 @@ class _Parser:
 
     def attempt(self, rule: Callable[[], Optional[_T]]) -> Optional[_T]:
         """``rule()``, or None with ``pos`` and ``depth`` restored when the
-        rule raises a ParseError or answers None. This is the parser's one
-        backtracking point, and it never retries ``_TooDeep``."""
+        rule fails or answers None. This is the parser's one backtracking
+        point. It keeps the failure that got furthest, the later among
+        equals, and it never retries ``_TooDeep``, which is no failure. A
+        rule answers None only where the reading tried next gets at least
+        as far as its failure would have."""
         pos, depth = self.pos, self.depth
         try:
             result = rule()
-        except _TooDeep:
-            raise
-        except ParseError:
+        except _Failure as failure:
+            furthest = self.furthest
+            if furthest is None or failure.index >= furthest.index:
+                self.furthest = failure
             result = None
         if result is None:
             self.pos, self.depth = pos, depth
@@ -202,11 +240,12 @@ class _Parser:
         return n.SourceUnit(package_name, imports, types)
 
     def parse_qname(self) -> str:
-        parts = [self.ident()]
-        while self.at(".") and self.types[self.pos + 1] == "IDENT":
-            self.advance()
-            parts.append(self.values[self.advance()])
-        return ".".join(parts)
+        head = i = self.expect("IDENT")
+        types = self.types
+        while types[i + 1] == "." and types[i + 2] == "IDENT":
+            i += 2
+        self.pos = i + 1
+        return self.values[i] if i == head else "".join(self.values[head:i + 1])
 
     # -- declarations -----------------------------------------------------
 
@@ -316,11 +355,11 @@ class _Parser:
         if self.types[head] != "IDENT":
             raise self.error("expected type name")
         name = self.parse_qname()
-        type_args = self.attempt(self.parse_type_args) if self.at("<") else None
+        types = self.types
+        type_args = self.attempt(self.parse_type_args) if types[self.pos] == "<" else None
         dims = 0
-        while self.at("[") and self.types[self.pos + 1] == "]":
-            self.advance()
-            self.advance()
+        while types[self.pos] == "[" and types[self.pos + 1] == "]":
+            self.pos += 2
             dims += 1
         return n.TypeRef(name, type_args or [], dims, self.loc(head))
 
@@ -337,7 +376,8 @@ class _Parser:
     def parse_block(self) -> n.Block:
         self.expect("{")
         stmts: list[n.Stmt] = []
-        while not self.at("}"):
+        types = self.types
+        while types[self.pos] != "}":
             stmts.append(self.parse_stmt())
         self.expect("}")
         return n.Block(stmts)
@@ -403,7 +443,17 @@ class _Parser:
         self.expect(";")
         return n.ExprStmt(expr)
 
-    def parse_local_decl(self) -> n.LocalDecl:
+    def parse_local_decl(self) -> Optional[n.LocalDecl]:
+        """A local declaration, or None where it cannot continue after a
+        type name of dotted identifiers alone: the expression statement
+        reads those too, so it gets at least as far."""
+        head = self.pos
+        if self.types[head] != "IDENT":
+            return None
+        self.parse_qname()
+        if self.types[self.pos] not in _TYPE_REF_GOES_ON:
+            return None
+        self.pos = head
         type_ref = self.parse_type_ref()
         name = self.ident()
         init = self.parse_expr() if self.accept("=") else None
@@ -412,54 +462,55 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------------
 
+    # The expression rules read each token's type once, and move ``pos``
+    # past a token they have read themselves: it is never EOF.
+
     def parse_expr(self) -> n.Expr:
         self.enter()
-        expr = self.parse_assignment()
+        expr = self.parse_binary()
+        if self.types[self.pos] == "=":
+            self.pos += 1
+            expr = n.Assign(expr, self.parse_expr())  # one level deeper
         self.depth -= 1
         return expr
-
-    def parse_assignment(self) -> n.Expr:
-        left = self.parse_binary()
-        if self.accept("="):
-            right = self.parse_expr()  # right-associative, one level deeper
-            return n.Assign(left, right)
-        return left
 
     def parse_binary(self, min_precedence: int = 1) -> n.Expr:
         """Precedence climbing: a right operand binds only operators that
         bind tighter than its own, so recursion is at most one call per
         precedence level however long the chain."""
         left = self.parse_unary()
-        while (precedence := _PRECEDENCE.get(self.types[self.pos], 0)) >= min_precedence:
-            op = self.types[self.advance()]
+        types = self.types
+        while (precedence := _PRECEDENCE.get(op := types[self.pos], 0)) >= min_precedence:
+            self.pos += 1
             left = n.Binary(op, left, self.parse_binary(precedence + 1))
         return left
 
     def parse_unary(self) -> n.Expr:
         self.enter()
         t = self.types[self.pos]
-        if t in ("!", "~", "-", "+", "++", "--"):
-            self.advance()
+        if t in _PREFIX_OPS:
+            self.pos += 1
             expr: n.Expr = n.Unary(t, self.parse_unary())
         else:
-            expr = self.parse_postfix()
+            expr = self.parse_postfix(self.parse_primary(t))
         self.depth -= 1
         return expr
 
-    def parse_postfix(self) -> n.Expr:
-        expr = self.parse_primary()
+    def parse_postfix(self, expr: n.Expr) -> n.Expr:
+        types = self.types
         while True:
-            if self.at(".") and self.types[self.pos + 1] == "IDENT":
-                self.advance()
-                name_tok = self.advance()
-                name = self.values[name_tok]
-                if self.at("("):
-                    args = self.parse_args()
-                    expr = n.MethodCall(expr, name, args, self.loc(name_tok))
+            i = self.pos
+            t = types[i]
+            if t == "." and types[i + 1] == "IDENT":
+                self.pos = i + 2
+                name = self.values[i + 1]
+                if types[i + 2] == "(":
+                    expr = n.MethodCall(expr, name, self.parse_args(), self.loc(i + 1))
                 else:
-                    expr = n.FieldAccess(expr, name, self.loc(name_tok))
-            elif self.at("++") or self.at("--"):
-                expr = n.Unary("post" + self.types[self.advance()], expr)
+                    expr = n.FieldAccess(expr, name, self.loc(i + 1))
+            elif t == "++" or t == "--":
+                self.pos = i + 1
+                expr = n.Unary("post" + t, expr)
             else:
                 return expr
 
@@ -467,18 +518,27 @@ class _Parser:
         self.expect("(")
         return self.enclosed(self.parse_expr, ")")
 
-    def parse_primary(self) -> n.Expr:
+    def parse_primary(self, t: str) -> n.Expr:
+        """The operand at ``pos``, whose token type is ``t``."""
         tok = self.pos
-        t, value = self.types[tok], self.values[tok]
+        value = self.values[tok]
+        if t == "IDENT":
+            self.pos = tok + 1
+            after = self.types[tok + 1]
+            if after == "(":
+                return n.MethodCall(None, value, self.parse_args(), self.loc(tok))
+            if after == "->":  # a bare `x -> ...` lambda
+                return self.parse_lambda_body([self.untyped_param(tok)], tok)
+            return n.Name(value, self.loc(tok))
         if t == "INT":
-            self.advance()
+            self.pos = tok + 1
             return n.Literal(value, _number_kind(value))
         kind = _LITERAL_KINDS.get(t)
         if kind is not None:
-            self.advance()
+            self.pos = tok + 1
             return n.Literal(value, kind)
         if t == "this":
-            self.advance()
+            self.pos = tok + 1
             return n.This()
         if t == "new":
             return self.parse_new()
@@ -490,13 +550,6 @@ class _Parser:
             if type_ref is not None:
                 return n.Cast(type_ref, self.parse_unary())
             return self.condition()
-        if t == "IDENT":
-            self.advance()
-            if self.at("("):
-                return n.MethodCall(None, value, self.parse_args(), self.loc(tok))
-            if self.at("->"):  # a bare `x -> ...` lambda
-                return self.parse_lambda_body([self.untyped_param(tok)], tok)
-            return n.Name(value, self.loc(tok))
         raise self.error(f"unexpected token {value!r} in expression", tok)
 
     def parse_new(self) -> n.Expr:
@@ -583,7 +636,10 @@ def parse_unit(text: str, path: str) -> n.SourceUnit:
     grammar.
     """
     parser = _Parser(tokenize(text, path), path)
-    return parser.parse_unit()
+    try:
+        return parser.parse_unit()
+    except _Failure as failure:
+        raise parser.blame(failure) from None
 
 
 def read_unit(path: Path) -> n.SourceUnit:

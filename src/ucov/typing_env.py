@@ -50,9 +50,11 @@ class Env:
     none. Child scopes inherit it.
 
     ``links`` holds the record of every chain link typed in this scope,
-    keyed by the node (AST nodes hash by identity). Child scopes share it;
-    a root environment (one per type body) starts its own, so memory is
-    bounded by one type body.
+    keyed by the node (AST nodes hash by identity), and ``resolved`` what
+    each type name written in it resolves to. Child scopes share both; a
+    root environment (one per type body) starts its own, so memory is
+    bounded by one type body. The tables are complete before typing
+    starts, so a resolved name never changes.
     """
 
     def __init__(self, scope: Scope, parent: Optional["Env"] = None):
@@ -63,12 +65,22 @@ class Env:
         self.vars: dict[str, Optional[str]] = {}
         self.returns: Optional[str] = parent.returns if parent is not None else Unknown
         self.links: dict[ChainLink, Link] = parent.links if parent is not None else {}
+        self.resolved: dict[str, tuple[str, bool]] = (
+            parent.resolved if parent is not None else {}
+        )
 
     def child(self) -> "Env":
         return Env(self.scope, self)
 
     def declare(self, name: str, type_fqn: Optional[str]) -> None:
         self.vars[name] = type_fqn
+
+    def resolve_type(self, name: str) -> tuple[str, bool]:
+        """``scope.resolve_type(name)``, resolved once per type body."""
+        resolved = self.resolved.get(name)
+        if resolved is None:
+            resolved = self.resolved[name] = self.scope.resolve_type(name)
+        return resolved
 
     def lookup(self, name: str) -> tuple[bool, Optional[str]]:
         env: Optional[Env] = self
@@ -83,13 +95,14 @@ def declared_type(ref: n.TypeRef, env: Env) -> Optional[str]:
     """Static type a declared type reference denotes: its erasure, array
     dimensions kept, when that is a primitive or a known type; otherwise
     Unknown. An untyped lambda parameter's empty name is Unknown too."""
-    if not ref.name:
+    name = ref.name
+    if not name:
         return Unknown
-    erased = env.scope.erase(ref)
-    base = erased.rstrip("[]")
-    if base in PRIMITIVES or env.table.lookup_type(base) is not None:
-        return erased
-    return Unknown
+    if name not in PRIMITIVES:  # else a primitive, as erasure takes it
+        name = env.resolve_type(name)[0]
+        if env.table.lookup_type(name) is None:
+            return Unknown
+    return name + "[]" * ref.array_dims
 
 
 def as_type_name(expr: n.Expr, env: Env) -> Optional[str]:
@@ -111,7 +124,7 @@ def as_type_name(expr: n.Expr, env: Env) -> Optional[str]:
     declared, _ = env.lookup(name.partition(".")[0])
     if declared:
         return None
-    fqn, known = env.scope.resolve_type(name)
+    fqn, known = env.resolve_type(name)
     return fqn if known else None
 
 

@@ -251,6 +251,9 @@ class _Collector:
             self.expr(e.left, env, None)
             self.expr(e.right, env, None)
         elif isinstance(e, n.Unary):
+            # x++, ++x, x-- and --x read the variable and write it back.
+            if e.op in ("++", "--", "post++", "post--"):
+                self.expr(e.operand, env, None, writing=True)
             self.expr(e.operand, env, None)
         elif isinstance(e, n.Cast):
             self.type_ref(e.type_ref, env.scope)

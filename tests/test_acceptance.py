@@ -147,6 +147,8 @@ RULE_CASES = [
     ("java.lang.String.valueOf", "valueOf(int)", U.STATIC_INVOCATION, 34),
     ("java.lang.Integer.MAX_VALUE", None, U.FIELD_READ, 38),
     ("java.awt.Point.x", None, U.FIELD_WRITE, 42),
+    ("java.awt.Point.x", None, U.FIELD_READ, 7),  # Step.java: Point.x++ reads
+    ("java.awt.Point.x", None, U.FIELD_WRITE, 7),  # and writes
     ("java.lang.Runnable", None, U.IMPLEMENTATION, 46),  # lambda
     ("java.lang.Runnable.run", "run()", U.OVERRIDING, 46),  # lambda
     ("java.lang.Thread", None, U.INHERITANCE, 5),  # extends clause
@@ -169,7 +171,7 @@ def test_criterion_4_rule(tablerows_footprint, fqn, sig, use, line):
 
 @pytest.mark.criterion(4, "per-rule extraction suite")
 def test_criterion_4_is_exact(tablerows_footprint):
-    assert len(located(tablerows_footprint)) == 21
+    assert len(located(tablerows_footprint)) == 23
     assert tablerows_footprint.diagnostics == []
 
 

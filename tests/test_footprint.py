@@ -182,6 +182,8 @@ def rows():
         ("java.lang.String.valueOf", "valueOf(int)", U.STATIC_INVOCATION, 34),
         ("java.lang.Integer.MAX_VALUE", None, U.FIELD_READ, 38),
         ("java.awt.Point.x", None, U.FIELD_WRITE, 42),
+        ("java.awt.Point.x", None, U.FIELD_READ, 7),  # Step.java: Point.x++
+        ("java.awt.Point.x", None, U.FIELD_WRITE, 7),
         ("java.lang.Runnable", None, U.TYPE_REFERENCE, 46),  # local decl type
         ("java.lang.Runnable", None, U.IMPLEMENTATION, 46),  # lambda
         ("java.lang.Runnable.run", "run()", U.OVERRIDING, 46),  # lambda
@@ -197,7 +199,7 @@ def test_rule_case(rows, fqn, sig, use, line):
 
 
 def test_rows_corpus_has_no_extras(rows):
-    assert len(located(rows)) == 21
+    assert len(located(rows)) == 23
     assert rows.diagnostics == []
 
 
@@ -310,6 +312,32 @@ def test_heritage_of_unknown_and_non_exported_supertypes():
         (DiagnosticKind.ILLEGAL_USE, "extension of non-exported type lib.Hidden")
     ]
     assert pairs(fp) == set()
+
+
+@pytest.mark.parametrize("expr, uses", [
+    ("a.f++", {U.FIELD_READ, U.FIELD_WRITE}),
+    ("++a.f", {U.FIELD_READ, U.FIELD_WRITE}),
+    ("a.f--", {U.FIELD_READ, U.FIELD_WRITE}),
+    ("--a.f", {U.FIELD_READ, U.FIELD_WRITE}),
+    ("-a.f++", {U.FIELD_READ, U.FIELD_WRITE}),
+    ("f++", {U.FIELD_READ, U.FIELD_WRITE}),
+    ("++this.f", {U.FIELD_READ, U.FIELD_WRITE}),
+    ("-a.f", {U.FIELD_READ}),
+    ("!~a.f", {U.FIELD_READ}),
+])
+def test_an_increment_or_decrement_reads_the_field_and_writes_it(expr, uses):
+    # JLS 15.14.2 and 15.15.1: the operand of ++ or -- is read, and the
+    # result is stored back into it; the other unary operators only read.
+    model = build_sum([parse_unit(
+        "package lib; public class A { public A() { } public int f; }", "A.java")], "lib")
+    units = [parse_unit(
+        "package app; import lib.A; class C extends A { void m(A a) { int x = " + expr + "; } }",
+        "C.java")]
+    fp = extract_uses(units, model)
+    assert fp.diagnostics == []
+    assert {u for s, u in fp.unique_uses if s.fqn == "lib.A.f"} == uses
+    got = {(t.symbol.fqn, t.symbol.signature, t.use, t.location) for t in fp.triples}
+    assert got == oracle_extract(units, model)
 
 
 def test_writing_final_field_is_illegal():
@@ -524,17 +552,19 @@ def test_a_constructor_whose_library_superclass_has_no_zero_arg_constructor_invo
 
 
 def test_each_written_type_is_resolved_once(monkeypatch):
-    # Extraction resolves a parameter, a local, a catch and a typed lambda
-    # parameter once each, by the rule typing declares them with. The
-    # parameter is resolved once more, for the method's signature in the
-    # client table.
+    # Extraction resolves the name E once per type body: in C, the first
+    # of a parameter, a local, a catch and a typed lambda parameter to ask
+    # resolves it, and the rest are served from the body's memo; in D, its
+    # field type does. The client table resolves C's parameter once more,
+    # for the method's signature, and D's field type for the field's type.
     model = build_sum([parse_unit("package lib; public class E { }", "E.java")], "lib")
     unit = parse_unit(
         "package app; import lib.E;\n"
         "class C { void m(E p) {\n"
         "  E local = p;\n"
         "  try { } catch (E e) { }\n"
-        "  run((E q) -> q); } }",
+        "  run((E q) -> q); } }\n"
+        "class D { E f; }",
         "C.java",
     )
     names = []
@@ -546,8 +576,8 @@ def test_each_written_type_is_resolved_once(monkeypatch):
 
     monkeypatch.setattr(Scope, "resolve_type", counted)
     fp = extract_uses([unit], model)
-    assert names == ["E"] * 5
-    assert sorted(t.location.line for t in fp.triples) == [2, 3, 4, 5]
+    assert names == ["E"] * 4
+    assert sorted(t.location.line for t in fp.triples) == [2, 3, 4, 5, 6]
     assert {t.use for t in fp.triples} == {U.TYPE_REFERENCE}
 
 

@@ -67,6 +67,11 @@ PIECES = [
 @example("/*/")
 @example("'\\u0041' '\\uu00e9' '\\101' '\\377' '\\77' '\\7' '\\u'")
 @example(".5 .5f .5e-3 ._5 .٣ a.5 1..5 .²")
+@example("a // c")  # a comment right before EOF
+@example("a /* c */")
+@example(" \n\t /* x")  # '/*' unterminated after white space
+@example(" \t\n \n")  # only white space
+@example("a\r\n\r\n\r\n  b\r\n")  # runs of '\r\n'
 def test_scanner_agrees_with_the_reference_lexer(text):
     got = outcome(scan, text)
     if isinstance(got, tuple) and got[0].startswith("unexpected character"):

@@ -166,8 +166,8 @@ def body(statements: str) -> str:
 
 
 # The message of a ParseError at each list, condition, optional clause and
-# backtracking point: where a reading fails, the error is the one of the
-# reading tried last.
+# backtracking point: where readings fail, the error is the one of the
+# reading that got furthest, and of the reading tried last among equals.
 PARSE_ERRORS = {
     "type parameters empty": ("class A<> { }", "1:9: expected 'IDENT', found '>'"),
     "type parameters trailing comma": ("class A<K, > { }", "1:12: expected 'IDENT', found '>'"),
@@ -189,7 +189,7 @@ PARSE_ERRORS = {
     "lambda parameters trailing comma": (body("g((a, ) -> a);"), "1:28: expected type name"),
     "lambda parameter with two types": (body("g((A B c) -> c);"), "1:29: expected ')', found 'c'"),
     "lambda without body": (body("g((a) -> );"), "1:31: unexpected token ')' in expression"),
-    "type arguments trailing comma": (body("List<A, > x = y;"), "1:28: expected ';', found ','"),
+    "type arguments trailing comma": (body("List<A, > x = y;"), "1:30: expected type name"),
     "type arguments unclosed": (body("List<A x = y;"), "1:29: expected ';', found 'x'"),
     "if empty condition": (body("if () g();"), "1:26: unexpected token ')' in expression"),
     "if unclosed condition": (body("if (a g();"), "1:28: expected ')', found 'g'"),
@@ -197,16 +197,16 @@ PARSE_ERRORS = {
     "while empty condition": (body("while () g();"), "1:29: unexpected token ')' in expression"),
     "while unclosed condition": (body("while (a g();"), "1:31: expected ')', found 'g'"),
     "for without init separator": (body("for (int i = 0 i < 3; ) { }"),
-        "1:31: expected ';', found 'i'"),
+        "1:37: expected ';', found 'i'"),
     "for without condition separator": (body("for (; i < 3 ) { }"),
         "1:35: expected ';', found ')'"),
     "for unclosed update": (body("for (; ; i++ { }"), "1:35: expected ')', found '{'"),
     "for empty parentheses": (body("for () { }"), "1:27: unexpected token ')' in expression"),
     "return two expressions": (body("return a b;"), "1:31: expected ';', found 'b'"),
     "return unterminated": (body("return a"), "1:31: expected ';', found '}'"),
-    "local without initializer": (body("int x = ;"), "1:26: expected ';', found 'x'"),
-    "local with two names": (body("A x y;"), "1:24: expected ';', found 'x'"),
-    "expression statement unterminated": (body("a b c;"), "1:24: expected ';', found 'b'"),
+    "local without initializer": (body("int x = ;"), "1:30: unexpected token ';' in expression"),
+    "local with two names": (body("A x y;"), "1:26: expected ';', found 'y'"),
+    "expression statement unterminated": (body("a b c;"), "1:26: expected ';', found 'c'"),
     "cast without operand": (body("x = (A) ! ;"), "1:32: unexpected token ';' in expression"),
     "type arguments too deep in a cast": (body("x = (" + "A<" * 90 + "A" + ">" * 90 + ") y;"),
         "1:179: nesting deeper than 80 levels"),
