@@ -173,8 +173,9 @@ def coverage_to_dict(report: CoverageReport, model: UsageModel, label: str) -> s
     ``json.dumps(..., ensure_ascii=False, separators=(",", ":"))`` writes
     for its dict form. ``levels`` and ``uncovered_uses`` are joined from the
     model's encoded fragments: a key shows None unless the report has a
-    level for its symbol, and a legal use is uncovered unless the report
-    covers it. (The name is the dict form's, which ``perfbench`` traces.)"""
+    level for its symbol, and the uncovered rows are the runs of
+    ``encoded_rows`` between the rows of the covered pairs. (The name is
+    the dict form's, which ``perfbench`` traces.)"""
     legal = model.legal_pairs
     head = {
         "label": label,
@@ -192,12 +193,14 @@ def coverage_to_dict(report: CoverageReport, model: UsageModel, label: str) -> s
     for sym, level in report.levels.items():
         if sym in levels:  # not hidden by a shared key
             levels[sym] = prefixes[sym] + _LEVEL_TEXT[level]
-    covered = {legal[pair] for pair in report.covered_uses}
-    rows = model.encoded_rows.values()
-    uncovered = ",".join([row for i, row in enumerate(rows) if i not in covered])
+    rows, uncovered, start = model.encoded_rows, [], 0
+    for i in sorted([legal[pair] for pair in report.covered_uses]):
+        uncovered += rows[start:i]
+        start = i + 1
+    uncovered += rows[start:]
     text = json.dumps(head, ensure_ascii=False, separators=(",", ":"))[:-1]
-    levels_text = ",".join(levels.values())
-    return f'{text},"levels":{{{levels_text}}},"uncovered_uses":[{uncovered}]}}'
+    levels_text, uncovered_text = ",".join(levels.values()), ",".join(uncovered)
+    return f'{text},"levels":{{{levels_text}}},"uncovered_uses":[{uncovered_text}]}}'
 
 
 def profile_to_dict(dist: ProfileDistribution) -> dict:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, TypeVar, Union
 
 from . import symtab  # run when first used: reading a model does not need it
 from .errors import CyclicHierarchy, ModelMismatch, warn
@@ -92,6 +92,12 @@ class Symbol(NamedTuple):
 
 UsePair = tuple[Symbol, UseKind]
 
+# Builds a value from a tuple of its fields, ``new_value(Symbol, (fqn,
+# kind, signature))``, in C: the ``__new__`` that ``NamedTuple`` generates
+# is Python code, and the model reader, the frontend, the extractor and the
+# footprint reader build these values by the thousand. Every field is
+# given, those with a default too.
+new_value = tuple.__new__
 
 
 class UsageModel:
@@ -147,25 +153,33 @@ class UsageModel:
 
     @cached_property
     def legal_pairs(self) -> dict[UsePair, int]:
-        """Every legal (symbol, use) pair, mapped to the position of its row
-        in ``encoded_rows``."""
-        return {pair: i for i, pair in enumerate(self.encoded_rows)}
-
-    @cached_property
-    def encoded_rows(self) -> dict[UsePair, str]:
-        """The uncovered-use row of each legal pair, in symbol order and then
-        by use, as the compact JSON object ``{"fqn":…,"signature":…,"use":…}``.
-        Strings are encoded as ``json.dumps(..., ensure_ascii=False)``
-        encodes them."""
-        rows: dict[UsePair, str] = {}
+        """Every legal (symbol, use) pair, in symbol order and then by use,
+        mapped to its position in that order, which is its row's position in
+        ``encoded_rows``."""
+        pairs: dict[UsePair, int] = {}
         orders: dict[frozenset[UseKind], list[UseKind]] = {}  # a handful of use sets
         for sym, uses in self.sorted_entries:
-            if uses not in orders:
-                orders[uses] = sorted(uses, key=lambda u: u.value)
-            signature = "null" if sym.signature is None else encode_basestring(sym.signature)
-            head = f'{{"fqn":{encode_basestring(sym.fqn)},"signature":{signature},"use":"'
-            for use in orders[uses]:
-                rows[sym, use] = f'{head}{use.value}"}}'
+            order = orders.get(uses)
+            if order is None:
+                order = orders[uses] = sorted(uses, key=lambda u: u.value)
+            for use in order:
+                pairs[sym, use] = len(pairs)
+        return pairs
+
+    @cached_property
+    def encoded_rows(self) -> list[str]:
+        """The uncovered-use row of each legal pair, in ``legal_pairs``
+        order, as the compact JSON object ``{"fqn":…,"signature":…,"use":…}``.
+        Strings are encoded as ``json.dumps(..., ensure_ascii=False)``
+        encodes them."""
+        rows = []
+        last = head = None
+        for sym, use in self.legal_pairs:
+            if sym is not last:
+                last = sym
+                signature = "null" if sym.signature is None else encode_basestring(sym.signature)
+                head = f'{{"fqn":{encode_basestring(sym.fqn)},"signature":{signature},"use":"'
+            rows.append(f'{head}{use.value}"}}')
         return rows
 
     @cached_property
@@ -369,7 +383,11 @@ def model_from_dict(data: dict) -> UsageModel:
     symbol has a signature exactly when it is a method or a constructor, so
     no two symbols share a ``Symbol.sort_key``. The symbols' modifiers are not read, and the
     resolution table is built from the resolution section only when
-    ``table`` is first used."""
+    ``table`` is first used.
+
+    A name is checked in line, and its checker (``_name``, ...) is called
+    only when the check fails, to raise its message. Each distinct list of
+    use names is checked and converted once (``_read_names``)."""
     resolution = data.get("resolution")
     if resolution is None:
         raise ModelMismatch("model file lacks the resolution section")
@@ -377,70 +395,119 @@ def model_from_dict(data: dict) -> UsageModel:
     use_sets: dict[tuple[str, ...], frozenset[UseKind]] = {}  # a handful, shared
     type_fqns: set[str] = set()
     for s in data["symbols"]:
-        sym = Symbol(_name(s["fqn"]), _kind(s["kind"]), _name_or_null(s["signature"]))
-        if sym.kind in _SIGNED_KINDS:
-            if sym.signature is None:
-                raise ValueError(f"{sym.kind.value} {sym.fqn} has no signature")
-        elif sym.signature is not None:
-            raise ValueError(
-                f"{sym.kind.value} {sym.fqn} has a signature, found {sym.signature!r}"
-            )
+        fqn = s["fqn"]
+        if type(fqn) is not str:
+            fqn = _name(fqn)
+        kind = _kind(s["kind"])
+        signature = s["signature"]
+        if signature is not None and type(signature) is not str:
+            signature = _name_or_null(signature)
+        sym = new_value(Symbol, (fqn, kind, signature))
+        if kind in _SIGNED_KINDS:
+            if signature is None:
+                raise ValueError(f"{kind.value} {fqn} has no signature")
+        elif signature is not None:
+            raise ValueError(f"{kind.value} {fqn} has a signature, found {signature!r}")
         if sym in entries:
-            raise ValueError(f"{sym.kind.value} {sym} is listed twice")
-        if sym.kind in _TYPE_KINDS:
-            if sym.fqn in type_fqns:
-                raise ValueError(f"type {sym.fqn} is listed twice")
-            type_fqns.add(sym.fqn)
-        names = _names(s["uses"])
-        uses = use_sets.get(names)
-        if uses is None:
-            uses = use_sets[names] = frozenset(UseKind(u) for u in names)
-        entries[sym] = uses
+            raise ValueError(f"{kind.value} {sym} is listed twice")
+        if kind in _TYPE_KINDS:
+            if fqn in type_fqns:
+                raise ValueError(f"type {fqn} is listed twice")
+            type_fqns.add(fqn)
+        entries[sym] = _read_names(s["uses"], use_sets, _use_set)
     return UsageModel(_name(data["library"]), entries, lambda: _table_from_dict(resolution))
+
+
+def _use_set(names: tuple[str, ...]) -> frozenset[UseKind]:
+    return frozenset(map(UseKind, names))
 
 
 def _table_from_dict(resolution: dict) -> SymbolTable:
     """The resolution table of a serialized model's resolution section. A
     supertype cycle among its types is malformed content, as a repeated
-    type is."""
+    type is. Names are checked as ``model_from_dict`` checks them, and
+    each distinct list of names is checked once per kind of value it
+    becomes: a tuple (parameters, type parameters, supertypes) or a set
+    (modifiers, external supertypes)."""
     table = symtab.SymbolTable()
+    tuples: dict[tuple[str, ...], tuple[str, ...]] = {}
+    sets: dict[tuple[str, ...], frozenset[str]] = {}
     members_by_type: dict[str, dict[tuple, MemberInfo]] = {}  # by kind, name, signature
     for m in resolution["members"]:
         kind = _declared_kind(m["kind"], of_type=False)
-        returns, of_field = _name_or_null(m["returns"]), _name_or_null(m["field_type"])
-        member = symtab.MemberInfo(
-            declaring=_name(m["declaring"]),
-            kind=kind,
-            name=_name(m["name"]),
-            modifiers=frozenset(_names(m["modifiers"])),
-            signature=(_name_or_null if kind is SymbolKind.FIELD else _name)(m["signature"]),
-            param_types=_names(m["params"]),
-            type=of_field if kind is SymbolKind.FIELD else returns,
-            synthesized=_flag(m.get("synthesized", False)),
-        )
-        members = members_by_type.setdefault(member.declaring, {})
-        if members.setdefault((kind, member.name, member.signature), member) is not member:
-            sym = Symbol(member.fqn, kind, member.signature)
+        returns = m["returns"]
+        if returns is not None and type(returns) is not str:
+            returns = _name_or_null(returns)
+        of_field = m["field_type"]
+        if of_field is not None and type(of_field) is not str:
+            of_field = _name_or_null(of_field)
+        declaring = m["declaring"]
+        if type(declaring) is not str:
+            declaring = _name(declaring)
+        name = m["name"]
+        if type(name) is not str:
+            name = _name(name)
+        modifiers = _read_names(m["modifiers"], sets, frozenset)
+        signature = m["signature"]
+        if type(signature) is not str:
+            signature = (_name_or_null if kind is SymbolKind.FIELD else _name)(signature)
+        params = _read_names(m["params"], tuples, tuple)
+        synthesized = m.get("synthesized", False)
+        if type(synthesized) is not bool:
+            synthesized = _flag(synthesized)
+        member = new_value(symtab.MemberInfo, (
+            declaring, kind, name, modifiers, signature, params,
+            of_field if kind is SymbolKind.FIELD else returns, None, synthesized))
+        members = members_by_type.setdefault(declaring, {})
+        if members.setdefault((kind, name, signature), member) is not member:
+            sym = Symbol(member.fqn, kind, signature)
             raise ValueError(f"{kind.value} {sym} is listed twice")
     for t in resolution["types"]:
-        fqn = _name(t["fqn"])
+        fqn = t["fqn"]
+        if type(fqn) is not str:
+            fqn = _name(fqn)
         if fqn in table.types:
             raise ValueError(f"type {fqn} is listed twice")
-        table.types[fqn] = symtab.TypeInfo(
-            fqn=fqn,
-            kind=_declared_kind(t["kind"], of_type=True),
-            modifiers=frozenset(_names(t["modifiers"])),
-            type_params=_names(t["type_params"]),
-            supertypes=_names(t["supertypes"]),
-            external_supertypes=frozenset(_names(t["external"])),
-            members=tuple(members_by_type.get(fqn, {}).values()),
-            enclosing=_name_or_null(t.get("enclosing")),
-        )
+        enclosing = t.get("enclosing")
+        table.types[fqn] = new_value(symtab.TypeInfo, (
+            fqn,
+            _declared_kind(t["kind"], of_type=True),
+            _read_names(t["modifiers"], sets, frozenset),
+            _read_names(t["type_params"], tuples, tuple),
+            _read_names(t["supertypes"], tuples, tuple),
+            _read_names(t["external"], sets, frozenset),
+            tuple(members_by_type.get(fqn, {}).values()),
+            enclosing if enclosing is None or type(enclosing) is str
+            else _name_or_null(enclosing),
+        ))
     try:
         symtab.check_acyclic(table.types, table.types)
     except CyclicHierarchy as exc:  # the model's fault, not a client's
         raise ValueError(str(exc)) from exc
     return table
+
+
+T = TypeVar("T")
+
+
+def _read_names(
+    value: object, memo: dict[tuple[str, ...], T], make: Callable[[tuple[str, ...]], T]
+) -> T:
+    """``make(_names(value))``, made once per distinct list of names:
+    ``memo`` maps each list that passed the check, as a tuple, to what
+    ``make`` made of it. A list that holds an unhashable element is not
+    looked up; ``_names`` rejects it, as it rejects any list not in
+    ``memo``, unless it is a list of names."""
+    if type(value) is list:
+        try:
+            made = memo.get(tuple(value))
+        except TypeError:  # an unhashable element
+            made = None
+        if made is not None:
+            return made
+    names = _names(value)
+    made = memo[names] = make(names)
+    return made
 
 
 def _name(value: object) -> str:

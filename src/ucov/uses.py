@@ -11,14 +11,7 @@ from json.encoder import encode_basestring
 from typing import NamedTuple, Optional
 
 from .errors import ModelMismatch
-from .model import MEMBER_USES, Symbol, UsageModel, UseKind, UsePair, _name
-
-
-# Builds a value below from a tuple of its fields, ``new_value(Location,
-# (file, line, column))``, in C: the ``__new__`` that ``NamedTuple``
-# generates is Python code, and the frontend, the extractor and the
-# footprint reader build these values by the thousand.
-new_value = tuple.__new__
+from .model import MEMBER_USES, Symbol, UsageModel, UseKind, UsePair, _name, new_value
 
 
 class Location(NamedTuple):

@@ -17,16 +17,36 @@ Reference model writer: the dict form, one dict per type, member and
 symbol, each list sorted as it is written. The program encodes each
 distinct name list and use set once; the tests check that its text is what
 ``json.dumps`` writes for this dict.
+
+Reference model reader: every name checked by a call and every list of
+names checked and converted row by row. The program checks names in line
+and each distinct list once; the tests check that both read equal models
+and tables and fail with the same error.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ucov.errors import ModelMismatch
+from ucov.errors import CyclicHierarchy, ModelMismatch
 from ucov.footprint import Footprint
 from ucov.metrics import CoverageLevel, CoverageReport, _fmt_ratio
-from ucov.model import TYPE_USES, Symbol, SymbolKind, UsageModel, UseKind
+from ucov.model import (
+    _SIGNED_KINDS,
+    _TYPE_KINDS,
+    TYPE_USES,
+    Symbol,
+    SymbolKind,
+    UsageModel,
+    UseKind,
+    _declared_kind,
+    _flag,
+    _kind,
+    _name,
+    _name_or_null,
+    _names,
+)
+from ucov.symtab import MemberInfo, SymbolTable, TypeInfo, check_acyclic
 from ucov.uses import Diagnostic, DiagnosticKind, Location, UseTriple
 
 UsePair = tuple[Symbol, UseKind]
@@ -220,3 +240,80 @@ def naive_model_to_dict(model: UsageModel) -> dict:
         "symbols": symbols,
         "resolution": {"types": types, "members": members},
     }
+
+
+def naive_model_from_dict(data: dict) -> UsageModel:
+    """The model in ``data``, each name checked by a call and each list of
+    names in full on every row; its table is read by
+    ``_naive_table_from_dict`` when first used."""
+    resolution = data.get("resolution")
+    if resolution is None:
+        raise ModelMismatch("model file lacks the resolution section")
+    entries: dict[Symbol, frozenset[UseKind]] = {}
+    use_sets: dict[tuple[str, ...], frozenset[UseKind]] = {}  # a handful, shared
+    type_fqns: set[str] = set()
+    for s in data["symbols"]:
+        sym = Symbol(_name(s["fqn"]), _kind(s["kind"]), _name_or_null(s["signature"]))
+        if sym.kind in _SIGNED_KINDS:
+            if sym.signature is None:
+                raise ValueError(f"{sym.kind.value} {sym.fqn} has no signature")
+        elif sym.signature is not None:
+            raise ValueError(
+                f"{sym.kind.value} {sym.fqn} has a signature, found {sym.signature!r}"
+            )
+        if sym in entries:
+            raise ValueError(f"{sym.kind.value} {sym} is listed twice")
+        if sym.kind in _TYPE_KINDS:
+            if sym.fqn in type_fqns:
+                raise ValueError(f"type {sym.fqn} is listed twice")
+            type_fqns.add(sym.fqn)
+        names = _names(s["uses"])
+        uses = use_sets.get(names)
+        if uses is None:
+            uses = use_sets[names] = frozenset(UseKind(u) for u in names)
+        entries[sym] = uses
+    return UsageModel(_name(data["library"]), entries, lambda: _naive_table_from_dict(resolution))
+
+
+def _naive_table_from_dict(resolution: dict) -> SymbolTable:
+    """The resolution table of a serialized model's resolution section. A
+    supertype cycle among its types is malformed content, as a repeated
+    type is."""
+    table = SymbolTable()
+    members_by_type: dict[str, dict[tuple, MemberInfo]] = {}  # by kind, name, signature
+    for m in resolution["members"]:
+        kind = _declared_kind(m["kind"], of_type=False)
+        returns, of_field = _name_or_null(m["returns"]), _name_or_null(m["field_type"])
+        member = MemberInfo(
+            declaring=_name(m["declaring"]),
+            kind=kind,
+            name=_name(m["name"]),
+            modifiers=frozenset(_names(m["modifiers"])),
+            signature=(_name_or_null if kind is SymbolKind.FIELD else _name)(m["signature"]),
+            param_types=_names(m["params"]),
+            type=of_field if kind is SymbolKind.FIELD else returns,
+            synthesized=_flag(m.get("synthesized", False)),
+        )
+        members = members_by_type.setdefault(member.declaring, {})
+        if members.setdefault((kind, member.name, member.signature), member) is not member:
+            sym = Symbol(member.fqn, kind, member.signature)
+            raise ValueError(f"{kind.value} {sym} is listed twice")
+    for t in resolution["types"]:
+        fqn = _name(t["fqn"])
+        if fqn in table.types:
+            raise ValueError(f"type {fqn} is listed twice")
+        table.types[fqn] = TypeInfo(
+            fqn=fqn,
+            kind=_declared_kind(t["kind"], of_type=True),
+            modifiers=frozenset(_names(t["modifiers"])),
+            type_params=_names(t["type_params"]),
+            supertypes=_names(t["supertypes"]),
+            external_supertypes=frozenset(_names(t["external"])),
+            members=tuple(members_by_type.get(fqn, {}).values()),
+            enclosing=_name_or_null(t.get("enclosing")),
+        )
+    try:
+        check_acyclic(table.types, table.types)
+    except CyclicHierarchy as exc:  # the model's fault, not a client's
+        raise ValueError(str(exc)) from exc
+    return table

@@ -279,74 +279,133 @@ COLLIDING_LIB = "package a; public class B { public int C; public static class C
 COLLIDING_CLIENTS = {
     "field": "package c; import a.B; public class D { int f(B b) { int x = b.C; return x; } }",
     "class": "package c; import a.B; public class E { B.C f() { return null; } }",
+    "new": "package c; import a.B; public class G { Object g() { return new B(); } }",
 }
 
 
-def test_colliding_level_keys_warn_and_keep_the_json(tmp_path):
+def colliding_files(tmp_path, count: int = 2) -> tuple[Path, list[str]]:
+    """The colliding library's model and the footprints of its first
+    ``count`` clients, written by the CLI."""
     (tmp_path / "lib" / "a").mkdir(parents=True)
     (tmp_path / "lib" / "a" / "B.java").write_text(COLLIDING_LIB)
     sum_path = tmp_path / "sum.json"
     assert main(["sum", str(tmp_path / "lib"), "-o", str(sum_path)]) == 0
     sufs = []
-    for label, text in COLLIDING_CLIENTS.items():
-        (tmp_path / label).mkdir()
-        (tmp_path / label / "C.java").write_text(text)
-        sufs.append(tmp_path / f"{label}.json")
-        assert main(["suf", "--sum", str(sum_path), "--label", label, str(tmp_path / label),
-                     "-o", str(sufs[-1])]) == 0
-    env = {k: v for k, v in os.environ.items() if k != "UCOV_LOG"}
-    env["PYTHONPATH"] = str(SRC)
-    run = subprocess.run(
-        [sys.executable, "-m", "ucov.cli", "coverage", "--sum", str(sum_path), *map(str, sufs)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    warnings = [line for line in run.stderr.splitlines() if line.startswith("WARNING")]
-    assert len(warnings) == 1
-    assert "Class and Field a.B.C" in warnings[0]
-
-    model = model_from_dict(json.loads(sum_path.read_text()))
-    fps = [footprint_from_dict(json.loads(p.read_text()), model) for p in sufs]
-    fps.append(merge(*fps))
-    reports = [naive_coverage_to_dict(naive_coverage(model, fp), model) for fp in fps]
-    labels = ["field", "class", "All"]
-    assert run.stdout == compact({
-        "library": "lib",
-        "reports": [{"label": label, **r} for label, r in zip(labels, reports)],
-    }) + "\n"
-    assert len(model.entries) == 5 and all(len(r["levels"]) == 4 for r in reports)
-    # the key shows the field, read but never written, even where only the class is used
-    assert [r["levels"]["a.B.C"] for r in reports] == ["Partial", "None", "Partial"]
-
-
-def colliding_coverage(tmp_path, ucov_log) -> list[str]:
-    """The warning lines of ``coverage`` over the colliding library's two
-    footprints, run with ``UCOV_LOG`` set to ``ucov_log`` (unset if None)."""
-    (tmp_path / "lib" / "a").mkdir(parents=True)
-    (tmp_path / "lib" / "a" / "B.java").write_text(COLLIDING_LIB)
-    sum_path = tmp_path / "sum.json"
-    assert main(["sum", str(tmp_path / "lib"), "-o", str(sum_path)]) == 0
-    sufs = []
-    for label, text in COLLIDING_CLIENTS.items():
+    for label, text in list(COLLIDING_CLIENTS.items())[:count]:
         (tmp_path / label).mkdir()
         (tmp_path / label / "C.java").write_text(text)
         sufs.append(str(tmp_path / f"{label}.json"))
         assert main(["suf", "--sum", str(sum_path), "--label", label, str(tmp_path / label),
                      "-o", sufs[-1]]) == 0
+    return sum_path, sufs
+
+
+def colliding_coverage(tmp_path, ucov_log) -> subprocess.CompletedProcess:
+    """``coverage`` over the colliding library's two footprints, run with
+    ``UCOV_LOG`` set to ``ucov_log`` (unset if None)."""
+    sum_path, sufs = colliding_files(tmp_path)
     env = {k: v for k, v in os.environ.items() if k != "UCOV_LOG"}
     env["PYTHONPATH"] = str(SRC)
     if ucov_log is not None:
         env["UCOV_LOG"] = ucov_log
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "ucov.cli", "coverage", "--sum", str(sum_path), *sufs],
         env=env, capture_output=True, text=True, check=True,
     )
+
+
+def warnings_of(run: subprocess.CompletedProcess) -> list[str]:
     return [line for line in run.stderr.splitlines() if line.startswith("WARNING")]
+
+
+def reference_reports(sum_path: Path, sufs: list[str]) -> list[dict]:
+    """The dict form of each report ``coverage`` writes for ``sufs``: one per
+    footprint, and an "All" report of more than one."""
+    model = model_from_dict(json.loads(sum_path.read_text()))
+    fps = [footprint_from_dict(json.loads(Path(p).read_text()), model) for p in sufs]
+    labels = [fp.label for fp in fps]
+    if len(fps) > 1:
+        fps.append(functools.reduce(merge, fps))
+        labels.append("All")
+    return [{"label": label, **naive_coverage_to_dict(naive_coverage(model, fp), model)}
+            for label, fp in zip(labels, fps)]
+
+
+def test_colliding_level_keys_warn_and_keep_the_json(tmp_path):
+    run = colliding_coverage(tmp_path, None)
+    warnings = warnings_of(run)
+    assert len(warnings) == 1
+    assert "Class and Field a.B.C" in warnings[0]
+    reports = reference_reports(tmp_path / "sum.json",
+                                [str(tmp_path / f"{label}.json") for label in ("field", "class")])
+    assert [r["label"] for r in reports] == ["field", "class", "All"]
+    assert run.stdout == compact({"library": "lib", "reports": reports}) + "\n"
+    assert all(r["totals"]["api_symbols"] == 5 and len(r["levels"]) == 4 for r in reports)
+    # the key shows the field, read but never written, even where only the class is used
+    assert [r["levels"]["a.B.C"] for r in reports] == ["Partial", "None", "Partial"]
+
+
+class Recorder:
+    """A text stream that logs each write, under its name, to a shared list."""
+
+    def __init__(self, name: str, log: list[tuple[str, str]]) -> None:
+        self.name, self.log = name, log
+
+    def write(self, text: str) -> int:
+        self.log.append((self.name, text))
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def recorded_main(monkeypatch, argv: list[str]) -> list[tuple[str, str]]:
+    """Each write of ``main(argv)`` to standard output or error, in order."""
+    log: list[tuple[str, str]] = []
+    with monkeypatch.context() as patch:
+        patch.delenv("UCOV_LOG", raising=False)
+        patch.setattr(sys, "stdout", Recorder("out", log))
+        patch.setattr(sys, "stderr", Recorder("err", log))
+        assert main(argv) == 0
+    return log
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_coverage_writes_its_reports_one_at_a_time(tmp_path, monkeypatch, count):
+    sum_path, sufs = colliding_files(tmp_path, count)
+    log = recorded_main(monkeypatch, ["coverage", "--sum", str(sum_path), *sufs])
+    streams = [name for name, _ in log]
+    # the warning of the shared key, then the output
+    assert "share a key" in log[0][1]
+    assert streams == ["err"] * streams.index("out") + ["out"] * streams.count("out")
+    writes = [text for name, text in log if name == "out"]
+    reports = reference_reports(sum_path, sufs)
+    assert len(reports) == count + (count > 1)
+    assert "".join(writes) == compact({"library": "lib", "reports": reports}) + "\n"
+    assert len(writes) == len(reports) + 2  # the head, each report, the tail
+    assert max(map(len, writes)) <= max(len(compact(r)) for r in reports) + len(",")
+
+
+def test_coverage_text_is_one_table_of_every_report(tmp_path, monkeypatch):
+    sum_path, sufs = colliding_files(tmp_path, 3)
+    log = recorded_main(monkeypatch, ["coverage", "--sum", str(sum_path), "--format", "text",
+                                      *sufs])
+    assert "".join(text for name, text in log if name == "out") == (
+        "                             field           class             new             All\n"
+        "API symbols                      5               5               5               5\n"
+        "Legal uses                      10              10              10              10\n"
+        "Symbols used                     2               1               2               4\n"
+        "Unique uses                      2               1               2               5\n"
+        "Total uses                       2               1               2               5\n"
+        "Symbol coverage             0.4000          0.2000          0.4000          0.8000\n"
+        "Use coverage                0.2000          0.1000          0.2000          0.5000\n"
+    )
 
 
 @pytest.mark.parametrize("ucov_log", [None, "warn", "info", "debug", "other", "error", "ERROR"])
 def test_a_warning_prints_unless_ucov_log_is_error(tmp_path, ucov_log):
     shown = ucov_log not in ("error", "ERROR")
-    assert colliding_coverage(tmp_path, ucov_log) == [
+    assert warnings_of(colliding_coverage(tmp_path, ucov_log)) == [
         "WARNING ucov: coverage levels share a key and show only the second symbol's "
         "level: Class and Field a.B.C"
     ] * shown

@@ -1,11 +1,14 @@
-"""The reading path: the footprint reader against the per-row reference
-(``naive_coverage.naive_footprint_from_dict``), malformed rows after a
-decoded key, location fields and messages of another type, unique uses
-fixed at construction, the use and symbol kinds' identity hash, and the
-``python -m ucov.cli`` process exit."""
+"""The reading path: the footprint and model readers against their per-row
+references (``naive_coverage.naive_footprint_from_dict`` and
+``naive_model_from_dict``), malformed rows after a decoded key, location
+fields and messages of another type, unique uses fixed at construction,
+the use and symbol kinds' identity hash, and the ``python -m ucov.cli``
+process exit, a write that fails mid-stream included."""
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import os
 import re
@@ -17,10 +20,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
-from naive_coverage import naive_footprint_from_dict
+from conftest import FIXTURES, model_for
+from naive_coverage import naive_footprint_from_dict, naive_model_from_dict
 from test_coverage_data import CORPORA, fixture
-from ucov import Footprint, UsageModel, footprint_from_dict, footprint_to_dict
+from ucov import (
+    Footprint,
+    UsageModel,
+    footprint_from_dict,
+    footprint_to_dict,
+    model_from_dict,
+    model_to_dict,
+)
 from ucov.cli import main
 from ucov.model import TYPE_USES, SymbolKind, UseKind
 from ucov.uses import diff, merge
@@ -179,6 +189,133 @@ def test_unique_uses_are_the_pairs_of_the_triples_after_merge_and_diff():
 
 
 # ---------------------------------------------------------------------------
+# The model reader against the per-row reference
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def model_text(corpus: str) -> str:
+    return model_to_dict(model_for(corpus))
+
+
+def model_rows(data: dict) -> dict[str, list]:
+    resolution = data["resolution"]
+    return {"symbols": data["symbols"], "types": resolution["types"],
+            "members": resolution["members"]}
+
+
+# A value of each JSON type, the kinds of types and of members, and lists
+# of names: rows that share a list of names share what it is read as, and
+# an element of another type, hashable or not, is named in the error.
+VALUES = (None, True, 0, 1.5, "x", {}, {"a": 1}, [], [1], [True], [[1]], ["x"],
+          ["public"], ["public", "static"], ["TypeReference"], ["java.lang.Object"],
+          "Class", "Interface", "Method", "Field", "Constructor")
+DELETE = object()
+
+
+@st.composite
+def model_data(draw) -> dict:
+    """The arraylist or tablerows model in JSON form with up to four edits
+    of its rows: a value replaced by one of ``VALUES``, a key deleted, the
+    row repeated verbatim, or repeated under another kind, which lists a
+    type's FQN twice."""
+    data = json.loads(model_text(draw(st.sampled_from(["arraylist", "tablerows"]))))
+    rows = model_rows(data)
+    for _ in range(draw(st.integers(0, 4))):
+        section = rows[draw(st.sampled_from(sorted(rows)))]
+        row = section[draw(st.integers(0, len(section) - 1))]
+        how = draw(st.sampled_from(["set", "delete", "repeat", "other kind"]))
+        if how == "repeat":
+            section.append(dict(row))
+        elif how == "other kind":
+            section.append(dict(row, kind="Interface" if row.get("kind") == "Class" else "Class"))
+        elif row:
+            key = draw(st.sampled_from(sorted(row)))
+            if how == "delete":
+                del row[key]
+            else:
+                row[key] = copy.deepcopy(draw(st.sampled_from(VALUES)))
+    return data
+
+
+def model_outcome(read, data: dict):
+    """The model's library name, entries and table, or the error's class
+    and message."""
+    try:
+        model = read(data)
+        return model.library_name, list(model.entries.items()), list(model.table.types.items())
+    except Exception as exc:  # noqa: BLE001 - compared between the readers
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_data())
+def test_model_reader_matches_the_per_row_reference(data):
+    assert model_outcome(model_from_dict, data) == model_outcome(naive_model_from_dict, data)
+
+
+def one_row_of_each_kind(data: dict) -> list[tuple[str, int]]:
+    """The section and index of the first row of each kind in each section."""
+    found = {}
+    for section, rows in model_rows(data).items():
+        for i, row in enumerate(rows):
+            found.setdefault((section, row["kind"]), (section, i))
+    return list(found.values())
+
+
+@pytest.mark.parametrize("corpus", ["arraylist", "tablerows"])
+def test_every_fault_of_one_row_and_every_pair_of_faults_fail_as_in_the_reference(corpus):
+    # One key of a row set to each of ``VALUES`` or deleted; and one key set
+    # to 1 and another deleted, so the error tells which is read first.
+    text = model_text(corpus)
+    base, edits = json.loads(text), []
+    for section, i in one_row_of_each_kind(base):
+        keys = sorted(model_rows(base)[section][i])
+        edits += [(section, i, [(key, value)]) for key in keys for value in (*VALUES, DELETE)]
+        edits += [(section, i, [(bad, 1), (gone, DELETE)]) for bad in keys for gone in keys
+                  if bad != gone]
+    for section, i, changes in edits:
+        data = json.loads(text)
+        row = model_rows(data)[section][i]
+        for key, value in changes:
+            if value is DELETE:
+                del row[key]
+            else:
+                row[key] = copy.deepcopy(value)
+        got = model_outcome(model_from_dict, data)
+        assert got == model_outcome(naive_model_from_dict, data), (section, i, changes)
+
+
+# The lists of names of each kind of row, which the reader memoizes.
+NAME_LISTS = {"symbols": ["uses"], "types": ["modifiers", "type_params", "supertypes", "external"],
+              "members": ["modifiers", "params"]}
+
+
+@pytest.mark.parametrize("value", [[1], [True], [[1]], ["x", {}]], ids=json.dumps)
+@pytest.mark.parametrize("section,key", [(section, key) for section, keys in NAME_LISTS.items()
+                                         for key in keys])
+def test_a_list_of_names_after_a_checked_one_fails_as_in_the_reference(section, key, value):
+    # The last row's list is looked up among the lists already checked; an
+    # unhashable element cannot be, and is rejected like any other.
+    data = json.loads(model_text("tablerows"))
+    model_rows(data)[section][-1][key] = value
+    got = model_outcome(model_from_dict, data)
+    assert got == model_outcome(naive_model_from_dict, data)
+    shown = value[-1] if value[0] == "x" else value[0]
+    assert got == (TypeError, f"a name must be a string, found {shown!r}")
+
+
+def test_each_distinct_list_of_names_is_read_once():
+    model = model_from_dict(json.loads(model_text("tablerows")))
+    members = [m for info in model.table.types.values() for m in info.members]
+    for field in ("modifiers", "param_types"):
+        values = [getattr(m, field) for m in members]
+        assert len({id(v) for v in values}) == len(set(values)) < len(values), field
+    uses = list(model.entries.values())
+    assert len({id(u) for u in uses}) == len(set(uses)) < len(uses)
+
+
+# ---------------------------------------------------------------------------
 # Malformed rows after a decoded key, through the CLI
 # ---------------------------------------------------------------------------
 
@@ -300,16 +437,23 @@ ENTRIES = {
 }
 
 
-def child(*args: str, cwd: Path, entry: str = "module", stdout=subprocess.PIPE,
-          unbuffered: bool = False) -> subprocess.CompletedProcess:
-    """A ucov process with standard output on a pipe (or ``stdout``),
+def child_env(unbuffered: bool) -> dict[str, str]:
+    """The environment of a ucov process, its standard output
     block-buffered unless ``unbuffered``."""
     env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "UCOV_"))}
     env["PYTHONPATH"] = str(SRC)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, *ENTRIES[entry], *args], cwd=cwd, env=env,
-                          stdout=stdout, stderr=subprocess.PIPE, timeout=60)
+    return env
+
+
+def child(*args: str, cwd: Path, entry: str = "module", stdout=subprocess.PIPE,
+          unbuffered: bool = False) -> subprocess.CompletedProcess:
+    """A ucov process with standard output on a pipe (or ``stdout``),
+    block-buffered unless ``unbuffered``."""
+    return subprocess.run([sys.executable, *ENTRIES[entry], *args], cwd=cwd,
+                          env=child_env(unbuffered), stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=60)
 
 
 def test_the_console_script_runs_the_module_entry():
@@ -425,3 +569,48 @@ def test_child_stdout_on_a_closed_pipe_is_a_one_line_error(
     finally:
         os.close(write_end)
     assert one_line_write_error(proc, b"Broken pipe")
+
+
+@pytest.fixture(scope="module")
+def wide_coverage(tmp_path_factory) -> list[str]:
+    """The ``coverage`` command line over a generated library of 1,000
+    overridable methods and two footprints that use none of them: each of
+    its three reports lists at least 2,000 uncovered uses, well over the
+    64 KiB that a pipe buffers."""
+    tmp = tmp_path_factory.mktemp("wide")
+    (tmp / "lib" / "p").mkdir(parents=True)
+    for i in range(20):
+        methods = " ".join(f"public void m{j}() {{ }}" for j in range(50))
+        (tmp / "lib" / "p" / f"T{i}.java").write_text(f"package p; public class T{i} {{ {methods} }}")
+    sum_path = tmp / "sum.json"
+    assert main(["sum", str(tmp / "lib"), "-o", str(sum_path)]) == 0
+    sufs = []
+    for label in ("a", "b"):
+        (tmp / label).mkdir()
+        (tmp / label / "C.java").write_text("package c; public class C { }")
+        sufs.append(str(tmp / f"{label}.json"))
+        assert main(["suf", "--sum", str(sum_path), "--label", label, str(tmp / label),
+                     "-o", sufs[-1]]) == 0
+    return ["coverage", "--sum", str(sum_path), *sufs]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_child_stdout_closed_mid_stream_is_a_one_line_error(
+        wide_coverage, tmp_path, entry, unbuffered):
+    """``coverage`` writes its reports one at a time. The reader takes the
+    first chunk and closes the pipe: a later write fails, and the command
+    ends as if the first had, once."""
+    err_path = tmp_path / "err"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen([sys.executable, *ENTRIES[entry], *wide_coverage], cwd=tmp_path,
+                                env=child_env(unbuffered), stdout=subprocess.PIPE, stderr=err)
+        try:
+            first = os.read(proc.stdout.fileno(), 4096)
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+    assert first.startswith(b'{"library":"lib","reports":[')
+    assert (code, err_path.read_bytes()) == (
+        1, b"error: cannot write to standard output: Broken pipe\n")

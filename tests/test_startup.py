@@ -263,7 +263,8 @@ def traced(tmp_path, *args: str):
 def test_the_tracer_sees_every_layer_of_the_reading_commands(saved, tmp_path):
     _, model, sufs = saved
     calls, _, counters, out = traced(tmp_path, "coverage", "--sum", model, *sufs)
-    assert calls["cli.main"] == 1 and calls["cli.dump_json"] == 1
+    # One piece per report, "All" included, then the head and the tail.
+    assert calls["cli.main"] == 1 and calls["cli.dump_json"] == 3 + 2
     assert counters["cli.bytes_written"] == len(out) > 0
     assert calls["model.from_dict"] == 1
     assert calls["footprint.from_dict"] == 2
