@@ -16,6 +16,7 @@ hides them.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import os
@@ -80,10 +81,29 @@ def _dump_json(data: Union[dict, str], end: str = "\n") -> str:
 
 def _write_stdout(content: str) -> None:
     """Write a command's result to standard output and flush it. A closed
-    pipe or a full device there ends the command with a one-line error."""
+    pipe or a full device there ends the command with a one-line error.
+
+    The text is encoded as standard output encodes it and written to its
+    byte stream until every byte is written: unbuffered (``python -u``),
+    that stream is the raw file, whose write may take only part of the
+    bytes, and the text layer would drop the rest without a word. A
+    standard output with no byte stream (an in-process recording) takes
+    the text as it is."""
+    out = sys.stdout
     try:
-        sys.stdout.write(content)
-        sys.stdout.flush()
+        stream = getattr(out, "buffer", None)
+        if stream is None:
+            out.write(content)
+            out.flush()
+            return
+        out.flush()  # text written before goes first
+        data = memoryview(content.encode(out.encoding, out.errors))
+        while data:
+            written = stream.write(data)
+            if not written:  # None: a non-blocking output is full
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            data = data[written:]
+        stream.flush()
     except OSError as exc:
         raise _stdout_failure(exc) from exc
 

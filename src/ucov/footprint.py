@@ -10,7 +10,7 @@ becomes a diagnostic rather than a use.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import nodes as n
 from .errors import ParseError
@@ -24,6 +24,7 @@ from .symtab import (
     TypeInfo,
     build_symbol_table,
     declarations,
+    erase,
     erased_signature,
 )
 from .typing_env import Env, Link, Unknown, bare_name, declared_type, link_of, static_type_of
@@ -68,6 +69,7 @@ def extract_uses(
     extractor = _Extractor(model, table, list(_parse_errors))
     for d in declarations(client_units, table):
         extractor.visit_type(d)
+    extractor.add_invocation_sites()
     return Footprint(
         label=label,
         library=model.library_name,
@@ -109,6 +111,19 @@ def footprint_of_corpus(
     return out
 
 
+_UNCHECKED = object()  # a (member, use) that ``_checked_member`` has not met yet
+
+
+class _Invocations(NamedTuple):
+    """The MethodInvocation uses that every call to one non-static method
+    makes: its closure's legal pairs and IllegalUse messages, and the
+    location of each call site so far."""
+
+    pairs: tuple[UsePair, ...]
+    messages: tuple[str, ...]
+    locations: list[n.Location]
+
+
 class _Extractor:
     def __init__(self, model: UsageModel, table: SymbolTable, diagnostics: list[Diagnostic]):
         self.model = model
@@ -116,8 +131,12 @@ class _Extractor:
         self.lib_table = model.table
         self.sites: dict[UsePair, set[n.Location]] = {}
         self.diagnostics = diagnostics
-        # The checked invocation closure of each non-static method called.
-        self._invocations: dict[MemberInfo, tuple[Union[Symbol, str], ...]] = {}
+        # Answers that hold for the whole extraction, each found once: the
+        # invocations of each non-static method called, the checked symbol
+        # of each (member, use), and each interface's single abstract method.
+        self._invocations: dict[MemberInfo, _Invocations] = {}
+        self._checked_members: dict[tuple[MemberInfo, UseKind], Union[Symbol, str, None]] = {}
+        self._sams: dict[str, Optional[MemberInfo]] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -143,12 +162,19 @@ class _Extractor:
         """``_checked`` of the member's model symbol. A member the model does
         not export gives the IllegalUse message where the library declares
         it, and None (no use) where it does not."""
-        sym = self.model.symbols.get(new_value(Symbol, (member.fqn, member.kind, member.signature)))
-        if sym is not None:
-            return self._checked(sym, use)
-        if self.is_library_type(member.declaring):
-            return f"{use.value} of non-exported symbol {member.fqn}"
-        return None
+        key = (member, use)
+        checked = self._checked_members.get(key, _UNCHECKED)
+        if checked is _UNCHECKED:
+            sym = self.model.symbols.get(
+                new_value(Symbol, (member.fqn, member.kind, member.signature)))
+            if sym is not None:
+                checked = self._checked(sym, use)
+            elif self.is_library_type(member.declaring):
+                checked = f"{use.value} of non-exported symbol {member.fqn}"
+            else:
+                checked = None
+            self._checked_members[key] = checked
+        return checked
 
     def _record(self, checked: Union[Symbol, str, None], use: UseKind, loc: n.Location) -> None:
         """Add what ``_checked`` or ``_checked_member`` gave at ``loc``."""
@@ -422,22 +448,42 @@ class _Extractor:
         if "static" in member.modifiers:
             self.emit_member_use(member, UseKind.STATIC_INVOCATION, call.location)
         else:
-            closure = self._invocations.get(member)
-            if closure is None:
-                closure = self._invocations[member] = self._invocation_closure(member)
-            for checked in closure:
-                self._record(checked, UseKind.METHOD_INVOCATION, call.location)
+            calls = self._invocations.get(member)
+            if calls is None:
+                calls = self._invocations[member] = self._invocation_closure(member)
+            calls.locations.append(call.location)
+            for message in calls.messages:
+                self.diag(call.location, DiagnosticKind.ILLEGAL_USE, message)
         self._visit_args(call.args, env, member)
 
-    def _invocation_closure(self, member: MemberInfo) -> tuple[Union[Symbol, str], ...]:
-        """The checked MethodInvocation (legal symbols and IllegalUse
-        messages) of a call to the non-static ``member``: of the member and,
-        by the virtual-invocation closure, of every instance super-method
-        sharing its erased signature, which the same call site covers."""
-        methods = (member, *self.table.super_methods(member))
-        checked = (self._checked_member(m, UseKind.METHOD_INVOCATION)
-                   for m in methods if "static" not in m.modifiers)
-        return tuple(c for c in checked if c is not None)
+    def _invocation_closure(self, member: MemberInfo) -> _Invocations:
+        """The checked MethodInvocation of a call to the non-static
+        ``member``: of the member and, by the virtual-invocation closure, of
+        every instance super-method sharing its erased signature, which the
+        same call site covers. Its legal pairs enter ``sites`` now, in
+        closure order, so the pairs keep the order they were first seen in;
+        ``add_invocation_sites`` adds the call sites' locations to them."""
+        pairs: list[UsePair] = []
+        messages: list[str] = []
+        for m in (member, *self.table.super_methods(member)):
+            if "static" in m.modifiers:
+                continue
+            checked = self._checked_member(m, UseKind.METHOD_INVOCATION)
+            if type(checked) is str:
+                messages.append(checked)
+            elif checked is not None:
+                pair = (checked, UseKind.METHOD_INVOCATION)
+                self.sites.setdefault(pair, set())
+                pairs.append(pair)
+        return _Invocations(tuple(pairs), tuple(messages), [])
+
+    def add_invocation_sites(self) -> None:
+        """Add each call site's location to its closure's pairs, once the
+        extraction has seen every call."""
+        sites = self.sites
+        for pairs, _, locations in self._invocations.values():
+            for pair in pairs:
+                sites[pair].update(locations)
 
     def _worth_diagnosing(self, receiver_type: str) -> bool:
         # Calls on primitives or unknown externals are not diagnosable resolution
@@ -500,7 +546,7 @@ class _Extractor:
         for member in expr.anon_body or []:
             if member.kind is SymbolKind.METHOD:
                 signature = erased_signature(
-                    member.name, (inner.scope.erase(p.type_ref) for p in member.params)
+                    member.name, (erase(p.type_ref, inner.resolve_type) for p in member.params)
                 )
                 self._emit_library_methods(
                     self.table.overridden_methods(resolved, signature),
@@ -510,24 +556,10 @@ class _Extractor:
             self._visit_member(member, inner)
 
     def _lambda(self, expr: n.Lambda, env: Env, expected: Optional[str]) -> None:
-        sam: Optional[MemberInfo] = None
-        if expected is not None:
-            info = self.table.lookup_type(expected)
-            sym = self.model.type_symbol(expected)
-            if (
-                info is not None
-                and info.kind is SymbolKind.INTERFACE
-                and sym is not None
-            ):
-                abstract = [
-                    m
-                    for m in info.members
-                    if m.kind is SymbolKind.METHOD and "abstract" in m.modifiers
-                ]
-                if len(abstract) == 1:
-                    sam = abstract[0]
-                    self.emit(sym, UseKind.IMPLEMENTATION, expr.location)
-                    self.emit_member_use(sam, UseKind.OVERRIDING, expr.location)
+        sam = None if expected is None else self._sam(expected)
+        if sam is not None:
+            self.emit(self.model.type_symbol(expected), UseKind.IMPLEMENTATION, expr.location)
+            self.emit_member_use(sam, UseKind.OVERRIDING, expr.location)
         inner = env.child()
         inner.returns = sam.type if sam is not None else Unknown
         for i, p in enumerate(expr.params):
@@ -541,3 +573,24 @@ class _Extractor:
             self.visit_block(expr.body, inner)
         else:
             self.visit_expr(expr.body, inner, expected=inner.returns)
+
+    def _sam(self, expected: str) -> Optional[MemberInfo]:
+        """The single abstract method of ``expected`` when it is a model
+        interface that declares exactly one, else None."""
+        if expected not in self._sams:
+            sam = None
+            info = self.table.lookup_type(expected)
+            if (
+                info is not None
+                and info.kind is SymbolKind.INTERFACE
+                and self.model.type_symbol(expected) is not None
+            ):
+                abstract = [
+                    m
+                    for m in info.members
+                    if m.kind is SymbolKind.METHOD and "abstract" in m.modifiers
+                ]
+                if len(abstract) == 1:
+                    sam = abstract[0]
+            self._sams[expected] = sam
+        return self._sams[expected]

