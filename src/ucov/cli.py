@@ -216,7 +216,7 @@ def _load_footprint(path: str, model: UsageModel) -> Footprint:
 def cmd_sum(args: argparse.Namespace) -> int:
     root = Path(args.library)
     units = _parse_library(root)
-    name = args.name or root.name
+    name = args.name or root.resolve().name
     model = models.build_sum(units, name)
     _atomic_write([(Path(args.output), _dump_json(models.model_to_dict(model)))])
     _write_stdout(f"symbols: {len(model.entries)}, legal uses: {model.legal_use_count}\n")

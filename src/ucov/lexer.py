@@ -23,18 +23,20 @@ KEYWORDS = frozenset(
 )
 
 # ``\r\n``, ``\r`` and ``\n`` each end a line, as in Java; a line end inside
-# a literal leaves it unterminated. ``[^\W\d]`` also admits numerics such as
-# '²' and 'Ⅷ', which ``tokenize`` rejects: an identifier starts with a
-# letter or '_'. A number starts with a digit, or with a point and a digit
-# (``.5``), and runs over letters, digits and points; '_' joins two of its
-# digits (hex digits in a hex number), and a sign right after the exponent
-# letter belongs to the literal: 'e' or 'E' in a decimal number, 'p' or 'P'
-# in a hex one, so ``1e-5f`` and ``0x1p-3`` are one literal each and
-# ``0x1e-5`` a subtraction, as in Java. A char literal holds one character
-# or one escape: a backslash and a character, an octal escape (``\101``, at
-# most ``\377``) or a Unicode escape (``\u0041``, with one or more 'u's).
-# ``bad`` is the opening of an unterminated comment or literal, so it
-# precedes the operator '/', and two-character operators precede the
+# a literal leaves it unterminated. White space is a space, a tab, a form
+# feed or a line end (JLS §3.6); a form feed ends no line. ``[^\W\d]`` also
+# admits numerics such as '²' and 'Ⅷ', which ``tokenize`` rejects: an
+# identifier starts with a letter, '_' or '$' and goes on with those and
+# digits (JLS §3.8). A number starts with a digit, or with a point and a
+# digit (``.5``), and runs over letters, digits and points; '_' joins two
+# of its digits (hex digits in a hex number), and a sign right after the
+# exponent letter belongs to the literal: 'e' or 'E' in a decimal number,
+# 'p' or 'P' in a hex one, so ``1e-5f`` and ``0x1p-3`` are one literal each
+# and ``0x1e-5`` a subtraction, as in Java. A char literal holds one
+# character or one escape: a backslash and a character, an octal escape
+# (``\101``, at most ``\377``) or a Unicode escape (``\u0041``, with one or
+# more 'u's). ``bad`` is the opening of an unterminated comment or literal,
+# so it precedes the operator '/', and two-character operators precede the
 # one-character ones. A character that no rule takes matches the last,
 # unnamed alternative and leaves ``lastgroup`` None.
 #
@@ -45,10 +47,10 @@ KEYWORDS = frozenset(
 # or the end.
 _TOKEN = re.compile(
     r"""
-    [ \t\r\n]*
+    [ \t\f\r\n]*
     (?:
       (?P<skip>   //[^\r\n]* | /\*(?s:.*?)\*/ | \Z )
-    | (?P<IDENT>  [^\W\d]\w* )
+    | (?P<IDENT>  (?:[^\W\d]|\$)[\w$]* )
     | (?P<INT>    0[xX](?:[^\W_]|\.|(?<=[0-9A-Fa-f])_+(?=[0-9A-Fa-f])|(?<=[pP])[+-])*
                 | \.?\d(?:[^\W_]|\.|(?<=\d)_+(?=\d)|(?<=[eE])[+-])* )
     | (?P<STRING> "(?:[^"\\\r\n]|\\[^\r\n])*" )
@@ -125,7 +127,7 @@ def tokenize(text: str, path: str) -> Tokens:
         if kind == "IDENT":
             if value in KEYWORDS:
                 kind = value
-            elif not (value[0].isalpha() or value[0] == "_"):
+            elif not (value[0].isalpha() or value[0] in "_$"):
                 raise _error(f"unexpected character {value[0]!r}", text, path, start)
         elif kind == "op":
             kind = value

@@ -13,7 +13,6 @@ parameters are replaced by the root reference type, so ``add(E)`` and
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import nodes as n
@@ -89,17 +88,13 @@ class SymbolTable:
 
     Supertype closures, member indexes and overload resolutions are cached
     per table instance on first query, so a table must not be changed once
-    it is queried. A client table reuses the closure and member index that
-    ``base`` has, or builds, for a library type T exactly when every type of
-    T's closure in ``base`` is the same ``TypeInfo`` in both tables. A
-    client type that replaces a library type, or completes a library
-    type's external supertype (a client ``Ext`` under ``p.L extends Ext``),
-    makes the client table build its own. Resolutions are never shared:
-    an argument type can be a client type.
+    it is queried. A table answers every query from caches it built
+    itself: a client table shares none with the library table it copied
+    its types from, so extracting one group leaves that table, and every
+    other group's answers, as they were.
     """
 
     def __init__(self, base: Optional["SymbolTable"] = None):
-        self.base = base
         self.types: dict[str, TypeInfo] = {} if base is None else dict(base.types)
         self._closures: dict[str, tuple[str, ...]] = {}
         self._members: dict[str, dict[str, tuple[MemberInfo, ...]]] = {}
@@ -112,35 +107,21 @@ class SymbolTable:
         return self.types.get(fqn)
 
     def supertype_closure(self, fqn: str) -> tuple[str, ...]:
-        """``fqn`` and its known supertypes by BFS, duplicate-free, nearest first."""
-        return self._closure(fqn)
-
-    def _closure(self, fqn: str) -> tuple[str, ...]:
-        """``supertype_closure``, cached. A client table reaches its base
-        through here, not through the public method that ``perfbench``
-        traces, so each traced call stays one query of one table. The
-        base's closure is taken when every type in it is the same in both
-        tables, so the BFS would walk the same types; the cached tuple is
-        then the base's own object."""
+        """``fqn`` and its known supertypes by BFS, duplicate-free, nearest
+        first; cached."""
         closure = self._closures.get(fqn)
         if closure is None:
-            base, types = self.base, self.types
-            if base is not None and fqn in base.types and types[fqn] is base.types[fqn]:
-                closure = base._closure(fqn)
-                if any(types.get(t) is not base.types.get(t) for t in closure):
-                    closure = None
-            if closure is None:
-                queue = [fqn]
-                seen = {fqn}
-                for current in queue:  # the list grows while it is walked
-                    info = types.get(current)
-                    if info is not None:
-                        for sup in info.supertypes:
-                            if sup not in seen:
-                                seen.add(sup)
-                                queue.append(sup)
-                closure = tuple(queue)
-            self._closures[fqn] = closure
+            types = self.types
+            queue = [fqn]
+            seen = {fqn}
+            for current in queue:  # the list grows while it is walked
+                info = types.get(current)
+                if info is not None:
+                    for sup in info.supertypes:
+                        if sup not in seen:
+                            seen.add(sup)
+                            queue.append(sup)
+            closure = self._closures[fqn] = tuple(queue)
         return closure
 
     def members_of(self, fqn: str) -> tuple[MemberInfo, ...]:
@@ -149,32 +130,16 @@ class SymbolTable:
 
     def _members_named(self, fqn: str, name: str) -> tuple[MemberInfo, ...]:
         """Members named ``name`` declared in ``fqn``'s supertype closure,
-        nearest declaring type first, each type's in declaration order."""
+        nearest declaring type first, each type's in declaration order.
+        One walk of the closure groups every member of ``fqn`` by name."""
         index = self._members.get(fqn)
         if index is None:
-            index = self._index(fqn, self.supertype_closure(fqn))
+            grouped: dict[str, list[MemberInfo]] = {}
+            for tfqn in self.supertype_closure(fqn):
+                for m in self.members_of(tfqn):
+                    grouped.setdefault(m.name, []).append(m)
+            index = self._members[fqn] = {k: tuple(v) for k, v in grouped.items()}
         return index.get(name, ())
-
-    def _index(
-        self, fqn: str, closure: tuple[str, ...]
-    ) -> dict[str, tuple[MemberInfo, ...]]:
-        """The member index of ``fqn``: one walk of its ``closure`` groups
-        every member by name. A closure taken from the base (the same
-        object) has the same types and members there, so the base's index
-        is taken, and built there first if need be."""
-        index = self._members.get(fqn)
-        if index is None:
-            base = self.base
-            if base is not None and base._closures.get(fqn) is closure:
-                index = base._index(fqn, closure)
-            else:
-                grouped: dict[str, list[MemberInfo]] = {}
-                for tfqn in closure:
-                    for m in self.members_of(tfqn):
-                        grouped.setdefault(m.name, []).append(m)
-                index = {k: tuple(v) for k, v in grouped.items()}
-            self._members[fqn] = index
-        return index
 
     def find_field(self, receiver: str, name: str) -> Optional[MemberInfo]:
         return next(
@@ -335,7 +300,6 @@ class Scope(NamedTuple):
         return name, False
 
 
-
 def erase(ref: n.TypeRef, resolve: Callable[[str], tuple[str, bool]]) -> str:
     """Erased type name of a reference whose names ``resolve`` resolves (a
     ``Scope.resolve_type``, or a memo of it): type args dropped, type
@@ -413,18 +377,17 @@ def build_symbol_table(
         )
 
     for d in declared:
-        resolve = cache(d.scope.resolve_type)  # each written name once per type body
         supertypes: list[str] = []
         externals: set[str] = set()
         for ref in d.decl.extends_refs + d.decl.implements_refs:
-            resolved, known = resolve(ref.name)
+            resolved, known = d.scope.resolve_type(ref.name)
             supertypes.append(resolved)
             if not known:
                 externals.add(resolved)
         own[d.fqn] = table.types[d.fqn] = own[d.fqn]._replace(
             supertypes=tuple(supertypes),
             external_supertypes=frozenset(externals),
-            members=_build_members(d, resolve),
+            members=_build_members(d),
         )
 
     check_acyclic(own, table.types)
@@ -437,11 +400,10 @@ def erased_signature(name: str, param_types: Iterable[str]) -> str:
     return f"{name}({','.join(param_types)})"
 
 
-def _build_members(
-    d: Declaration, resolve: Callable[[str], tuple[str, bool]]
-) -> tuple[MemberInfo, ...]:
-    """The members of ``d``, their type names resolved by ``resolve``."""
+def _build_members(d: Declaration) -> tuple[MemberInfo, ...]:
+    """The members of ``d``, their type names resolved in its scope."""
     decl = d.decl
+    resolve = d.scope.resolve_type
     out: list[MemberInfo] = []
     seen: set[tuple[SymbolKind, str, Optional[str]]] = set()
     in_interface = decl.kind is SymbolKind.INTERFACE

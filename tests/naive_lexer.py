@@ -74,7 +74,7 @@ def naive_tokenize(text: str, path: str) -> list[Token]:
             line += 1
             col = 1
             continue
-        if c in " \t\r":
+        if c in " \t\f\r":
             i += 1
             col += 1
             continue
@@ -94,9 +94,9 @@ def naive_tokenize(text: str, path: str) -> list[Token]:
                     col += 1
             i = j + 2
             continue
-        if c.isalpha() or c == "_":
+        if c.isalpha() or c in "_$":
             start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and (text[i].isalnum() or text[i] in "_$"):
                 i += 1
             word = text[start:i]
             ttype = word if word in KEYWORDS else "IDENT"

@@ -46,6 +46,19 @@ def test_sum_command(tmp_path, capsys):
     assert "symbols: 3, legal uses: 6" in out
 
 
+def test_sum_names_the_library_after_its_resolved_root(tmp_path, monkeypatch, capsys):
+    lib = tmp_path / "mylib"
+    (lib / "p").mkdir(parents=True)
+    (lib / "p" / "A.java").write_text("package p; public class A { }")
+    written = {}
+    for cwd, root in ((lib, "."), (lib / "p", ".."), (tmp_path, "mylib")):
+        monkeypatch.chdir(cwd)
+        assert main(["sum", root, "-o", str(tmp_path / "sum.json")]) == 0
+        written[root] = json.loads((tmp_path / "sum.json").read_text())["library"]
+    assert written == {".": "mylib", "..": "mylib", "mylib": "mylib"}
+    capsys.readouterr()
+
+
 def test_suf_label_defaults_to_client(sum_path, tmp_path):
     out = tmp_path / "f.json"
     assert main(["suf", "--sum", str(sum_path), CLASSIC, "-o", str(out)]) == 0

@@ -581,11 +581,12 @@ def test_each_written_type_is_resolved_once(monkeypatch):
     assert {t.use for t in fp.triples} == {U.TYPE_REFERENCE}
 
 
-def test_the_table_and_anonymous_signatures_resolve_each_name_once_per_type_body(monkeypatch):
-    # The client table resolves C's supertype H and its member type E once
-    # each, however many members name E. Extraction resolves E once in C's
-    # body, H once in D's, and E once in the anonymous class body, whose
-    # overriding signature and member visit share the body's memo.
+def test_typing_and_anonymous_signatures_resolve_each_name_once_per_type_body(monkeypatch):
+    # The client table resolves each written name directly: C's supertype H
+    # once and its member type E once per occurrence. Extraction then
+    # resolves E once in C's body, H once in D's, and E once in the
+    # anonymous class body, whose overriding signature and member visit
+    # share the body's memo.
     model = build_sum([
         parse_unit("package lib; public class E { }", "E.java"),
         parse_unit("package lib; public abstract class H { public abstract E on(E a, E b); }",
@@ -606,11 +607,11 @@ def test_the_table_and_anonymous_signatures_resolve_each_name_once_per_type_body
 
     monkeypatch.setattr(Scope, "resolve_type", counted)
     build_symbol_table([unit], base=model.table)
-    assert names == [("app.C", "H"), ("app.C", "E")]
+    built = [("app.C", "H")] + [("app.C", "E")] * 6
+    assert names == built
     names.clear()
     fp = extract_uses([unit], model)
-    assert names == [("app.C", "H"), ("app.C", "E"),
-                     ("app.C", "E"), ("app.D", "H"), ("lib.H", "E")]
+    assert names == built + [("app.C", "E"), ("app.D", "H"), ("lib.H", "E")]
     overriding = {t.location.line for t in fp.triples if t.use is U.OVERRIDING}
     assert overriding == {2, 3}
 

@@ -46,13 +46,13 @@ def test_the_length_of_the_tokens_counts_every_token_and_one_eof():
         assert len(tokens.values) == len(tokens.starts) == len(tokens), path
 
 
-# Letters (one non-ASCII), '_', decimal digits (one Arabic-Indic), numerics
-# that are not decimal digits, hex prefixes, signed exponents, leading-point
-# numbers, octal and Unicode escapes and their parts, quotes, backslashes,
-# comment delimiters, every operator character and every character the
-# scanner skips but '\r'.
+# Letters (one non-ASCII), '_', '$', decimal digits (one Arabic-Indic),
+# numerics that are not decimal digits, hex prefixes, signed exponents,
+# leading-point numbers, octal and Unicode escapes and their parts, quotes,
+# backslashes, comment delimiters, every operator character and every
+# character the scanner skips but '\r'.
 PIECES = [
-    "a", "Z", "é", "_", "class", "new", "0", "7", "٣", "²", "½", "Ⅷ", "e-", "E+",
+    "a", "Z", "é", "_", "$", "class", "new", "0", "7", "٣", "²", "½", "Ⅷ", "e-", "E+",
     "0x", "p-", "P+", ".5", ".5e-3", "u", "0041", "377", "'\\101'", "'\\u00e9'",
     '"', "'", "\\", "//", "/*", "*/", *"+-*/%<>!&|^~=.,;:()[]{}?@",
     " ", "\t", "\f", "\n",
@@ -72,6 +72,7 @@ PIECES = [
 @example(" \n\t /* x")  # '/*' unterminated after white space
 @example(" \t\n \n")  # only white space
 @example("a\r\n\r\n\r\n  b\r\n")  # runs of '\r\n'
+@example("$ $a a$ _$1 1$ a\fb \f\n\f// c\f d\n\f")  # '$' in names; form feeds
 def test_scanner_agrees_with_the_reference_lexer(text):
     got = outcome(scan, text)
     if isinstance(got, tuple) and got[0].startswith("unexpected character"):
@@ -116,6 +117,24 @@ def test_non_decimal_digits_start_no_number():
         ("INT", "٣"),
         ("EOF", ""),
     ]
+
+
+@pytest.mark.parametrize("name", ["A$B", "$", "$A", "_$", "A$1", "A$$"])
+def test_an_identifier_may_start_with_and_hold_a_dollar_sign(name):
+    # JLS §3.8: '$' is a Java letter.
+    text = f"class {name} {{ }}"
+    assert scan(text, "A.java")[1] == naive_tokenize(text, "A.java")[1] == ("IDENT", name, 1, 7)
+    assert parse_unit(text, "A.java").types[0].simple_name == name
+
+
+def test_a_form_feed_is_white_space_that_ends_no_line():
+    # JLS §3.6: a form feed separates tokens like a space, so the
+    # declaration after it keeps its line and counts it as one column.
+    text = "class A { }\fclass B { }\n\f class C { }"
+    assert [(t.value, t.line, t.column) for t in scan(text, "A.java") if t.type == "IDENT"] == [
+        ("A", 1, 7), ("B", 1, 19), ("C", 2, 9)]
+    assert scan(text, "A.java") == naive_tokenize(text, "A.java")
+    assert [t.simple_name for t in parse_unit(text, "A.java").types] == ["A", "B", "C"]
 
 
 def test_eof_after_a_trailing_line_comment_is_placed_after_it():
