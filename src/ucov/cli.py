@@ -48,21 +48,25 @@ class UsageError(UcovError):
 
 
 def _corpus_config(data: dict) -> tuple[dict[str, list[str]], bool]:
-    """The labeled groups of roots and the lenient flag of a corpus config."""
+    """The labeled groups of roots and the lenient flag of a corpus config.
+    Malformed content raises ValueError, which ``_read_json`` reports with
+    the file's path."""
     groups = data.get("groups", {})
     if not isinstance(groups, dict) or not all(
         isinstance(roots, list) and all(isinstance(r, str) for r in roots)
         for roots in groups.values()
     ):
-        raise UsageError("corpus config groups must map labels to lists of roots")
+        raise ValueError("corpus config groups must map labels to lists of roots")
+    if not groups:
+        raise ValueError("corpus config defines no groups")
     if "" in groups:
-        raise UsageError("corpus config labels must be non-empty")
+        raise ValueError("corpus config labels must be non-empty")
     for label in groups:  # each label names a file in the output directory
         if "/" in label or "\\" in label:
-            raise UsageError(f"corpus config label {label!r} contains a path separator")
+            raise ValueError(f"corpus config label {label!r} contains a path separator")
     lenient = data.get("lenient", True)
     if not isinstance(lenient, bool):
-        raise UsageError("corpus config lenient must be true or false")
+        raise ValueError("corpus config lenient must be true or false")
     return groups, lenient
 
 
@@ -231,8 +235,6 @@ def cmd_suf(args: argparse.Namespace) -> int:
     model = _load_model(args.sum, resolve=True)
     if args.config:
         groups, lenient = _read_json(args.config, _corpus_config, unique_keys=True)
-        if not groups:
-            raise UsageError("corpus config defines no groups")
         lenient = args.lenient or lenient
     else:
         if not args.roots:

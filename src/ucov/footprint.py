@@ -69,7 +69,6 @@ def extract_uses(
     extractor = _Extractor(model, table, list(_parse_errors))
     for d in declarations(client_units, table):
         extractor.visit_type(d)
-    extractor.add_invocation_sites()
     return Footprint(
         label=label,
         library=model.library_name,
@@ -116,12 +115,21 @@ _UNCHECKED = object()  # a (member, use) that ``_checked_member`` has not met ye
 
 class _Invocations(NamedTuple):
     """The MethodInvocation uses that every call to one non-static method
-    makes: its closure's legal pairs and IllegalUse messages, and the
-    location of each call site so far."""
+    makes: the site sets of its closure's legal pairs, and its IllegalUse
+    messages."""
 
-    pairs: tuple[UsePair, ...]
+    sites: tuple[set[n.Location], ...]
     messages: tuple[str, ...]
-    locations: list[n.Location]
+
+
+def _extension(supertype: Optional[TypeInfo], kind: SymbolKind) -> UseKind:
+    """The use a type of ``kind`` makes of a supertype it extends or
+    implements."""
+    if supertype is None or supertype.kind is not SymbolKind.INTERFACE:
+        return UseKind.INHERITANCE
+    if kind is SymbolKind.INTERFACE:
+        return UseKind.INTERFACE_EXTENSION
+    return UseKind.IMPLEMENTATION
 
 
 class _Extractor:
@@ -193,7 +201,9 @@ class _Extractor:
         env = Env(d.scope)
         info = self.table.types[d.fqn]
         self._heritage_uses(d.decl, info, env)
-        self._overriding_uses(info)
+        for member in info.members:
+            if member.kind is SymbolKind.METHOD and "static" not in member.modifiers:
+                self._overriding_uses(self.table.super_methods(member), member.location)
         self._implicit_super_constructors(info)
         for member in d.decl.members:
             self._visit_member(member, env)
@@ -214,30 +224,14 @@ class _Extractor:
                         f"extension of non-exported type {resolved}",
                     )
                 continue
-            target_info = self.table.lookup_type(resolved)
-            if target_info is not None and target_info.kind is SymbolKind.INTERFACE:
-                if decl.kind is SymbolKind.INTERFACE:
-                    self.emit(target, UseKind.INTERFACE_EXTENSION, ref.location)
-                else:
-                    self.emit(target, UseKind.IMPLEMENTATION, ref.location)
-            else:
-                self.emit(target, UseKind.INHERITANCE, ref.location)
+            use = _extension(self.table.lookup_type(resolved), decl.kind)
+            self.emit(target, use, ref.location)
 
-    def _overriding_uses(self, info: TypeInfo) -> None:
-        for member in info.members:
-            if member.kind is not SymbolKind.METHOD or "static" in member.modifiers:
-                continue
-            self._emit_library_methods(
-                self.table.super_methods(member), UseKind.OVERRIDING, member.location
-            )
-
-    def _emit_library_methods(
-        self, methods: tuple[MemberInfo, ...], use: UseKind, loc: n.Location
-    ) -> None:
-        """Emit ``use`` of each instance method declared in the library."""
+    def _overriding_uses(self, methods: tuple[MemberInfo, ...], loc: n.Location) -> None:
+        """Emit Overriding of each instance method among ``methods``."""
         for m in methods:
             if "static" not in m.modifiers:
-                self.emit_member_use(m, use, loc)
+                self.emit_member_use(m, UseKind.OVERRIDING, loc)
 
     def _implicit_super_constructors(self, info: TypeInfo) -> None:
         # An explicitly declared constructor of a client subclass implicitly
@@ -430,7 +424,9 @@ class _Extractor:
             self._visit_args(call.args, env, None)
             return
         if member is None:
-            if self._worth_diagnosing(receiver_type):
+            # Calls on primitives or unknown externals are not diagnosable resolution
+            # failures worth reporting individually; everything else is.
+            if self.table.lookup_type(receiver_type) is not None:
                 self.diag(
                     call.location,
                     DiagnosticKind.UNRESOLVED,
@@ -451,7 +447,8 @@ class _Extractor:
             calls = self._invocations.get(member)
             if calls is None:
                 calls = self._invocations[member] = self._invocation_closure(member)
-            calls.locations.append(call.location)
+            for locations in calls.sites:
+                locations.add(call.location)
             for message in calls.messages:
                 self.diag(call.location, DiagnosticKind.ILLEGAL_USE, message)
         self._visit_args(call.args, env, member)
@@ -461,9 +458,9 @@ class _Extractor:
         ``member``: of the member and, by the virtual-invocation closure, of
         every instance super-method sharing its erased signature, which the
         same call site covers. Its legal pairs enter ``sites`` now, in
-        closure order, so the pairs keep the order they were first seen in;
-        ``add_invocation_sites`` adds the call sites' locations to them."""
-        pairs: list[UsePair] = []
+        closure order, so the pairs keep the order they were first seen in,
+        and each call adds its location to their site sets."""
+        sites: list[set[n.Location]] = []
         messages: list[str] = []
         for m in (member, *self.table.super_methods(member)):
             if "static" in m.modifiers:
@@ -472,23 +469,8 @@ class _Extractor:
             if type(checked) is str:
                 messages.append(checked)
             elif checked is not None:
-                pair = (checked, UseKind.METHOD_INVOCATION)
-                self.sites.setdefault(pair, set())
-                pairs.append(pair)
-        return _Invocations(tuple(pairs), tuple(messages), [])
-
-    def add_invocation_sites(self) -> None:
-        """Add each call site's location to its closure's pairs, once the
-        extraction has seen every call."""
-        sites = self.sites
-        for pairs, _, locations in self._invocations.values():
-            for pair in pairs:
-                sites[pair].update(locations)
-
-    def _worth_diagnosing(self, receiver_type: str) -> bool:
-        # Calls on primitives or unknown externals are not diagnosable resolution
-        # failures worth reporting individually; everything else is.
-        return self.table.lookup_type(receiver_type) is not None
+                sites.append(self.sites.setdefault((checked, UseKind.METHOD_INVOCATION), set()))
+        return _Invocations(tuple(sites), tuple(messages))
 
     def _visit_args(
         self, args: list[n.Expr], env: Env, member: Optional[MemberInfo]
@@ -500,58 +482,49 @@ class _Extractor:
             self.visit_expr(arg, env, expected=expected)
 
     def _new_expr(self, expr: n.New, env: Env) -> None:
+        """Instantiation, or with a body Implementation or Inheritance, and
+        but for Implementation the constructor's invocation. The body of an
+        unknown type is visited too, with the raw name as ``this_type``."""
+        body = expr.anon_body
         loc = expr.type_ref.location  # a new expression's uses are at its type
         for arg_ref in expr.type_ref.type_args:
             self._type_reference(arg_ref, env)
         resolved, known = env.resolve_type(expr.type_ref.name)
+        ctor = None
         if not known:
             self.diag(
                 loc,
                 DiagnosticKind.UNRESOLVED,
                 f"cannot resolve type {expr.type_ref.name} in new expression",
             )
-            self._visit_args(expr.args, env, None)
+        else:
+            info = self.table.lookup_type(resolved)
+            sym = self.model.type_symbol(resolved)
+            arg_types = [static_type_of(a, env) for a in expr.args]
+            ctor = self.table.resolve_constructor(resolved, arg_types).member
+            if sym is not None:
+                use = UseKind.INSTANTIATION if body is None else _extension(info, SymbolKind.CLASS)
+                self.emit(sym, use, loc)
+                if ctor is not None:
+                    if use is not UseKind.IMPLEMENTATION:
+                        self.emit_member_use(ctor, UseKind.CONSTRUCTOR_INVOCATION, loc)
+                elif use is UseKind.INSTANTIATION and info.kind is SymbolKind.CLASS:
+                    self.diag(
+                        loc,
+                        DiagnosticKind.UNRESOLVED,
+                        f"no matching constructor for {resolved}",
+                    )
+        self._visit_args(expr.args, env, ctor)
+        if body is None:
             return
-        info = self.table.lookup_type(resolved)
-        sym = self.model.type_symbol(resolved)
-        arg_types = [static_type_of(a, env) for a in expr.args]
-        ctor = self.table.resolve_constructor(resolved, arg_types)
-        if expr.anon_body is not None:
-            self._anonymous_class(expr, resolved, info, sym, ctor, env)
-            return
-        if sym is not None:
-            self.emit(sym, UseKind.INSTANTIATION, loc)
-            if ctor.member is not None:
-                self.emit_member_use(ctor.member, UseKind.CONSTRUCTOR_INVOCATION, loc)
-            elif info is not None and info.kind is SymbolKind.CLASS:
-                self.diag(
-                    loc,
-                    DiagnosticKind.UNRESOLVED,
-                    f"no matching constructor for {resolved}",
-                )
-        self._visit_args(expr.args, env, ctor.member)
-
-    def _anonymous_class(self, expr, resolved, info, sym, ctor, env: Env) -> None:
-        is_interface = info is not None and info.kind is SymbolKind.INTERFACE
-        loc = expr.type_ref.location
-        if sym is not None:
-            if is_interface:
-                self.emit(sym, UseKind.IMPLEMENTATION, loc)
-            else:
-                self.emit(sym, UseKind.INHERITANCE, loc)
-                if ctor.member is not None:
-                    self.emit_member_use(ctor.member, UseKind.CONSTRUCTOR_INVOCATION, loc)
-        self._visit_args(expr.args, env, ctor.member)
         inner = Env(env.scope._replace(this_type=resolved))
-        for member in expr.anon_body or []:
+        for member in body:
             if member.kind is SymbolKind.METHOD:
                 signature = erased_signature(
                     member.name, (erase(p.type_ref, inner.resolve_type) for p in member.params)
                 )
-                self._emit_library_methods(
-                    self.table.overridden_methods(resolved, signature),
-                    UseKind.OVERRIDING,
-                    member.location,
+                self._overriding_uses(
+                    self.table.overridden_methods(resolved, signature), member.location
                 )
             self._visit_member(member, inner)
 

@@ -131,12 +131,23 @@ def profile(basis: Union[UsageModel, Footprint]) -> ProfileDistribution:
     return ProfileDistribution(weights, basis_name)
 
 
+# Every non-empty subset of labels is a region, so each footprint doubles
+# the regions and the memory they take: 16 footprints make 65,535 regions.
+MAX_REGION_FOOTPRINTS = 16
+
+
 def exclusive_regions(footprints: list[Footprint]) -> IntersectionRegions:
     """Partition the union of unique uses by the exact subset of labeled
     footprints containing each use. Zero-count regions are included for
-    every non-empty subset of labels."""
+    every non-empty subset of labels, so at most ``MAX_REGION_FOOTPRINTS``
+    footprints are taken."""
     if len(footprints) < 2:
         raise ValueError("at least two footprints are required")
+    if len(footprints) > MAX_REGION_FOOTPRINTS:
+        raise ValueError(
+            f"at most {MAX_REGION_FOOTPRINTS} footprints can be compared "
+            f"({2 ** MAX_REGION_FOOTPRINTS - 1:,} regions); got {len(footprints)}"
+        )
     libraries = {fp.library for fp in footprints}
     if len(libraries) > 1:
         raise ModelMismatch(f"footprints span different models: {sorted(libraries)}")

@@ -331,7 +331,7 @@ class _Collector:
                 if i < len(ctor.member.param_types):
                     expected = ctor.member.param_types[i]
             self.expr(arg, env, expected)
-        if e.anon_body is not None and known:
+        if e.anon_body is not None:
             inner = Env(env.scope._replace(this_type=resolved))
             for member in e.anon_body:
                 if member.kind is SymbolKind.METHOD:

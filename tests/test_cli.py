@@ -149,6 +149,29 @@ def test_compare_requires_two_footprints(sum_path, tmp_path, capsys):
     assert main(["compare", "--sum", str(sum_path), str(a)]) == 1
 
 
+def test_compare_of_more_than_16_footprints_exits_1_before_building_regions(
+    sum_path, tmp_path, capsys
+):
+    # Every non-empty subset of labels is a region: 17 footprints would make
+    # 131,071 of them, and each further footprint doubles their memory.
+    (tmp_path / "none").mkdir()
+    empty = json.loads(suf(sum_path, tmp_path, "empty", str(tmp_path / "none")).read_text())
+    paths = []
+    for i in range(17):
+        path = tmp_path / f"f{i}.json"
+        path.write_text(json.dumps({**empty, "label": f"f{i}"}))
+        paths.append(str(path))
+    out = tmp_path / "regions.json"
+    capsys.readouterr()
+    assert main(["compare", "--sum", str(sum_path), *paths, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: at most 16 footprints can be compared (65,535 regions); got 17\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_profile_command(sum_path, tmp_path, capsys):
     capsys.readouterr()
     assert main(["profile", "--sum", str(sum_path)]) == 0
@@ -540,6 +563,7 @@ def test_duplicate_group_labels_exit_1(sum_path, tmp_path, capsys):
 
 ROOTS_GIVEN = "--config defines the client roots; give none on the command line"
 LABEL_GIVEN = "--config defines the labels; --label cannot be used with it"
+MALFORMED = "{path}: malformed content: corpus config "
 
 
 @pytest.mark.parametrize(
@@ -548,18 +572,20 @@ LABEL_GIVEN = "--config defines the labels; --label cannot be used with it"
         (
             {"groups": {"../escaped": [CLASSIC]}},
             [],
-            "corpus config label '../escaped' contains a path separator",
+            MALFORMED + "label '../escaped' contains a path separator",
         ),
         (
             {"groups": {"a\\b": [CLASSIC]}},
             [],
-            "corpus config label 'a\\\\b' contains a path separator",
+            MALFORMED + "label 'a\\\\b' contains a path separator",
         ),
         (
             {"groups": {"a": [CLASSIC]}, "lenient": "false"},
             [],
-            "corpus config lenient must be true or false",
+            MALFORMED + "lenient must be true or false",
         ),
+        ({"groups": {"a": "x"}}, [], MALFORMED + "groups must map labels to lists of roots"),
+        ({"groups": {}}, [], MALFORMED + "defines no groups"),
         (
             {"groups": {"a": [CLASSIC], "b": [FRAMEWORK, "/nonexistent/root"]}},
             [],
@@ -572,7 +598,8 @@ LABEL_GIVEN = "--config defines the labels; --label cannot be used with it"
         ({"groups": {"a": [CLASSIC]}}, ["--label", "other", "no/such/dir"], ROOTS_GIVEN),
     ],
     ids=[
-        "label-with-slash", "label-with-backslash", "lenient-not-a-boolean", "missing-root",
+        "label-with-slash", "label-with-backslash", "lenient-not-a-boolean", "roots-not-a-list",
+        "no-groups", "missing-root",
         "with-missing-client-root", "with-client-root", "with-label", "with-default-label",
         "with-label-and-client-root",
     ],
@@ -586,7 +613,7 @@ def test_bad_corpus_config_exits_1_and_writes_nothing(
     capsys.readouterr()
     argv = ["suf", "--sum", str(sum_path), "--config", str(path), "-o", str(out / "sufs")]
     assert main(argv + extra) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
     assert not out.exists()
 
 

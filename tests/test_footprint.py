@@ -551,6 +551,66 @@ def test_a_constructor_whose_library_superclass_has_no_zero_arg_constructor_invo
     assert diagnostics == []
 
 
+NEW_LIB = {
+    "A": "package p; public class A { public A() { } public void g() { } }",
+    "K": "package p; public class K { public K(int x) { } }",
+    "I": "package p; public interface I { void run(); void stop(); }",
+}
+
+
+@pytest.mark.parametrize("statement, triples, diagnostics", [
+    (
+        "A a = new A();",
+        {("p.A", None, U.TYPE_REFERENCE), ("p.A", None, U.INSTANTIATION),
+         ("p.A.A", "A()", U.CONSTRUCTOR_INVOCATION)},
+        [],
+    ),
+    (
+        "I i = new I();",
+        {("p.I", None, U.TYPE_REFERENCE)},
+        [(DiagnosticKind.ILLEGAL_USE, "Instantiation is not a legal use of p.I")],
+    ),
+    (
+        "K k = new K();",
+        {("p.K", None, U.TYPE_REFERENCE), ("p.K", None, U.INSTANTIATION)},
+        [(DiagnosticKind.UNRESOLVED, "no matching constructor for p.K")],
+    ),
+    (
+        "K k = new K() { };",
+        {("p.K", None, U.TYPE_REFERENCE), ("p.K", None, U.INHERITANCE)},
+        [],
+    ),
+    (
+        "I i = new I() { public void run() { } public void other() { } };",
+        {("p.I", None, U.TYPE_REFERENCE), ("p.I", None, U.IMPLEMENTATION),
+         ("p.I.run", "run()", U.OVERRIDING)},
+        [],
+    ),
+    (
+        "Thread t = new Thread() { public void run() { A b = new A(); b.g(); } };",
+        {("p.A", None, U.TYPE_REFERENCE), ("p.A", None, U.INSTANTIATION),
+         ("p.A.A", "A()", U.CONSTRUCTOR_INVOCATION), ("p.A.g", "g()", U.METHOD_INVOCATION)},
+        [(DiagnosticKind.UNRESOLVED, "cannot resolve type Thread in new expression")],
+    ),
+], ids=[
+    "class", "interface", "class-without-constructor", "anonymous-class-without-constructor",
+    "anonymous-interface", "anonymous-body-of-unknown-type",
+])
+def test_every_shape_of_new_has_the_uses_of_its_one_rule(statement, triples, diagnostics):
+    # A plain ``new`` is an Instantiation and invokes a constructor; with a
+    # body it is an Inheritance that invokes one or an Implementation that
+    # does not, and overrides what its methods override. Only a plain
+    # ``new`` of a class lacks a constructor; the body of an unknown type is
+    # still visited.
+    located_triples, found = typed_extract(
+        NEW_LIB, "import p.*;\nclass C {\n  void m() { " + statement + " } }"
+    )
+    assert located_triples == {(*t, 3) for t in triples}
+    assert [(d.kind, d.location.line, d.message) for d in found] == [
+        (kind, 3, message) for kind, message in diagnostics
+    ]
+
+
 def test_each_written_type_is_resolved_once(monkeypatch):
     # Extraction resolves the name E once per type body: in C, the first
     # of a parameter, a local, a catch and a typed lambda parameter to ask
