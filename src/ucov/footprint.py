@@ -110,9 +110,6 @@ def footprint_of_corpus(
     return out
 
 
-_UNCHECKED = object()  # a (member, use) that ``_checked_member`` has not met yet
-
-
 class _Invocations(NamedTuple):
     """The MethodInvocation uses that every call to one non-static method
     makes: the site sets of its closure's legal pairs, and its IllegalUse
@@ -139,12 +136,8 @@ class _Extractor:
         self.lib_table = model.table
         self.sites: dict[UsePair, set[n.Location]] = {}
         self.diagnostics = diagnostics
-        # Answers that hold for the whole extraction, each found once: the
-        # invocations of each non-static method called, the checked symbol
-        # of each (member, use), and each interface's single abstract method.
+        # The invocations of each non-static method called, found once.
         self._invocations: dict[MemberInfo, _Invocations] = {}
-        self._checked_members: dict[tuple[MemberInfo, UseKind], Union[Symbol, str, None]] = {}
-        self._sams: dict[str, Optional[MemberInfo]] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -170,19 +163,13 @@ class _Extractor:
         """``_checked`` of the member's model symbol. A member the model does
         not export gives the IllegalUse message where the library declares
         it, and None (no use) where it does not."""
-        key = (member, use)
-        checked = self._checked_members.get(key, _UNCHECKED)
-        if checked is _UNCHECKED:
-            sym = self.model.symbols.get(
-                new_value(Symbol, (member.fqn, member.kind, member.signature)))
-            if sym is not None:
-                checked = self._checked(sym, use)
-            elif self.is_library_type(member.declaring):
-                checked = f"{use.value} of non-exported symbol {member.fqn}"
-            else:
-                checked = None
-            self._checked_members[key] = checked
-        return checked
+        key = new_value(Symbol, (member.fqn, member.kind, member.signature))
+        sym = self.model.symbols.get(key)
+        if sym is not None:
+            return self._checked(sym, use)
+        if self.is_library_type(member.declaring):
+            return f"{use.value} of non-exported symbol {member.fqn}"
+        return None
 
     def _record(self, checked: Union[Symbol, str, None], use: UseKind, loc: n.Location) -> None:
         """Add what ``_checked`` or ``_checked_member`` gave at ``loc``."""
@@ -269,6 +256,7 @@ class _Extractor:
         its field initializer or body with the types they declare: the
         initializer and each ``return`` of the body expect the member's type."""
         env = type_env.child()
+        env.returns = Unknown  # a void method's or constructor's, not an enclosing one's
         if member.type_ref is not None:
             env.returns = self._type_reference(member.type_ref, env)
         for p in member.params:
@@ -483,8 +471,9 @@ class _Extractor:
 
     def _new_expr(self, expr: n.New, env: Env) -> None:
         """Instantiation, or with a body Implementation or Inheritance, and
-        but for Implementation the constructor's invocation. The body of an
-        unknown type is visited too, with the raw name as ``this_type``."""
+        but for Implementation the constructor's invocation. A body extends
+        the enclosing environment. The body of an unknown type is visited
+        too, with the raw name as ``this_type``, and overrides nothing."""
         body = expr.anon_body
         loc = expr.type_ref.location  # a new expression's uses are at its type
         for arg_ref in expr.type_ref.type_args:
@@ -517,9 +506,9 @@ class _Extractor:
         self._visit_args(expr.args, env, ctor)
         if body is None:
             return
-        inner = Env(env.scope._replace(this_type=resolved))
+        inner = Env(env.scope._replace(this_type=resolved), env)
         for member in body:
-            if member.kind is SymbolKind.METHOD:
+            if known and member.kind is SymbolKind.METHOD:
                 signature = erased_signature(
                     member.name, (erase(p.type_ref, inner.resolve_type) for p in member.params)
                 )
@@ -550,20 +539,14 @@ class _Extractor:
     def _sam(self, expected: str) -> Optional[MemberInfo]:
         """The single abstract method of ``expected`` when it is a model
         interface that declares exactly one, else None."""
-        if expected not in self._sams:
-            sam = None
-            info = self.table.lookup_type(expected)
-            if (
-                info is not None
-                and info.kind is SymbolKind.INTERFACE
-                and self.model.type_symbol(expected) is not None
-            ):
-                abstract = [
-                    m
-                    for m in info.members
-                    if m.kind is SymbolKind.METHOD and "abstract" in m.modifiers
-                ]
-                if len(abstract) == 1:
-                    sam = abstract[0]
-            self._sams[expected] = sam
-        return self._sams[expected]
+        info = self.table.lookup_type(expected)
+        if (
+            info is None
+            or info.kind is not SymbolKind.INTERFACE
+            or self.model.type_symbol(expected) is None
+        ):
+            return None
+        abstract = [
+            m for m in info.members if m.kind is SymbolKind.METHOD and "abstract" in m.modifiers
+        ]
+        return abstract[0] if len(abstract) == 1 else None

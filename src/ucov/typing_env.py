@@ -49,12 +49,19 @@ class Env:
     the enclosing lambda's single abstract method; Unknown when there is
     none. Child scopes inherit it.
 
+    ``parent`` is the enclosing environment. An anonymous class body's
+    environment is a child whose scope has the body's ``this_type``, so
+    the body sees the enclosing locals (JLS §15.9.5); where the scope
+    changes, a class body ends (``bare_name``).
+
     ``links`` holds the record of every chain link typed in this scope,
     keyed by the node (AST nodes hash by identity), and ``resolved`` what
-    each type name written in it resolves to. Child scopes share both; a
-    root environment (one per type body) starts its own, so memory is
-    bounded by one type body. The tables are complete before typing
-    starts, so a resolved name never changes.
+    each type name written in it resolves to. Child scopes, anonymous
+    bodies included, share both; a root environment (one per declared
+    type body) starts its own, so memory is bounded by one type body.
+    Every scope of a body resolves type names alike (``this_type`` plays
+    no part), and the tables are complete before typing starts, so a
+    resolved name never changes.
     """
 
     def __init__(self, scope: Scope, parent: Optional["Env"] = None):
@@ -82,13 +89,14 @@ class Env:
             resolved = self.resolved[name] = self.scope.resolve_type(name)
         return resolved
 
-    def lookup(self, name: str) -> tuple[bool, Optional[str]]:
+    def declares(self, name: str) -> bool:
+        """Whether a variable ``name`` is in scope."""
         env: Optional[Env] = self
         while env is not None:
             if name in env.vars:
-                return True, env.vars[name]
+                return True
             env = env.parent
-        return False, Unknown
+        return False
 
 
 def declared_type(ref: n.TypeRef, env: Env) -> Optional[str]:
@@ -99,8 +107,8 @@ def declared_type(ref: n.TypeRef, env: Env) -> Optional[str]:
     if not name:
         return Unknown
     if name not in PRIMITIVES:  # else a primitive, as erasure takes it
-        name = env.resolve_type(name)[0]
-        if env.table.lookup_type(name) is None:
+        name, known = env.resolve_type(name)
+        if not known:  # never the raw spelling (JLS §7.4.2, §7.5)
             return Unknown
     return name + "[]" * ref.array_dims
 
@@ -121,21 +129,31 @@ def as_type_name(expr: n.Expr, env: Env) -> Optional[str]:
             return None
     else:
         return None
-    declared, _ = env.lookup(name.partition(".")[0])
-    if declared:
+    if env.declares(name.partition(".")[0]):
         return None
     fqn, known = env.resolve_type(name)
     return fqn if known else None
 
 
 def bare_name(expr: n.Name, env: Env) -> tuple[Optional[str], Optional[MemberInfo]]:
-    """(static type, field of ``this``) a bare name denotes. A variable in
-    scope hides a field of the same name."""
-    declared, t = env.lookup(expr.identifier)
-    if declared or env.this_type is None:
-        return t, None
-    f = env.table.find_field(env.this_type, expr.identifier)
-    return (f.type, f) if f is not None else (Unknown, None)
+    """(static type, field) a bare name denotes, the innermost declaration
+    winning: the variables of each scope, and where a class body ends (an
+    ``Env`` with no parent, or whose parent has another scope) the fields
+    its ``this_type`` declares or inherits, before those of the enclosing
+    scopes (JLS §6.4.1, §15.9.5)."""
+    name = expr.identifier
+    while True:
+        if name in env.vars:
+            return env.vars[name], None
+        parent = env.parent
+        if parent is None or parent.scope is not env.scope:
+            if env.this_type is not None:
+                f = env.table.find_field(env.this_type, name)
+                if f is not None:
+                    return f.type, f
+            if parent is None:
+                return Unknown, None
+        env = parent
 
 
 _LITERAL_TYPES = {

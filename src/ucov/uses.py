@@ -41,10 +41,6 @@ class UseTriple(NamedTuple):
     use: UseKind
     location: Location
 
-    @property
-    def pair(self) -> UsePair:
-        return (self.symbol, self.use)
-
     def sort_key(self):
         return (self.symbol.sort_key(), self.use.value, self.location)
 

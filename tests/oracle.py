@@ -11,7 +11,7 @@ from __future__ import annotations
 from ucov import nodes as n
 from ucov.model import SymbolKind, UsageModel, UseKind
 from ucov.symtab import PRIMITIVES, Scope, SymbolTable, build_symbol_table, erase
-from ucov.typing_env import Env, as_type_name, static_type_of
+from ucov.typing_env import Env, as_type_name, bare_name, static_type_of
 
 Fact = tuple[str, object, UseKind, n.Location]
 
@@ -168,7 +168,9 @@ class _Collector:
         base = erased.rstrip("[]")
         if base in ("int", "long", "short", "byte", "double", "float", "boolean", "char"):
             return erased
-        return erased if self.table.lookup_type(base) is not None else None
+        # A name that resolves nowhere is no type, even where a
+        # default-package type has its spelling.
+        return erased if env.scope.resolve_type(ref.name)[1] else None
 
     # -- statements --------------------------------------------------------
 
@@ -225,12 +227,10 @@ class _Collector:
         if isinstance(e, (n.Literal, n.This)):
             return
         if isinstance(e, n.Name):
-            declared, _ = env.lookup(e.identifier)
-            if not declared and env.this_type is not None:
-                f = self.table.find_field(env.this_type, e.identifier)
-                if f is not None:
-                    use = UseKind.FIELD_WRITE if writing else UseKind.FIELD_READ
-                    self.add(f.fqn, None, use, e.location)
+            _, f = bare_name(e, env)
+            if f is not None:
+                use = UseKind.FIELD_WRITE if writing else UseKind.FIELD_READ
+                self.add(f.fqn, None, use, e.location)
         elif isinstance(e, n.FieldAccess):
             rtype = static_type_of(e.receiver, env)
             if rtype is None:
@@ -332,9 +332,11 @@ class _Collector:
                     expected = ctor.member.param_types[i]
             self.expr(arg, env, expected)
         if e.anon_body is not None:
-            inner = Env(env.scope._replace(this_type=resolved))
+            # The body sees the enclosing locals; an unknown type's body
+            # overrides nothing.
+            inner = Env(env.scope._replace(this_type=resolved), env)
             for member in e.anon_body:
-                if member.kind is SymbolKind.METHOD:
+                if known and member.kind is SymbolKind.METHOD:
                     sig = "{}({})".format(
                         member.name,
                         ",".join(erase(p.type_ref, inner.scope.resolve_type)

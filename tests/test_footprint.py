@@ -611,6 +611,91 @@ def test_every_shape_of_new_has_the_uses_of_its_one_rule(statement, triples, dia
     ]
 
 
+def test_an_anonymous_body_sees_the_enclosing_locals_parameters_and_fields():
+    # An anonymous body extends the enclosing environment (JLS 15.9.5): a
+    # local, a parameter and a field of the enclosing class type its calls
+    # there as they do in a block lambda.
+    triples, diagnostics = typed_extract(
+        {
+            **NEW_LIB,
+            "R": "package p; public interface R { void run(); }",
+            "Base": "package p; public class Base { public A field; }",
+        },
+        "package p;\n"
+        "class C extends Base {\n"
+        "  void m(A a, A q) {\n"
+        "    A b = a;\n"
+        "    R r = new R() { public void run() {\n"
+        "      b.g();\n"
+        "      q.g();\n"
+        "      field.g(); } };\n"
+        "    R s = () -> { b.g(); }; } }",
+    )
+    body = {("p.R", None, U.TYPE_REFERENCE), ("p.R", None, U.IMPLEMENTATION),
+            ("p.R.run", "run()", U.OVERRIDING)}
+    assert triples == {
+        ("p.Base", None, U.INHERITANCE, 2),
+        ("p.A", None, U.TYPE_REFERENCE, 3),
+        ("p.A", None, U.TYPE_REFERENCE, 4),
+        *((*t, 5) for t in body),
+        ("p.A.g", "g()", U.METHOD_INVOCATION, 6),
+        ("p.A.g", "g()", U.METHOD_INVOCATION, 7),
+        ("p.Base.field", None, U.FIELD_READ, 8),
+        ("p.A.g", "g()", U.METHOD_INVOCATION, 8),
+        *((*t, 9) for t in body),
+        ("p.A.g", "g()", U.METHOD_INVOCATION, 9),
+    }
+    assert diagnostics == []
+
+
+def test_a_field_of_the_anonymous_type_hides_an_enclosing_local():
+    # Where the anonymous body ends, the fields it inherits from its type
+    # come before the enclosing method's locals (JLS 6.4.1).
+    triples, diagnostics = typed_extract(
+        {
+            **NEW_LIB,
+            "B": "package p; public class B { public void h() { } }",
+            "T": "package p; public abstract class T { public B x; public T() { } "
+                 "public abstract void run(); }",
+        },
+        "package p;\n"
+        "class C { void m(A x) {\n"
+        "  T t = new T() { public void run() {\n"
+        "    x.h(); } }; } }",
+    )
+    assert triples == {
+        ("p.A", None, U.TYPE_REFERENCE, 2),
+        ("p.T", None, U.TYPE_REFERENCE, 3),
+        ("p.T", None, U.INHERITANCE, 3),
+        ("p.T.T", "T()", U.CONSTRUCTOR_INVOCATION, 3),
+        ("p.T.run", "run()", U.OVERRIDING, 3),
+        ("p.T.x", None, U.FIELD_READ, 4),
+        ("p.B.h", "h()", U.METHOD_INVOCATION, 4),
+    }
+    assert diagnostics == []
+
+
+def test_a_name_that_resolves_nowhere_is_not_a_default_package_type():
+    # No named-package code sees a default-package type (JLS 7.4.2, 7.5):
+    # in package q, ``Thread`` is unknown wherever it is written, and an
+    # anonymous body of it overrides nothing.
+    triples, diagnostics = typed_extract(
+        {"Thread": "public class Thread { public Thread() { } public void g() { } "
+                   "public void run() { } }"},
+        "package q;\n"
+        "class C { void m(Thread t) {\n"
+        "  t.g();\n"
+        "  Thread u = new Thread();\n"
+        "  Thread v = new Thread() { public void run() { } }; } }",
+    )
+    assert triples == set()
+    assert [(d.kind, d.location.line, d.message) for d in diagnostics] == [
+        (DiagnosticKind.UNRESOLVED, 3, "cannot resolve receiver of g(...)"),
+        (DiagnosticKind.UNRESOLVED, 4, "cannot resolve type Thread in new expression"),
+        (DiagnosticKind.UNRESOLVED, 5, "cannot resolve type Thread in new expression"),
+    ]
+
+
 def test_each_written_type_is_resolved_once(monkeypatch):
     # Extraction resolves the name E once per type body: in C, the first
     # of a parameter, a local, a catch and a typed lambda parameter to ask
@@ -643,10 +728,11 @@ def test_each_written_type_is_resolved_once(monkeypatch):
 
 def test_typing_and_anonymous_signatures_resolve_each_name_once_per_type_body(monkeypatch):
     # The client table resolves each written name directly: C's supertype H
-    # once and its member type E once per occurrence. Extraction then
-    # resolves E once in C's body, H once in D's, and E once in the
-    # anonymous class body, whose overriding signature and member visit
-    # share the body's memo.
+    # once, its member type E once per occurrence, and F's parameter type E.
+    # Extraction then resolves E once in C's body, H once in D's, and E
+    # once in D's anonymous class body, whose overriding signature and
+    # member visit share the memo of the body it extends. F's body resolves
+    # E before its anonymous body, which then resolves nothing.
     model = build_sum([
         parse_unit("package lib; public class E { }", "E.java"),
         parse_unit("package lib; public abstract class H { public abstract E on(E a, E b); }",
@@ -655,7 +741,8 @@ def test_typing_and_anonymous_signatures_resolve_each_name_once_per_type_body(mo
     unit = parse_unit(
         "package app; import lib.E; import lib.H;\n"
         "class C extends H { public E on(E a, E b) { return a; } E f; void g(E x, E[] y) { } }\n"
-        "class D { void m() { new H() { public E on(E a, E b) { return b; } }; } }",
+        "class D { void m() { new H() { public E on(E a, E b) { return b; } }; } }\n"
+        "class F { void m(E e) { new H() { public E on(E a, E b) { return e; } }; } }",
         "C.java",
     )
     names = []
@@ -667,13 +754,17 @@ def test_typing_and_anonymous_signatures_resolve_each_name_once_per_type_body(mo
 
     monkeypatch.setattr(Scope, "resolve_type", counted)
     build_symbol_table([unit], base=model.table)
-    built = [("app.C", "H")] + [("app.C", "E")] * 6
+    built = [("app.C", "H")] + [("app.C", "E")] * 6 + [("app.F", "E")]
     assert names == built
     names.clear()
     fp = extract_uses([unit], model)
-    assert names == built + [("app.C", "E"), ("app.D", "H"), ("lib.H", "E")]
+    assert names == built + [
+        ("app.C", "E"), ("app.D", "H"), ("lib.H", "E"), ("app.F", "E"), ("app.F", "H"),
+    ]
     overriding = {t.location.line for t in fp.triples if t.use is U.OVERRIDING}
-    assert overriding == {2, 3}
+    assert overriding == {2, 3, 4}
+    got = {(t.symbol.fqn, t.symbol.signature, t.use, t.location) for t in fp.triples}
+    assert got == oracle_extract([unit], model)
 
 
 def test_a_library_type_named_like_a_primitive_is_not_referenced_by_the_primitive():
@@ -977,23 +1068,24 @@ def test_the_grouped_algebra_is_the_algebra_of_triple_sets(t1, t2, extra):
     f1, f2 = Footprint("a", "lib", t1), Footprint("b", "lib", t2)
     for fp, triples in ((f1, t1), (f2, t2)):
         assert fp.triples == triples
-        assert fp.unique_uses == {t.pair for t in triples}
+        assert fp.unique_uses == {(t.symbol, t.use) for t in triples}
         assert fp.total_uses == len(triples)
         assert popularity(fp, by="Symbol") == ranked(
             Counter(t.symbol for t in triples), lambda sym: (sym.sort_key(),))
         assert popularity(fp) == ranked(
-            Counter(t.pair for t in triples), lambda pair: (pair[0].sort_key(), pair[1].value))
+            Counter((t.symbol, t.use) for t in triples),
+            lambda pair: (pair[0].sort_key(), pair[1].value))
     merged, rest = merge(f1, f2), diff(f1, f2)
-    excluded = {t.pair for t in t2}
+    excluded = {(t.symbol, t.use) for t in t2}
     assert merged.triples == t1 | t2
-    assert rest.triples == {t for t in t1 if t.pair not in excluded}
+    assert rest.triples == {t for t in t1 if (t.symbol, t.use) not in excluded}
     # Groups used again, as inputs or as the groups of a later result, do
     # not reach a result.
     for fp in (f1, f2, merge(rest, merged), diff(merged, rest)):
         for locations in fp.sites.values():
             locations.add(extra)
     assert merged.triples == t1 | t2
-    assert rest.triples == {t for t in t1 if t.pair not in excluded}
+    assert rest.triples == {t for t in t1 if (t.symbol, t.use) not in excluded}
 
 
 # Writes the footprint of the two uses of ``p.A.m`` that differ only in a

@@ -164,7 +164,7 @@ def test_reader_matches_the_per_row_reference(case):
     assert got == outcome(naive_footprint_from_dict, data, model)
     if not isinstance(got[0], type):
         _, _, triples, unique_uses, _ = got
-        assert unique_uses == {t.pair for t in triples}
+        assert unique_uses == {(t.symbol, t.use) for t in triples}
 
 
 @pytest.mark.parametrize("corpus,group", CORPORA, ids=[f"{c}/{g}" for c, g in CORPORA])
@@ -183,7 +183,7 @@ def test_unique_uses_are_the_pairs_of_the_triples_after_merge_and_diff():
     b = footprint_from_dict(other, model)
     both = merge(a, b)
     for fp in (a, b, both, diff(both, a), diff(both, b), Footprint("e", "lib")):
-        assert fp.unique_uses == {t.pair for t in fp.triples}
+        assert fp.unique_uses == {(t.symbol, t.use) for t in fp.triples}
     assert both.unique_uses == a.unique_uses | b.unique_uses
     assert diff(both, b).unique_uses == both.unique_uses - b.unique_uses != both.unique_uses
 
