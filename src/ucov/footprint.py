@@ -138,6 +138,8 @@ class _Extractor:
         self.diagnostics = diagnostics
         # The invocations of each non-static method called, found once.
         self._invocations: dict[MemberInfo, _Invocations] = {}
+        # The environments of the types of the top-level type being visited.
+        self._type_envs: dict[str, Env] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -185,8 +187,10 @@ class _Extractor:
     # -- declarations --------------------------------------------------------
 
     def visit_type(self, d: Declaration) -> None:
-        env = Env(d.scope)
         info = self.table.types[d.fqn]
+        if info.enclosing is None:
+            self._type_envs.clear()
+        env = self._type_envs[d.fqn] = Env(d.scope, self._type_envs.get(info.enclosing))
         self._heritage_uses(d.decl, info, env)
         for member in info.members:
             if member.kind is SymbolKind.METHOD and "static" not in member.modifiers:
@@ -379,7 +383,7 @@ class _Extractor:
             self._lambda(expr, env, expected)
 
     def _name_field_use(self, expr: n.Name, env: Env, uses: tuple[UseKind, ...]) -> None:
-        _, member = bare_name(expr, env)
+        _, member = bare_name(expr.identifier, env)
         if member is not None:
             for use in uses:
                 self.emit_member_use(member, use, expr.location)
@@ -473,7 +477,7 @@ class _Extractor:
         """Instantiation, or with a body Implementation or Inheritance, and
         but for Implementation the constructor's invocation. A body extends
         the enclosing environment. The body of an unknown type is visited
-        too, with the raw name as ``this_type``, and overrides nothing."""
+        too, with an Unknown ``this_type``, and overrides nothing."""
         body = expr.anon_body
         loc = expr.type_ref.location  # a new expression's uses are at its type
         for arg_ref in expr.type_ref.type_args:
@@ -506,7 +510,7 @@ class _Extractor:
         self._visit_args(expr.args, env, ctor)
         if body is None:
             return
-        inner = Env(env.scope._replace(this_type=resolved), env)
+        inner = Env(env.scope._replace(this_type=resolved if known else Unknown), env)
         for member in body:
             if known and member.kind is SymbolKind.METHOD:
                 signature = erased_signature(

@@ -42,26 +42,25 @@ class Env:
 
     Type names resolve in ``scope``, that of the enclosing type body, and
     members are looked up in its ``table``. In an anonymous class body,
-    ``this_type`` is the class it extends or the interface it implements.
+    ``this_type`` is the class it extends or the interface it implements,
+    Unknown when that resolved nowhere.
 
     ``returns`` is the expected type of a ``return`` in this scope: the
     declared return type of the enclosing method, or the return type of
     the enclosing lambda's single abstract method; Unknown when there is
     none. Child scopes inherit it.
 
-    ``parent`` is the enclosing environment. An anonymous class body's
-    environment is a child whose scope has the body's ``this_type``, so
-    the body sees the enclosing locals (JLS §15.9.5); where the scope
-    changes, a class body ends (``bare_name``).
+    ``parent`` is the enclosing environment, for a member or anonymous
+    class body the one it is declared in (JLS §6.4.1, §15.9.5). A class
+    body ends where the scope changes; ``bodies`` holds the ``this_type``
+    of each body the scope is in, innermost first.
 
     ``links`` holds the record of every chain link typed in this scope,
     keyed by the node (AST nodes hash by identity), and ``resolved`` what
-    each type name written in it resolves to. Child scopes, anonymous
-    bodies included, share both; a root environment (one per declared
-    type body) starts its own, so memory is bounded by one type body.
-    Every scope of a body resolves type names alike (``this_type`` plays
-    no part), and the tables are complete before typing starts, so a
-    resolved name never changes.
+    each type name written in it resolves to; the tables are complete
+    before typing starts, so a resolved name never changes. Child scopes
+    share both, but a member class, whose ``enclosing`` types differ,
+    starts its own ``resolved``, and a top-level type both.
     """
 
     def __init__(self, scope: Scope, parent: Optional["Env"] = None):
@@ -70,11 +69,14 @@ class Env:
         self.this_type = scope.this_type
         self.parent = parent
         self.vars: dict[str, Optional[str]] = {}
-        self.returns: Optional[str] = parent.returns if parent is not None else Unknown
-        self.links: dict[ChainLink, Link] = parent.links if parent is not None else {}
-        self.resolved: dict[str, tuple[str, bool]] = (
-            parent.resolved if parent is not None else {}
-        )
+        self.returns: Optional[str] = Unknown if parent is None else parent.returns
+        self.links: dict[ChainLink, Link] = {} if parent is None else parent.links
+        self.resolved: dict[str, tuple[str, bool]] = {}
+        self.bodies: tuple[Optional[str], ...] = (scope.this_type,)
+        if parent is not None:
+            if parent.scope.enclosing == scope.enclosing:
+                self.resolved = parent.resolved
+            self.bodies = parent.bodies if parent.scope is scope else self.bodies + parent.bodies
 
     def child(self) -> "Env":
         return Env(self.scope, self)
@@ -88,15 +90,6 @@ class Env:
         if resolved is None:
             resolved = self.resolved[name] = self.scope.resolve_type(name)
         return resolved
-
-    def declares(self, name: str) -> bool:
-        """Whether a variable ``name`` is in scope."""
-        env: Optional[Env] = self
-        while env is not None:
-            if name in env.vars:
-                return True
-            env = env.parent
-        return False
 
 
 def declared_type(ref: n.TypeRef, env: Env) -> Optional[str]:
@@ -117,31 +110,32 @@ def as_type_name(expr: n.Expr, env: Env) -> Optional[str]:
     """If the expression is a dotted name chain denoting a known type,
     return its FQN; otherwise None.
 
-    Names shadowed by in-scope variables are never type names. A chain
-    of field accesses is typed on the way: its link records hold the name
-    it spells.
+    A name is a variable if one is in scope, else a type (JLS §6.5.2): a
+    chain whose first name ``bare_name`` finds, or whose last name is a
+    field, is no type name. A chain of field accesses is typed on the way:
+    its link records hold the name it spells.
     """
     if isinstance(expr, n.Name):
         name = expr.identifier
-    elif isinstance(expr, n.FieldAccess):
-        name = link_of(expr, env).name
-        if name is None:
-            return None
+    elif isinstance(expr, n.FieldAccess) and link_of(expr, env).member is None:
+        name = env.links[expr].name
     else:
         return None
-    if env.declares(name.partition(".")[0]):
+    if name is None or bare_name(name.partition(".")[0], env) is not NOWHERE:
         return None
     fqn, known = env.resolve_type(name)
     return fqn if known else None
 
 
-def bare_name(expr: n.Name, env: Env) -> tuple[Optional[str], Optional[MemberInfo]]:
-    """(static type, field) a bare name denotes, the innermost declaration
-    winning: the variables of each scope, and where a class body ends (an
-    ``Env`` with no parent, or whose parent has another scope) the fields
-    its ``this_type`` declares or inherits, before those of the enclosing
-    scopes (JLS §6.4.1, §15.9.5)."""
-    name = expr.identifier
+NOWHERE: tuple[Optional[str], Optional[MemberInfo]] = (Unknown, None)  # no variable or field
+
+
+def bare_name(name: str, env: Env) -> tuple[Optional[str], Optional[MemberInfo]]:
+    """(static type, field) the bare name ``name`` denotes, the innermost
+    declaration winning: the variables of each scope, and where a class
+    body ends (an ``Env`` with no parent, or whose parent has another
+    scope) the fields its ``this_type`` declares or inherits, before those
+    of the enclosing scopes (JLS §6.4.1, §15.9.5); else ``NOWHERE``."""
     while True:
         if name in env.vars:
             return env.vars[name], None
@@ -152,7 +146,7 @@ def bare_name(expr: n.Name, env: Env) -> tuple[Optional[str], Optional[MemberInf
                 if f is not None:
                     return f.type, f
             if parent is None:
-                return Unknown, None
+                return NOWHERE
         env = parent
 
 
@@ -176,7 +170,7 @@ def static_type_of(expr: n.Expr, env: Env) -> Optional[str]:
         if isinstance(expr, _CHAIN_LINKS):
             return link_of(expr, env).type
         if isinstance(expr, n.Name):
-            return bare_name(expr, env)[0]
+            return bare_name(expr.identifier, env)[0]
         if isinstance(expr, n.Literal):
             return _LITERAL_TYPES.get(expr.kind, Unknown)
         if isinstance(expr, n.This):
@@ -221,36 +215,37 @@ def link_of(link: ChainLink, env: Env) -> Link:
 def _type_link(link: ChainLink, env: Env) -> Link:
     """Decide one link whose receiver link, if any, has its record.
 
-    This is the one receiver rule of typing and extraction. An unqualified
-    call's receiver is ``this``. A call names a type receiver before typing
-    it, so in ``Foo.make()`` a visible type ``Foo`` wins over a field
-    ``Foo``. A field access types its receiver first and falls back to a
-    type name. A receiver that is neither typed nor a type is an expression
-    of Unknown type.
+    This is the one receiver rule of typing and extraction. A receiver is
+    read as a type name (``as_type_name``), and only otherwise typed as an
+    expression; one that is neither is an expression of Unknown type. An
+    unqualified call's receiver is the innermost of ``env.bodies`` with a
+    method of its name and arity (JLS §15.12.1), or when none has one the
+    innermost body, whose type the failed call names.
     """
     receiver, name = link.receiver, None
-    if isinstance(link, n.MethodCall):
-        type_name = env.this_type if receiver is None else as_type_name(receiver, env)
-        is_expr = receiver is not None and type_name is None
-        receiver_type = static_type_of(receiver, env) if is_expr else type_name
-    else:
-        head = receiver.identifier if isinstance(receiver, n.Name) else None
-        if isinstance(receiver, n.FieldAccess):
-            head = env.links[receiver].name
-        name = None if head is None else f"{head}.{link.name}"
-        receiver_type = static_type_of(receiver, env)
-        is_expr = receiver_type is not None
-        if not is_expr:
-            receiver_type = as_type_name(receiver, env)
-            is_expr = receiver_type is None
-    if receiver_type is None:
+    receivers, is_expr = env.bodies, False  # an unqualified call's
+    if receiver is not None:
+        if isinstance(link, n.FieldAccess):
+            head = receiver.identifier if isinstance(receiver, n.Name) else None
+            if isinstance(receiver, n.FieldAccess):
+                head = env.links[receiver].name
+            name = None if head is None else f"{head}.{link.name}"
+        type_name = as_type_name(receiver, env)
+        is_expr = type_name is None
+        receivers = (static_type_of(receiver, env) if is_expr else type_name,)
+    if not any(receivers):  # no receiver type is known
         return Link(None, is_expr, None, ResolutionStatus.UNRESOLVED, Unknown, name)
+    receiver_type = receivers[0]
     if isinstance(link, n.FieldAccess):
         member = env.table.find_field(receiver_type, link.name)
         status = ResolutionStatus.UNRESOLVED if member is None else ResolutionStatus.RESOLVED
     else:
         arg_types = [static_type_of(a, env) for a in link.args]
-        res = env.table.resolve_method(receiver_type, link.name, arg_types)
+        for body in filter(None, receivers):
+            res = env.table.resolve_method(body, link.name, arg_types)
+            if res.member is not None:
+                receiver_type = body
+                break
         member, status = res.member, res.status
     link_type = Unknown if member is None or member.type == "void" else member.type
     return Link(receiver_type, is_expr, member, status, link_type, name)

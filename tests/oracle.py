@@ -54,7 +54,7 @@ class _Collector:
             prefix = unit.package_name + "." if unit.package_name else ""
             self.type_decl(decl, prefix + decl.simple_name, unit_scope)
 
-    def type_decl(self, decl, fqn, outer):
+    def type_decl(self, decl, fqn, outer, parent=None):
         scope = outer._replace(
             this_type=fqn,
             enclosing=outer.enclosing + (fqn,),
@@ -68,11 +68,12 @@ class _Collector:
         if info is not None:
             self.declared_overrides(info)
             self.implicit_super_ctor(info)
-        env = Env(scope)
+        # A nested type's bodies see this one's fields and methods.
+        env = Env(scope, parent)
         for member in decl.members:
             self.member(member, env)
         for inner in decl.nested:
-            self.type_decl(inner, f"{fqn}.{inner.simple_name}", scope)
+            self.type_decl(inner, f"{fqn}.{inner.simple_name}", scope, env)
 
     def heritage(self, decl, ref, scope):
         for arg in ref.type_args:
@@ -227,7 +228,7 @@ class _Collector:
         if isinstance(e, (n.Literal, n.This)):
             return
         if isinstance(e, n.Name):
-            _, f = bare_name(e, env)
+            _, f = bare_name(e.identifier, env)
             if f is not None:
                 use = UseKind.FIELD_WRITE if writing else UseKind.FIELD_READ
                 self.add(f.fqn, None, use, e.location)
@@ -265,17 +266,19 @@ class _Collector:
 
     def call(self, e: n.MethodCall, env: Env):
         if e.receiver is None:
-            rtype = env.this_type
+            # The innermost enclosing body with such a method.
+            rtypes = env.bodies
         else:
             rtype = as_type_name(e.receiver, env)
             if rtype is None:
                 rtype = static_type_of(e.receiver, env)
                 self.expr(e.receiver, env, None)
+            rtypes = (rtype,)
         member = None
-        if rtype is not None:
-            arg_types = [static_type_of(a, env) for a in e.args]
-            res = self.table.resolve_method(rtype, e.name, arg_types)
-            member = res.member
+        arg_types = [static_type_of(a, env) for a in e.args]
+        for rtype in rtypes:
+            if rtype is not None and member is None:
+                member = self.table.resolve_method(rtype, e.name, arg_types).member
         if member is not None:
             if "static" in member.modifiers:
                 self.add(member.fqn, member.signature, UseKind.STATIC_INVOCATION, e.location)
@@ -333,8 +336,8 @@ class _Collector:
             self.expr(arg, env, expected)
         if e.anon_body is not None:
             # The body sees the enclosing locals; an unknown type's body
-            # overrides nothing.
-            inner = Env(env.scope._replace(this_type=resolved), env)
+            # has no type and overrides nothing.
+            inner = Env(env.scope._replace(this_type=resolved if known else None), env)
             for member in e.anon_body:
                 if known and member.kind is SymbolKind.METHOD:
                     sig = "{}({})".format(

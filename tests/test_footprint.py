@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -455,33 +456,60 @@ def test_field_and_nested_type_of_same_name_are_distinct():
     assert clone.triples == fp.triples
 
 
-def test_call_on_a_name_that_is_both_a_type_and_a_field_uses_the_type():
-    # Typing and extraction share one receiver rule: a call names a type
-    # receiver before typing it, so Foo.make() calls the static p.Foo.make
-    # rather than make() on the field Foo, and its result types the next call.
-    model = build_sum(
-        [
-            parse_unit(
-                "package p; public class Foo { public static Bar make() { return null; } }",
-                "Foo.java",
-            ),
-            parse_unit("package p; public class Bar { public int size() { return 0; } }", "Bar.java"),
-        ],
-        "p",
-    )
-    units = [
-        parse_unit(
-            "import p.Foo; import p.Bar; class C { Bar Foo; void m() { Foo.make().size(); } }",
-            "C.java",
-        )
-    ]
-    fp = extract_uses(units, model)
-    assert {("p.Foo.make", U.STATIC_INVOCATION), ("p.Bar.size", U.METHOD_INVOCATION)} <= {
-        (t.symbol.fqn, t.use) for t in fp.triples
+# Probes whose expected uses follow what javac compiles them to; each is a
+# library of one unit per type and a client (test_each_probe_compiles_with_javac).
+FIELD_AND_TYPE = (
+    {
+        "Foo": "package p; public class Foo { public static Bar make() { return null; } }",
+        "Bar": "package p; public class Bar { public Bar make() { return this; } "
+               "public int size() { return 0; } }",
+    },
+    "import p.Foo; import p.Bar; class C { Bar Foo; void m() { Foo.make().size(); } }",
+)
+
+
+def test_call_on_a_name_that_is_both_a_type_and_a_field_uses_the_field():
+    # A name is a variable if one is in scope, else a type (JLS 6.5.2), for a
+    # call's receiver as for a field access's: the field Foo obscures the
+    # type Foo, so Foo.make() calls make() on the field, as javac compiles it
+    # (getfield Foo, then invokevirtual p/Bar.make), and its result types the
+    # next call.
+    triples, diagnostics = typed_extract(*FIELD_AND_TYPE)
+    assert triples == {
+        ("p.Bar", None, U.TYPE_REFERENCE, 1),
+        ("p.Bar.make", "make()", U.METHOD_INVOCATION, 1),
+        ("p.Bar.size", "size()", U.METHOD_INVOCATION, 1),
     }
-    assert fp.diagnostics == []
-    got = {(t.symbol.fqn, t.symbol.signature, t.use, t.location) for t in fp.triples}
-    assert got == oracle_extract(units, model)
+    assert diagnostics == []
+
+
+QUALIFIED_FIELD_AND_TYPE = (
+    {
+        "Foo": "package p; public class Foo { public static Bar Inner; "
+               "public static class Inner { public static Bar make() { return null; } "
+               "public static int count; } }",
+        "Bar": "package p; public class Bar { public Bar make() { return this; } "
+               "public int count; }",
+    },
+    "package q;\n"
+    "import p.Foo;\n"
+    "class C { void m() {\n"
+    "  Foo.Inner.make();\n"
+    "  int n = Foo.Inner.count; } }",
+)
+
+
+def test_a_qualified_name_whose_last_name_is_a_field_is_the_field():
+    # In Foo.Inner, Inner is the field of the type Foo before the member
+    # type Foo.Inner (JLS 6.5.2), for a call as for a field access.
+    triples, diagnostics = typed_extract(*QUALIFIED_FIELD_AND_TYPE)
+    assert triples == {
+        ("p.Foo.Inner", None, U.FIELD_READ, 4),
+        ("p.Bar.make", "make()", U.METHOD_INVOCATION, 4),
+        ("p.Foo.Inner", None, U.FIELD_READ, 5),
+        ("p.Bar.count", None, U.FIELD_READ, 5),
+    }
+    assert diagnostics == []
 
 
 def typed_extract(lib: dict[str, str], client_src: str):
@@ -694,6 +722,117 @@ def test_a_name_that_resolves_nowhere_is_not_a_default_package_type():
         (DiagnosticKind.UNRESOLVED, 4, "cannot resolve type Thread in new expression"),
         (DiagnosticKind.UNRESOLVED, 5, "cannot resolve type Thread in new expression"),
     ]
+
+
+def test_an_anonymous_body_of_an_unknown_type_has_no_type():
+    # The body of a type that resolves nowhere has an Unknown type, never
+    # the raw spelling (JLS 7.4.2, 7.5): g() there names no default-package
+    # Thread, and no enclosing body has a g().
+    triples, diagnostics = typed_extract(
+        {"Thread": "public class Thread { public Thread() { } public void g() { } "
+                   "public void run() { } }"},
+        "package q;\n"
+        "class C { void m() {\n"
+        "  Thread v = new Thread() { public void run() {\n"
+        "    g(); } }; } }",
+    )
+    assert triples == set()
+    assert [(d.kind, d.location.line, d.message) for d in diagnostics] == [
+        (DiagnosticKind.UNRESOLVED, 3, "cannot resolve type Thread in new expression"),
+        (DiagnosticKind.UNRESOLVED, 4, "cannot resolve receiver of g(...)"),
+    ]
+
+
+ENCLOSING = (
+    {
+        "Conn": "package p; public class Conn { public void close() { } }",
+        "Task": "package p; public interface Task { void run(); }",
+    },
+    "package q;\n"
+    "import p.Conn; import p.Task;\n"
+    "class C {\n"
+    "  Conn field;\n"
+    "  Conn make() { return field; }\n"
+    "  void m(Conn param) {\n"
+    "    Conn conn = param;\n"
+    "    Task t = new Task() { public void run() {\n"
+    "      field.close();\n"
+    "      make().close();\n"
+    "      param.close();\n"
+    "      conn.close(); } }; }\n"
+    "  class Inner { void n() {\n"
+    "    field.close();\n"
+    "    make().close(); } } }",
+)
+
+
+def test_anonymous_and_inner_bodies_see_the_enclosing_fields_and_methods():
+    # An anonymous body and an inner class extend the environment they are
+    # declared in: a name walks out to the enclosing class's fields (JLS
+    # 6.4.1, 15.9.5), and an unqualified call to the innermost enclosing
+    # class with a method of its name (JLS 15.12.1), as javac compiles C$1
+    # and C$Inner: q/C.make, then p/Conn.close.
+    triples, diagnostics = typed_extract(*ENCLOSING)
+    assert triples == {
+        *(("p.Conn", None, U.TYPE_REFERENCE, line) for line in (4, 5, 6, 7)),
+        ("p.Task", None, U.TYPE_REFERENCE, 8),
+        ("p.Task", None, U.IMPLEMENTATION, 8),
+        ("p.Task.run", "run()", U.OVERRIDING, 8),
+        *(("p.Conn.close", "close()", U.METHOD_INVOCATION, line)
+          for line in (9, 10, 11, 12, 14, 15)),
+    }
+    assert diagnostics == []
+
+
+MEMBER_TYPE_NAMES = (
+    {
+        "Outer": "package p; public class Outer { public static class X { } "
+                 "public static class Inner { public static class X { } } }",
+    },
+    "package p;\n"
+    "class Outer {\n"
+    "  X a;\n"
+    "  static class X { }\n"
+    "  static class Inner {\n"
+    "    X b;\n"
+    "    static class X { } } }",
+)
+
+
+def test_a_member_class_resolves_type_names_in_its_own_scope():
+    # A member class's environment is a child of its enclosing type's, but
+    # resolves type names in its own scope: X is Outer.X in Outer and
+    # Outer.Inner.X in Inner, though Outer resolved X first (JLS 6.4.1).
+    triples, diagnostics = typed_extract(*MEMBER_TYPE_NAMES)
+    assert triples == {
+        ("p.Outer.X", None, U.TYPE_REFERENCE, 3),
+        ("p.Outer.Inner.X", None, U.TYPE_REFERENCE, 6),
+    }
+    assert diagnostics == []
+
+
+@pytest.mark.parametrize("probe", [
+    FIELD_AND_TYPE, QUALIFIED_FIELD_AND_TYPE, ENCLOSING, MEMBER_TYPE_NAMES,
+], ids=["field-and-type", "qualified-field-and-type", "enclosing", "member-type-names"])
+def test_each_probe_compiles_with_javac(probe, tmp_path):
+    # javac is the referee of these probes' expected uses, so each must be
+    # Java: the client compiles against its library's sources.
+    javac = shutil.which("javac")
+    if javac is None:
+        pytest.skip("javac is not installed")
+    lib, client = probe
+    for name, src in lib.items():
+        package = parse_unit(src, f"{name}.java").package_name
+        path = tmp_path / "lib" / package.replace(".", "/") / f"{name}.java"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(src, encoding="utf-8")
+    (tmp_path / "C.java").write_text(client, encoding="utf-8")
+    done = subprocess.run(
+        [javac, "-d", str(tmp_path / "out"), "-sourcepath", str(tmp_path / "lib"),
+         str(tmp_path / "C.java")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_each_written_type_is_resolved_once(monkeypatch):
