@@ -86,17 +86,16 @@ class SymbolTable:
     """Immutable-after-build table of types: those of ``base``, if given,
     copied first, then the table's own.
 
-    Supertype closures, member indexes and overload resolutions are cached
-    per table instance on first query, so a table must not be changed once
-    it is queried. A table answers every query from caches it built
-    itself: a client table shares none with the library table it copied
-    its types from, so extracting one group leaves that table, and every
-    other group's answers, as they were.
+    Member indexes and overload resolutions are cached per table instance
+    on first query, so a table must not be changed once it is queried. A
+    table answers every query from caches it built itself: a client table
+    shares none with the library table it copied its types from, so
+    extracting one group leaves that table, and every other group's
+    answers, as they were.
     """
 
     def __init__(self, base: Optional["SymbolTable"] = None):
         self.types: dict[str, TypeInfo] = {} if base is None else dict(base.types)
-        self._closures: dict[str, tuple[str, ...]] = {}
         self._members: dict[str, dict[str, tuple[MemberInfo, ...]]] = {}
         # (receiver, name, argument types) -> resolution; name None for a constructor.
         self._resolutions: dict[tuple, MethodResolution] = {}
@@ -108,21 +107,17 @@ class SymbolTable:
 
     def supertype_closure(self, fqn: str) -> tuple[str, ...]:
         """``fqn`` and its known supertypes by BFS, duplicate-free, nearest
-        first; cached."""
-        closure = self._closures.get(fqn)
-        if closure is None:
-            types = self.types
-            queue = [fqn]
-            seen = {fqn}
-            for current in queue:  # the list grows while it is walked
-                info = types.get(current)
-                if info is not None:
-                    for sup in info.supertypes:
-                        if sup not in seen:
-                            seen.add(sup)
-                            queue.append(sup)
-            closure = self._closures[fqn] = tuple(queue)
-        return closure
+        first."""
+        queue = [fqn]
+        seen = {fqn}
+        for current in queue:  # the list grows while it is walked
+            info = self.types.get(current)
+            if info is not None:
+                for sup in info.supertypes:
+                    if sup not in seen:
+                        seen.add(sup)
+                        queue.append(sup)
+        return tuple(queue)
 
     def members_of(self, fqn: str) -> tuple[MemberInfo, ...]:
         info = self.lookup_type(fqn)

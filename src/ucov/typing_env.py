@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Union
 
 from . import nodes as n
-from .symtab import PRIMITIVES, MemberInfo, ResolutionStatus, Scope
+from .symtab import PRIMITIVES, MemberInfo, ResolutionStatus, Scope, SymbolTable
 
 Unknown = None
 
@@ -212,6 +212,12 @@ def link_of(link: ChainLink, env: Env) -> Link:
     return record
 
 
+# The methods of java.lang.Object, which every class body has (JLS §4.3.2)
+# and no table lists.
+OBJECT_METHODS = frozenset({"clone", "equals", "finalize", "getClass", "hashCode", "notify",
+                            "notifyAll", "toString", "wait"})
+
+
 def _type_link(link: ChainLink, env: Env) -> Link:
     """Decide one link whose receiver link, if any, has its record.
 
@@ -220,7 +226,10 @@ def _type_link(link: ChainLink, env: Env) -> Link:
     expression; one that is neither is an expression of Unknown type. An
     unqualified call's receiver is the innermost of ``env.bodies`` with a
     method of its name and arity (JLS §15.12.1), or when none has one the
-    innermost body, whose type the failed call names.
+    innermost body, whose type the failed call names. A call named like an
+    ``OBJECT_METHODS`` method looks in the innermost body only. A call that
+    passes over a body whose methods the table cannot list (``_lists_methods``)
+    is Ambiguous: that body may declare or inherit the method.
     """
     receiver, name = link.receiver, None
     receivers, is_expr = env.bodies, False  # an unqualified call's
@@ -233,6 +242,8 @@ def _type_link(link: ChainLink, env: Env) -> Link:
         type_name = as_type_name(receiver, env)
         is_expr = type_name is None
         receivers = (static_type_of(receiver, env) if is_expr else type_name,)
+    elif link.name in OBJECT_METHODS:
+        receivers = receivers[:1]
     if not any(receivers):  # no receiver type is known
         return Link(None, is_expr, None, ResolutionStatus.UNRESOLVED, Unknown, name)
     receiver_type = receivers[0]
@@ -241,11 +252,21 @@ def _type_link(link: ChainLink, env: Env) -> Link:
         status = ResolutionStatus.UNRESOLVED if member is None else ResolutionStatus.RESOLVED
     else:
         arg_types = [static_type_of(a, env) for a in link.args]
-        for body in filter(None, receivers):
-            res = env.table.resolve_method(body, link.name, arg_types)
-            if res.member is not None:
-                receiver_type = body
-                break
+        for passed, body in enumerate(receivers):
+            if body is not None:
+                res = env.table.resolve_method(body, link.name, arg_types)
+                if res.member is not None:
+                    receiver_type = body
+                    break
         member, status = res.member, res.status
+        if member is not None and not all(
+                _lists_methods(b, env.table) for b in receivers[:passed]):
+            status = ResolutionStatus.AMBIGUOUS
     link_type = Unknown if member is None or member.type == "void" else member.type
     return Link(receiver_type, is_expr, member, status, link_type, name)
+
+
+def _lists_methods(body: Optional[str], table: SymbolTable) -> bool:
+    """Whether ``table`` lists every method of the class body ``body`` but
+    those of java.lang.Object: the body's type and its supertypes are known."""
+    return body is not None and all(t in table.types for t in table.supertype_closure(body))

@@ -161,7 +161,7 @@ def _checked_location(row: dict) -> Location:
 
 
 def naive_footprint_to_dict(fp: Footprint) -> dict:
-    uses = sorted(fp.triples, key=lambda t: t.sort_key())
+    uses = sorted(fp.triples, key=lambda t: (t.symbol.sort_key(), t.use.value, t.location))
     diagnostics = sorted(
         fp.diagnostics, key=lambda d: (d.location, d.kind.value, d.message)
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ucov import nodes as n
 from ucov.model import SymbolKind, UsageModel, UseKind
 from ucov.symtab import PRIMITIVES, Scope, SymbolTable, build_symbol_table, erase
-from ucov.typing_env import Env, as_type_name, bare_name, static_type_of
+from ucov.typing_env import OBJECT_METHODS, Env, as_type_name, bare_name, static_type_of
 
 Fact = tuple[str, object, UseKind, n.Location]
 
@@ -266,8 +266,9 @@ class _Collector:
 
     def call(self, e: n.MethodCall, env: Env):
         if e.receiver is None:
-            # The innermost enclosing body with such a method.
-            rtypes = env.bodies
+            # The innermost enclosing body with such a method; every body
+            # has java.lang.Object's.
+            rtypes = env.bodies[:1] if e.name in OBJECT_METHODS else env.bodies
         else:
             rtype = as_type_name(e.receiver, env)
             if rtype is None:

@@ -1,5 +1,4 @@
-"""The per-table caches of resolution, supertype closures and member
-indexes.
+"""The per-table caches of resolution and member indexes.
 
 The referee rebuilds every answer a client table cached during extraction
 on a fresh table that holds the same types and no base, through the
@@ -78,8 +77,6 @@ def referee(table: SymbolTable) -> None:
     fresh.types = dict(table.types)
     for key, resolution in table._resolutions.items():
         assert resolution == _uncached_resolution(fresh, key), key
-    for fqn, closure in table._closures.items():
-        assert closure == fresh.supertype_closure(fqn), fqn
     for fqn, index in table._members.items():
         fresh._members_named(fqn, "")
         assert index == fresh._members[fqn], fqn
@@ -87,7 +84,7 @@ def referee(table: SymbolTable) -> None:
 
 def assert_untouched(table: SymbolTable) -> None:
     """``table`` has answered no query: every cache of it is empty."""
-    assert (table._closures, table._members, table._resolutions) == ({}, {}, {})
+    assert (table._members, table._resolutions) == ({}, {})
 
 
 def _referee_corpus(groups, model, monkeypatch) -> list[SymbolTable]:

@@ -124,8 +124,9 @@ def test_random_footprints_match_the_reference(corpus, seed, merged, shuffled, l
     model, extracted = fixture(*corpus)
     if shuffled:
         model = shuffled_copy(model, rng)
-    subset = set(rng.sample(sorted(extracted.triples, key=UseTriple.sort_key),
-                            rng.randint(0, len(extracted.triples))))
+    ordered = sorted(extracted.triples,
+                     key=lambda t: (t.symbol.sort_key(), t.use.value, t.location))
+    subset = set(rng.sample(ordered, rng.randint(0, len(extracted.triples))))
     fp = Footprint("a", model.library_name, subset)
     if merged:
         fp = merge(fp, random_footprint(rng, model, "b"))

@@ -784,6 +784,47 @@ def test_anonymous_and_inner_bodies_see_the_enclosing_fields_and_methods():
     assert diagnostics == []
 
 
+UNLISTED_BODIES = (
+    {
+        "Base": "package p; public class Base { public Base() { } "
+                "public String toString() { return null; } public void close() { } }",
+        "Task": "package p; public interface Task { void run(); }",
+    },
+    "package q;\n"
+    "import p.Base; import p.Task;\n"
+    "class C extends Base {\n"
+    "  void m() {\n"
+    "    Task t =\n"
+    "      new Task() { public void run() { toString(); hashCode(); } }; }\n"
+    "  void n() {\n"
+    "    close(); }\n"
+    "  class Inner extends java.io.StringWriter {"
+    " void g() throws java.io.IOException { close(); } } }",
+)
+
+
+def test_an_unqualified_call_does_not_pass_silently_over_a_body_of_unlisted_methods():
+    # Every class body has java.lang.Object's methods (JLS 4.3.2), so
+    # toString() and hashCode() in the anonymous Task body call its own, as
+    # javac compiles them (java/lang/Object.toString), not p.Base's. Inner
+    # inherits methods no table lists from java.io.StringWriter, and javac
+    # calls q/C$Inner.close: the enclosing p.Base.close is kept, flagged.
+    triples, diagnostics = typed_extract(*UNLISTED_BODIES)
+    assert triples == {
+        ("p.Base", None, U.INHERITANCE, 3),
+        ("p.Task", None, U.TYPE_REFERENCE, 5),
+        ("p.Task", None, U.IMPLEMENTATION, 6),
+        ("p.Task.run", "run()", U.OVERRIDING, 6),
+        ("p.Base.close", "close()", U.METHOD_INVOCATION, 8),
+        ("p.Base.close", "close()", U.METHOD_INVOCATION, 9),
+    }
+    assert [(d.kind, d.location.line, d.message) for d in diagnostics] == [
+        (DiagnosticKind.UNRESOLVED, 6, "cannot resolve method toString on p.Task"),
+        (DiagnosticKind.UNRESOLVED, 6, "cannot resolve method hashCode on p.Task"),
+        (DiagnosticKind.AMBIGUOUS, 9, "ambiguous call to close on q.C; chose close()"),
+    ]
+
+
 MEMBER_TYPE_NAMES = (
     {
         "Outer": "package p; public class Outer { public static class X { } "
@@ -812,8 +853,9 @@ def test_a_member_class_resolves_type_names_in_its_own_scope():
 
 
 @pytest.mark.parametrize("probe", [
-    FIELD_AND_TYPE, QUALIFIED_FIELD_AND_TYPE, ENCLOSING, MEMBER_TYPE_NAMES,
-], ids=["field-and-type", "qualified-field-and-type", "enclosing", "member-type-names"])
+    FIELD_AND_TYPE, QUALIFIED_FIELD_AND_TYPE, ENCLOSING, UNLISTED_BODIES, MEMBER_TYPE_NAMES,
+], ids=["field-and-type", "qualified-field-and-type", "enclosing", "unlisted-bodies",
+        "member-type-names"])
 def test_each_probe_compiles_with_javac(probe, tmp_path):
     # javac is the referee of these probes' expected uses, so each must be
     # Java: the client compiles against its library's sources.

@@ -141,25 +141,40 @@ def method_row(data) -> dict:
     return next(m for m in data["resolution"]["members"] if m["kind"] == "Method")
 
 
-NAMES = {
-    "symbol signature 1": (lambda d: d["symbols"][0].update(signature=1), "coverage"),
-    "symbol signature true": (lambda d: d["symbols"][0].update(signature=True), "coverage"),
-    "member name []": (lambda d: d["resolution"]["members"][0].update(name=[]), "suf"),
-    "member name {}": (lambda d: d["resolution"]["members"][0].update(name={}), "suf"),
-    "method signature null": (lambda d: method_row(d).update(signature=None), "suf"),
-    "method signature 1": (lambda d: method_row(d).update(signature=1), "suf"),
-    "method signature []": (lambda d: method_row(d).update(signature=[]), "suf"),
-    "supertype []": (lambda d: d["resolution"]["types"][0].update(supertypes=[[]]), "suf"),
+def member_row(**fields):
+    return lambda d: d["resolution"]["members"][0].update(fields)
+
+
+def type_row(**fields):
+    return lambda d: d["resolution"]["types"][0].update(fields)
+
+
+NAMES = {  # an edit, the command that reads it, and the end of its message
+    "symbol fqn 1": (lambda d: d["symbols"][0].update(fqn=1), "coverage", ", found 1"),
+    "symbol signature 1": (lambda d: d["symbols"][0].update(signature=1), "coverage",
+                           " or null, found 1"),
+    "symbol signature true": (lambda d: d["symbols"][0].update(signature=True), "coverage",
+                              " or null, found True"),
+    "member returns 1": (member_row(returns=1), "suf", " or null, found 1"),
+    "member field_type 1": (member_row(field_type=1), "suf", " or null, found 1"),
+    "member declaring 1": (member_row(declaring=1), "suf", ", found 1"),
+    "member name []": (member_row(name=[]), "suf", ", found []"),
+    "member name {}": (member_row(name={}), "suf", ", found {}"),
+    "method signature null": (lambda d: method_row(d).update(signature=None), "suf",
+                              ", found None"),
+    "method signature 1": (lambda d: method_row(d).update(signature=1), "suf", ", found 1"),
+    "method signature []": (lambda d: method_row(d).update(signature=[]), "suf", ", found []"),
+    "type fqn 1": (type_row(fqn=1), "suf", ", found 1"),
+    "type enclosing 1": (type_row(enclosing=1), "suf", " or null, found 1"),
+    "supertype []": (type_row(supertypes=[[]]), "suf", ", found []"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NAMES))
 def test_a_name_of_another_type_is_malformed_content(files, capsys, case):
-    edit, command = NAMES[case]
+    edit, command, end = NAMES[case]
     code, err = run_on_model(files, capsys, edit, command)
-    assert code == 1
-    assert err.startswith("error: F: malformed content: a name must be a string")
-    assert err.count("\n") == 1
+    assert (code, err) == (1, f"error: F: malformed content: a name must be a string{end}\n")
 
 
 def test_a_repeated_symbol_is_malformed_content(files, capsys):
