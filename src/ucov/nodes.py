@@ -14,18 +14,20 @@ but not kept.
 
 Nodes are plain classes with ``__slots__`` that compare and hash by
 identity, so analyses can key tables by node; ``Location`` is a value.
-A declaration's kind is a ``ucov.model.SymbolKind``, the one kind of the
-parser, the symbol table and the usage model.
+A node class lists its fields once, in its ``__slots__``, and ``Node``
+gives it the constructor that takes them in slot order, positionally or
+by name, and only assigns them; a class with no fields keeps
+``object.__init__``. A declaration's kind is a ``ucov.model.SymbolKind``,
+the one kind of the parser, the symbol table and the usage model.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
+import functools
+from types import CodeType, FunctionType
+from typing import Union
 
 from .uses import Location
-
-if TYPE_CHECKING:
-    from .model import SymbolKind
 
 
 class Node:
@@ -34,43 +36,45 @@ class Node:
 
     __slots__ = ("__weakref__",)
 
+    def __init_subclass__(cls) -> None:
+        """Give ``cls`` the constructor ``__init__(self, <slots>)``, filed as
+        ``<ucov.nodes.Class>`` so that profiles and tracebacks tell it apart."""
+        fields = cls.__slots__
+        if fields:
+            code = _assigning_code(len(fields)).replace(
+                co_filename=f"<{__name__}.{cls.__name__}>", co_names=fields,
+                co_varnames=("self", *fields))
+            init = cls.__init__ = FunctionType(code, globals())
+            init.__qualname__ = f"{cls.__name__}.__init__"
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
 
+@functools.cache
+def _assigning_code(arity: int) -> CodeType:
+    """The code of ``__init__(self, f0, f1, ...)`` that assigns ``self.f0 =
+    f0`` and so on, compiled once per arity: a class renames its names."""
+    fields = [f"f{i}" for i in range(arity)]
+    assigns = "".join(f"\n    self.{name} = {name}" for name in fields)
+    namespace: dict = {}
+    exec(f"def __init__(self, {', '.join(fields)}):{assigns}\n", namespace)
+    return namespace["__init__"].__code__
+
+
 class TypeRef(Node):
     """A possibly-generic, possibly-array type reference such as ``List<String>[]``."""
 
-    __slots__ = ("name", "type_args", "array_dims", "location")
-
-    def __init__(
-        self,
-        name: str,  # dotted qualified name as written
-        type_args: list[TypeRef],
-        array_dims: int,
-        location: Location,
-    ) -> None:
-        self.name = name
-        self.type_args = type_args
-        self.array_dims = array_dims
-        self.location = location
+    __slots__ = ("name", "type_args", "array_dims", "location")  # name: dotted, as written
 
 
 class ImportDecl(Node):
     __slots__ = ("qname", "on_demand")
 
-    def __init__(self, qname: str, on_demand: bool) -> None:
-        self.qname = qname
-        self.on_demand = on_demand
-
 
 class Param(Node):
     __slots__ = ("name", "type_ref")
-
-    def __init__(self, name: str, type_ref: TypeRef) -> None:
-        self.name = name
-        self.type_ref = type_ref
 
 
 # ---------------------------------------------------------------------------
@@ -79,23 +83,12 @@ class Param(Node):
 
 
 class Literal(Node):
-    __slots__ = ("value", "kind")
-
-    def __init__(
-        self,
-        value: str,  # the token's text, a string's or char's without its quotes
-        kind: str,  # int, long, float, double, string, char, boolean, null
-    ) -> None:
-        self.value = value
-        self.kind = kind
+    __slots__ = ("value",  # the token's text, a string's or char's without its quotes
+                 "kind")  # int, long, float, double, string, char, boolean, null
 
 
 class Name(Node):
     __slots__ = ("identifier", "location")
-
-    def __init__(self, identifier: str, location: Location) -> None:
-        self.identifier = identifier
-        self.location = location
 
 
 class This(Node):
@@ -103,91 +96,38 @@ class This(Node):
 
 
 class FieldAccess(Node):
-    __slots__ = ("receiver", "name", "location")
-
-    def __init__(
-        self,
-        receiver: Expr,
-        name: str,
-        location: Location,  # of the accessed member's identifier
-    ) -> None:
-        self.receiver = receiver
-        self.name = name
-        self.location = location
+    __slots__ = ("receiver", "name", "location")  # location: of the member's identifier
 
 
 class MethodCall(Node):
-    __slots__ = ("receiver", "name", "args", "location")
-
-    def __init__(
-        self,
-        receiver: Optional[Expr],  # None for bare calls such as f(x)
-        name: str,
-        args: list[Expr],
-        location: Location,  # of the method name token
-    ) -> None:
-        self.receiver = receiver
-        self.name = name
-        self.args = args
-        self.location = location
+    __slots__ = ("receiver",  # None for bare calls such as f(x)
+                 "name", "args",
+                 "location")  # of the method name token
 
 
 class New(Node):
-    __slots__ = ("type_ref", "args", "anon_body")
-
-    def __init__(
-        self, type_ref: TypeRef, args: list[Expr], anon_body: Optional[list[MemberDecl]]
-    ) -> None:
-        self.type_ref = type_ref
-        self.args = args
-        self.anon_body = anon_body
+    __slots__ = ("type_ref", "args", "anon_body")  # anon_body: None without a class body
 
 
 class Assign(Node):
     __slots__ = ("target", "value")
 
-    def __init__(self, target: Expr, value: Expr) -> None:
-        self.target = target
-        self.value = value
-
 
 class Binary(Node):
     __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: Expr, right: Expr) -> None:
-        self.op = op
-        self.left = left
-        self.right = right
 
 
 class Unary(Node):
     __slots__ = ("op", "operand")
 
-    def __init__(self, op: str, operand: Expr) -> None:
-        self.op = op
-        self.operand = operand
-
 
 class Cast(Node):
     __slots__ = ("type_ref", "expr")
 
-    def __init__(self, type_ref: TypeRef, expr: Expr) -> None:
-        self.type_ref = type_ref
-        self.expr = expr
-
 
 class Lambda(Node):
-    __slots__ = ("params", "body", "location")
-
-    def __init__(
-        self,
-        params: list[Param],  # type_ref.name == "" when the parameter is untyped
-        body: Union[Expr, Block],
-        location: Location,
-    ) -> None:
-        self.params = params
-        self.body = body
-        self.location = location
+    __slots__ = ("params",  # type_ref.name == "" when the parameter is untyped
+                 "body", "location")  # body: an Expr or a Block
 
 
 Expr = Union[
@@ -203,89 +143,42 @@ Expr = Union[
 class Block(Node):
     __slots__ = ("statements",)
 
-    def __init__(self, statements: list[Stmt]) -> None:
-        self.statements = statements
-
 
 class LocalDecl(Node):
-    __slots__ = ("type_ref", "name", "init")
-
-    def __init__(self, type_ref: TypeRef, name: str, init: Optional[Expr]) -> None:
-        self.type_ref = type_ref
-        self.name = name
-        self.init = init
+    __slots__ = ("type_ref", "name", "init")  # init: None without an initializer
 
 
 class ExprStmt(Node):
     __slots__ = ("expr",)
 
-    def __init__(self, expr: Expr) -> None:
-        self.expr = expr
-
 
 class If(Node):
-    __slots__ = ("cond", "then", "orelse")
-
-    def __init__(self, cond: Expr, then: Stmt, orelse: Optional[Stmt]) -> None:
-        self.cond = cond
-        self.then = then
-        self.orelse = orelse
+    __slots__ = ("cond", "then", "orelse")  # orelse: None without an else branch
 
 
 class While(Node):
     __slots__ = ("cond", "body")
 
-    def __init__(self, cond: Expr, body: Stmt) -> None:
-        self.cond = cond
-        self.body = body
-
 
 class For(Node):
-    __slots__ = ("init", "cond", "update", "body")
-
-    def __init__(
-        self,
-        init: Optional[Stmt],  # LocalDecl or ExprStmt
-        cond: Optional[Expr],
-        update: Optional[Expr],
-        body: Stmt,
-    ) -> None:
-        self.init = init
-        self.cond = cond
-        self.update = update
-        self.body = body
+    __slots__ = ("init",  # a LocalDecl, an ExprStmt or None
+                 "cond", "update", "body")  # cond, update: an Expr or None
 
 
 class Return(Node):
-    __slots__ = ("expr",)
-
-    def __init__(self, expr: Optional[Expr]) -> None:
-        self.expr = expr
+    __slots__ = ("expr",)  # None for a bare return
 
 
 class Throw(Node):
     __slots__ = ("expr",)
 
-    def __init__(self, expr: Expr) -> None:
-        self.expr = expr
-
 
 class Catch(Node):
     __slots__ = ("param_type", "name", "body")
 
-    def __init__(self, param_type: TypeRef, name: str, body: Block) -> None:
-        self.param_type = param_type
-        self.name = name
-        self.body = body
-
 
 class Try(Node):
-    __slots__ = ("body", "catches", "finally_block")
-
-    def __init__(self, body: Block, catches: list[Catch], finally_block: Optional[Block]) -> None:
-        self.body = body
-        self.catches = catches
-        self.finally_block = finally_block
+    __slots__ = ("body", "catches", "finally_block")  # finally_block: None without one
 
 
 Stmt = Union[Block, LocalDecl, ExprStmt, If, While, For, Return, Throw, Try]
@@ -299,65 +192,23 @@ VISIBILITY_MODIFIERS = frozenset({"public", "protected", "private"})
 
 
 class MemberDecl(Node):
-    __slots__ = ("kind", "name", "modifiers", "location", "type_ref", "params",
-                 "throws_refs", "field_init", "body")
-
-    def __init__(
-        self,
-        kind: SymbolKind,  # METHOD, CONSTRUCTOR or FIELD
-        name: str,
-        modifiers: set[str],
-        location: Location,
-        type_ref: Optional[TypeRef],  # a field's type, a method's result type, or None
-        params: list[Param],  # empty for a field
-        throws_refs: list[TypeRef],
-        field_init: Optional[Expr],
-        body: Optional[Block],  # None for a field and an abstract method
-    ) -> None:
-        self.kind = kind
-        self.name = name
-        self.modifiers = modifiers
-        self.location = location
-        self.type_ref = type_ref
-        self.params = params
-        self.throws_refs = throws_refs
-        self.field_init = field_init
-        self.body = body
+    __slots__ = ("kind",  # METHOD, CONSTRUCTOR or FIELD
+                 "name", "modifiers", "location",
+                 "type_ref",  # a field's type, a method's result type, or None
+                 "params",  # empty for a field
+                 "throws_refs",
+                 "field_init",  # a field's initializer, or None
+                 "body")  # None for a field and an abstract method
 
 
 class TypeDecl(Node):
-    __slots__ = ("kind", "simple_name", "modifiers", "type_params", "extends_refs",
-                 "implements_refs", "members", "nested", "location")
-
-    def __init__(
-        self,
-        kind: SymbolKind,  # CLASS or INTERFACE
-        simple_name: str,
-        modifiers: set[str],
-        type_params: list[str],
-        extends_refs: list[TypeRef],
-        implements_refs: list[TypeRef],
-        members: list[MemberDecl],
-        nested: list[TypeDecl],
-        location: Location,
-    ) -> None:
-        self.kind = kind
-        self.simple_name = simple_name
-        self.modifiers = modifiers
-        self.type_params = type_params
-        self.extends_refs = extends_refs
-        self.implements_refs = implements_refs
-        self.members = members
-        self.nested = nested
-        self.location = location
+    __slots__ = ("kind",  # CLASS or INTERFACE
+                 "simple_name", "modifiers",
+                 "type_params",  # the names of its type parameters
+                 "extends_refs", "implements_refs", "members",
+                 "nested", "location")  # nested: its member types
 
 
 class SourceUnit(Node):
-    __slots__ = ("package_name", "imports", "types")
-
-    def __init__(
-        self, package_name: str, imports: list[ImportDecl], types: list[TypeDecl]
-    ) -> None:
-        self.package_name = package_name
-        self.imports = imports
-        self.types = types
+    __slots__ = ("package_name",  # "" in the default package
+                 "imports", "types")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Union
 
 from . import nodes as n
-from .symtab import PRIMITIVES, MemberInfo, ResolutionStatus, Scope, SymbolTable
+from .symtab import PRIMITIVES, ROOT_TYPE, MemberInfo, ResolutionStatus, Scope, SymbolTable
 
 Unknown = None
 
@@ -266,7 +266,14 @@ def _type_link(link: ChainLink, env: Env) -> Link:
     return Link(receiver_type, is_expr, member, status, link_type, name)
 
 
+# java.lang.Object as a written supertype: an unresolved ``Object`` can
+# only name it, since every unit imports java.lang on demand (JLS §7.3).
+_OBJECT_NAMES = frozenset({"Object", ROOT_TYPE})
+
+
 def _lists_methods(body: Optional[str], table: SymbolTable) -> bool:
     """Whether ``table`` lists every method of the class body ``body`` but
-    those of java.lang.Object: the body's type and its supertypes are known."""
-    return body is not None and all(t in table.types for t in table.supertype_closure(body))
+    those of java.lang.Object: the body's type and each of its supertypes
+    is known or is java.lang.Object."""
+    return body is not None and all(
+        t in table.types or t in _OBJECT_NAMES for t in table.supertype_closure(body))

@@ -198,6 +198,59 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main([]) == 1
 
 
+def test_a_library_root_without_sources_exits_1_and_writes_nothing(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "s.json"
+    assert main(["sum", str(empty), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: no source files found under {empty}\n"
+    assert not out.exists()
+
+
+def test_suf_without_client_roots_or_config_exits_1(sum_path, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    capsys.readouterr()
+    assert main(["suf", "--sum", str(sum_path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: at least one client root is required\n"
+    assert not out.exists()
+
+
+def _empty_footprint(sum_path, tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "Z.java").write_text("class Z { }")
+    return suf(sum_path, tmp_path, "client", str(src))
+
+
+def test_profile_of_an_empty_footprint_warns_and_weighs_nothing(
+    sum_path, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv("UCOV_LOG", raising=False)
+    empty = _empty_footprint(sum_path, tmp_path)
+    capsys.readouterr()
+    assert main(["profile", "--sum", str(sum_path), "--suf", str(empty)]) == 0
+    out, err = capsys.readouterr()
+    assert set(json.loads(out)["weights"].values()) == {0.0}
+    assert err == "WARNING ucov: footprint 'client' is empty; profile weights are all zero\n"
+
+
+def test_coverage_of_a_model_without_legal_uses_is_vacuous(
+    sum_path, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv("UCOV_LOG", raising=False)
+    data = json.loads(sum_path.read_text())
+    for symbol in data["symbols"]:
+        symbol["uses"] = []
+    no_uses = tmp_path / "no-uses.json"
+    no_uses.write_text(json.dumps(data))
+    empty = _empty_footprint(no_uses, tmp_path)
+    capsys.readouterr()
+    assert main(["coverage", "--sum", str(no_uses), str(empty)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["reports"][0]["use_coverage"] == 1.0
+    assert err == "WARNING ucov: model has no legal uses; use coverage is vacuously 1.0\n"
+
+
 def _illegal_row_footprint(sum_path, tmp_path):
     data = json.loads(suf(sum_path, tmp_path, "classic", CLASSIC).read_text())
     for use in data["uses"]:
@@ -586,6 +639,7 @@ MALFORMED = "{path}: malformed content: corpus config "
         ),
         ({"groups": {"a": "x"}}, [], MALFORMED + "groups must map labels to lists of roots"),
         ({"groups": {}}, [], MALFORMED + "defines no groups"),
+        ({"groups": {"": [CLASSIC]}}, [], MALFORMED + "labels must be non-empty"),
         (
             {"groups": {"a": [CLASSIC], "b": [FRAMEWORK, "/nonexistent/root"]}},
             [],
@@ -599,7 +653,7 @@ MALFORMED = "{path}: malformed content: corpus config "
     ],
     ids=[
         "label-with-slash", "label-with-backslash", "lenient-not-a-boolean", "roots-not-a-list",
-        "no-groups", "missing-root",
+        "no-groups", "empty-label", "missing-root",
         "with-missing-client-root", "with-client-root", "with-label", "with-default-label",
         "with-label-and-client-root",
     ],

@@ -825,6 +825,71 @@ def test_an_unqualified_call_does_not_pass_silently_over_a_body_of_unlisted_meth
     ]
 
 
+def test_an_instance_method_that_overrides_a_static_one_covers_only_itself():
+    # The invocation closure of B.m holds no static method: A.m is not
+    # invoked through a B. javac rejects this library, so no javac probe.
+    triples, diagnostics = typed_extract(
+        {"A": "package p; public class A { public A() { } public static void m() { } }",
+         "B": "package p; public class B extends A { public B() { } public void m() { } }"},
+        "package q;\n"
+        "import p.B;\n"
+        "class C {\n"
+        "  void f() { new B().m(); } }",
+    )
+    assert triples == {
+        ("p.B", None, U.INSTANTIATION, 4),
+        ("p.B.B", "B()", U.CONSTRUCTOR_INVOCATION, 4),
+        ("p.B.m", "m()", U.METHOD_INVOCATION, 4),
+    }
+    assert diagnostics == []
+
+
+def test_a_lambda_into_an_interface_of_two_abstract_methods_implements_nothing():
+    # Two is no functional interface, so the lambda has no single abstract
+    # method to override and gives no Implementation of Two.
+    triples, diagnostics = typed_extract(
+        {"Two": "package p; public interface Two { void a(); void b(); }",
+         "Use": "package p; public class Use { public static void take(Two t) { } "
+                "public static void hit() { } }"},
+        "package q;\n"
+        "import p.Use;\n"
+        "class C {\n"
+        "  void f() { Use.take(() -> Use.hit()); } }",
+    )
+    assert triples == {
+        ("p.Use.take", "take(p.Two)", U.STATIC_INVOCATION, 4),
+        ("p.Use.hit", "hit()", U.STATIC_INVOCATION, 4),
+    }
+    assert diagnostics == []
+
+
+OBJECT_SUPERTYPE = (
+    {"Base": "package p; public class Base { public Base() { } public void close() { } }"},
+    "package q;\n"
+    "import p.Base;\n"
+    "class C extends Base {\n"
+    "  class Inner extends Object { void g() { close(); } } }",
+)
+QUALIFIED_OBJECT_SUPERTYPE = (
+    OBJECT_SUPERTYPE[0],
+    OBJECT_SUPERTYPE[1].replace("extends Object", "extends java.lang.Object"),
+)
+
+
+@pytest.mark.parametrize("probe", [OBJECT_SUPERTYPE, QUALIFIED_OBJECT_SUPERTYPE],
+                         ids=["object", "java-lang-object"])
+def test_an_unqualified_call_passes_plainly_over_a_body_that_extends_object(probe):
+    # A body that extends java.lang.Object, written in full or as Object,
+    # has no method the table cannot list but Object's, which a call named
+    # like one never passes over: javac calls q/C.close without doubt.
+    triples, diagnostics = typed_extract(*probe)
+    assert triples == {
+        ("p.Base", None, U.INHERITANCE, 3),
+        ("p.Base.close", "close()", U.METHOD_INVOCATION, 4),
+    }
+    assert diagnostics == []
+
+
 MEMBER_TYPE_NAMES = (
     {
         "Outer": "package p; public class Outer { public static class X { } "
@@ -853,9 +918,10 @@ def test_a_member_class_resolves_type_names_in_its_own_scope():
 
 
 @pytest.mark.parametrize("probe", [
-    FIELD_AND_TYPE, QUALIFIED_FIELD_AND_TYPE, ENCLOSING, UNLISTED_BODIES, MEMBER_TYPE_NAMES,
+    FIELD_AND_TYPE, QUALIFIED_FIELD_AND_TYPE, ENCLOSING, UNLISTED_BODIES, OBJECT_SUPERTYPE,
+    QUALIFIED_OBJECT_SUPERTYPE, MEMBER_TYPE_NAMES,
 ], ids=["field-and-type", "qualified-field-and-type", "enclosing", "unlisted-bodies",
-        "member-type-names"])
+        "object-supertype", "qualified-object-supertype", "member-type-names"])
 def test_each_probe_compiles_with_javac(probe, tmp_path):
     # javac is the referee of these probes' expected uses, so each must be
     # Java: the client compiles against its library's sources.
@@ -1124,6 +1190,11 @@ def test_footprint_of_corpus_groups():
     assert set(fps) == {"classic", "framework"}
     assert fps["classic"].total_uses == 5
     assert fps["framework"].total_uses == 2
+
+
+def test_footprint_of_no_group_is_an_error():
+    with pytest.raises(ValueError, match="^at least one labeled group is required$"):
+        footprint_of_corpus({}, model_for("arraylist"))
 
 
 def test_lenient_and_strict_parse_handling(tmp_path):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
+import weakref
+
 import pytest
 
 from conftest import FIXTURES, parse_tree
@@ -281,6 +284,32 @@ def test_tokens_after_escaped_literals_keep_their_lines():
         'class A {\n  String s = "q\\"\\\\";\n  char c = \'\\n\';\n  int x;\n}', "A.java"
     )
     assert [m.location.line for m in unit.types[0].members] == [2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(n.Node.__subclasses__(), key=lambda c: c.__name__), ids=lambda c: c.__name__
+)
+def test_a_node_constructor_takes_its_own_slots(cls):
+    # A node's constructor takes exactly its class's fields, in slot order,
+    # positionally or by name, and only assigns them. Nodes built from the
+    # same values stay distinct keys, and a node can be weakly referenced.
+    fields = cls.__slots__
+    values = [object() for _ in fields]
+    by_position = cls(*values)
+    by_name = cls(**dict(zip(fields, values)))
+    assert [getattr(by_position, f) for f in fields] == values
+    assert [getattr(by_name, f) for f in fields] == values
+    assert by_position != by_name
+    assert hash(by_position) != hash(by_name)
+    assert len({by_position: 1, by_name: 2}) == 2
+    assert weakref.ref(by_position)() is by_position
+    if fields:
+        assert list(inspect.signature(cls).parameters) == list(fields)
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    else:
+        assert cls.__init__ is object.__init__
+        with pytest.raises(TypeError):
+            cls(None)
 
 
 def test_empty_unit_is_valid():
