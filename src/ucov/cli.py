@@ -159,16 +159,16 @@ def _parse_library(root: Path) -> list:
 T = TypeVar("T")
 
 
-def _read_json(path: str, load: Callable[[dict], T], unique_keys: bool = False) -> T:
-    """Read the JSON object in ``path`` and convert it with ``load``. A file
-    that cannot be read, is not a JSON object, lacks a key the conversion
-    needs or does not match the model (a footprint of another library or
-    with an illegal use) ends in a one-line UsageError naming the file. With
-    ``unique_keys``, so does an object with a repeated key, which
-    ``json.loads`` would otherwise resolve by keeping the last value."""
-    hook = _reject_duplicate_keys if unique_keys else None
+def _read_json(
+    path: str, load: Callable[[dict], T], decode: Callable[[str], object] = json.loads
+) -> T:
+    """Read the JSON object in ``path``, decoded by ``decode``, and convert
+    it with ``load``. A file that cannot be read or decoded, is not a JSON
+    object, lacks a key the conversion needs or does not match the model (a
+    footprint of another library or with an illegal use) ends in a one-line
+    UsageError naming the file."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=hook)
+        data = decode(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # invalid JSON, invalid UTF-8, too deep
@@ -185,19 +185,27 @@ def _read_json(path: str, load: Callable[[dict], T], unique_keys: bool = False) 
         raise UsageError(f"{path}: malformed content: {exc}") from exc
 
 
-def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
-    data: dict = {}
-    for key, value in pairs:
-        if key in data:
-            raise ValueError(f"duplicate key {key!r}")
-        data[key] = value
-    return data
+def _decode_unique_keys(text: str) -> object:
+    """``json.loads(text)``, except that an object with a repeated key,
+    which ``json.loads`` resolves by keeping the last value, is invalid."""
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        data: dict = {}
+        for key, value in pairs:
+            if key in data:
+                raise ValueError(f"duplicate key {key!r}")
+            data[key] = value
+        return data
+
+    return json.loads(text, object_pairs_hook=unique)
 
 
 def _load_model(path: str, resolve: bool = False) -> UsageModel:
     """The model in ``path``. Only ``suf`` needs the resolution table; with
-    ``resolve`` it is built here, so a malformed resolution section is
-    reported like any other malformed content."""
+    ``resolve`` the whole file is decoded and the table built here, so a
+    resolution section that is invalid JSON or malformed content is
+    reported like any other. Without it, the resolution member is neither
+    decoded nor checked (``model.decode_model``)."""
 
     def load(data: dict) -> UsageModel:
         model = models.model_from_dict(data)
@@ -205,7 +213,7 @@ def _load_model(path: str, resolve: bool = False) -> UsageModel:
             model.table  # noqa: B018 - built for its errors
         return model
 
-    return _read_json(path, load)
+    return _read_json(path, load, json.loads if resolve else models.decode_model)
 
 
 def _load_footprint(path: str, model: UsageModel) -> Footprint:
@@ -234,7 +242,7 @@ def cmd_suf(args: argparse.Namespace) -> int:
         raise UsageError("--config defines the labels; --label cannot be used with it")
     model = _load_model(args.sum, resolve=True)
     if args.config:
-        groups, lenient = _read_json(args.config, _corpus_config, unique_keys=True)
+        groups, lenient = _read_json(args.config, _corpus_config, _decode_unique_keys)
         lenient = args.lenient or lenient
     else:
         if not args.roots:
@@ -272,10 +280,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     footprints = [_load_footprint(p, model) for p in args.sufs]
     reports = [(fp.label, metrics.compute_coverage(model, fp)) for fp in footprints]
     if len(footprints) > 1:
-        merged = footprints[0]
-        for fp in footprints[1:]:
-            merged = uses.merge(merged, fp)
-        reports.append(("All", metrics.compute_coverage(model, merged)))
+        reports.append(("All", metrics.compute_coverage(model, uses.merge(*footprints))))
     if args.format == "json":
         # Written one report at a time, so the output is never held whole.
         # The inputs are read and the reports computed first, so an error

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import re
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, TypeVar, Union
 
@@ -373,13 +375,69 @@ def model_to_dict(model: UsageModel) -> str:
         f'"resolution":{{"types":[{",".join(types)}],"members":[{",".join(members)}]}}}}')
 
 
+# The top-level key that ``model_to_dict`` writes last, with its separator.
+_RESOLUTION_KEY = ',"resolution":'
+# A member after an object-valued one: ``}``, a comma and a key, whitespace
+# aside (``\s`` matches JSON's four whitespace characters and more).
+# Compiled on first use, so that ``sum`` and ``suf`` do not pay for it.
+_LATER_MEMBER = r'\}\s*,\s*"'
+
+
+def decode_model(text: str) -> dict:
+    """The dict form of the model JSON ``text``, as ``json.loads`` gives it,
+    but with the resolution member left undecoded where ``model_to_dict``'s
+    layout shows where it is. Its value is then a function that decodes it,
+    which ``model_from_dict`` calls when the table is first built, so a
+    command that never builds the table neither decodes nor checks the
+    member: 58 % of each seed corpus's model file.
+
+    The member is split off at the first ``,"resolution":`` when three
+    things hold:
+    - the text before it, closed by ``}``, decodes to a non-empty object. A
+      quote inside a JSON string is escaped, so the cut is then a top-level
+      key right after a complete member;
+    - the member's value starts with ``{`` and the text ends in ``}``, JSON
+      whitespace aside, so the member is not null;
+    - the value holds no ``_LATER_MEMBER``, so no later member follows it
+      to override a member, as ``json.loads`` would let it.
+    Otherwise, or when the head does not decode, the whole text is decoded,
+    with ``json.loads``'s errors."""
+    cut = text.find(_RESOLUTION_KEY)
+    start = cut + len(_RESOLUTION_KEY)
+    end = len(text)
+    while end and text[end - 1] in " \t\n\r":
+        end -= 1
+    end -= 1  # the closing brace
+    if (cut > 0 and start < end and text[start] == "{" and text[end] == "}"
+            and not re.compile(_LATER_MEMBER).search(text, start, end)):
+        try:
+            head = json.loads(text[:cut] + "}")
+        except (ValueError, RecursionError):
+            head = None
+        if type(head) is dict and head:
+            head["resolution"] = partial(_decode_resolution, text, start, end)
+            return head
+    return json.loads(text)
+
+
+def _decode_resolution(text: str, start: int, end: int) -> object:
+    """The resolution member's value, ``text[start:end]``, of the model JSON
+    ``text``. Where it is not valid JSON, neither is ``text``, and the error
+    is the one ``json.loads`` gives for the whole text."""
+    try:
+        return json.loads(text[start:end])
+    except (ValueError, RecursionError):
+        return json.loads(text)["resolution"]
+
+
 def model_from_dict(data: dict) -> UsageModel:
     """Load a serialized model. Its names, the library's included, must be
     strings and its symbols distinct, no FQN may name two types, and a
     symbol has a signature exactly when it is a method or a constructor, so
     no two symbols share a ``Symbol.sort_key``. The symbols' modifiers are not read, and the
     resolution table is built from the resolution section only when
-    ``table`` is first used.
+    ``table`` is first used; from a ``decode_model`` dict, whose section is
+    a function, from what that function returns.
 
     Each value is checked by its checker (``_name``, ...), which raises its
     message. Each distinct list of use names is checked and converted once
@@ -407,7 +465,8 @@ def model_from_dict(data: dict) -> UsageModel:
                 raise ValueError(f"type {fqn} is listed twice")
             type_fqns.add(fqn)
         entries[sym] = _read_names(s["uses"], use_sets, _use_set)
-    return UsageModel(_name(data["library"]), entries, lambda: _table_from_dict(resolution))
+    return UsageModel(_name(data["library"]), entries, lambda: _table_from_dict(
+        resolution() if callable(resolution) else resolution))
 
 
 def _use_set(names: tuple[str, ...]) -> frozenset[UseKind]:

@@ -85,23 +85,28 @@ class Footprint:
                           for (sym, use), locations in self.sites.items() for loc in locations])
 
 
-def merge(f1: Footprint, f2: Footprint, label: Optional[str] = None) -> Footprint:
-    """Set union of two footprints governed by the same model: each pair's
-    locations are the union of its locations in either, in a set of the
-    result's own."""
-    if f1.library != f2.library:
-        raise ModelMismatch(f"cannot merge footprints of {f1.library} and {f2.library}")
-    sites = {pair: set(locations) for pair, locations in f1.sites.items()}
-    for pair, locations in f2.sites.items():
-        mine = sites.get(pair)
-        if mine is None:
-            sites[pair] = set(locations)
-        else:
-            mine |= locations
+def merge(*footprints: Footprint, label: Optional[str] = None) -> Footprint:
+    """Set union of footprints governed by the same model, in one pass: each
+    pair's locations are the union of its locations in any of them, in a
+    set of the result's own. The label joins theirs with ``+`` and the
+    diagnostics follow in their order, as folding ``merge`` over them pair
+    by pair would give, without copying the earlier sets at every step."""
+    first = footprints[0]
+    for fp in footprints:
+        if fp.library != first.library:
+            raise ModelMismatch(f"cannot merge footprints of {first.library} and {fp.library}")
+    sites: dict[UsePair, set[Location]] = {}
+    for fp in footprints:
+        for pair, locations in fp.sites.items():
+            mine = sites.get(pair)
+            if mine is None:
+                sites[pair] = set(locations)
+            else:
+                mine |= locations
     return Footprint(
-        label=label if label is not None else f"{f1.label}+{f2.label}",
-        library=f1.library,
-        diagnostics=f1.diagnostics + f2.diagnostics,
+        label=label if label is not None else "+".join(fp.label for fp in footprints),
+        library=first.library,
+        diagnostics=[d for fp in footprints for d in fp.diagnostics],
         sites=sites,
     )
 

@@ -7,6 +7,7 @@ import functools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -237,24 +238,162 @@ def test_model_wide_sorts_do_not_grow_with_the_number_of_reports(
 
 def test_coverage_compare_and_profile_never_build_the_table(tablerows_sufs, monkeypatch, capsys):
     sum_path, sufs = tablerows_sufs
+    decode = json.JSONDecoder.decode
+
+    def refuse_resolution_text(decoder, text, *args, **kwargs):
+        if '"members":' in text:
+            raise AssertionError("resolution text decoded")
+        return decode(decoder, text, *args, **kwargs)
 
     def refuse(resolution):
         raise AssertionError("resolution table built")
 
+    suf = ["suf", "--sum", sum_path, str(FIXTURES / "tablerows" / "client"), "-o", sufs[0]]
+    with monkeypatch.context() as patch:
+        patch.setattr(json.JSONDecoder, "decode", refuse_resolution_text)
+        patch.setattr(model_module, "_table_from_dict", refuse)
+        for argv in reading_commands(sum_path, sufs).values():
+            assert main(argv) == 0
+        assert main(suf) == 3
+    assert "resolution text decoded" in capsys.readouterr().err
     monkeypatch.setattr(model_module, "_table_from_dict", refuse)
-    assert main(["coverage", "--sum", sum_path, *sufs]) == 0
-    assert main(["compare", "--sum", sum_path, *sufs]) == 0
-    assert main(["profile", "--sum", sum_path]) == 0
-    assert main(["profile", "--sum", sum_path, "--suf", sufs[0]]) == 0
-    assert main(["suf", "--sum", sum_path, str(FIXTURES / "tablerows" / "client"),
-                 "-o", sufs[0]]) == 3
+    assert main(suf) == 3
     assert "resolution table built" in capsys.readouterr().err
+
+
+def reading_commands(sum_path: str, sufs: list[str]) -> dict[str, list[str]]:
+    """The argument lists of the commands that read a model but not its
+    resolution section, by name."""
+    return {
+        "coverage": ["coverage", "--sum", sum_path, *sufs],
+        "coverage-text": ["coverage", "--format", "text", "--sum", sum_path, *sufs],
+        "compare": ["compare", "--sum", sum_path, *sufs],
+        "profile": ["profile", "--sum", sum_path],
+        "profile-suf": ["profile", "--sum", sum_path, "--suf", sufs[0]],
+    }
+
+
+def outcomes(sum_path: str, sufs: list[str], tmp_path, capsys) -> dict[str, tuple]:
+    """The exit code, standard output and standard error of each reading
+    command and of ``suf`` on the model in ``sum_path``."""
+    argvs = reading_commands(sum_path, sufs)
+    argvs["suf"] = ["suf", "--sum", sum_path, str(FIXTURES / "tablerows" / "client"),
+                    "-o", str(tmp_path / "out.json")]
+    capsys.readouterr()
+    results = {}
+    for name, argv in argvs.items():
+        code = main(argv)
+        results[name] = (code, *capsys.readouterr())
+    return results
+
+
+def parent_outcomes(sum_path: str, sufs: list[str], tmp_path, monkeypatch, capsys) -> dict:
+    """``outcomes`` with every model decoded whole by ``json.loads``, as
+    ``suf`` decodes it: the reference of the split reader."""
+    with monkeypatch.context() as patch:
+        patch.setattr(model_module, "decode_model", json.loads)
+        return outcomes(sum_path, sufs, tmp_path, capsys)
+
+
+RESOLUTION_KEY = ',"resolution":'
+
+
+def split_off(text: str) -> bool:
+    """Whether the model reader leaves the resolution member of ``text``
+    undecoded."""
+    try:
+        return callable(model_module.decode_model(text).get("resolution"))
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("value", ['{"types":[', "{not json", '{"types":[]}}{'])
+def test_reading_commands_neither_decode_nor_check_the_resolution_member(
+        tablerows_sufs, tmp_path, monkeypatch, capsys, value):
+    sum_path, sufs = tablerows_sufs
+    text = Path(sum_path).read_text()
+    broken = tmp_path / "broken.json"
+    broken.write_text(text[:text.index(RESOLUTION_KEY) + len(RESOLUTION_KEY)] + value + "}\n")
+    assert split_off(text) and split_off(broken.read_text())
+    intact = outcomes(sum_path, sufs, tmp_path, capsys)
+    got = outcomes(str(broken), sufs, tmp_path, capsys)
+    for name in reading_commands(sum_path, sufs):
+        assert got[name] == intact[name] == (0, intact[name][1], "")
+    with pytest.raises(ValueError) as error:
+        json.loads(broken.read_text())
+    message = f"error: {broken}: invalid JSON: {error.value}\n"
+    parent = parent_outcomes(str(broken), sufs, tmp_path, monkeypatch, capsys)
+    assert got["suf"] == parent["suf"] == (1, "", message)
+
+
+def later(member: str):
+    """The compact model with ``member`` written after its resolution member."""
+    return lambda text: text.rstrip()[:-1] + member + "}"
+
+
+def around_cut(edit):
+    """The compact model edited by ``edit(text, cut)``, ``cut`` the index of
+    its resolution key."""
+    return lambda text: edit(text, text.index(RESOLUTION_KEY))
+
+
+# Model files, made from a compact model, that the reader must decode whole.
+WHOLE_TEXT_MODELS = {
+    "default-separators": lambda text: json.dumps(json.loads(text)),
+    "indented": lambda text: json.dumps(json.loads(text), indent=2),
+    "resolution-first": lambda text: compact(
+        {"resolution": json.loads(text)["resolution"], **json.loads(text)}),
+    "later-symbols": later(',"symbols":[]'),
+    "later-library": later(',"library":"other"'),
+    "later-null-resolution": later(',"resolution":null'),
+    "escaped-later-symbols": later(',"\\u0073ymbols":[]'),
+    "later-member": later(' ,\n "x":1'),
+    "null-resolution": around_cut(lambda text, cut: text[:cut] + RESOLUTION_KEY + "null}"),
+    "empty-head": around_cut(lambda text, cut: "{" + text[cut:]),
+    "truncated-head": around_cut(lambda text, cut: text[:cut - 40] + text[cut:]),
+    "truncated-member": around_cut(lambda text, cut: text[:cut + 100]),
+    "text-after-the-object": lambda text: text.rstrip() + "]",
+}
+# The models of WHOLE_TEXT_MODELS that are not valid JSON.
+INVALID_JSON_MODELS = {"empty-head", "truncated-head", "truncated-member",
+                       "text-after-the-object"}
+
+
+@pytest.mark.parametrize("name", WHOLE_TEXT_MODELS)
+def test_models_the_split_cannot_prove_are_read_whole_as_before(
+        tablerows_sufs, tmp_path, monkeypatch, capsys, name):
+    sum_path, sufs = tablerows_sufs
+    text = WHOLE_TEXT_MODELS[name](Path(sum_path).read_text())
+    assert not split_off(text)
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    got = outcomes(str(path), sufs, tmp_path, capsys)
+    assert got == parent_outcomes(str(path), sufs, tmp_path, monkeypatch, capsys)
+    if name in INVALID_JSON_MODELS:
+        with pytest.raises(ValueError) as error:
+            json.loads(text)
+        message = f"error: {path}: invalid JSON: {error.value}\n"
+        assert all(outcome == (1, "", message) for outcome in got.values())
 
 
 def test_suf_runs_from_a_serialized_model():
     model, fp = fixture("tablerows", "client")
     loaded = model_from_dict(json.loads(model_to_dict(model)))
     assert extract_uses(client_units("tablerows"), loaded, label="client").triples == fp.triples
+
+
+def test_a_split_model_builds_its_table_from_the_member_text():
+    model, fp = fixture("tablerows", "client")
+    text = model_to_dict(model)
+    want = model_from_dict(json.loads(text)).table.types
+    loaded = model_from_dict(model_module.decode_model(text))
+    assert loaded.table.types == want
+    assert extract_uses(client_units("tablerows"), loaded, label="client").triples == fp.triples
+    broken = text[:text.index(RESOLUTION_KEY) + len(RESOLUTION_KEY)] + "{oops}"
+    with pytest.raises(json.JSONDecodeError) as whole:
+        json.loads(broken)
+    with pytest.raises(json.JSONDecodeError, match=f"^{re.escape(str(whole.value))}$"):
+        model_from_dict(model_module.decode_model(broken)).table  # noqa: B018
 
 
 def test_malformed_resolution_section_fails_suf_only(tablerows_sufs, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -743,6 +744,19 @@ def test_an_anonymous_body_of_an_unknown_type_has_no_type():
     ]
 
 
+@pytest.mark.xfail(strict=True, reason="a member type keeps the raw spelling of a name "
+                   "that resolves nowhere, which binds to a default-package type")
+def test_a_member_type_that_resolves_nowhere_is_not_a_default_package_type():
+    # In package q, ``Thread`` is java.lang.Thread, never the default-package
+    # Thread of the library (JLS 7.4.2, 7.5), so make().g() is no use of it.
+    model = build_sum([parse_unit(
+        "public class Thread { public Thread() { } public void g() { } }", "Thread.java")], "lib")
+    client = parse_unit("package q; public class C extends Thread { Thread make() { "
+                        "return null; } void h() { make().g(); } }", "q/C.java")
+    fp = extract_uses([client], model)
+    assert [str(t.symbol) for t in fp.triples] == []
+
+
 ENCLOSING = (
     {
         "Conn": "package p; public class Conn { public void close() { } }",
@@ -1144,11 +1158,44 @@ def test_merge_is_union():
     assert pairs(m) == pairs(f2) | pairs(f3)
 
 
+def union_of_two(f1: Footprint, f2: Footprint) -> Footprint:
+    """The union of two footprints, written out: each pair's sites in both,
+    the labels joined by ``+``, the diagnostics of ``f1`` and then ``f2``."""
+    sites = {pair: set(locations) for pair, locations in f1.sites.items()}
+    for pair, locations in f2.sites.items():
+        sites.setdefault(pair, set()).update(locations)
+    return Footprint(f"{f1.label}+{f2.label}", f1.library,
+                     diagnostics=f1.diagnostics + f2.diagnostics, sites=sites)
+
+
+def test_merging_many_footprints_in_one_pass_equals_the_pairwise_fold():
+    for corpus, groups in (("arraylist", ("classic", "framework")), ("fluent", ("client",)),
+                           ("statements", ("client",)), ("edges", ("client",))):
+        model = model_for(corpus)
+        fps = [extract_uses(client_units(corpus, g), model, label=g) for g in groups]
+        fps.append(Footprint("reversed", model.library_name,
+                             diagnostics=fps[0].diagnostics[::-1], sites=fps[-1].sites))
+        fps += [extract_uses(client_units(corpus, g), model, label=f"{g}2") for g in groups]
+        fps.append(extract_uses([], model, label="empty"))
+        for n in range(1, len(fps) + 1):
+            one = merge(*fps[:n])
+            for fold in (functools.reduce(union_of_two, fps[:n]),
+                         functools.reduce(merge, fps[:n])):
+                assert one.label == fold.label
+                assert one.library == fold.library
+                assert one.diagnostics == fold.diagnostics
+                assert list(one.sites.items()) == list(fold.sites.items())
+            assert all(one.sites[pair] is not locations
+                       for fp in fps[:n] for pair, locations in fp.sites.items())
+
+
 def test_merge_requires_same_library():
     fa = extract_uses([], model_for("fluent"))
     fb = extract_uses([], model_for("edges"))
     with pytest.raises(ModelMismatch):
         merge(fa, fb)
+    with pytest.raises(ModelMismatch, match="^cannot merge footprints of fluent and edges$"):
+        merge(fa, fa, fb)
     with pytest.raises(ModelMismatch):
         diff(fa, fb)
 
